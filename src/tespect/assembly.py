@@ -15,6 +15,10 @@ Two families are provided: shifted Legendre polynomials under the clamping
 weight (x(1-x))^m, and a telescoped sine basis for the second-order case.
 Two-dimensional problems use tensor products on the unit square, flattened
 row-major in the construction order.
+
+``whiten`` then reduces the pencil by a single congruence X, from one
+Cholesky factor of A and one symmetric eigensolve, to coordinates where the
+mass is the identity and the stiffness is diagonal.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .model import ProblemSpec, _potential_values
 
 _ASYM_TOL = 1e-8
 _GRAM_FLOOR = 1e-12
+_SPD_FLOOR = 1e-13
 _EXACTNESS_TOL = 1e-12
 _MAX_DOUBLINGS = 3
 _POSITIVITY_MARGIN = 1e-10
@@ -299,47 +304,52 @@ class GalerkinSystem:
 
 @dataclass
 class WhitenedSystem:
-    """Pencil in L2-orthonormal, mass-normalized coordinates.
+    """Pencil in mass-orthonormal coordinates with a diagonal stiffness.
 
-    ``to_basis`` maps whitened coordinate vectors back to basis coefficients
-    (the composition of the Gram and mass inverse square roots); it is the
-    identity for synthetic systems injected directly as matrices.
+    ``mu`` holds the eigenvalues of C relative to A, descending: the whitened
+    stiffness is diag(1/mu), the mass is the identity and ``b`` is the
+    transformed B.  ``to_basis`` is the congruence X with X^T C X = I and
+    X^T A X = diag(1/mu); it maps whitened coordinate vectors back to basis
+    coefficients.
 
-    ``inv_sqrt_a`` is S, the square root of A_w^{-1} taken after the inverse,
-    not the inverse of the root of A_w: the small stiffness eigenvalues, which
-    dominate every trace of D, keep full relative accuracy only that way.
+    S = A_w^{-1/2} = diag(sqrt(mu)) and A_w^{-1} = diag(mu) are diagonal
+    scalings; the small stiffness eigenvalues, which dominate every trace of
+    D, are the largest mu and so carry full relative accuracy.
     """
 
-    a: np.ndarray
+    mu: np.ndarray
     b: np.ndarray
     to_basis: np.ndarray
     system: Optional[GalerkinSystem] = None
 
     @property
     def size(self) -> int:
-        return self.a.shape[0]
+        return self.mu.size
 
     @classmethod
     def from_matrices(cls, a, b) -> "WhitenedSystem":
+        """Whiten a synthetic pencil A - lam B + lam^2 I given by its matrices."""
         a = np.atleast_2d(np.asarray(a, dtype=float))
         b = np.atleast_2d(np.asarray(b, dtype=float))
-        return cls(a=a, b=b, to_basis=np.eye(a.shape[0]), system=None)
+        eye = np.eye(a.shape[0])
+        return whiten(GalerkinSystem(gram=eye, a=a, b=b, c=eye))
+
+    @cached_property
+    def a(self) -> np.ndarray:
+        return np.diag(1.0 / self.mu)
 
     @cached_property
     def inv_sqrt_a(self) -> np.ndarray:
-        return densela.spd_sqrt_of_inverse(self.a)
-
-    @cached_property
-    def comp_block(self) -> np.ndarray:
-        s = self.inv_sqrt_a
-        k = s @ self.b @ s
-        return 0.5 * (k + k.T)
+        return np.diag(np.sqrt(self.mu))
 
     @cached_property
     def inv_a(self) -> np.ndarray:
-        s = self.inv_sqrt_a
-        prod = s @ s
-        return 0.5 * (prod + prod.T)
+        return np.diag(self.mu)
+
+    @cached_property
+    def comp_block(self) -> np.ndarray:
+        root = np.sqrt(self.mu)
+        return root[:, None] * self.b * root[None, :]
 
 
 def _check_and_symmetrize(name: str, m: np.ndarray) -> np.ndarray:
@@ -464,23 +474,32 @@ def assemble_system(
 
 
 def whiten(system: GalerkinSystem) -> WhitenedSystem:
-    """Move the pencil into orthonormal, mass-normalized coordinates.
+    """Diagonalize the stiffness in mass-orthonormal coordinates.
 
-    First congruence by the inverse square root of the Gram matrix, then by
-    that of the transformed mass matrix; the composed map back to basis
-    coefficients is retained for state recovery.
+    One congruence, taken on the inverse side: with L = chol(A), the
+    eigendecomposition M = L^{-1} C L^{-T} = Q diag(mu) Q^T gives
+    X = L^{-T} Q diag(mu)^{-1/2}, so that X^T C X = I and X^T A X = diag(1/mu).
+    The small stiffness eigenvalues 1/mu are the largest mu, which the
+    symmetric eigensolver resolves to full relative accuracy.
+
+    Raises:
+        NotPositiveDefinite: A or C has a non-finite entry, A has no Cholesky
+            factor, or mu_min <= 1e-13 mu_max (this includes indefinite C).
     """
-    g_is = densela.spd_inv_sqrt(system.gram)
-    a1 = g_is @ system.a @ g_is
-    b1 = g_is @ system.b @ g_is
-    c1 = g_is @ system.c @ g_is
-    c_is = densela.spd_inv_sqrt(0.5 * (c1 + c1.T))
-    aw = c_is @ a1 @ c_is
-    bw = c_is @ b1 @ c_is
-    aw = 0.5 * (aw + aw.T)
-    bw = 0.5 * (bw + bw.T)
+    if not (np.all(np.isfinite(system.a)) and np.all(np.isfinite(system.c))):
+        raise NotPositiveDefinite("stiffness or mass has non-finite entries")
     try:
-        np.linalg.cholesky(aw)
+        chol = np.linalg.cholesky(system.a)
     except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("whitened stiffness is not positive definite") from exc
-    return WhitenedSystem(a=aw, b=bw, to_basis=g_is @ c_is, system=system)
+        raise NotPositiveDefinite("stiffness is not positive definite") from exc
+    m = np.linalg.solve(chol, np.linalg.solve(chol, system.c).T)
+    dec = densela.sym_eig(0.5 * (m + m.T))
+    mu = dec.eigenvalues[::-1]
+    if mu[0] <= 0 or mu[-1] <= _SPD_FLOOR * mu[0]:
+        raise NotPositiveDefinite(
+            f"mass-to-stiffness eigenvalue range [{mu[-1]:.3e}, {mu[0]:.3e}] "
+            "is not safely positive"
+        )
+    x = np.linalg.solve(chol.T, dec.eigenvectors[:, ::-1]) / np.sqrt(mu)
+    bw = x.T @ system.b @ x
+    return WhitenedSystem(mu=mu, b=0.5 * (bw + bw.T), to_basis=x, system=system)

@@ -27,7 +27,6 @@ from . import __version__, companion, counting, diagnostics, oracles
 from .assembly import POLYNOMIAL, WhitenedSystem, assemble_system, build_basis, whiten
 from .errors import ComputationError
 from .model import DomainSpec, OperatorSpec, PotentialSpec, validate_problem
-from .util import make_mapper
 
 _SCHEMA = {
     "problem": {
@@ -424,12 +423,10 @@ def _cmd_count(cfg: RunConfig, out: OutputWriter) -> int:
     raw = cfg.str_("count", "radii")
     radii = _auto_radii(lams) if raw == "auto" else cfg.list_float("count", "radii")
     nudged = [counting.nudge_radius(r, np.abs(lams)) for r in radii]
-    mapper = make_mapper()
     report = counting.growth_profile(
         wh,
         sorted(nudged),
         points=cfg.int_("count", "contour_points"),
-        mapper=mapper,
         spectrum=lams,
     )
     out.csv(
@@ -474,7 +471,6 @@ def _cmd_scan(cfg: RunConfig, out: OutputWriter) -> int:
         family=cfg.str_("basis", "family"),
         zero_tol=cfg.float_("scan", "zero_tol"),
         refine_check=cfg.bool_("scan", "refine_check"),
-        mapper=make_mapper(),
     )
     out.csv(
         "scan.csv",

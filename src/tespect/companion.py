@@ -1,7 +1,7 @@
 """Companion linearization of the whitened quadratic pencil.
 
-With S the inverse square root of the whitened stiffness and K = S B S, the
-block matrix
+With S = diag(sqrt(mu)) the inverse square root of the diagonal whitened
+stiffness and K = S B S, the block matrix
 
     D = [[K, -S],
          [S,  0]]
@@ -27,7 +27,6 @@ from .errors import (
     DegenerateState,
     EmptyChain,
     NearSpectrum,
-    NotPositiveDefinite,
     RankAmbiguous,
     ZeroEigenvalue,
 )
@@ -105,12 +104,10 @@ class JordanChain:
 def build_companion(wh: WhitenedSystem) -> CompanionSystem:
     """Assemble the companion matrix from a whitened system.
 
-    S is the square root of A_w^{-1}, formed after the inverse: the small
-    stiffness eigenvalues dominate every trace of D, and only A_w^{-1} holds
-    them to full relative accuracy.
+    S = diag(sqrt(mu)) and K = S B S are diagonal scalings of the whitened
+    system; the small stiffness eigenvalues, which dominate every trace of D,
+    enter as the largest mu at full relative accuracy.
     """
-    if not np.all(np.isfinite(wh.a)):
-        raise NotPositiveDefinite("whitened stiffness has non-finite entries")
     s = wh.inv_sqrt_a
     k = wh.comp_block
     n = s.shape[0]
@@ -215,11 +212,11 @@ def recover_state(
 ) -> Eigenstate:
     """Interior states from a companion eigenpair.
 
-    The first eigenvector block maps through S and the whitening chain to the
-    clamped state u (unit coefficient norm).  When basis metadata is present,
-    w = q (P - lambda) u / lambda is sampled pointwise and projected, and
-    v = w - u; their equations are checked weakly against the clamped test
-    space, reported as dual-norm residuals scaled by (1 + |lambda|) ||.||.
+    The first eigenvector block maps through S and the whitening congruence
+    to the clamped state u (unit coefficient norm).  When basis metadata is
+    present, w = q (P - lambda) u / lambda is sampled pointwise and projected,
+    and v = w - u; their equations are checked weakly against the clamped
+    test space, reported as dual-norm residuals scaled by (1 + |lambda|) ||.||.
     """
     y = np.asarray(y).reshape(-1)
     n = comp.size
@@ -264,7 +261,8 @@ def recover_state(
     w_coef = basis.project(w_pts)
     v_coef = w_coef - u
 
-    g_isqrt = densela.spd_inv_sqrt(sys_.gram)
+    # ||L_G^{-1} r|| = ||G^{-1/2} r||, the dual norm, for G = L_G L_G^T
+    chol_g = np.linalg.cholesky(sys_.gram)
 
     def dual_residual(values, lam_weight):
         rvec = basis.dual_moments(values, terms) - basis.weighted_moments(
@@ -272,7 +270,8 @@ def recover_state(
         )
         norm_h = float(np.sqrt(abs(np.sum(wq * np.abs(values) ** 2))))
         return float(
-            np.linalg.norm(g_isqrt @ rvec) / ((1.0 + abs(lam)) * max(norm_h, 1e-300))
+            np.linalg.norm(np.linalg.solve(chol_g, rvec))
+            / ((1.0 + abs(lam)) * max(norm_h, 1e-300))
         )
 
     r_v = dual_residual(v_pts, lam)

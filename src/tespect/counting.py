@@ -18,7 +18,7 @@ discretization actually resolves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -61,17 +61,17 @@ def fredholm_det(wh: WhitenedSystem, lam: complex) -> densela.LogDet:
     return densela.complex_det(mat)
 
 
-def _contour(wh, radius, points, mapper):
+def _contour(wh, radius, points):
     theta = 2.0 * np.pi * np.arange(points) / points
     lams = radius * np.exp(1j * theta)
-    dets = list(mapper(lambda z: fredholm_det(wh, z), lams))
+    dets = [fredholm_det(wh, z) for z in lams]
     log_abs = np.array([d.log_abs for d in dets])
     args = np.array([d.arg for d in dets])
     return log_abs, args
 
 
 def _contour_scan(
-    wh: WhitenedSystem, radius: float, points: int, mapper: Callable
+    wh: WhitenedSystem, radius: float, points: int
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Contour values with automatic grid doubling for phase resolution.
 
@@ -84,7 +84,7 @@ def _contour_scan(
     if radius <= 0:
         raise ValueError("radius must be positive")
     for _ in range(_MAX_GRID_DOUBLINGS + 1):
-        log_abs, args = _contour(wh, radius, points, mapper)
+        log_abs, args = _contour(wh, radius, points)
         if np.min(log_abs) < _DET_FLOOR_LOG:
             raise ContourNearZero(
                 f"determinant magnitude {np.exp(np.min(log_abs)):.2e} below floor "
@@ -103,10 +103,9 @@ def winding_count(
     wh: WhitenedSystem,
     radius: float,
     points: int = DEFAULT_CONTOUR_POINTS,
-    mapper: Callable = map,
 ) -> int:
     """Zeros of the determinant inside |lam| < radius via the argument principle."""
-    _, steps, _ = _contour_scan(wh, radius, points, mapper)
+    _, steps, _ = _contour_scan(wh, radius, points)
     total = float(np.sum(steps)) / (2.0 * np.pi)
     return int(round(total))
 
@@ -115,10 +114,9 @@ def jensen_bound(
     wh: WhitenedSystem,
     radius: float,
     points: int = DEFAULT_CONTOUR_POINTS,
-    mapper: Callable = map,
 ) -> float:
     """Contour-maximum bound on the zero count in the half-radius disk."""
-    log_abs, _, _ = _contour_scan(wh, radius, points, mapper)
+    log_abs, _, _ = _contour_scan(wh, radius, points)
     return float(np.max(log_abs) / np.log(2.0))
 
 
@@ -138,7 +136,6 @@ def growth_profile(
     wh: WhitenedSystem,
     radii: Sequence[float],
     points: int = DEFAULT_CONTOUR_POINTS,
-    mapper: Callable = map,
     spectrum: Optional[np.ndarray] = None,
 ) -> CountReport:
     """Count zeros on a list of ascending radii and fit the growth law.
@@ -162,7 +159,7 @@ def growth_profile(
     max_logs = []
     grids = []
     for r in radii:
-        log_abs, steps, used = _contour_scan(wh, float(r), points, mapper)
+        log_abs, steps, used = _contour_scan(wh, float(r), points)
         windings.append(int(round(float(np.sum(steps)) / (2.0 * np.pi))))
         max_logs.append(float(np.max(log_abs)))
         jensens.append(float(np.max(log_abs) / np.log(2.0)))

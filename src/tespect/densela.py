@@ -1,25 +1,22 @@
 """Dense linear-algebra kernels used by the spectral pipeline.
 
-Thin, contract-enforcing wrappers over LAPACK (through numpy/scipy):
-symmetric eigendecomposition, SPD square roots, the dense nonsymmetric
-eigensolver (balancing + Hessenberg reduction + shifted QR, as LAPACK does
-it), log-scale complex determinants, and singular values.  Everything here
-is deterministic for fixed input on a fixed build.
+Thin, contract-enforcing wrappers over numpy's LAPACK: symmetric
+eigendecomposition, the dense nonsymmetric eigensolver (balancing +
+Hessenberg reduction + shifted QR, as LAPACK does it), log-scale complex
+determinants, and singular values.  Everything here is deterministic for
+fixed input on a fixed build.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
-from .errors import AsymmetryExceeded, NoConvergence, NotPositiveDefinite
+from .errors import AsymmetryExceeded, NoConvergence
 
 _SYM_TOL = 1e-10
-_SPD_FLOOR = 1e-13
 
 
 @dataclass(frozen=True)
@@ -81,46 +78,6 @@ def sym_eig(s: np.ndarray) -> SymEig:
     return SymEig(vals, vecs)
 
 
-def _spd_decomposition(s: np.ndarray) -> SymEig:
-    dec = sym_eig(s)
-    vals = dec.eigenvalues
-    if vals[-1] <= 0 or vals[0] <= _SPD_FLOOR * vals[-1]:
-        raise NotPositiveDefinite(
-            f"eigenvalue range [{vals[0]:.3e}, {vals[-1]:.3e}] is not safely positive"
-        )
-    return dec
-
-def spd_sqrt(s: np.ndarray) -> np.ndarray:
-    """Symmetric square root of an SPD matrix."""
-    dec = _spd_decomposition(s)
-    q = dec.eigenvectors
-    root = (q * np.sqrt(dec.eigenvalues)) @ q.T
-    return 0.5 * (root + root.T)
-
-
-def spd_inv_sqrt(s: np.ndarray) -> np.ndarray:
-    """Symmetric inverse square root of an SPD matrix."""
-    dec = _spd_decomposition(s)
-    q = dec.eigenvectors
-    root = (q / np.sqrt(dec.eigenvalues)) @ q.T
-    return 0.5 * (root + root.T)
-
-
-def spd_sqrt_of_inverse(s: np.ndarray) -> np.ndarray:
-    """Symmetric square root of the inverse of an SPD matrix.
-
-    Equal to ``spd_inv_sqrt`` in exact arithmetic, but the inverse comes first
-    from an LU solve: the eigensolver resolves eigenvalues only to about
-    eps * ||s|| absolute, so the smallest eigenvalues of an ill-conditioned
-    ``s`` keep full relative accuracy only as the largest ones of s^{-1}.
-    """
-    try:
-        inv = np.linalg.inv(_check_symmetric(s))
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("matrix is singular") from exc
-    return spd_sqrt(0.5 * (inv + inv.T))
-
-
 def nonsym_eig(m: np.ndarray, want_vectors: bool = False) -> ComplexSpectrum:
     """All eigenvalues of a real square matrix.
 
@@ -160,20 +117,13 @@ def complex_det(m: np.ndarray) -> LogDet:
         raise ValueError("matrix entries must be finite")
     if m.shape[0] == 0:
         return LogDet(0.0, 0.0)
-    with warnings.catch_warnings():
-        # singular input is legal here and reported through the -inf sentinel
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
-    diag = np.diag(lu)
-    if np.any(diag == 0):
+    sign, log_abs = np.linalg.slogdet(m)
+    if sign == 0:
         return LogDet(-np.inf, 0.0)
-    swaps = int(np.sum(piv != np.arange(m.shape[0])))
-    log_abs = float(np.sum(np.log(np.abs(diag))))
-    arg = float(np.sum(np.angle(diag)) + np.pi * (swaps % 2))
-    arg = float((arg + np.pi) % (2.0 * np.pi) - np.pi)
+    arg = float(np.angle(sign))
     if arg == -np.pi:
         arg = np.pi
-    return LogDet(log_abs, arg)
+    return LogDet(float(log_abs), arg)
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:

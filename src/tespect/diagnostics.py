@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -120,10 +120,10 @@ def trace_identity_check(wh: WhitenedSystem, comp: CompanionSystem) -> tuple[flo
     tr(D)  = tr(B A^{-1}) and
     tr(D^2) = tr(A^{-1/2} (B A^{-1} B - 2) A^{-1/2}),
     both relative to the larger magnitude (floored at one, so exact-zero
-    cases stay well-defined).
+    cases stay well-defined).  A^{-1} = diag(mu) and A^{-1/2} = diag(sqrt(mu))
+    are the whitened system's own scalings, so the residuals measure the
+    identities themselves rather than solver conditioning.
     """
-    # both sides share the spectral factorization behind S, so the residuals
-    # measure the identities themselves rather than solver conditioning
     inv_a = wh.inv_a
     tr_d = float(np.trace(comp.d))
     tr_ba = float(np.trace(wh.b @ inv_a))
@@ -140,10 +140,11 @@ def trace_identity_check(wh: WhitenedSystem, comp: CompanionSystem) -> tuple[flo
 def schatten_profile(wh: WhitenedSystem) -> SchattenProfile:
     """Decay profile of the singular values of the stiffness inverse root.
 
-    Fits log s_j against log j over the middle third of indices; the
-    theoretical exponent -m/n is attached when problem metadata is present.
+    S = diag(sqrt(mu)), so its singular values are sqrt(mu) sorted
+    descending.  Fits log s_j against log j over the middle third of indices;
+    the theoretical exponent -m/n is attached when problem metadata is present.
     """
-    svals = densela.singular_values(wh.inv_sqrt_a)
+    svals = np.sort(np.sqrt(wh.mu))[::-1]
     exponent = loglog_slope(svals)
     theory = None
     if wh.system is not None and wh.system.problem is not None:
@@ -231,15 +232,16 @@ def trace_functional_routes(
 ) -> tuple[float, float]:
     """Trace functional through the whitened and the raw route.
 
-    Whitened: tr(B_w A_w^{-1}) after Gram and mass whitening.  Raw: the same
-    trace evaluated directly on the assembled matrices, equal by cyclicity of
-    the trace.  Both values are returned so callers can assert the residual.
+    Whitened: tr(B_w A_w^{-1}) = sum_i mu_i (B_w)_ii after the whitening
+    congruence.  Raw: the same trace evaluated directly on the assembled
+    matrices, equal by cyclicity of the trace.  Both values are returned so
+    callers can assert the residual.
     """
     if basis is None:
         basis = build_basis(problem, size, family)
     system = assemble_system(problem, basis)
     wh = whiten(system)
-    whitened = float(np.trace(np.linalg.solve(wh.a, wh.b)))
+    whitened = float(wh.mu @ np.diag(wh.b))
     raw = float(np.trace(np.linalg.solve(system.a, system.b)))
     return whitened, raw
 
@@ -254,9 +256,8 @@ def trace_functional(
     """Trace functional tr(B_q A_q^{-1}) at basis size ``size``.
 
     Evaluated through the whitened route; the raw route is computed alongside
-    as a built-in cyclicity cross-check.  The raw route is the better
-    conditioned one: whitening raises the condition number of the stiffness
-    (cond(A_w) = 1.2e7 against cond(A) = 8.9e4 for -Laplacian, V = 1, n = 32).
+    as a built-in cyclicity cross-check.  Both routes resolve the small
+    stiffness eigenvalues to full relative accuracy and agree to rounding.
 
     Raises:
         CrossCheckFailed: the two routes disagree beyond ``tol`` relative.
@@ -277,7 +278,6 @@ def _scan_values(
     size: int,
     family: str,
     tol: float,
-    mapper: Callable = map,
 ) -> np.ndarray:
     check_pts = _validation_points(problem.dimension)
 
@@ -291,7 +291,7 @@ def _scan_values(
         prob_s = ProblemSpec(problem.operator, problem.domain, pot_s)
         return trace_functional(prob_s, size, family, tol)
 
-    return np.array(list(mapper(one, [float(s) for s in s_grid])))
+    return np.array([one(float(s)) for s in s_grid])
 
 
 def potential_scan(
@@ -303,7 +303,6 @@ def potential_scan(
     zero_tol: float = 1e-6,
     cross_check_tol: float = _IDENTITY_TOL,
     refine_check: bool = False,
-    mapper: Callable = map,
 ) -> ScanReport:
     """Scan the trace functional along the family V_0 + s * direction.
 
@@ -317,7 +316,7 @@ def potential_scan(
     s = np.asarray(list(s_grid), dtype=float)
     if s.size < 2:
         raise ValueError("scan grid needs at least two points")
-    t = _scan_values(problem, direction, s, size, family, cross_check_tol, mapper)
+    t = _scan_values(problem, direction, s, size, family, cross_check_tol)
 
     dt = np.gradient(t, s)
     d2t = np.gradient(dt, s)
@@ -331,7 +330,7 @@ def potential_scan(
     refined_inc = None
     if refine_check:
         fine = np.linspace(s[0], s[-1], 2 * (s.size - 1) + 1)
-        t_fine = _scan_values(problem, direction, fine, size, family, cross_check_tol, mapper)
+        t_fine = _scan_values(problem, direction, fine, size, family, cross_check_tol)
         refined_inc = float(np.max(np.abs(np.diff(t_fine))))
 
     return ScanReport(

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -47,33 +45,6 @@ def wrap_angle(theta: np.ndarray | float):
 def relative_gap(a: float, b: float) -> float:
     """|a - b| relative to the larger magnitude, floored at one."""
     return abs(a - b) / max(abs(a), abs(b), 1.0)
-
-
-def worker_count() -> int:
-    """Worker cap from TE_SPECT_THREADS; 0 or unset means sequential."""
-    raw = os.environ.get("TE_SPECT_THREADS", "0")
-    try:
-        return max(int(raw), 0)
-    except ValueError:
-        return 0
-
-
-def make_mapper(threads: int | None = None):
-    """Return a map-like callable honoring the thread cap.
-
-    The returned callable preserves input order, so reductions downstream
-    stay deterministic regardless of the worker count.
-    """
-    if threads is None:
-        threads = worker_count()
-    if threads < 2:
-        return map
-
-    def pooled(fn, items):
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-
-    return pooled
 
 
 def match_multisets(a: np.ndarray, b: np.ndarray) -> float:

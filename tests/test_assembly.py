@@ -166,13 +166,41 @@ def test_gram_positive_and_well_conditioned():
 # -- whitening ---------------------------------------------------------------------
 
 
+def assert_whitening_congruence(system, wh):
+    x = wh.to_basis
+    n = wh.size
+    assert np.linalg.norm(x.T @ system.c @ x - np.eye(n)) < 1e-10
+    assert np.linalg.norm(x.T @ system.a @ x - wh.a) < 1e-10 * np.linalg.norm(wh.a)
+    bw = x.T @ system.b @ x
+    assert np.linalg.norm(bw - wh.b) <= 1e-14 * np.linalg.norm(bw)
+
+
 def test_whiten_scalar_mass():
     a = np.array([[3.0, 1.0], [1.0, 2.0]])
     b = np.array([[1.0, 0.5], [0.5, 1.0]])
     system = assembly.GalerkinSystem(gram=np.eye(2), a=a, b=b, c=2.0 * np.eye(2))
     wh = assembly.whiten(system)
-    assert np.allclose(wh.a, a / 2.0, atol=1e-14)
-    assert np.allclose(wh.b, b / 2.0, atol=1e-14)
+    assert np.array_equal(wh.a, np.diag(np.diag(wh.a)))
+    assert np.allclose(np.diag(wh.a), np.linalg.eigvalsh(a) / 2.0, rtol=1e-14, atol=0)
+    assert_whitening_congruence(system, wh)
+
+
+@pytest.mark.parametrize("n", [3, 10, 30])
+def test_whiten_congruence_identities(n):
+    rng = np.random.default_rng(300 + n)
+
+    def spd(lo, hi):
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        m = (q * rng.uniform(lo, hi, n)) @ q.T
+        return 0.5 * (m + m.T)
+
+    b = rng.standard_normal((n, n))
+    system = assembly.GalerkinSystem(
+        gram=np.eye(n), a=spd(1.0, 1e4), b=0.5 * (b + b.T), c=spd(0.5, 3.0)
+    )
+    wh = assembly.whiten(system)
+    assert np.all(np.diff(wh.mu) <= 0)
+    assert_whitening_congruence(system, wh)
 
 
 def test_whiten_unit_toy():
@@ -213,6 +241,14 @@ def test_whiten_rejects_indefinite_mass():
         a=np.eye(2),
         b=np.eye(2),
         c=np.diag([1.0, -1.0]),
+    )
+    with pytest.raises(NotPositiveDefinite):
+        assembly.whiten(system)
+
+
+def test_whiten_rejects_stiffness_at_conditioning_floor():
+    system = assembly.GalerkinSystem(
+        gram=np.eye(2), a=np.diag([1.0, 5e-14]), b=np.eye(2), c=np.eye(2)
     )
     with pytest.raises(NotPositiveDefinite):
         assembly.whiten(system)

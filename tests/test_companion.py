@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import cached_system, random_spd_pencil
-from tespect import assembly, companion
+from tespect import assembly, companion, oracles
 from tespect.errors import (
     DegenerateState,
     EmptyChain,
@@ -64,6 +64,17 @@ def test_extract_spectrum_finds_oracle_eigenvalue(helmholtz48):
     best = min(spec, key=lambda t: abs(t.lam - target))
     assert abs(best.lam - target) / target < 1e-4
     assert best.qep_residual < 1e-8
+
+
+def test_lowest_real_eigenvalues_match_interval_oracle_n128():
+    _, _, _, wh = cached_system(operator="laplacian", size=128, contrast=2.0)
+    spec = companion.extract_spectrum(companion.build_companion(wh))
+    lams = np.array([t.lam for t in spec])
+    real = np.sort(lams[np.abs(lams.imag) <= 1e-8 * np.abs(lams)].real)
+    roots = oracles.oracle_1d(2.0, 0.5, 20.0, 2000)
+    ref = np.array([r.lam for r in roots[:4]])
+    assert ref.size == 4
+    assert np.max(np.abs(real[:4] - ref) / ref) < 1e-10
 
 
 def test_spectrum_conjugate_pairs(helmholtz32):
@@ -294,10 +305,10 @@ def test_extract_spectrum_mu_floor(toy_companion):
 
 
 def test_build_companion_rejects_nonfinite():
-    wh = assembly.WhitenedSystem.from_matrices([[np.inf]], [[1.0]])
     from tespect.errors import NotPositiveDefinite
 
     with pytest.raises(NotPositiveDefinite):
+        wh = assembly.WhitenedSystem.from_matrices([[np.inf]], [[1.0]])
         companion.build_companion(wh)
 
 

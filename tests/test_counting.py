@@ -138,15 +138,3 @@ def test_nudge_radius_moves_off_spectrum():
     r = counting.nudge_radius(4.0, moduli)
     assert np.min(np.abs(moduli - r)) / r > 0.01
     assert counting.nudge_radius(2.0, moduli) == 2.0
-
-
-def test_winding_under_thread_pool(toy_whitened, monkeypatch):
-    from tespect.util import make_mapper
-
-    monkeypatch.setenv("TE_SPECT_THREADS", "3")
-    pooled = make_mapper()
-    assert pooled is not map
-    assert counting.winding_count(toy_whitened, 2.0, mapper=pooled) == 1
-    assert counting.jensen_bound(toy_whitened, 3.0, mapper=pooled) == pytest.approx(
-        counting.jensen_bound(toy_whitened, 3.0), rel=1e-14
-    )

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tespect import densela
-from tespect.errors import AsymmetryExceeded, NotPositiveDefinite
+from tespect.errors import AsymmetryExceeded
 
 
 def rand_orthogonal(rng, n):
@@ -39,56 +39,6 @@ def test_sym_eig_residuals(n):
 def test_sym_eig_rejects_asymmetric():
     with pytest.raises(AsymmetryExceeded):
         densela.sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
-# -- SPD roots -------------------------------------------------------------------
-
-
-def test_spd_inv_sqrt_diagonal():
-    r = densela.spd_inv_sqrt(np.diag([4.0, 9.0]))
-    assert np.allclose(r, np.diag([0.5, 1.0 / 3.0]), atol=1e-14)
-
-
-def test_spd_inv_sqrt_identity():
-    assert np.allclose(densela.spd_inv_sqrt(np.eye(3)), np.eye(3), atol=1e-14)
-
-
-@pytest.mark.parametrize("n", [3, 10, 30])
-def test_spd_roots_compose(n):
-    rng = np.random.default_rng(100 + n)
-    q = rand_orthogonal(rng, n)
-    s = (q * rng.uniform(0.5, 20.0, n)) @ q.T
-    s = 0.5 * (s + s.T)
-    root = densela.spd_sqrt(s)
-    inv_root = densela.spd_inv_sqrt(s)
-    assert np.linalg.norm(root @ root - s) < 1e-9 * np.linalg.norm(s)
-    assert np.linalg.norm(inv_root @ s @ inv_root - np.eye(n)) < 1e-9
-    assert np.linalg.norm(inv_root @ root - np.eye(n)) < 1e-9
-
-
-def test_spd_rejects_indefinite():
-    with pytest.raises(NotPositiveDefinite):
-        densela.spd_inv_sqrt(np.diag([1.0, -1.0]))
-
-
-@pytest.mark.parametrize("n", [3, 10, 30])
-def test_spd_sqrt_of_inverse_matches_inv_sqrt(n):
-    rng = np.random.default_rng(200 + n)
-    q = rand_orthogonal(rng, n)
-    s = (q * rng.uniform(0.5, 20.0, n)) @ q.T
-    s = 0.5 * (s + s.T)
-    root = densela.spd_sqrt_of_inverse(s)
-    assert np.array_equal(root, root.T)
-    assert np.linalg.norm(root - densela.spd_inv_sqrt(s)) < 1e-12 * np.linalg.norm(root)
-
-
-def test_spd_sqrt_of_inverse_rejects_bad_input():
-    with pytest.raises(NotPositiveDefinite):
-        densela.spd_sqrt_of_inverse(np.zeros((2, 2)))
-    with pytest.raises(NotPositiveDefinite):
-        densela.spd_sqrt_of_inverse(np.diag([1.0, -1.0]))
-    with pytest.raises(AsymmetryExceeded):
-        densela.spd_sqrt_of_inverse(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 # -- dense nonsymmetric eigensolver ------------------------------------------------
@@ -181,6 +131,16 @@ def test_complex_det_singular_sentinel():
     assert det.value == 0.0
 
 
+def test_complex_det_contract_edges():
+    assert densela.complex_det(np.zeros((0, 0))) == densela.LogDet(0.0, 0.0)
+    assert densela.complex_det(np.array([[-2.0]])).arg == np.pi
+    assert densela.complex_det(np.array([[complex(-2.0, -0.0)]])).arg == np.pi
+    with pytest.raises(ValueError):
+        densela.complex_det(np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        densela.complex_det(np.array([[np.nan]]))
+
+
 # -- singular values -------------------------------------------------------------------
 
 
@@ -207,8 +167,3 @@ def test_logdet_overflow_guard():
     assert np.isinf(huge.value.real)
     zero = densela.LogDet(-np.inf, 0.0)
     assert zero.value == 0.0
-
-
-def test_spd_guard_at_conditioning_floor():
-    with pytest.raises(NotPositiveDefinite):
-        densela.spd_inv_sqrt(np.diag([1.0, 5e-14]))

@@ -173,6 +173,11 @@ def test_trace_functional_positive_at_unit_potential():
         assert value > 0
 
 
+def test_trace_functional_matches_high_precision_reference():
+    value = diagnostics.trace_functional(unit_problem(), 32)
+    assert value == pytest.approx(REFERENCE_TRACE_LAPLACIAN_V1_N32, rel=1e-13)
+
+
 def test_trace_functional_scalar_identity(toy_whitened):
     # scalar system: tr(B A^{-1}) = 5/4 through the whitened matrices directly
     value = float(np.trace(np.linalg.solve(toy_whitened.a, toy_whitened.b)))
