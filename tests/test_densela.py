@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from tespect import densela
-from tespect.errors import AsymmetryExceeded
+from tespect.assembly import WhitenedSystem
+from tespect.errors import AsymmetryExceeded, NotPositiveDefinite
 
 
 def rand_orthogonal(rng, n):
@@ -39,6 +40,50 @@ def test_sym_eig_residuals(n):
 def test_sym_eig_rejects_asymmetric():
     with pytest.raises(AsymmetryExceeded):
         densela.sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+# -- SPD roots from the whitening congruence --------------------------------------
+# With C = I the congruence X is orthogonal and X^T A X = diag(1/mu), so
+# A^(1/2) = X diag(mu^(-1/2)) X^T and A^(-1/2) = X diag(mu^(1/2)) X^T.
+
+
+def rand_spd(rng, n):
+    q = rand_orthogonal(rng, n)
+    s = (q * rng.uniform(0.5, 20.0, n)) @ q.T
+    return 0.5 * (s + s.T)
+
+
+def spd_roots(s):
+    wh = WhitenedSystem.from_matrices(s, np.zeros_like(s))
+    x, mu = wh.to_basis, wh.mu
+    factor, inv_factor = x * mu**-0.25, x * mu**0.25
+    return factor @ factor.T, inv_factor @ inv_factor.T
+
+
+@pytest.mark.parametrize("n", [3, 10, 30])
+def test_spd_roots_compose(n):
+    rng = np.random.default_rng(100 + n)
+    s = rand_spd(rng, n)
+    root, inv_root = spd_roots(s)
+    assert np.linalg.norm(root @ root - s) < 1e-9 * np.linalg.norm(s)
+    assert np.linalg.norm(inv_root @ s @ inv_root - np.eye(n)) < 1e-9
+    assert np.linalg.norm(inv_root @ root - np.eye(n)) < 1e-9
+
+
+def test_spd_rejects_indefinite():
+    with pytest.raises(NotPositiveDefinite):
+        WhitenedSystem.from_matrices(np.diag([1.0, -1.0]), np.eye(2))
+
+
+@pytest.mark.parametrize("n", [3, 10, 30])
+def test_spd_sqrt_of_inverse_matches_inv_sqrt(n):
+    rng = np.random.default_rng(200 + n)
+    s = rand_spd(rng, n)
+    _, root = spd_roots(s)
+    assert np.array_equal(root, root.T)
+    lam, v = np.linalg.eigh(s)
+    reference = (v * lam**-0.5) @ v.T
+    assert np.linalg.norm(root - reference) < 1e-12 * np.linalg.norm(root)
 
 
 # -- dense nonsymmetric eigensolver ------------------------------------------------
