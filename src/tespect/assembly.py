@@ -16,6 +16,9 @@ weight (x(1-x))^m, and a telescoped sine basis for the second-order case.
 Two-dimensional problems use tensor products on the unit square, flattened
 row-major in the construction order.
 
+All integrals use one composite Gauss-Legendre rule with a cell between each
+pair of consecutive kinks of V, exact by construction (see ``quadrature_rule``).
+
 ``whiten`` then reduces the pencil by a single congruence X, from one
 Cholesky factor of A and one symmetric eigensolve, to coordinates where the
 mass is the identity and the stiffness is diagonal.
@@ -26,7 +29,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional
 
 import numpy as np
@@ -42,27 +45,45 @@ from .errors import (
     QuadratureUnderflow,
     QuadratureWarning,
 )
-from .model import ProblemSpec, _potential_values
+from .model import PotentialSpec, ProblemSpec, _potential_values
 
 _ASYM_TOL = 1e-8
 _GRAM_FLOOR = 1e-12
 _SPD_FLOOR = 1e-13
-_EXACTNESS_TOL = 1e-12
-_MAX_DOUBLINGS = 3
 _POSITIVITY_MARGIN = 1e-10
+_EDGE_TOL = 1e-12
+_TAIL_TOL = 1e-10
 
 POLYNOMIAL = "clamped-polynomial"
 TRIG = "clamped-trig"
 
 
-def quadrature_rule(size: int, order: int) -> int:
-    """Default Gauss-Legendre node count per dimension."""
-    return max(2 * size + 2 * order + 8, 32)
+def quadrature_rule(size: int, order: int, family: str) -> int:
+    """Default Gauss-Legendre node count per cell.
+
+    N = 2 size + 2 order + 8 nodes are exact through degree 4 size + 4 order
+    + 15, which leaves 2 size + 17 >= 3N/4 degrees for q beyond a polynomial
+    basis product; the trig family's sines take 8 more to reach 1e-13.
+    """
+    nodes = max(2 * size + 2 * order + 8, 32)
+    return nodes + 8 if family == TRIG else nodes
 
 
-def _gauss_legendre_01(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    t, w = np.polynomial.legendre.leggauss(nodes)
-    return 0.5 * (t + 1.0), 0.5 * w
+def _knots(pot: PotentialSpec) -> list[np.ndarray]:
+    """Kinks of V on [0, 1] per axis and part: grid knots, else just the ends."""
+    if pot.kind == "affine":
+        return _knots(pot.data[0]) + _knots(pot.data[1])
+    shape = pot.data.shape if pot.kind == "grid" else (2,)
+    return [np.linspace(0.0, 1.0, k) for k in shape]
+
+
+def _composite_gauss(pot: PotentialSpec, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule, ``nodes`` points on each cell between the kinks of V."""
+    edges = np.sort(np.concatenate(_knots(pot)))
+    edges = edges[np.diff(edges, prepend=-1.0) > _EDGE_TOL]
+    t, w = npleg.leggauss(nodes)
+    h = np.diff(edges)[:, None]
+    return (edges[:-1, None] + h * (0.5 * (t + 1.0))).ravel(), (h * (0.5 * w)).ravel()
 
 
 @dataclass
@@ -78,8 +99,9 @@ class BasisSet:
     order: int
     dimension: int
     size: int
-    nodes: np.ndarray  # 1D rule on [0, 1]
+    nodes: np.ndarray  # composite 1D rule on [0, 1]
     weights: np.ndarray
+    cell_nodes: int  # Gauss points per cell of that rule
     norms: np.ndarray = field(repr=False)  # per-function 1D scale factors
     gram: np.ndarray = field(repr=False)
 
@@ -100,19 +122,17 @@ class BasisSet:
 
     # -- multi-dimensional helpers ---------------------------------------------
 
-    def grid_points(self, nodes: Optional[np.ndarray] = None) -> np.ndarray:
+    def grid_points(self) -> np.ndarray:
         """Quadrature points as a flat array of domain points."""
-        pts = self.nodes if nodes is None else nodes
         if self.dimension == 1:
-            return pts
-        gx, gy = np.meshgrid(pts, pts, indexing="ij")
+            return self.nodes
+        gx, gy = np.meshgrid(self.nodes, self.nodes, indexing="ij")
         return np.column_stack([gx.ravel(), gy.ravel()])
 
-    def grid_weights(self, weights: Optional[np.ndarray] = None) -> np.ndarray:
-        w = self.weights if weights is None else weights
+    def grid_weights(self) -> np.ndarray:
         if self.dimension == 1:
-            return w
-        return np.outer(w, w).ravel()
+            return self.weights
+        return np.outer(self.weights, self.weights).ravel()
 
     def point_values(self, coeffs: np.ndarray, orders: tuple[int, ...]) -> np.ndarray:
         """Values of sum_J c_J d^orders phi_J at the quadrature points."""
@@ -126,11 +146,7 @@ class BasisSet:
 
     def apply_terms(self, coeffs: np.ndarray, terms) -> np.ndarray:
         """Pointwise action of a differential-term list on a coefficient vector."""
-        out = None
-        for coeff, orders in terms:
-            part = coeff * self.point_values(coeffs, orders)
-            out = part if out is None else out + part
-        return out
+        return sum(c * self.point_values(coeffs, orders) for c, orders in terms)
 
     def weighted_moments(self, values: np.ndarray, orders: tuple[int, ...]) -> np.ndarray:
         """Vector of int values * d^orders phi_j over basis functions."""
@@ -144,11 +160,7 @@ class BasisSet:
 
     def dual_moments(self, values: np.ndarray, terms) -> np.ndarray:
         """Vector of int values * (term-list acting on phi_j)."""
-        out = None
-        for coeff, orders in terms:
-            part = coeff * self.weighted_moments(values, orders)
-            out = part if out is None else out + part
-        return out
+        return sum(c * self.weighted_moments(values, orders) for c, orders in terms)
 
     def project(self, values: np.ndarray) -> np.ndarray:
         """L2-projection of pointwise values onto the basis span."""
@@ -228,10 +240,11 @@ def build_basis(
     family: str = POLYNOMIAL,
     quadrature_nodes: int = 0,
 ) -> BasisSet:
-    """Construct the clamped basis and its Gram matrix.
+    """Construct the clamped basis, its quadrature rule and its Gram matrix.
 
-    ``size`` is the per-dimension function count.  ``quadrature_nodes``
-    overrides the per-dimension Gauss-Legendre rule; 0 keeps the default.
+    ``size`` is the per-dimension function count.  The 1D rule, used on both
+    axes, has a cell between each pair of consecutive kinks of V and
+    ``quadrature_nodes`` Gauss points per cell; 0 keeps ``quadrature_rule``.
 
     Raises:
         BasisOrderMismatch: trig family requested for a fourth-order operator.
@@ -246,14 +259,14 @@ def build_basis(
     if family not in (POLYNOMIAL, TRIG):
         raise ValueError(f"unknown basis family {family!r}")
 
-    nodes_count = quadrature_nodes or quadrature_rule(size, m)
+    nodes_count = quadrature_nodes or quadrature_rule(size, m, family)
     if family == POLYNOMIAL:
         required = size + 2 * m + 1
         if nodes_count < required:
             raise QuadratureUnderflow(
                 f"{nodes_count} nodes cannot integrate degree {2 * (size - 1 + 2 * m)}"
             )
-    nodes, weights = _gauss_legendre_01(nodes_count)
+    nodes, weights = _composite_gauss(problem.potential, nodes_count)
 
     basis = BasisSet(
         family=family,
@@ -262,6 +275,7 @@ def build_basis(
         size=size,
         nodes=nodes,
         weights=weights,
+        cell_nodes=nodes_count,
         norms=np.ones(size),
         gram=np.empty(0),
     )
@@ -363,44 +377,49 @@ def _check_and_symmetrize(name: str, m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def _assemble_at(
-    problem: ProblemSpec, basis: BasisSet, nodes: np.ndarray, weights: np.ndarray
-) -> dict[str, np.ndarray]:
+def _warn_if_unresolved(qvals: np.ndarray, basis: BasisSet) -> None:
+    """Warn if q = 1/V has Legendre coefficients past 3N/4 on an N-node cell."""
+    n = basis.cell_nodes
+    t, w = npleg.leggauss(n)
+    to_coeffs = (npleg.legvander(t, n - 1) * w[:, None] * (np.arange(n) + 0.5)).T
+    coef = qvals.reshape((basis.nodes.size // n, n) * basis.dimension)
+    for axis in range(1, coef.ndim, 2):
+        coef = np.moveaxis(np.tensordot(to_coeffs, coef, axes=(1, axis)), 0, axis)
+    coef, high = np.abs(coef), np.arange(n) >= 0.75 * n
+    tail = max(coef[:, high].max(), coef[..., high].max()) / coef.max()
+    if tail > _TAIL_TOL:
+        msg = f"q = 1/V unresolved on {n}-node cells: Legendre tail {tail:.1e} past 3N/4"
+        warnings.warn(msg, QuadratureWarning, stacklevel=4)
+
+
+def _assemble(problem: ProblemSpec, basis: BasisSet) -> dict[str, np.ndarray]:
     n = problem.dimension
-    pts = basis.grid_points(nodes)
-    vvals = _potential_values(problem.potential, pts if n == 2 else pts)
+    nodes, weights = basis.nodes, basis.weights
+    vvals = _potential_values(problem.potential, basis.grid_points())
     if np.min(vvals) <= _POSITIVITY_MARGIN:
         raise NonpositivePotential(
             f"potential minimum {np.min(vvals):.3e} at a quadrature node"
         )
     qvals = 1.0 / vvals
+    _warn_if_unresolved(qvals, basis)
 
     pterms = p0_terms(problem.order, n)
     dfactors = dirichlet_factors(problem.order, n)
     ident = [(1.0, (0,) * n)]
+    ev1 = cache(lambda k: basis.deriv1d(k, nodes))
 
     if n == 1:
-        w = weights
-
-        def ev(orders):
-            return basis.deriv1d(orders[0], nodes)
 
         def form(termsI, termsJ, wvals):
             out = np.zeros((basis.size, basis.size))
-            for ci, oi in termsI:
-                for cj, oj in termsJ:
-                    out += ci * cj * _factor_form(ev(oi), ev(oj), w * wvals)
+            for ci, (ki,) in termsI:
+                for cj, (kj,) in termsJ:
+                    out += ci * cj * _factor_form(ev1(ki), ev1(kj), weights * wvals)
             return out
 
     else:
         w2 = np.outer(weights, weights)
         qn = nodes.size
-        cache: dict[int, np.ndarray] = {}
-
-        def ev1(k):
-            if k not in cache:
-                cache[k] = basis.deriv1d(k, nodes)
-            return cache[k]
 
         def form(termsI, termsJ, wvals):
             ns = basis.size
@@ -424,44 +443,18 @@ def _assemble_at(
     return {"G": mat_g, "A": mat_a, "B": mat_b, "C": mat_c}
 
 
-def assemble_system(
-    problem: ProblemSpec, basis: BasisSet, verify_quadrature: bool = True
-) -> GalerkinSystem:
-    """Assemble G, A, B, C with an automatic quadrature-exactness check.
+def assemble_system(problem: ProblemSpec, basis: BasisSet) -> GalerkinSystem:
+    """Assemble G, A, B, C once, on the composite rule of ``basis``.
 
-    The rule is doubled (up to 3 times) whenever the base and doubled rules
-    disagree beyond 1e-12 relative; persistent disagreement -- rough grid
-    potentials, say -- is reported as a QuadratureWarning on the finest rule.
+    The rule is exact for q = 1/V resolved on each cell; a QuadratureWarning
+    reports a q whose Legendre tail says otherwise (V near zero, say).
 
     Raises:
         AsymmetryExceeded: pre-symmetrization asymmetry above 1e-8.
         NotPositiveDefinite: A or C fails factorization.
         NonpositivePotential: V not strictly positive at a quadrature node.
     """
-    nodes, weights = basis.nodes, basis.weights
-    mats = _assemble_at(problem, basis, nodes, weights)
-
-    if verify_quadrature:
-        for attempt in range(_MAX_DOUBLINGS):
-            fine_nodes, fine_weights = _gauss_legendre_01(2 * nodes.size)
-            fine = _assemble_at(problem, basis, fine_nodes, fine_weights)
-            worst = max(
-                np.max(np.abs(mats[k] - fine[k])) / max(np.max(np.abs(fine[k])), 1e-300)
-                for k in mats
-            )
-            if worst < _EXACTNESS_TOL:
-                break
-            mats = fine
-            nodes, weights = fine_nodes, fine_weights
-            if attempt == _MAX_DOUBLINGS - 1:
-                warnings.warn(
-                    f"quadrature check still {worst:.2e} after "
-                    f"{_MAX_DOUBLINGS} doublings; keeping the finest rule",
-                    QuadratureWarning,
-                    stacklevel=2,
-                )
-
-    out = {k: _check_and_symmetrize(k, v) for k, v in mats.items()}
+    out = {k: _check_and_symmetrize(k, v) for k, v in _assemble(problem, basis).items()}
     for name in ("A", "C", "G"):
         try:
             np.linalg.cholesky(out[name])

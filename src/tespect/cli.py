@@ -39,7 +39,6 @@ _SCHEMA = {
         "family": POLYNOMIAL,
         "n": "32",
         "quadrature_nodes": "0",
-        "verify_quadrature": "true",
     },
     "solve": {
         "cluster_tol": "1e-6",
@@ -223,7 +222,7 @@ def _build_pipeline(cfg: RunConfig, size: int | None = None):
         cfg.str_("basis", "family"),
         cfg.int_("basis", "quadrature_nodes"),
     )
-    system = assemble_system(problem, basis, cfg.bool_("basis", "verify_quadrature"))
+    system = assemble_system(problem, basis)
     wh = whiten(system)
     return problem, basis, system, wh
 

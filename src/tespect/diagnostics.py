@@ -30,6 +30,7 @@ from .model import PotentialSpec, ProblemSpec, _potential_values, _validation_po
 from .util import loglog_slope
 
 _IDENTITY_TOL = 1e-10
+_RANGE_BLOCK = 1024  # sample columns per block: bounds the transient memory
 RANGE_NOTE = (
     "random sampling under-approximates the quadratic-form range: a violation "
     "of the angle condition is conclusive, satisfaction is evidence only"
@@ -198,16 +199,17 @@ def numerical_range(
     half = (sample_count + 1) // 2
     n = comp.size
     rng = np.random.default_rng(seed)
-    shape = (2 * n, half)
-    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    raw /= np.linalg.norm(raw, axis=0, keepdims=True)
-    u0, v0 = raw[:n], raw[n:]
-
-    ku = comp.k @ u0
-    sv = comp.s @ v0
-    re = np.einsum("ij,ij->j", u0.conj(), ku).real
-    im = -2.0 * np.einsum("ij,ij->j", u0.conj(), sv).imag
-    z = re + 1j * im
+    # drawn whole and in a fixed order, so the samples do not depend on the block
+    raw = np.empty((2 * n, half), dtype=complex)
+    raw.real = rng.standard_normal(raw.shape)
+    raw.imag = rng.standard_normal(raw.shape)
+    z = np.empty(half, dtype=complex)
+    for cols in (slice(lo, lo + _RANGE_BLOCK) for lo in range(0, half, _RANGE_BLOCK)):
+        blk = raw[:, cols]
+        blk /= np.linalg.norm(blk, axis=0, keepdims=True)
+        u0, v0 = blk[:n], blk[n:]
+        z.real[cols] = np.einsum("ij,ij->j", u0.conj(), comp.k @ u0).real
+        z.imag[cols] = -2.0 * np.einsum("ij,ij->j", u0.conj(), comp.s @ v0).imag
     samples = np.concatenate([z, z.conj()])
 
     max_arg = float(np.max(np.abs(np.angle(samples))))

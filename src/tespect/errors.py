@@ -40,7 +40,7 @@ class SmoothnessWarning(UserWarning):
 
 
 class QuadratureWarning(UserWarning):
-    """Quadrature refinement hit its cap without meeting the exactness target."""
+    """q = 1/V is not resolved on the quadrature cells, so assembly is inexact."""
 
 
 # --- assembly -------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,8 @@ from tespect.errors import (
     BasisOrderMismatch,
     NotPositiveDefinite,
     QuadratureUnderflow,
+    QuadratureWarning,
+    SmoothnessWarning,
 )
 from tespect.util import loglog_slope
 
@@ -126,18 +129,57 @@ def test_contrast_three_mass_scaling():
     assert np.max(np.abs(system.c - (4.0 / 3.0) * system.gram)) < 1e-13
 
 
+def assert_rule_matches_refined(prob, size, factor, family=assembly.POLYNOMIAL):
+    """The default rule agrees to 1e-12 with ``factor`` x its nodes per cell."""
+    basis = assembly.build_basis(prob, size, family)
+    fine = assembly.build_basis(prob, size, family, quadrature_nodes=factor * basis.cell_nodes)
+    assert fine.nodes.size == factor * basis.nodes.size  # same cells
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", QuadratureWarning)
+        system = assembly.assemble_system(prob, basis)
+    ref = assembly.assemble_system(prob, fine)
+    for key in ("gram", "a", "b", "c"):
+        scale = np.max(np.abs(getattr(ref, key)))
+        assert np.max(np.abs(getattr(system, key) - getattr(ref, key))) < 1e-12 * scale
+
+
 def test_quadrature_exactness_under_doubling():
     # polynomial potential, polynomial basis: doubling the rule is a no-op
     op = model.OperatorSpec.laplacian(1)
     pot = model.PotentialSpec.polynomial([1.0, 1.0], 1)  # V = 1 + x
     prob = model.validate_problem(op, model.DomainSpec("interval"), pot)
-    basis = assembly.build_basis(prob, 10)
-    base = assembly._assemble_at(prob, basis, basis.nodes, basis.weights)
-    fine_nodes, fine_weights = assembly._gauss_legendre_01(2 * basis.nodes.size)
-    fine = assembly._assemble_at(prob, basis, fine_nodes, fine_weights)
-    for key in base:
-        scale = np.max(np.abs(fine[key]))
-        assert np.max(np.abs(base[key] - fine[key])) < 1e-12 * scale
+    assert_rule_matches_refined(prob, 10, 2)
+
+
+def test_grid_potential_rule_is_exact_1d():
+    with pytest.warns(SmoothnessWarning):
+        pot = model.PotentialSpec.grid([2.0, 1.0, 3.0, 2.5, 2.0], 1)
+    op = model.OperatorSpec.laplacian(1)
+    prob = model.validate_problem(op, model.DomainSpec("interval"), pot)
+    assert_rule_matches_refined(prob, 8, 4)
+
+
+def test_grid_potential_rule_is_exact_2d():
+    with pytest.warns(SmoothnessWarning):
+        pot = model.PotentialSpec.grid([[2.0, 1.0, 3.0], [1.5, 2.5, 2.0], [3.0, 1.2, 2.2]], 2)
+    op = model.OperatorSpec.laplacian(2)
+    prob = model.validate_problem(op, model.DomainSpec("square"), pot)
+    assert_rule_matches_refined(prob, 8, 4)
+
+
+def test_trig_rule_matches_doubled_rule():
+    op = model.OperatorSpec.laplacian(1)
+    pot = model.PotentialSpec.constant(3.0, 1)
+    prob = model.validate_problem(op, model.DomainSpec("interval"), pot)
+    assert_rule_matches_refined(prob, 16, 2, assembly.TRIG)
+
+
+def test_unresolved_potential_warns():
+    op = model.OperatorSpec.laplacian(1)
+    pot = model.PotentialSpec.polynomial([0.25 + 1e-6, -1.0, 1.0], 1)  # (x - 1/2)^2 + 1e-6
+    prob = model.validate_problem(op, model.DomainSpec("interval"), pot)
+    with pytest.warns(QuadratureWarning):
+        assembly.assemble_system(prob, assembly.build_basis(prob, 32))
 
 
 def test_asymmetry_guard():
@@ -151,7 +193,7 @@ def test_raw_assembly_asymmetry_is_rounding_level():
     pot = model.PotentialSpec.polynomial([1.0, 0.5], 1)
     prob = model.validate_problem(op, model.DomainSpec("interval"), pot)
     basis = assembly.build_basis(prob, 16)
-    raw = assembly._assemble_at(prob, basis, basis.nodes, basis.weights)
+    raw = assembly._assemble(prob, basis)
     for mat in raw.values():
         scale = max(np.linalg.norm(mat), 1e-300)
         assert np.linalg.norm(mat - mat.T) / scale < 1e-10
@@ -339,17 +381,12 @@ def test_square_fourth_order_matches_kron_factor_oracle():
 
 
 def test_grid_potential_assembles_with_warnings():
-    import warnings
-
-    from tespect.errors import QuadratureWarning, SmoothnessWarning
-
     with pytest.warns(SmoothnessWarning):
         pot = model.PotentialSpec.grid([2.0, 1.0, 3.0, 2.5, 2.0], 1)
     prob = model.validate_problem(
         model.OperatorSpec.laplacian(1), model.DomainSpec("interval"), pot
     )
     basis = assembly.build_basis(prob, 8)
-    with pytest.warns(QuadratureWarning):
-        system = assembly.assemble_system(prob, basis)
+    system = assembly.assemble_system(prob, basis)
     wh = assembly.whiten(system)
     assert np.linalg.eigvalsh(wh.a)[0] > 0

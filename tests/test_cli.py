@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -72,6 +76,29 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert code == 2
     assert not out.exists()  # no partial outputs
     capsys.readouterr()
+
+
+def test_removed_verify_quadrature_key_exits_2(tmp_path, capsys):
+    out = tmp_path / "v"
+    code = run(["solve", "--out", str(out), "--set", "basis.verify_quadrature=true"])
+    assert code == 2
+    assert not out.exists()
+    capsys.readouterr()
+
+
+def test_python_m_tespect_runs_selftest():
+    src = Path(__file__).resolve().parents[1] / "src"
+    paths = [str(src), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tespect", "selftest"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "PASS" in proc.stdout and "FAIL" not in proc.stdout
 
 
 def test_malformed_values_exit_2(tmp_path, capsys):

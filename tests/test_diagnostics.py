@@ -153,6 +153,21 @@ def test_numerical_range_positive_semidefinite_b(helmholtz32):
     assert float(np.min(report.samples.real)) >= -1e-10
 
 
+def test_numerical_range_blocks_match_one_shot_draws(helmholtz32):
+    comp = companion.build_companion(helmholtz32[3])
+    report = diagnostics.numerical_range(comp, 10000, seed=2025)
+    n, shape = comp.size, (2 * comp.size, 5000)
+    rng = np.random.default_rng(2025)
+    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    raw /= np.linalg.norm(raw, axis=0, keepdims=True)
+    u0, v0 = raw[:n], raw[n:]
+    re = np.einsum("ij,ij->j", u0.conj(), comp.k @ u0).real
+    im = -2.0 * np.einsum("ij,ij->j", u0.conj(), comp.s @ v0).imag
+    z = re + 1j * im
+    expected = np.concatenate([z, z.conj()])
+    assert np.max(np.abs(report.samples - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
 def test_numerical_range_deterministic(toy_companion):
     a = diagnostics.numerical_range(toy_companion, 300, seed=5)
     b = diagnostics.numerical_range(toy_companion, 300, seed=5)
