@@ -277,8 +277,7 @@ def _scan_values(
     problem: ProblemSpec,
     direction: PotentialSpec,
     s_grid: np.ndarray,
-    size: int,
-    family: str,
+    basis: BasisSet,
     tol: float,
 ) -> np.ndarray:
     check_pts = _validation_points(problem.dimension)
@@ -291,7 +290,7 @@ def _scan_values(
                 f"potential floor {floor:.3e} at family parameter s={s:g}"
             )
         prob_s = ProblemSpec(problem.operator, problem.domain, pot_s)
-        return trace_functional(prob_s, size, family, tol)
+        return trace_functional(prob_s, basis.size, basis.family, tol, basis)
 
     return np.array([one(float(s)) for s in s_grid])
 
@@ -309,8 +308,10 @@ def potential_scan(
     """Scan the trace functional along the family V_0 + s * direction.
 
     Derivatives are centered finite differences (one-sided second order at
-    the ends).  ``refine_check=True`` additionally scans the 2x-refined grid
-    and records both maximal increments, the continuity diagnostic.
+    the ends).  ``refine_check=True`` additionally scans the midpoints of
+    ``s_grid`` and records the maximal increment on the grid refined by them
+    next to the coarse one, the continuity diagnostic.  The basis depends only
+    on the kinks of V_0 and of the direction, so it is built once for all s.
 
     Raises:
         PotentialLeavesCone: the family loses positivity at some s.
@@ -318,7 +319,9 @@ def potential_scan(
     s = np.asarray(list(s_grid), dtype=float)
     if s.size < 2:
         raise ValueError("scan grid needs at least two points")
-    t = _scan_values(problem, direction, s, size, family, cross_check_tol)
+    base = PotentialSpec.affine(problem.potential, direction, 0.0)
+    basis = build_basis(ProblemSpec(problem.operator, problem.domain, base), size, family)
+    t = _scan_values(problem, direction, s, basis, cross_check_tol)
 
     dt = np.gradient(t, s)
     d2t = np.gradient(dt, s)
@@ -331,8 +334,10 @@ def potential_scan(
     max_inc = float(np.max(np.abs(np.diff(t))))
     refined_inc = None
     if refine_check:
-        fine = np.linspace(s[0], s[-1], 2 * (s.size - 1) + 1)
-        t_fine = _scan_values(problem, direction, fine, size, family, cross_check_tol)
+        t_fine = np.empty(2 * s.size - 1)
+        t_fine[0::2] = t
+        mid = 0.5 * (s[:-1] + s[1:])
+        t_fine[1::2] = _scan_values(problem, direction, mid, basis, cross_check_tol)
         refined_inc = float(np.max(np.abs(np.diff(t_fine))))
 
     return ScanReport(

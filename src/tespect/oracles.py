@@ -9,21 +9,24 @@ the second-order preset with constant V (contrast eta = sqrt(1 + V)):
 * unit disk: per angular mode l, the 2x2 radial matching of J_l(k r) against
   J_l(eta k r) at r = 1, d_l(k) = eta J_l(k) J_l'(eta k) - J_l'(k) J_l(eta k).
 
-Bessel values come from the module's own evaluator (power series below
-x = 12, normalized backward recurrence above), so the reference side shares
-no code with the Galerkin pipeline it validates.
+Bessel values come from the module's own evaluator, one normalized backward
+recurrence over an array of arguments (stable for every x > 0: Gautschi, SIAM
+Rev. 9 (1967) 24), so the reference side shares no code with the Galerkin
+pipeline it validates.
 
-Roots are located on a dense grid: sign changes are bisected; even-order
-zeros, where the determinant only touches zero (for eta = 2 the interval
-determinant is 2 (cos k - 1)^2 (cos k + 2), so the whole 2 pi j family is of
-this kind), are caught as deep local minima and refined by ternary search.
+Roots are located on a dense k-grid, evaluated for all modes in blocks of 2048
+points (bounding the memory), then refined for all brackets at once: sign
+changes are bisected; even-order zeros, where the determinant only touches
+zero (for eta = 2 the interval determinant is 2 (cos k - 1)^2 (cos k + 2), so
+the whole 2 pi j family is of this kind), are caught as deep local minima and
+refined by ternary search on |F|.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -31,11 +34,11 @@ from .errors import DegenerateContrast, NoSignChange, RangeExceeded
 
 _L_MAX = 60
 _X_MAX = 200.0
-_SERIES_CUTOFF = 12.0
 _RESIDUAL_TOL = 1e-10
 _TANGENT_DETECT = 1e-8
 DEFAULT_POINTS_PER_UNIT = 2000
 _MIN_CONTRAST = 1e-6
+_SCAN_BLOCK = 2048  # grid points per table evaluation
 
 
 @dataclass(frozen=True)
@@ -53,60 +56,55 @@ class OracleRoot:
 # -- Bessel functions of the first kind ---------------------------------------
 
 
-def _bessel_series(l: int, x: float) -> float:
-    half = 0.5 * x
-    term = half**l / math.factorial(l)
-    total = term
-    s = 0
-    while abs(term) > 1e-18 * (abs(total) + 1e-300) and s < 200:
-        term *= -(half * half) / ((s + 1.0) * (s + l + 1.0))
-        total += term
-        s += 1
-    return total
-
-
-def _bessel_row_series(lmax: int, x: float) -> np.ndarray:
-    return np.array([_bessel_series(l, x) for l in range(lmax + 1)])
-
-
-def _bessel_row_miller(lmax: int, x: float) -> np.ndarray:
-    """J_0..J_lmax by backward recurrence with even-order sum normalization."""
-    top = max(lmax, int(math.ceil(x)))
-    start = int(math.ceil(top + 18.0 * math.sqrt(top) + 30.0))
-    start += start % 2  # even start keeps the normalization bookkeeping simple
-    row = np.zeros(lmax + 1)
-    jp = 0.0  # J_{s+1}
-    jc = 1e-30  # J_s
-    norm = 0.0
-    for s in range(start, 0, -1):
-        jm = (2.0 * s / x) * jc - jp
-        jp, jc = jc, jm
+def _bessel_rows(lmax: int, x: np.ndarray) -> np.ndarray:
+    """J_0..J_lmax at a flat x >= 0 by backward recurrence with even-order sum
+    normalization; each column starts and is rescaled on its own."""
+    rows = np.zeros((lmax + 1, x.size))
+    rows[0, x == 0.0] = 1.0
+    pos = x > 0.0
+    x = x[pos]
+    top = np.maximum(lmax, np.ceil(x))
+    starts = np.ceil(top + 18.0 * np.sqrt(top) + 30.0).astype(int)
+    starts += starts % 2  # even start keeps the normalization bookkeeping simple
+    row = np.zeros((lmax + 1, x.size))
+    jp = np.zeros(x.size)  # J_{s+1}
+    jc = np.zeros(x.size)  # J_s, zero above the column's start
+    norm = np.zeros(x.size)
+    for s in range(int(starts.max(initial=0)), 0, -1):
+        jc[starts == s] = 1e-30
+        jp, jc = jc, (2.0 * s / x) * jc - jp
         if s - 1 <= lmax:
             row[s - 1] = jc
         if (s - 1) % 2 == 0 and s - 1 > 0:
             norm += 2.0 * jc
-        if abs(jc) > 1e250:
-            jp *= 1e-250
-            jc *= 1e-250
-            norm *= 1e-250
-            row *= 1e-250
+        big = np.abs(jc) > 1e250
+        if big.any():
+            jp[big] *= 1e-250
+            jc[big] *= 1e-250
+            norm[big] *= 1e-250
+            row[:, big] *= 1e-250
     norm += jc  # J_0 enters once
-    return row / norm
+    rows[:, pos] = row / norm
+    return rows
 
 
-def bessel_row(lmax: int, x: float) -> np.ndarray:
-    """J_0(x) .. J_lmax(x) to about 1e-12 absolute on the validated range."""
+def bessel_row(lmax: int, x: float | np.ndarray) -> np.ndarray:
+    """J_0(x) .. J_lmax(x), shape (lmax + 1,) + shape(x), on the validated range."""
     if lmax < 0 or lmax > _L_MAX:
         raise RangeExceeded(f"order {lmax} outside [0, {_L_MAX}]")
-    if x < 0 or x > _X_MAX:
-        raise RangeExceeded(f"argument {x} outside [0, {_X_MAX}]")
-    if x == 0.0:
-        row = np.zeros(lmax + 1)
-        row[0] = 1.0
-        return row
-    if x < _SERIES_CUTOFF:
-        return _bessel_row_series(lmax, x)
-    return _bessel_row_miller(lmax, x)
+    x = np.asarray(x, dtype=float)
+    inside = (x >= 0.0) & (x <= _X_MAX)
+    if not inside.all():
+        raise RangeExceeded(f"argument {x[~inside][0]} outside [0, {_X_MAX}]")
+    return _bessel_rows(lmax, x.ravel()).reshape((lmax + 1,) + x.shape)
+
+
+def _derivative_rows(rows: np.ndarray) -> np.ndarray:
+    """J_l' for l < lmax from J_0..J_lmax: (J_{l-1} - J_{l+1}) / 2, J_0' = -J_1."""
+    deriv = np.empty_like(rows[:-1])
+    deriv[0] = -rows[1]
+    deriv[1:] = 0.5 * (rows[:-2] - rows[2:])
+    return deriv
 
 
 def bessel_j(l: int, x: float) -> float:
@@ -116,133 +114,131 @@ def bessel_j(l: int, x: float) -> float:
 
 def bessel_j_derivative(l: int, x: float) -> float:
     """dJ_l/dx via J_l' = (J_{l-1} - J_{l+1}) / 2, with J_0' = -J_1."""
-    row = bessel_row(l + 1, x)
-    if l == 0:
-        return float(-row[1])
-    return float(0.5 * (row[l - 1] - row[l + 1]))
+    return float(_derivative_rows(bessel_row(l + 1, x))[l])
 
 
 # -- matching determinants ------------------------------------------------------
 
 
-def interval_matching_matrix(k: float, eta: float) -> np.ndarray:
+def interval_matching_matrix(k: float | np.ndarray, eta: float) -> np.ndarray:
     """Endpoint value/derivative matching of the two interior wave families.
 
     Columns weight cos(kx), sin(kx), cos(eta k x), sin(eta k x); rows enforce
     equality of value and first derivative at x = 0 and x = 1.  Rows are
     scaled to unit norm so the determinant doubles as a residual measure.
+    Shape shape(k) + (4, 4).
     """
+    k = np.asarray(k, dtype=float)
     ek = eta * k
-    rows = np.array(
-        [
-            [1.0, 0.0, -1.0, 0.0],
-            [0.0, k, 0.0, -ek],
-            [math.cos(k), math.sin(k), -math.cos(ek), -math.sin(ek)],
-            [-k * math.sin(k), k * math.cos(k), ek * math.sin(ek), -ek * math.cos(ek)],
-        ]
-    )
-    norms = np.linalg.norm(rows, axis=1)
-    return rows / norms[:, None]
+    c, s, ce, se = np.cos(k), np.sin(k), np.cos(ek), np.sin(ek)
+    rows = np.zeros(k.shape + (4, 4))
+    rows[..., 0, 0], rows[..., 0, 2] = 1.0, -1.0
+    rows[..., 1, 1], rows[..., 1, 3] = k, -ek
+    rows[..., 2, 0], rows[..., 2, 1], rows[..., 2, 2], rows[..., 2, 3] = c, s, -ce, -se
+    rows[..., 3, 0], rows[..., 3, 1] = -k * s, k * c
+    rows[..., 3, 2], rows[..., 3, 3] = ek * se, -ek * ce
+    rows /= np.linalg.norm(rows, axis=-1, keepdims=True)
+    return rows
 
 
-def interval_determinant(k: float, eta: float) -> float:
-    return float(np.linalg.det(interval_matching_matrix(k, eta)))
+def interval_determinant(k: float | np.ndarray, eta: float) -> float | np.ndarray:
+    return np.linalg.det(interval_matching_matrix(k, eta))
 
 
-def disk_determinant(k: float, eta: float, l: int) -> float:
-    row = bessel_row(l + 1, k)
-    row_eta = bessel_row(l + 1, eta * k)
-    if l == 0:
-        dl, dl_eta = -row[1], -row_eta[1]
-    else:
-        dl = 0.5 * (row[l - 1] - row[l + 1])
-        dl_eta = 0.5 * (row_eta[l - 1] - row_eta[l + 1])
-    return eta * row[l] * dl_eta - dl * row_eta[l]
+def _disk_table(k: float | np.ndarray, eta: float, lmax: int) -> np.ndarray:
+    """d_l(k) for every l <= lmax, shape (lmax + 1,) + shape(k)."""
+    row = bessel_row(lmax + 1, k)
+    row_eta = bessel_row(lmax + 1, eta * k)
+    return eta * row[:-1] * _derivative_rows(row_eta) - _derivative_rows(row) * row_eta[:-1]
+
+
+def disk_determinant(k: float | np.ndarray, eta: float, l: int) -> float | np.ndarray:
+    return _disk_table(k, eta, l)[l]
 
 
 # -- root location ---------------------------------------------------------------
 
 
-def _bisect(fn: Callable[[float], float], lo: float, hi: float) -> float:
+def _bisect(fn: Callable, lo, hi):
+    """Bisect every bracket [lo, hi] of fn at once; scalars give a scalar."""
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     flo = fn(lo)
+    active = np.ones(lo.shape, dtype=bool)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if hi - lo < max(1e-13, 8.0 * np.finfo(float).eps * abs(mid)):
-            return mid
+        active &= hi - lo >= np.maximum(1e-13, 8.0 * np.finfo(float).eps * np.abs(mid))
+        if not active.any():
+            break
         fm = fn(mid)
-        if fm == 0.0:
-            return mid
-        if (flo < 0) != (fm < 0):
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+        left = (flo < 0) != (fm < 0)  # sign change in [lo, mid]; fm == 0 closes the bracket
+        hi = np.where(active & (left | (fm == 0.0)), mid, hi)
+        lo = np.where(active & (~left | (fm == 0.0)), mid, lo)
+        flo = np.where(active & ~left, fm, flo)
+    return 0.5 * (lo + hi) if lo.ndim else float(0.5 * (lo + hi))
 
 
-def _ternary_min(fn: Callable[[float], float], lo: float, hi: float) -> float:
+def _ternary_min(fn: Callable, lo, hi):
+    """Minimize |fn| on every bracket [lo, hi] at once; scalars give a scalar."""
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    active = np.ones(lo.shape, dtype=bool)
     for _ in range(200):
-        if hi - lo < max(1e-13, 8.0 * np.finfo(float).eps * abs(lo)):
+        active &= hi - lo >= np.maximum(1e-13, 8.0 * np.finfo(float).eps * np.abs(lo))
+        if not active.any():
             break
         third = (hi - lo) / 3.0
         m1, m2 = lo + third, hi - third
-        if abs(fn(m1)) <= abs(fn(m2)):
-            hi = m2
-        else:
-            lo = m1
-    return 0.5 * (lo + hi)
+        left = np.abs(fn(m1)) <= np.abs(fn(m2))
+        hi = np.where(active & left, m2, hi)
+        lo = np.where(active & ~left, m1, lo)
+    return 0.5 * (lo + hi) if lo.ndim else float(0.5 * (lo + hi))
 
 
 def _scan_roots(
-    fn: Callable[[float], float],
+    table: Callable[[np.ndarray], np.ndarray],
     k_lo: float,
     k_hi: float,
     points_per_unit: int,
-    l: Optional[int] = None,
+    modes: Sequence[Optional[int]],
 ) -> list[OracleRoot]:
+    """Roots of every row of ``table`` (row i belongs to mode ``modes[i]``)."""
     count = max(int(math.ceil((k_hi - k_lo) * points_per_unit)), 8) + 1
     ks = np.linspace(k_lo, k_hi, count)
-    vals = np.array([fn(float(k)) for k in ks])
-    scale = max(float(np.median(np.abs(vals))), 1e-300)
+    vals = np.empty((len(modes), count))
+    for lo in range(0, count, _SCAN_BLOCK):
+        vals[:, lo : lo + _SCAN_BLOCK] = table(ks[lo : lo + _SCAN_BLOCK])
+    scale = np.maximum(np.median(np.abs(vals), axis=1), 1e-300)
+
+    sign, mags = np.sign(vals), np.abs(vals)
+    flips = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
+    # even-order zeros: the determinant touches zero without crossing
+    centre = mags[:, 1:-1]
+    touch = np.nonzero(
+        (centre <= mags[:, :-2])
+        & (centre <= mags[:, 2:])
+        & (centre < _TANGENT_DETECT * scale[:, None])
+        & ~(sign[:, :-2] * sign[:, 2:] < 0)  # already handled as a sign change
+    )
 
     roots: list[OracleRoot] = []
-    flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    for i in flips:
-        k_star = _bisect(fn, float(ks[i]), float(ks[i + 1]))
-        res = abs(fn(k_star))
-        if res < _RESIDUAL_TOL and k_star > 0:
-            roots.append(
-                OracleRoot(
-                    k=k_star,
-                    lam=k_star**2,
-                    l=l,
-                    residual=res,
-                    bracket=(float(ks[i]), float(ks[i + 1])),
-                    kind="sign-change",
-                )
-            )
+    for (row, first), width, kind, refine in (
+        (flips, 1, "sign-change", _bisect),
+        (touch, 2, "tangency", _ternary_min),
+    ):
+        lo, hi = ks[first], ks[first + width]
 
-    # even-order zeros: the determinant touches zero without crossing
-    mags = np.abs(vals)
-    for i in range(1, count - 1):
-        if mags[i] <= mags[i - 1] and mags[i] <= mags[i + 1] and mags[i] < _TANGENT_DETECT * scale:
-            if np.sign(vals[i - 1]) * np.sign(vals[i + 1]) < 0:
-                continue  # already handled as a sign change
-            k_star = _ternary_min(fn, float(ks[i - 1]), float(ks[i + 1]))
-            res = abs(fn(k_star))
-            if res < _RESIDUAL_TOL and k_star > 0:
-                if any(abs(r.k - k_star) < 1e-9 * max(1.0, k_star) for r in roots):
-                    continue
-                roots.append(
-                    OracleRoot(
-                        k=k_star,
-                        lam=k_star**2,
-                        l=l,
-                        residual=res,
-                        bracket=(float(ks[i - 1]), float(ks[i + 1])),
-                        kind="tangency",
-                    )
-                )
-    roots.sort(key=lambda r: r.k)
+        def at(k: np.ndarray, row: np.ndarray = row) -> np.ndarray:
+            return table(k)[row, np.arange(k.size)]
+
+        k_star = refine(at, lo, hi)
+        res = np.abs(at(k_star))
+        for r, k, rk, a, b in zip(row, k_star, res, lo, hi):
+            l, k = modes[r], float(k)
+            seen = kind == "tangency" and any(
+                q.l == l and abs(q.k - k) < 1e-9 * max(1.0, k) for q in roots
+            )
+            if rk < _RESIDUAL_TOL and k > 0 and not seen:
+                roots.append(OracleRoot(k, k**2, l, float(rk), (float(a), float(b)), kind))
+    roots.sort(key=lambda r: (r.k, r.l or 0))
     return roots
 
 
@@ -264,7 +260,9 @@ def oracle_1d(
     if k_lo <= 0 or k_hi <= k_lo:
         raise ValueError("need 0 < k_lo < k_hi")
     eta = math.sqrt(1.0 + contrast)
-    roots = _scan_roots(lambda k: interval_determinant(k, eta), k_lo, k_hi, points_per_unit)
+    roots = _scan_roots(
+        lambda k: interval_determinant(k, eta)[None], k_lo, k_hi, points_per_unit, [None]
+    )
     if require_roots and not roots:
         raise NoSignChange(f"no roots in ({k_lo:g}, {k_hi:g})")
     return roots
@@ -296,16 +294,6 @@ def oracle_disk(
         raise RangeExceeded(f"eta * k_hi = {eta * k_hi:g} beyond the Bessel range")
     if k_lo <= 0 or k_hi <= k_lo:
         raise ValueError("need 0 < k_lo < k_hi")
-    out: list[OracleRoot] = []
-    for l in range(l_max + 1):
-        out.extend(
-            _scan_roots(
-                lambda k, mode=l: disk_determinant(k, eta, mode),
-                k_lo,
-                k_hi,
-                points_per_unit,
-                l=l,
-            )
-        )
-    out.sort(key=lambda r: (r.k, r.l))
-    return out
+    return _scan_roots(
+        lambda k: _disk_table(k, eta, l_max), k_lo, k_hi, points_per_unit, range(l_max + 1)
+    )

@@ -231,6 +231,17 @@ def test_oracle_subcommands(tmp_path):
     assert all(float(r[3]) < 1e-10 for r in rows)
 
 
+def test_oracle_subcommands_at_defaults(tmp_path):
+    # contrast 3 on k in [0.5, 20]: the interval family 2 pi j, j = 1, 2, 3,
+    # and 53 disk roots over the modes l <= 8
+    for command, count in (("oracle1d", 3), ("oracle-disk", 53)):
+        out = tmp_path / command
+        assert run([command, "--out", str(out)]) == 0
+        _, rows = read_csv(out / "roots.csv")
+        assert len(rows) == count
+        assert all(float(r[3]) < 1e-10 for r in rows)
+
+
 def test_convergence_constant_list():
     cfg = RunConfig.load(
         None, ["convergence.n_list=16,16,16", "basis.n=16", "problem.potential=constant:3.0"]

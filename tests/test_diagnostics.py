@@ -224,6 +224,36 @@ def test_potential_scan_unit_family(helmholtz32):
     assert abs(ratio - 0.5) <= 0.1
 
 
+@pytest.mark.filterwarnings("ignore::tespect.errors.SmoothnessWarning")
+def test_potential_scan_builds_one_basis(monkeypatch):
+    # a grid direction cuts the rule into cells; the basis built at s = 0
+    # must equal the one each s would build
+    prob = unit_problem()
+    direction = model.PotentialSpec.grid([1.0, 0.5, 2.0, 1.0], 1)
+    s_grid = np.linspace(0.0, 1.0, 6)
+    family = [model.PotentialSpec.affine(prob.potential, direction, s) for s in s_grid]
+    expected = [
+        diagnostics.trace_functional(model.ProblemSpec(prob.operator, prob.domain, pot), 10)
+        for pot in family
+    ]
+    calls = {"build_basis": 0, "assemble_system": 0}
+
+    def counted(name):
+        inner = getattr(diagnostics, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(diagnostics, name, counted(name))
+    report = diagnostics.potential_scan(prob, direction, s_grid, 10, refine_check=True)
+    assert calls == {"build_basis": 1, "assemble_system": 2 * s_grid.size - 1}
+    assert report.t_values.tolist() == expected
+
+
 def test_potential_scan_positivity_guard():
     prob = unit_problem()
     direction = model.PotentialSpec.constant(-1.0, 1)

@@ -52,6 +52,31 @@ def test_bessel_derivative_identities():
         assert oracles.bessel_j_derivative(l, x) == pytest.approx(fd, abs=1e-7)
 
 
+def test_bessel_row_matches_scipy_jv():
+    special = pytest.importorskip("scipy.special")
+    x = np.concatenate([np.geomspace(1e-6, 1.0, 200), np.linspace(1.0, 200.0, 4000)])
+    rows = oracles.bessel_row(60, x)
+    reference = special.jv(np.arange(61)[:, None], x[None, :])
+    assert np.max(np.abs(rows - reference)) <= 2e-14
+
+
+def test_array_calls_match_scalar_calls():
+    eta = 2.0
+    ks = np.concatenate([[0.0], np.linspace(0.01, 19.0, 40)])
+    rows = oracles.bessel_row(12, ks.reshape(1, -1))
+    assert rows.shape == (13, 1, ks.size)
+    for j, k in enumerate(ks):
+        scalar = oracles.bessel_row(12, float(k))
+        assert np.max(np.abs(rows[:, 0, j] - scalar)) <= 1e-15
+    ks = ks[1:]
+    det = oracles.interval_determinant(ks, eta)
+    disk = [oracles.disk_determinant(ks, eta, l) for l in (0, 3, 7)]
+    for j, k in enumerate(ks):
+        assert abs(det[j] - oracles.interval_determinant(float(k), eta)) <= 1e-15
+        for d, l in zip(disk, (0, 3, 7)):
+            assert abs(d[j] - oracles.disk_determinant(float(k), eta, l)) <= 1e-15
+
+
 def test_bessel_range_guard():
     with pytest.raises(RangeExceeded):
         oracles.bessel_j(61, 1.0)
@@ -162,19 +187,14 @@ def test_disk_no_simultaneous_bessel_zeros_below_twenty():
     # simultaneous zeros J_l(k) = J_l(2k) = 0 would be oracle roots; none
     # exist below k = 20 for the doubled argument
     for l in range(6):
-        f1 = lambda x: oracles.bessel_j(l, x)
-        f2 = lambda x: oracles.bessel_j(l, 2.0 * x)
+        f1 = lambda x: oracles.bessel_row(l, x)[l]
+        f2 = lambda x: oracles.bessel_row(l, 2.0 * x)[l]
         grid = np.linspace(0.1, 20.0, 4001)
-        v1 = np.array([f1(float(x)) for x in grid])
-        v2 = np.array([f2(float(x)) for x in grid])
-        zeros1 = [
-            oracles._bisect(f1, float(grid[i]), float(grid[i + 1]))
-            for i in np.nonzero(np.sign(v1[:-1]) * np.sign(v1[1:]) < 0)[0]
-        ]
-        zeros2 = [
-            oracles._bisect(f2, float(grid[i]), float(grid[i + 1]))
-            for i in np.nonzero(np.sign(v2[:-1]) * np.sign(v2[1:]) < 0)[0]
-        ]
+        v1, v2 = f1(grid), f2(grid)
+        i1 = np.nonzero(np.sign(v1[:-1]) * np.sign(v1[1:]) < 0)[0]
+        i2 = np.nonzero(np.sign(v2[:-1]) * np.sign(v2[1:]) < 0)[0]
+        zeros1 = oracles._bisect(f1, grid[i1], grid[i1 + 1])
+        zeros2 = oracles._bisect(f2, grid[i2], grid[i2 + 1])
         gaps = [abs(a - b) for a in zeros1 for b in zeros2]
         assert min(gaps) > 1e-3
 
