@@ -11,8 +11,10 @@ Dirichlet form (grad.grad respectively lap.lap).  Basis functions vanish at
 the boundary together with derivatives through order m-1, so no boundary
 terms appear when moving P onto the test function.
 
-Two families are provided: shifted Legendre polynomials under the clamping
-weight (x(1-x))^m, and a telescoped sine basis for the second-order case.
+Two families are provided: clamped Jacobi functions (x(1-x))^m P_j^{(m,m)}(2x-1)
+and a telescoped sine basis for the second-order case.  The m-th derivative of
+the former is a Legendre polynomial (DLMF 18.9.16; Shen 1994), so their 1D
+stiffness is a q-weighted Legendre mass, scaled-conditioned by max V / min V.
 Two-dimensional problems use tensor products on the unit square, flattened
 row-major in the construction order.
 
@@ -26,7 +28,6 @@ mass is the identity and the stiffness is diagonal.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -34,7 +35,6 @@ from typing import Optional
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
-from numpy.polynomial import polynomial as nppoly
 
 from . import densela
 from .errors import (
@@ -171,23 +171,22 @@ class BasisSet:
 # -- factor-function implementations -----------------------------------------
 
 
-def _weight_coeffs(order: int, deriv: int) -> np.ndarray:
-    base = nppoly.polypow([0.0, 1.0, -1.0], order)  # (x - x^2)^m
-    return nppoly.polyder(base, deriv) if deriv else base
-
-
 def _poly_deriv(order: int, size: int, k: int, x: np.ndarray) -> np.ndarray:
-    """Derivatives of w(x) * P*_j(x) via the Leibniz rule, unnormalized."""
+    """k-th derivatives of (x(1-x))^m P_j^{(m,m)}(2x-1), j < size, unnormalized.
+
+    For k <= m they are (-1)^k (j+1)_k (x(1-x))^a P_{j+k}^{(a,a)}(2x-1), a = m - k
+    (DLMF 18.9.16), with (n+1)(n+2a+1) P_{n+1} = (n+a+1) [(2n+2a+1) t P_n - (n+a) P_{n-1}].
+    """
+    if k > order:
+        raise ValueError(f"derivative order {k} exceeds the clamping order {order}")
+    a = order - k
     t = 2.0 * x - 1.0
-    out = np.zeros((size, x.size))
-    eye = np.eye(size)
-    for i in range(min(k, 2 * order) + 1):
-        wvals = nppoly.polyval(x, _weight_coeffs(order, i))
-        r = k - i
-        ser = npleg.legder(eye, r) if r else eye
-        pvals = npleg.legval(t, ser) * (2.0**r)
-        out += math.comb(k, i) * wvals[None, :] * pvals
-    return out
+    p = [np.ones_like(t), (a + 1) * t]
+    for n in range(1, size + k - 1):
+        c = (n + a + 1) / ((n + 1) * (n + 2 * a + 1))
+        p.append(c * ((2 * n + 2 * a + 1) * t * p[n] - (n + a) * p[n - 1]))
+    rising = np.prod(np.arange(1.0, size + 1)[:, None] + np.arange(k), axis=1)
+    return (-1) ** k * rising[:, None] * (x * (1.0 - x)) ** a * np.array(p[k : k + size])
 
 
 def _trig_deriv(size: int, k: int, x: np.ndarray) -> np.ndarray:
@@ -242,9 +241,12 @@ def build_basis(
 ) -> BasisSet:
     """Construct the clamped basis, its quadrature rule and its Gram matrix.
 
-    ``size`` is the per-dimension function count.  The 1D rule, used on both
-    axes, has a cell between each pair of consecutive kinks of V and
-    ``quadrature_nodes`` Gauss points per cell; 0 keeps ``quadrature_rule``.
+    ``size`` is the per-dimension count of 1D factors, for the polynomial
+    family (x(1-x))^m P_j^{(m,m)}(2x-1), j < size, m the operator order.  The
+    1D rule, used on both axes, has a cell between each pair of consecutive
+    kinks of V and ``quadrature_nodes`` Gauss points per cell; 0 keeps
+    ``quadrature_rule``.  The Gram floor is checked on the 1D factor's
+    eigenvalues, whose pairwise products are those of the 2D Gram matrix.
 
     Raises:
         BasisOrderMismatch: trig family requested for a fourth-order operator.
@@ -280,18 +282,16 @@ def build_basis(
         gram=np.empty(0),
     )
     raw = basis.deriv1d(0, nodes)
-    diag = (raw * raw) @ weights
-    basis.norms = 1.0 / np.sqrt(diag)
+    gram1d = _factor_form(raw, raw, weights)
+    basis.norms = 1.0 / np.sqrt(np.diag(gram1d))
+    gram1d = basis.norms[:, None] * (0.5 * (gram1d + gram1d.T)) * basis.norms
+    basis.gram = gram1d if n == 1 else np.kron(gram1d, gram1d)
 
-    gram1d = _factor_form(basis.deriv1d(0, nodes), basis.deriv1d(0, nodes), weights)
-    gram1d = 0.5 * (gram1d + gram1d.T)
-    gram = gram1d if n == 1 else np.kron(gram1d, gram1d)
-    basis.gram = gram
-
-    eigs = np.linalg.eigvalsh(gram)
-    if eigs[0] <= _GRAM_FLOOR:
+    eigs = np.linalg.eigvalsh(gram1d)
+    lowest = eigs[0] if n == 1 else np.outer(eigs, eigs).min()
+    if lowest <= _GRAM_FLOOR:
         raise NotPositiveDefinite(
-            f"normalized Gram minimum eigenvalue {eigs[0]:.3e} below {_GRAM_FLOOR:.0e}"
+            f"normalized Gram minimum eigenvalue {lowest:.3e} below {_GRAM_FLOOR:.0e}"
         )
     return basis
 
@@ -439,15 +439,15 @@ def _assemble(problem: ProblemSpec, basis: BasisSet) -> dict[str, np.ndarray]:
     mat_bd = sum(form(f, f, ones) for f in dfactors)
     mat_b = mat_bq + mat_bq.T + mat_bd
     mat_c = form(ident, ident, 1.0 + qvals)
-    mat_g = form(ident, ident, ones)
-    return {"G": mat_g, "A": mat_a, "B": mat_b, "C": mat_c}
+    return {"A": mat_a, "B": mat_b, "C": mat_c}
 
 
 def assemble_system(problem: ProblemSpec, basis: BasisSet) -> GalerkinSystem:
-    """Assemble G, A, B, C once, on the composite rule of ``basis``.
+    """Assemble A, B, C once, on the composite rule of ``basis``.
 
     The rule is exact for q = 1/V resolved on each cell; a QuadratureWarning
-    reports a q whose Legendre tail says otherwise (V near zero, say).
+    reports a q whose Legendre tail says otherwise (V near zero, say).  The
+    Gram matrix is the basis's own, checked by ``build_basis``.
 
     Raises:
         AsymmetryExceeded: pre-symmetrization asymmetry above 1e-8.
@@ -455,14 +455,14 @@ def assemble_system(problem: ProblemSpec, basis: BasisSet) -> GalerkinSystem:
         NonpositivePotential: V not strictly positive at a quadrature node.
     """
     out = {k: _check_and_symmetrize(k, v) for k, v in _assemble(problem, basis).items()}
-    for name in ("A", "C", "G"):
+    for name in ("A", "C"):
         try:
             np.linalg.cholesky(out[name])
         except np.linalg.LinAlgError as exc:
             raise NotPositiveDefinite(f"matrix {name} is not positive definite") from exc
 
     return GalerkinSystem(
-        gram=out["G"], a=out["A"], b=out["B"], c=out["C"], problem=problem, basis=basis
+        gram=basis.gram, a=out["A"], b=out["B"], c=out["C"], problem=problem, basis=basis
     )
 
 

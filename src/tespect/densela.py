@@ -33,7 +33,6 @@ class ComplexSpectrum:
 
     eigenvalues: np.ndarray
     eigenvectors: Optional[np.ndarray] = None  # columns, when requested
-    residuals: Optional[np.ndarray] = None  # ||M x - mu x|| / ||M||_F per pair
 
 
 @dataclass(frozen=True)
@@ -82,8 +81,7 @@ def nonsym_eig(m: np.ndarray, want_vectors: bool = False) -> ComplexSpectrum:
     """All eigenvalues of a real square matrix.
 
     Routed through LAPACK's balanced Hessenberg/shifted-QR path.  With
-    ``want_vectors`` the right eigenvectors come back column-wise together
-    with per-pair residuals ||M x - mu x|| / ||M||_F.
+    ``want_vectors`` the right eigenvectors come back column-wise.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -98,11 +96,7 @@ def nonsym_eig(m: np.ndarray, want_vectors: bool = False) -> ComplexSpectrum:
             vecs = None
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    residuals = None
-    if vecs is not None:
-        scale = max(float(np.linalg.norm(m)), 1e-300)
-        residuals = np.linalg.norm(m @ vecs - vecs * vals, axis=0) / scale
-    return ComplexSpectrum(vals, vecs, residuals)
+    return ComplexSpectrum(vals, vecs)
 
 
 def complex_det(m: np.ndarray) -> LogDet:

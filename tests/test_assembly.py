@@ -93,6 +93,58 @@ def test_polynomial_family_clamps_through_order_m_minus_1():
         assert np.max(np.abs(basis.deriv1d(order, ends))) < 1e-8
 
 
+def interval_problem(operator, potential):
+    return model.validate_problem(
+        model.OperatorSpec.preset_by_name(operator, 1),
+        model.DomainSpec("interval"),
+        potential,
+    )
+
+
+@pytest.mark.parametrize("operator", ["laplacian", "bilaplacian"])
+def test_polynomial_derivatives_match_legendre_series(operator):
+    # deriv1d(0) is a polynomial of degree size - 1 + 2m: fit it exactly in
+    # Legendre coefficients of t = 2x - 1, then d/dx = 2 d/dt
+    prob = interval_problem(operator, model.PotentialSpec.constant(1.0, 1))
+    basis = assembly.build_basis(prob, 8)
+    m = prob.order
+    t, w = np.polynomial.legendre.leggauss(8 + 2 * m)
+    x = 0.5 * (t + 1.0)
+    vander = np.polynomial.legendre.legvander(t, 7 + 2 * m)
+    coef = (basis.deriv1d(0, x) * w) @ vander * (np.arange(8 + 2 * m) + 0.5)
+    for k in range(m + 1):
+        ref = 2.0**k * np.polynomial.legendre.legval(t, np.polynomial.legendre.legder(coef.T, k))
+        got = basis.deriv1d(k, x)
+        assert np.max(np.abs(got - ref)) < 1e-10 * np.max(np.abs(ref)), k
+    with pytest.raises(ValueError):
+        basis.deriv1d(m + 1, x)
+
+
+def test_constant_potential_stiffness_is_diagonal():
+    prob = interval_problem("laplacian", model.PotentialSpec.constant(2.0, 1))
+    a = assembly.assemble_system(prob, assembly.build_basis(prob, 128)).a
+    assert np.max(np.abs(a - np.diag(np.diag(a)))) < 1e-11 * np.max(np.abs(a))
+
+
+@pytest.mark.parametrize("operator,size", [("laplacian", 128), ("bilaplacian", 40)])
+def test_scaled_stiffness_condition_bounded_by_potential_ratio(operator, size):
+    # A is a q-weighted Legendre mass matrix, so its diagonally scaled
+    # condition number is at most max q / min q = max V / min V = 2 for V = 1 + x
+    prob = interval_problem(operator, model.PotentialSpec.polynomial([1.0, 1.0], 1))
+    a = assembly.assemble_system(prob, assembly.build_basis(prob, size)).a
+    d = 1.0 / np.sqrt(np.diag(a))
+    assert np.linalg.cond(d[:, None] * a * d[None, :]) <= 2.0 * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("operator", ["laplacian", "bilaplacian"])
+def test_square_pipeline_at_default_size(operator):
+    _, basis, system, wh = cached_system(
+        operator=operator, dimension=2, size=32, contrast=3.0
+    )
+    assert system.gram is basis.gram
+    assert wh.size == 32 * 32
+
+
 def test_trig_rejected_for_fourth_order():
     prob = model.validate_problem(
         model.OperatorSpec.bilaplacian(1),
