@@ -52,7 +52,6 @@ _SCHEMA = {
     },
     "count": {
         "radii": "auto",
-        "contour_points": "512",
     },
     "scan": {
         "direction": "constant:1.0",
@@ -422,12 +421,7 @@ def _cmd_count(cfg: RunConfig, out: OutputWriter) -> int:
     raw = cfg.str_("count", "radii")
     radii = _auto_radii(lams) if raw == "auto" else cfg.list_float("count", "radii")
     nudged = [counting.nudge_radius(r, np.abs(lams)) for r in radii]
-    report = counting.growth_profile(
-        wh,
-        sorted(nudged),
-        points=cfg.int_("count", "contour_points"),
-        spectrum=lams,
-    )
+    report = counting.growth_profile(wh, sorted(nudged), spectrum=lams)
     out.csv(
         "count.csv",
         ["radius", "winding", "jensen_bound", "max_log_f"],
@@ -443,6 +437,7 @@ def _cmd_count(cfg: RunConfig, out: OutputWriter) -> int:
         {
             "radii": [float(r) for r in report.radii],
             "requested_radii": [float(r) for r in radii],
+            "grid_sizes": [int(g) for g in report.grid_sizes],
             "windings": [int(w) for w in report.windings],
             "cross_counts": [int(c) for c in report.cross_counts],
             "jensen_bounds": [float(j) for j in report.jensen_bounds],

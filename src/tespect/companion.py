@@ -199,12 +199,17 @@ def pencil_eigenvalues(wh: WhitenedSystem) -> np.ndarray:
     Independent route used to cross-check the reciprocal correspondence of
     the companion spectrum.
     """
+    return densela.nonsym_eig(_first_order(wh)).eigenvalues
+
+
+def _first_order(wh: WhitenedSystem) -> np.ndarray:
+    """First-order form [[0, I], [-A, B]] of the whitened pencil."""
     n = wh.size
     m = np.zeros((2 * n, 2 * n))
     m[:n, n:] = np.eye(n)
     m[n:, :n] = -wh.a
     m[n:, n:] = wh.b
-    return densela.nonsym_eig(m).eigenvalues
+    return m
 
 
 def recover_state(
@@ -368,11 +373,7 @@ def jordan_chains(
     mapped = np.vstack([comp.s @ basis_d[:n], basis_d[n:]])
     q, _ = np.linalg.qr(mapped)
 
-    first_order = np.zeros((2 * n, 2 * n))
-    first_order[:n, n:] = np.eye(n)
-    first_order[n:, :n] = -wh.a
-    first_order[n:, n:] = wh.b
-    shifted_fo = first_order.astype(complex) - lam * np.eye(2 * n)
+    shifted_fo = _first_order(wh) - lam * np.eye(2 * n)
     m_res = q.conj().T @ shifted_fo @ q
 
     chains_c = _nilpotent_chains(m_res, scale=float(np.linalg.norm(shifted_fo, 2)))
@@ -478,11 +479,7 @@ def resolvent_block_check(wh: WhitenedSystem, lam: complex) -> float:
 
     n = wh.size
     eye = np.eye(n)
-    first_order = np.zeros((2 * n, 2 * n), dtype=complex)
-    first_order[:n, n:] = eye
-    first_order[n:, :n] = -wh.a
-    first_order[n:, n:] = wh.b
-    direct = np.linalg.inv(first_order - lam * np.eye(2 * n))
+    direct = np.linalg.inv(_first_order(wh) - lam * np.eye(2 * n, dtype=complex))
 
     pencil = wh.a - lam * wh.b + lam**2 * eye
     linv = np.linalg.inv(pencil.astype(complex))

@@ -13,6 +13,10 @@ bound from the standard contour-maximum inequality
 
 and the growth profile fits log N(R) against log R over the radii the
 discretization actually resolves.
+
+Each contour grid is sized once from the computed spectrum (Ying & Katz,
+Numer. Math. 53 (1988) 143); f is still evaluated by determinants, so a
+measured phase step of pi/2 shows a zero the spectrum missed.
 """
 
 from __future__ import annotations
@@ -28,10 +32,9 @@ from .companion import build_companion, extract_spectrum
 from .errors import ContourNearZero, InsufficientResolvedRange, PhaseUnresolved
 from .util import wrap_angle
 
-DEFAULT_CONTOUR_POINTS = 512
 _MIN_CONTOUR_POINTS = 256
-_DET_FLOOR_LOG = np.log(1e-10)
-_MAX_GRID_DOUBLINGS = 4
+_MAX_CONTOUR_POINTS = 8192
+_PROBE_BLOCK = 128  # probe angles per block: bounds the transient memory
 _PHASE_STEP_LIMIT = 0.5 * np.pi
 _SPECTRUM_CLEARANCE = 0.01
 GROWTH_CEILING = 2.0
@@ -61,63 +64,72 @@ def fredholm_det(wh: WhitenedSystem, lam: complex) -> densela.LogDet:
     return densela.complex_det(mat)
 
 
-def _contour(wh, radius, points):
-    theta = 2.0 * np.pi * np.arange(points) / points
-    lams = radius * np.exp(1j * theta)
-    dets = [fredholm_det(wh, z) for z in lams]
-    log_abs = np.array([d.log_abs for d in dets])
-    args = np.array([d.arg for d in dets])
-    return log_abs, args
+def _computed_spectrum(wh: WhitenedSystem) -> np.ndarray:
+    return np.array([t.lam for t in extract_spectrum(build_companion(wh))])
+
+
+def _grid_size(radius: float, spectrum: np.ndarray) -> int:
+    """Contour points on |lam| = radius, from the phase speed the spectrum predicts.
+
+    On z = R e^{i theta} the phase of prod(z - lam_i) turns at
+    g(theta) = sum_i Re(z / (z - lam_i)).  g is probed at an angular spacing
+    of at most gap/4, gap = min_i |R - |lam_i|| / R, and the grid is the
+    smallest multiple of 8 (theta = pi on the grid, conjugate-symmetric)
+    holding 256 points and 8 max|g|, so every predicted step is <= pi/4.
+
+    Raises:
+        ContourNearZero: 8/gap or the grid exceeds 8192 points.
+    """
+    gap = np.min(np.abs(radius - np.abs(spectrum)), initial=np.inf) / radius
+    if gap * _MAX_CONTOUR_POINTS < 8.0:  # 8/gap above the largest grid
+        raise ContourNearZero(f"|lam| = {radius:g} is {gap:.1e} (relative) from the spectrum")
+    probes = int(np.ceil(8.0 * np.pi / gap))
+    theta = 2.0 * np.pi * np.arange(probes) / probes
+    peak = 0.0
+    for start in range(0, probes, _PROBE_BLOCK):
+        z = radius * np.exp(1j * theta[start : start + _PROBE_BLOCK])[:, None]
+        speed = np.sum((z / (z - spectrum[None, :])).real, axis=1)
+        peak = max(peak, float(np.max(np.abs(speed))))
+    points = 8 * int(np.ceil(max(_MIN_CONTOUR_POINTS, 8.0 * peak) / 8.0))
+    if points > _MAX_CONTOUR_POINTS:
+        raise ContourNearZero(f"|lam| = {radius:g} needs {points} contour points")
+    return points
 
 
 def _contour_scan(
-    wh: WhitenedSystem, radius: float, points: int
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Contour values with automatic grid doubling for phase resolution.
+    wh: WhitenedSystem, radius: float, spectrum: np.ndarray
+) -> tuple[float, int, int]:
+    """max log|f|, winding and grid size on the grid sized from the spectrum.
 
     Raises:
-        ContourNearZero: determinant magnitude dips below the floor.
-        PhaseUnresolved: adjacent phase steps stay too large after doubling.
+        ContourNearZero: the contour is too close to the computed spectrum.
+        PhaseUnresolved: a measured phase step reaches pi/2.
     """
-    if points < _MIN_CONTOUR_POINTS:
-        raise ValueError(f"need at least {_MIN_CONTOUR_POINTS} contour points")
     if radius <= 0:
         raise ValueError("radius must be positive")
-    for _ in range(_MAX_GRID_DOUBLINGS + 1):
-        log_abs, args = _contour(wh, radius, points)
-        if np.min(log_abs) < _DET_FLOOR_LOG:
-            raise ContourNearZero(
-                f"determinant magnitude {np.exp(np.min(log_abs)):.2e} below floor "
-                f"on |lam| = {radius:g}; choose another radius"
-            )
-        steps = wrap_angle(np.diff(np.concatenate([args, args[:1]])))
-        if np.max(np.abs(steps)) < _PHASE_STEP_LIMIT:
-            return log_abs, steps, points
-        points *= 2
-    raise PhaseUnresolved(
-        f"phase steps still exceed pi/2 at {points // 2} contour points"
-    )
+    points = _grid_size(radius, spectrum)
+    lams = radius * np.exp(2j * np.pi * np.arange(points) / points)
+    dets = [fredholm_det(wh, z) for z in lams]
+    args = np.array([d.arg for d in dets])
+    steps = wrap_angle(np.diff(args, append=args[:1]))
+    worst = float(np.max(np.abs(steps)))
+    if worst >= _PHASE_STEP_LIMIT:
+        raise PhaseUnresolved(
+            f"phase step {worst:.3f} rad reaches pi/2 on {points} points of "
+            f"|lam| = {radius:g}: the computed spectrum misses a zero near it"
+        )
+    winding = int(round(float(np.sum(steps)) / (2.0 * np.pi)))
+    return max(d.log_abs for d in dets), winding, points
 
 
-def winding_count(
-    wh: WhitenedSystem,
-    radius: float,
-    points: int = DEFAULT_CONTOUR_POINTS,
-) -> int:
+def winding_count(wh: WhitenedSystem, radius: float) -> int:
     """Zeros of the determinant inside |lam| < radius via the argument principle."""
-    _, steps, _ = _contour_scan(wh, radius, points)
-    total = float(np.sum(steps)) / (2.0 * np.pi)
-    return int(round(total))
+    return _contour_scan(wh, radius, _computed_spectrum(wh))[1]
 
 
-def jensen_bound(
-    wh: WhitenedSystem,
-    radius: float,
-    points: int = DEFAULT_CONTOUR_POINTS,
-) -> float:
+def jensen_bound(wh: WhitenedSystem, radius: float) -> float:
     """Contour-maximum bound on the zero count in the half-radius disk."""
-    log_abs, _, _ = _contour_scan(wh, radius, points)
-    return float(np.max(log_abs) / np.log(2.0))
+    return _contour_scan(wh, radius, _computed_spectrum(wh))[0] / np.log(2.0)
 
 
 def nudge_radius(radius: float, lam_moduli: np.ndarray, clearance: float = _SPECTRUM_CLEARANCE) -> float:
@@ -135,7 +147,6 @@ def nudge_radius(radius: float, lam_moduli: np.ndarray, clearance: float = _SPEC
 def growth_profile(
     wh: WhitenedSystem,
     radii: Sequence[float],
-    points: int = DEFAULT_CONTOUR_POINTS,
     spectrum: Optional[np.ndarray] = None,
 ) -> CountReport:
     """Count zeros on a list of ascending radii and fit the growth law.
@@ -150,21 +161,10 @@ def growth_profile(
     radii = np.asarray(list(radii), dtype=float)
     if radii.size < 1 or np.any(np.diff(radii) <= 0):
         raise ValueError("radii must be ascending and nonempty")
-    if spectrum is None:
-        comp = build_companion(wh)
-        spectrum = np.array([t.lam for t in extract_spectrum(comp)])
+    spectrum = _computed_spectrum(wh) if spectrum is None else np.asarray(spectrum)
 
-    windings = []
-    jensens = []
-    max_logs = []
-    grids = []
-    for r in radii:
-        log_abs, steps, used = _contour_scan(wh, float(r), points)
-        windings.append(int(round(float(np.sum(steps)) / (2.0 * np.pi))))
-        max_logs.append(float(np.max(log_abs)))
-        jensens.append(float(np.max(log_abs) / np.log(2.0)))
-        grids.append(used)
-    windings = np.array(windings, dtype=int)
+    scans = [_contour_scan(wh, float(r), spectrum) for r in radii]
+    max_logs, windings, grids = (np.array(column) for column in zip(*scans))
     cross = np.array([int(np.sum(np.abs(spectrum) < r)) for r in radii])
 
     window_hi = wh.size / 2.0
@@ -178,10 +178,10 @@ def growth_profile(
 
     return CountReport(
         radii=radii,
-        grid_sizes=np.array(grids),
+        grid_sizes=grids,
         windings=windings,
-        jensen_bounds=np.array(jensens),
-        max_log_det=np.array(max_logs),
+        jensen_bounds=max_logs / np.log(2.0),
+        max_log_det=max_logs,
         cross_counts=cross,
         growth_exponent=float(slope),
         growth_ceiling=GROWTH_CEILING,

@@ -116,25 +116,29 @@ def trace_power(comp: CompanionSystem, p: int) -> complex:
 
 
 def trace_identity_check(wh: WhitenedSystem, comp: CompanionSystem) -> tuple[float, float]:
-    """Residuals of the closed-form identities for tr(D) and tr(D^2).
+    """Residuals of tr(D) and tr(D^2) against the raw route on the assembled matrices.
 
-    tr(D)  = tr(B A^{-1}) and
-    tr(D^2) = tr(A^{-1/2} (B A^{-1} B - 2) A^{-1/2}),
-    both relative to the larger magnitude (floored at one, so exact-zero
-    cases stay well-defined).  A^{-1} = diag(mu) and A^{-1/2} = diag(sqrt(mu))
-    are the whitened system's own scalings, so the residuals measure the
-    identities themselves rather than solver conditioning.
+    With M = A^{-1} B on the assembled pencil A - lam B + lam^2 C,
+
+    tr(D)   = tr(M) and
+    tr(D^2) = sum(M o M^T) - 2 tr(A^{-1} C),
+
+    both invariant under the whitening congruence.  The raw route never
+    touches mu or B_w, so a fault in the whitening or in D shows here.  Each
+    residual is relative to the larger magnitude (floored at one, so
+    exact-zero cases stay well-defined).
     """
-    inv_a = wh.inv_a
+    system = wh.system
+    n = wh.size
+    solved = np.linalg.solve(system.a, np.hstack([system.b, system.c]))
+    m, a_inv_c = solved[:, :n], solved[:, n:]
     tr_d = float(np.trace(comp.d))
-    tr_ba = float(np.trace(wh.b @ inv_a))
-    r1 = abs(tr_d - tr_ba) / max(abs(tr_d), abs(tr_ba), 1.0)
+    tr_m = float(np.trace(m))
+    r1 = abs(tr_d - tr_m) / max(abs(tr_d), abs(tr_m), 1.0)
 
-    tr_d2 = float(np.trace(comp.d @ comp.d))
-    s = wh.inv_sqrt_a
-    inner = wh.b @ inv_a @ wh.b - 2.0 * np.eye(wh.size)
-    tr_formula = float(np.trace(s @ inner @ s))
-    r2 = abs(tr_d2 - tr_formula) / max(abs(tr_d2), abs(tr_formula), 1.0)
+    tr_d2 = float(np.sum(comp.d * comp.d.T))
+    tr_raw = float(np.sum(m * m.T) - 2.0 * np.trace(a_inv_c))
+    r2 = abs(tr_d2 - tr_raw) / max(abs(tr_d2), abs(tr_raw), 1.0)
     return r1, r2
 
 

@@ -96,11 +96,11 @@ class CrossCheckFailed(ComputationError):
 # --- counting ---------------------------------------------------------------
 
 class ContourNearZero(ComputationError):
-    """Determinant magnitude dips below the floor on the contour."""
+    """Contour runs so close to the computed spectrum that 8192 points cannot resolve it."""
 
 
 class PhaseUnresolved(ComputationError):
-    """Phase unwrapping failed even after grid-doubling retries."""
+    """A measured phase step reaches pi/2 on the grid the spectrum sized: a zero is missing."""
 
 
 class InsufficientResolvedRange(ComputationError):

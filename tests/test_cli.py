@@ -86,6 +86,16 @@ def test_removed_verify_quadrature_key_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_removed_contour_points_key_exits_2(tmp_path, capsys):
+    out = tmp_path / "c"
+    assert run(["count", "--out", str(out), "--set", "count.contour_points=512"]) == 2
+    config = tmp_path / "run.ini"
+    config.write_text("[count]\ncontour_points = 512\n")
+    assert run(["count", "-c", str(config), "--out", str(out)]) == 2
+    assert not out.exists()
+    capsys.readouterr()
+
+
 def test_python_m_tespect_runs_selftest():
     src = Path(__file__).resolve().parents[1] / "src"
     paths = [str(src), os.environ.get("PYTHONPATH")]
@@ -180,6 +190,16 @@ def test_count_outputs(tmp_path):
     header, rows = read_csv(out / "count.csv")
     assert header == ["radius", "winding", "jensen_bound", "max_log_f"]
     assert len(rows) == len(payload["windings"])
+    assert len(payload["grid_sizes"]) == len(payload["windings"])
+
+
+def test_count_square_2d(tmp_path):
+    out = tmp_path / "ct2"
+    settings = ("problem.dimension=2", "problem.domain=square", "basis.n=12")
+    assert run(["count", "--out", str(out), *(f"--set={s}" for s in settings)]) == 0
+    payload = json.loads((out / "count.json").read_text())
+    assert payload["windings"] == payload["cross_counts"]
+    assert all(g >= 256 and g % 8 == 0 for g in payload["grid_sizes"])
 
 
 def test_scan_outputs(tmp_path):

@@ -59,20 +59,43 @@ def test_winding_toy(toy_whitened):
     assert counting.winding_count(toy_whitened, 0.5) == 0
 
 
-def test_winding_triggers_grid_doubling(toy_whitened):
-    # zero at lambda = 1 sits 0.5% inside the contour: 256 points cannot
-    # resolve the phase swing, the automatic doubling must kick in
-    assert counting.winding_count(toy_whitened, 1.005, points=256) == 1
+def count_det_calls(monkeypatch):
+    calls = []
+    det = counting.fredholm_det
+
+    def counted(wh, lam):
+        calls.append(lam)
+        return det(wh, lam)
+
+    monkeypatch.setattr(counting, "fredholm_det", counted)
+    return calls
 
 
-def test_winding_contour_through_zero(toy_whitened):
-    with pytest.raises(ContourNearZero):
-        counting.winding_count(toy_whitened, 1.0)
+def test_winding_sizes_grid_near_zero(toy_whitened, monkeypatch):
+    # zero at lambda = 1 sits 0.5% inside the contour: the phase speed the
+    # spectrum predicts there needs more than the 256-point minimum
+    calls = count_det_calls(monkeypatch)
+    assert counting.winding_count(toy_whitened, 1.005) == 1
+    assert len(calls) > 256 and len(calls) % 8 == 0
+
+
+def test_winding_contour_through_zero(toy_whitened, monkeypatch):
+    calls = count_det_calls(monkeypatch)
+    for radius in (1.0, 1.0 + 1e-7):
+        with pytest.raises(ContourNearZero):
+            counting.winding_count(toy_whitened, radius)
+    assert calls == []  # refused before any determinant
 
 
 def test_winding_phase_unresolved(toy_whitened):
+    # a spectrum without the zero at 1 sizes the minimum grid, which cannot
+    # follow the phase of f past a zero 5e-5 outside it
     with pytest.raises(PhaseUnresolved):
-        counting.winding_count(toy_whitened, 1.0 + 1e-7, points=256)
+        counting.growth_profile(toy_whitened, [1.00005, 2.0, 5.0], spectrum=[4.0])
+    # 0.5% outside, 256 points still resolve it: the winding disagrees with
+    # the spectrum instead
+    _, winding, points = counting._contour_scan(toy_whitened, 1.005, np.array([4.0]))
+    assert (winding, points) == (1, 256)
 
 
 def test_winding_matches_spectrum_split():
@@ -126,6 +149,16 @@ def test_growth_profile_synthetic_counts_and_slope():
     assert report.growth_exponent == pytest.approx(ref_slope, abs=1e-10)
     assert abs(report.growth_exponent - 0.5) <= 0.1
     assert report.growth_ceiling == 2.0
+
+
+def test_growth_profile_grids_sized_once(monkeypatch):
+    wh = synthetic_double_root_system()
+    calls = count_det_calls(monkeypatch)
+    radii = [(j + 0.5) ** 2 for j in range(3, 8)] + [64.65]
+    report = counting.growth_profile(wh, radii)
+    assert np.all(report.grid_sizes >= 256) and np.all(report.grid_sizes % 8 == 0)
+    assert report.grid_sizes[-1] > 256  # 64.65 lies 1% off the double root at 64
+    assert len(calls) == int(np.sum(report.grid_sizes))
 
 
 def test_growth_profile_insufficient_range(toy_whitened):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,13 @@ def test_trace_identities_random_systems():
         comp = companion.build_companion(wh)
         r1, r2 = diagnostics.trace_identity_check(wh, comp)
         assert r1 < 1e-10 and r2 < 1e-10
+
+
+def test_trace_identities_catch_perturbed_whitening(helmholtz32):
+    _, _, _, wh = helmholtz32
+    bad = dataclasses.replace(wh, b=wh.b + 1e-6 * np.eye(wh.size))
+    r1, r2 = diagnostics.trace_identity_check(bad, companion.build_companion(bad))
+    assert min(r1, r2) > 1e-10
 
 
 def test_trace_report_norm_ordering(helmholtz32):
