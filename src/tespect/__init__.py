@@ -16,7 +16,6 @@ from .model import (  # noqa: F401
     PotentialSpec,
     ProblemSpec,
     eval_potential,
-    symbol_value,
     validate_problem,
 )
 from .assembly import (  # noqa: F401

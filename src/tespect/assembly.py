@@ -205,29 +205,25 @@ def _trig_deriv(size: int, k: int, x: np.ndarray) -> np.ndarray:
 
 
 def p0_terms(order: int, dimension: int):
-    """Pointwise action of the preset operator as (coeff, derivative-orders)."""
+    """Pointwise action of the preset of this order as (coeff, derivative-orders)."""
     if order == 2:
         if dimension == 1:
             return [(-1.0, (2,))]
         return [(-1.0, (2, 0)), (-1.0, (0, 2))]
-    if order == 4:
-        if dimension == 1:
-            return [(1.0, (4,))]
-        return [(1.0, (4, 0)), (2.0, (2, 2)), (1.0, (0, 4))]
-    raise BasisOrderMismatch(f"no preset action for operator order {order}")
+    if dimension == 1:
+        return [(1.0, (4,))]
+    return [(1.0, (4, 0)), (2.0, (2, 2)), (1.0, (0, 4))]
 
 
 def dirichlet_factors(order: int, dimension: int):
-    """Symmetric Dirichlet form of the preset as a list of squared factors."""
+    """Symmetric Dirichlet form of the preset of this order as squared factors."""
     if order == 2:
         if dimension == 1:
             return [[(1.0, (1,))]]
         return [[(1.0, (1, 0))], [(1.0, (0, 1))]]
-    if order == 4:
-        if dimension == 1:
-            return [[(1.0, (2,))]]
-        return [[(1.0, (2, 0)), (1.0, (0, 2))]]
-    raise BasisOrderMismatch(f"no Dirichlet form for operator order {order}")
+    if dimension == 1:
+        return [[(1.0, (2,))]]
+    return [[(1.0, (2, 0)), (1.0, (0, 2))]]
 
 
 # -- construction ---------------------------------------------------------------
@@ -326,8 +322,9 @@ class WhitenedSystem:
     X^T A X = diag(1/mu); it maps whitened coordinate vectors back to basis
     coefficients.
 
-    S = A_w^{-1/2} = diag(sqrt(mu)) and A_w^{-1} = diag(mu) are diagonal
-    scalings; the small stiffness eigenvalues, which dominate every trace of
+    Only the vector ``mu`` is stored: products with A_w = diag(1/mu),
+    S = A_w^{-1/2} = diag(sqrt(mu)) and A_w^{-1} = diag(mu) are row or column
+    scalings.  The small stiffness eigenvalues, which dominate every trace of
     D, are the largest mu and so carry full relative accuracy.
     """
 
@@ -347,18 +344,6 @@ class WhitenedSystem:
         b = np.atleast_2d(np.asarray(b, dtype=float))
         eye = np.eye(a.shape[0])
         return whiten(GalerkinSystem(gram=eye, a=a, b=b, c=eye))
-
-    @cached_property
-    def a(self) -> np.ndarray:
-        return np.diag(1.0 / self.mu)
-
-    @cached_property
-    def inv_sqrt_a(self) -> np.ndarray:
-        return np.diag(np.sqrt(self.mu))
-
-    @cached_property
-    def inv_a(self) -> np.ndarray:
-        return np.diag(self.mu)
 
     @cached_property
     def comp_block(self) -> np.ndarray:

@@ -24,9 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, companion, counting, diagnostics, oracles
-from .assembly import POLYNOMIAL, WhitenedSystem, assemble_system, build_basis, whiten
+from .assembly import POLYNOMIAL, TRIG, WhitenedSystem, assemble_system, build_basis, whiten
 from .errors import ComputationError
-from .model import DomainSpec, OperatorSpec, PotentialSpec, validate_problem
+from .model import PRESET_ORDERS, DomainSpec, OperatorSpec, PotentialSpec, validate_problem
 
 _SCHEMA = {
     "problem": {
@@ -38,7 +38,6 @@ _SCHEMA = {
     "basis": {
         "family": POLYNOMIAL,
         "n": "32",
-        "quadrature_nodes": "0",
     },
     "solve": {
         "cluster_tol": "1e-6",
@@ -156,6 +155,12 @@ class RunConfig:
             return False
         raise UsageError(f"{section}.{key} must be a boolean")
 
+    def choice(self, section: str, key: str, options) -> str:
+        raw = self.str_(section, key)
+        if raw not in options:
+            raise UsageError(f"{section}.{key} must be one of {', '.join(options)}")
+        return raw
+
     def list_int(self, section: str, key: str) -> list[int]:
         try:
             return [int(tok) for tok in self.str_(section, key).split(",") if tok.strip()]
@@ -207,7 +212,7 @@ def _parse_potential(token: str, dimension: int) -> PotentialSpec:
 
 def _build_problem(cfg: RunConfig):
     dim = cfg.int_("problem", "dimension")
-    op = OperatorSpec.preset_by_name(cfg.str_("problem", "operator"), dim)
+    op = OperatorSpec.preset_by_name(cfg.choice("problem", "operator", PRESET_ORDERS), dim)
     dom = DomainSpec(cfg.str_("problem", "domain"))
     pot = _parse_potential(cfg.str_("problem", "potential"), dim)
     return validate_problem(op, dom, pot)
@@ -215,12 +220,8 @@ def _build_problem(cfg: RunConfig):
 
 def _build_pipeline(cfg: RunConfig, size: int | None = None):
     problem = _build_problem(cfg)
-    basis = build_basis(
-        problem,
-        size or cfg.int_("basis", "n"),
-        cfg.str_("basis", "family"),
-        cfg.int_("basis", "quadrature_nodes"),
-    )
+    family = cfg.choice("basis", "family", (POLYNOMIAL, TRIG))
+    basis = build_basis(problem, size or cfg.int_("basis", "n"), family)
     system = assemble_system(problem, basis)
     wh = whiten(system)
     return problem, basis, system, wh
@@ -462,7 +463,7 @@ def _cmd_scan(cfg: RunConfig, out: OutputWriter) -> int:
         direction,
         s_grid,
         cfg.int_("basis", "n"),
-        family=cfg.str_("basis", "family"),
+        family=cfg.choice("basis", "family", (POLYNOMIAL, TRIG)),
         zero_tol=cfg.float_("scan", "zero_tol"),
         refine_check=cfg.bool_("scan", "refine_check"),
     )

@@ -43,7 +43,6 @@ class CompanionSystem:
     """Companion matrix with its blocks and source system."""
 
     k: np.ndarray  # S B S, symmetric
-    s: np.ndarray  # inverse square root of the whitened stiffness
     d: np.ndarray  # 2N x 2N companion matrix
     whitened: WhitenedSystem
 
@@ -108,14 +107,14 @@ def build_companion(wh: WhitenedSystem) -> CompanionSystem:
     system; the small stiffness eigenvalues, which dominate every trace of D,
     enter as the largest mu at full relative accuracy.
     """
-    s = wh.inv_sqrt_a
     k = wh.comp_block
-    n = s.shape[0]
+    n = wh.size
+    root = np.sqrt(wh.mu)
     d = np.zeros((2 * n, 2 * n))
     d[:n, :n] = k
-    d[:n, n:] = -s
-    d[n:, :n] = s
-    return CompanionSystem(k=k, s=s, d=d, whitened=wh)
+    np.fill_diagonal(d[:n, n:], -root)
+    np.fill_diagonal(d[n:, :n], root)
+    return CompanionSystem(k=k, d=d, whitened=wh)
 
 
 def _cluster(mus: np.ndarray, tol: float) -> np.ndarray:
@@ -162,8 +161,10 @@ def extract_spectrum(
     mus = spec.eigenvalues[keep]
     lams = 1.0 / mus
 
-    u0 = comp.s @ spec.eigenvectors[:n, keep]
-    au = comp.whitened.a @ u0
+    mu_w = comp.whitened.mu
+    # take() keeps u0 in C order; the column norms below round by memory order
+    u0 = np.sqrt(mu_w)[:, None] * spec.eigenvectors[:n].take(keep, axis=1)
+    au = (1.0 / mu_w)[:, None] * u0
     bu = comp.whitened.b @ u0
     res_vec = au - bu * lams[None, :] + u0 * (lams**2)[None, :]
     u0_norm = np.maximum(np.linalg.norm(u0, axis=0), 1e-300)
@@ -207,7 +208,7 @@ def _first_order(wh: WhitenedSystem) -> np.ndarray:
     n = wh.size
     m = np.zeros((2 * n, 2 * n))
     m[:n, n:] = np.eye(n)
-    m[n:, :n] = -wh.a
+    np.fill_diagonal(m[n:, :n], -1.0 / wh.mu)
     m[n:, n:] = wh.b
     return m
 
@@ -236,9 +237,9 @@ def recover_state(
         raise DegenerateState("first component block vanishes; defective pairing")
 
     lam = 1.0 / mu
-    u_white = comp.s @ y1
     wh = comp.whitened
-    res = wh.a @ u_white - lam * (wh.b @ u_white) + lam**2 * u_white
+    u_white = np.sqrt(wh.mu) * y1
+    res = (1.0 / wh.mu) * u_white - lam * (wh.b @ u_white) + lam**2 * u_white
     r_pencil = float(
         np.linalg.norm(res)
         / ((1.0 + abs(lam) + abs(lam) ** 2) * max(np.linalg.norm(u_white), 1e-300))
@@ -298,12 +299,13 @@ def jordan_chain_residual(
     vecs = [np.asarray(v).reshape(-1).astype(complex) for v in chain]
     scale = max(max(np.linalg.norm(v) for v in vecs), 1e-300)
     zero = np.zeros_like(vecs[0])
+    inv_mu = 1.0 / wh.mu
     out = []
     for j, uj in enumerate(vecs):
         um1 = vecs[j - 1] if j >= 1 else zero
         um2 = vecs[j - 2] if j >= 2 else zero
         r = (
-            wh.a @ uj
+            inv_mu * uj
             - lam * (wh.b @ uj)
             + lam**2 * uj
             + (-(wh.b @ um1) + 2.0 * lam * um1)
@@ -370,7 +372,7 @@ def jordan_chains(
     basis_d = _null_basis(power, root_dim)
 
     # map ker (D - mu)^k through the block scaling into first-order coordinates
-    mapped = np.vstack([comp.s @ basis_d[:n], basis_d[n:]])
+    mapped = np.vstack([np.sqrt(wh.mu)[:, None] * basis_d[:n], basis_d[n:]])
     q, _ = np.linalg.qr(mapped)
 
     shifted_fo = _first_order(wh) - lam * np.eye(2 * n)
@@ -481,11 +483,13 @@ def resolvent_block_check(wh: WhitenedSystem, lam: complex) -> float:
     eye = np.eye(n)
     direct = np.linalg.inv(_first_order(wh) - lam * np.eye(2 * n, dtype=complex))
 
-    pencil = wh.a - lam * wh.b + lam**2 * eye
+    inv_mu = 1.0 / wh.mu
+    pencil = lam**2 * eye - lam * wh.b
+    pencil.flat[:: n + 1] += inv_mu
     linv = np.linalg.inv(pencil.astype(complex))
     block = np.zeros_like(direct)
     block[:n, :n] = linv @ (wh.b - lam * eye)
     block[:n, n:] = -linv
-    block[n:, :n] = linv @ wh.a
+    block[n:, :n] = linv * inv_mu[None, :]
     block[n:, n:] = -lam * linv
     return float(np.linalg.norm(direct - block) / max(np.linalg.norm(block), 1e-300))

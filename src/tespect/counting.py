@@ -60,7 +60,8 @@ def fredholm_det(wh: WhitenedSystem, lam: complex) -> densela.LogDet:
     if lam == 0:
         return densela.LogDet(0.0, 0.0)
     n = wh.size
-    mat = np.eye(n, dtype=complex) - lam * wh.comp_block + lam**2 * wh.inv_a
+    mat = np.eye(n, dtype=complex) - lam * wh.comp_block
+    mat.flat[:: n + 1] += lam**2 * wh.mu
     return densela.complex_det(mat)
 
 

@@ -168,7 +168,7 @@ def trace_report(
         p_min = wh.system.problem.p_min
     powers = tuple((int(p), trace_power(comp, int(p))) for p in p_list)
     svals_d = densela.singular_values(comp.d)
-    mus = comp.eigen_data().eigenvalues
+    mus = densela.nonsym_eig(comp.d).eigenvalues
     profile = schatten_profile(wh)
     return TraceReport(
         p=int(p_list[0]),
@@ -208,12 +208,13 @@ def numerical_range(
     raw.real = rng.standard_normal(raw.shape)
     raw.imag = rng.standard_normal(raw.shape)
     z = np.empty(half, dtype=complex)
+    root = np.sqrt(comp.whitened.mu)[:, None]
     for cols in (slice(lo, lo + _RANGE_BLOCK) for lo in range(0, half, _RANGE_BLOCK)):
         blk = raw[:, cols]
         blk /= np.linalg.norm(blk, axis=0, keepdims=True)
         u0, v0 = blk[:n], blk[n:]
         z.real[cols] = np.einsum("ij,ij->j", u0.conj(), comp.k @ u0).real
-        z.imag[cols] = -2.0 * np.einsum("ij,ij->j", u0.conj(), comp.s @ v0).imag
+        z.imag[cols] = -2.0 * np.einsum("ij,ij->j", u0.conj(), root * v0).imag
     samples = np.concatenate([z, z.conj()])
 
     max_arg = float(np.max(np.abs(np.angle(samples))))

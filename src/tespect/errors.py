@@ -15,10 +15,6 @@ class ComputationError(Exception):
 
 # --- problem definition ---------------------------------------------------
 
-class EllipticityViolation(ComputationError):
-    """Principal symbol vanishes at a sampled direction."""
-
-
 class NonpositivePotential(ComputationError):
     """Potential is not strictly positive on the sampled domain."""
 

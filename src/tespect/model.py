@@ -1,89 +1,67 @@
 """Continuous problem definition: operator, domain, potential.
 
 The computational object everywhere downstream is a validated
-:class:`ProblemSpec` bundling a constant-coefficient, formally selfadjoint
-elliptic operator of even order ``m`` on the unit interval or square, and a
-strictly positive potential ``V``.  The reciprocal ``q = 1/V`` is the
-coefficient the Galerkin assembly actually integrates.
+:class:`ProblemSpec` bundling an operator, the unit interval or square, and
+a strictly positive potential ``V``.  The operator is one of two presets,
+-Laplacian (order 2, symbol |xi|^2) or bilaplacian (order 4, symbol |xi|^4):
+these are the whole operator model, elliptic and formally selfadjoint by
+construction, and assembly reads only their order.  The reciprocal
+``q = 1/V`` is the coefficient the Galerkin assembly actually integrates.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    EllipticityViolation,
     NonpositivePotential,
     OutOfDomain,
     SmoothnessWarning,
     UnsupportedDimension,
 )
 
-_SPHERE_SAMPLES = 1000
+PRESET_ORDERS = {"laplacian": 2, "bilaplacian": 4}
 _POSITIVITY_MARGIN = 1e-10
 _DOMAIN_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """Constant-coefficient differential operator given by its symbol.
+    """Preset operator on ``dimension`` = 1 or 2: -Laplacian or bilaplacian.
 
-    ``coefficients`` maps a multi-index (length ``dimension`` tuple) to the
-    real coefficient of ``xi**alpha`` in the symbol.  Real coefficients make
-    the operator formally selfadjoint automatically.
+    ``order`` follows from ``preset`` through ``PRESET_ORDERS``.
     """
 
-    coefficients: Mapping[tuple[int, ...], float]
-    order: int
+    preset: str
     dimension: int
-    preset: str = "custom"
 
     def __post_init__(self):
-        if self.order <= 0 or self.order % 2 != 0:
-            raise ValueError("operator order must be a positive even integer")
+        if not isinstance(self.preset, str) or self.preset not in PRESET_ORDERS:
+            raise ValueError(f"unknown operator preset {self.preset!r}")
         if self.dimension not in (1, 2):
             raise UnsupportedDimension(f"dimension {self.dimension} not supported")
-        for alpha, c in self.coefficients.items():
-            if len(alpha) != self.dimension:
-                raise DimensionMismatch(
-                    f"multi-index {alpha} does not match dimension {self.dimension}"
-                )
-            if sum(alpha) > self.order:
-                raise ValueError(f"multi-index {alpha} exceeds stated order {self.order}")
-            if abs(float(np.imag(c))) > 0:
-                raise ValueError("coefficients must be real")
+
+    @property
+    def order(self) -> int:
+        return PRESET_ORDERS[self.preset]
 
     @classmethod
     def laplacian(cls, dimension: int) -> "OperatorSpec":
         """Negative Laplacian; symbol |xi|^2."""
-        coeffs = {}
-        for j in range(dimension):
-            alpha = [0] * dimension
-            alpha[j] = 2
-            coeffs[tuple(alpha)] = 1.0
-        return cls(coeffs, order=2, dimension=dimension, preset="laplacian")
+        return cls("laplacian", dimension)
 
     @classmethod
     def bilaplacian(cls, dimension: int) -> "OperatorSpec":
         """Squared Laplacian; symbol |xi|^4."""
-        if dimension == 1:
-            coeffs = {(4,): 1.0}
-        else:
-            coeffs = {(4, 0): 1.0, (2, 2): 2.0, (0, 4): 1.0}
-        return cls(coeffs, order=4, dimension=dimension, preset="bilaplacian")
+        return cls("bilaplacian", dimension)
 
     @classmethod
     def preset_by_name(cls, name: str, dimension: int) -> "OperatorSpec":
-        if name == "laplacian":
-            return cls.laplacian(dimension)
-        if name == "bilaplacian":
-            return cls.bilaplacian(dimension)
-        raise ValueError(f"unknown operator preset {name!r}")
+        return cls(name, dimension)
 
 
 @dataclass(frozen=True)
@@ -99,10 +77,6 @@ class DomainSpec:
     @property
     def dimension(self) -> int:
         return 1 if self.shape == "interval" else 2
-
-    def contains(self, x: np.ndarray) -> bool:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return bool(np.all(x >= -_DOMAIN_SLACK) and np.all(x <= 1.0 + _DOMAIN_SLACK))
 
 
 @dataclass(frozen=True)
@@ -194,49 +168,6 @@ class ProblemSpec:
         return self.operator.dimension
 
 
-def symbol_value(op: OperatorSpec, xi) -> float:
-    """Full symbol sum a_alpha xi^alpha at a frequency vector."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if xi.shape[-1] != op.dimension:
-        raise DimensionMismatch(
-            f"xi has length {xi.shape[-1]}, operator dimension is {op.dimension}"
-        )
-    total = np.zeros(xi.shape[:-1], dtype=float)
-    for alpha, c in op.coefficients.items():
-        term = np.full(xi.shape[:-1], float(c))
-        for j, a in enumerate(alpha):
-            if a:
-                term = term * xi[..., j] ** a
-        total = total + term
-    return float(total) if total.ndim == 0 else total
-
-
-def principal_symbol_value(op: OperatorSpec, xi) -> float:
-    """Top-order part of the symbol, the object ellipticity constrains."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if xi.shape[-1] != op.dimension:
-        raise DimensionMismatch(
-            f"xi has length {xi.shape[-1]}, operator dimension is {op.dimension}"
-        )
-    total = np.zeros(xi.shape[:-1], dtype=float)
-    for alpha, c in op.coefficients.items():
-        if sum(alpha) != op.order:
-            continue
-        term = np.full(xi.shape[:-1], float(c))
-        for j, a in enumerate(alpha):
-            if a:
-                term = term * xi[..., j] ** a
-        total = total + term
-    return float(total) if total.ndim == 0 else total
-
-
-def _sphere_points(dimension: int, count: int = _SPHERE_SAMPLES) -> np.ndarray:
-    if dimension == 1:
-        return np.array([[1.0], [-1.0]])
-    theta = 2.0 * np.pi * np.arange(count) / count
-    return np.column_stack([np.cos(theta), np.sin(theta)])
-
-
 def eval_potential(pot: PotentialSpec, x) -> float:
     """Evaluate V at a point (or an array of points) of the closed domain."""
     pts = np.atleast_1d(np.asarray(x, dtype=float))
@@ -311,17 +242,15 @@ def _validation_points(dimension: int) -> np.ndarray:
 def validate_problem(op: OperatorSpec, dom: DomainSpec, pot: PotentialSpec) -> ProblemSpec:
     """Check the standing hypotheses and return the validated bundle.
 
-    Ellipticity is tested by sampling the principal symbol on a fixed
-    quasi-uniform set of unit directions; strict positivity of V on a dense
-    fixed grid with margin 1e-10.  Both checks are deterministic.
+    The operator is elliptic by construction (see :class:`OperatorSpec`);
+    strict positivity of V is checked on a dense fixed grid with margin 1e-10,
+    deterministically.
 
     Raises:
-        EllipticityViolation: principal symbol vanishes at a sample.
         NonpositivePotential: V drops to the margin somewhere.
-        UnsupportedDimension / DimensionMismatch: inconsistent geometry.
+        DimensionMismatch: domain or potential dimension differs from the
+            operator's.
     """
-    if op.dimension not in (1, 2):
-        raise UnsupportedDimension(f"dimension {op.dimension} not supported")
     if dom.dimension != op.dimension:
         raise DimensionMismatch(
             f"domain dimension {dom.dimension} != operator dimension {op.dimension}"
@@ -330,12 +259,6 @@ def validate_problem(op: OperatorSpec, dom: DomainSpec, pot: PotentialSpec) -> P
         raise DimensionMismatch(
             f"potential dimension {pot.dimension} != operator dimension {op.dimension}"
         )
-
-    directions = _sphere_points(op.dimension)
-    symb = np.array([principal_symbol_value(op, d) for d in directions])
-    scale = max(float(np.max(np.abs(symb))), 1e-300)
-    if np.any(np.abs(symb) <= 1e-12 * scale):
-        raise EllipticityViolation("principal symbol vanishes on the sampled sphere")
 
     floor = potential_floor(pot, _validation_points(op.dimension))
     if floor <= _POSITIVITY_MARGIN:

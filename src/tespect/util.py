@@ -7,26 +7,20 @@ import math
 import numpy as np
 
 
-def loglog_slope(values: np.ndarray, window: str = "middle-third") -> float:
+def loglog_slope(values: np.ndarray) -> float:
     """Least-squares slope of log(values[j]) against log(j), j starting at 1.
 
-    With ``window='middle-third'`` only indices in [N/3, 2N/3] enter the fit,
-    which keeps both the poorly resolved tail and the handful of lowest modes
-    out of the regression.
+    Only indices in [N/3, 2N/3] enter the fit, which keeps both the poorly
+    resolved tail and the handful of lowest modes out of the regression.
     """
     v = np.asarray(values, dtype=float)
     n = v.size
     if n < 3:
         raise ValueError("need at least 3 values for a slope fit")
     j = np.arange(1, n + 1, dtype=float)
-    if window == "middle-third":
-        lo = max(int(math.floor(n / 3)), 1)
-        hi = max(int(math.ceil(2 * n / 3)), lo + 2)
-        sel = slice(lo - 1, min(hi, n))
-    elif window == "all":
-        sel = slice(None)
-    else:
-        raise ValueError(f"unknown window {window!r}")
+    lo = max(int(math.floor(n / 3)), 1)
+    hi = max(int(math.ceil(2 * n / 3)), lo + 2)
+    sel = slice(lo - 1, min(hi, n))
     x = np.log(j[sel])
     y = np.log(np.abs(v[sel]))
     slope, _ = np.polyfit(x, y, 1)
@@ -40,11 +34,6 @@ def wrap_angle(theta: np.ndarray | float):
     if np.ndim(theta) == 0:
         return float(wrapped)
     return wrapped
-
-
-def relative_gap(a: float, b: float) -> float:
-    """|a - b| relative to the larger magnitude, floored at one."""
-    return abs(a - b) / max(abs(a), abs(b), 1.0)
 
 
 def match_multisets(a: np.ndarray, b: np.ndarray) -> float:

@@ -96,6 +96,29 @@ def test_removed_contour_points_key_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_removed_quadrature_nodes_key_exits_2(tmp_path, capsys):
+    out = tmp_path / "q"
+    assert run(["solve", "--out", str(out), "--set", "basis.quadrature_nodes=64"]) == 2
+    config = tmp_path / "run.ini"
+    config.write_text("[basis]\nquadrature_nodes = 64\n")
+    assert run(["solve", "-c", str(config), "--out", str(out)]) == 2
+    assert not out.exists()
+    capsys.readouterr()
+
+
+def test_unknown_operator_exits_2(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(["solve", "--out", str(out), "--set", "problem.operator=foo"]) == 2
+    assert "problem.operator" in capsys.readouterr().err
+
+
+def test_unknown_basis_family_exits_2(tmp_path, capsys):
+    out = tmp_path / "f"
+    assert run(["solve", "--out", str(out), "--set", "basis.family=foo"]) == 2
+    assert run(["scan", "--out", str(out), "--set", "basis.family=foo"]) == 2
+    assert "basis.family" in capsys.readouterr().err
+
+
 def test_python_m_tespect_runs_selftest():
     src = Path(__file__).resolve().parents[1] / "src"
     paths = [str(src), os.environ.get("PYTHONPATH")]

@@ -18,7 +18,7 @@ from tespect.util import match_multisets
 
 def test_build_companion_toy(toy_companion):
     assert toy_companion.k[0, 0] == pytest.approx(1.25, abs=1e-14)
-    assert toy_companion.s[0, 0] == pytest.approx(0.5, abs=1e-14)
+    assert np.sqrt(toy_companion.whitened.mu)[0] == pytest.approx(0.5, abs=1e-14)
     assert np.allclose(
         toy_companion.d, [[1.25, -0.5], [0.5, 0.0]], atol=1e-14
     )
@@ -37,7 +37,7 @@ def test_companion_blocks_symmetric():
     rng = np.random.default_rng(5)
     wh = random_spd_pencil(rng, 15)
     comp = companion.build_companion(wh)
-    for block in (comp.k, comp.s):
+    for block in (comp.k, np.diag(np.sqrt(wh.mu))):
         assert np.linalg.norm(block - block.T) <= 1e-10 * np.linalg.norm(block)
     # the lower-left block is minus the transpose of the upper-right one
     n = comp.size
@@ -195,7 +195,8 @@ def test_chain_residual_matches_pencil_residual(toy_companion):
     spec = companion.extract_spectrum(toy_companion)
     data = toy_companion.eigen_data()
     t = spec[0]
-    u0 = toy_companion.s @ data.eigenvectors[: toy_companion.size, t.eigenvector_index]
+    s = np.diag(np.sqrt(toy_companion.whitened.mu))
+    u0 = s @ data.eigenvectors[: toy_companion.size, t.eigenvector_index]
     rho = companion.jordan_chain_residual(toy_companion.whitened, t.lam, [u0])
     assert rho[0] < 1e-12
 

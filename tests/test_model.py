@@ -1,10 +1,8 @@
-import numpy as np
 import pytest
 
 from tespect import model
 from tespect.errors import (
     DimensionMismatch,
-    EllipticityViolation,
     NonpositivePotential,
     OutOfDomain,
     SmoothnessWarning,
@@ -44,36 +42,21 @@ def test_validate_laplacian_square_flags():
     assert prob.p_min == 2  # smallest integer above n/m = 1
 
 
-def test_symbol_values():
-    lap1 = model.OperatorSpec.laplacian(1)
-    assert model.symbol_value(lap1, [2.0]) == pytest.approx(4.0, abs=1e-15)
-    assert model.symbol_value(lap1, [0.0]) == 0.0
-    bil2 = model.OperatorSpec.bilaplacian(2)
-    assert model.symbol_value(bil2, [1.0, 1.0]) == pytest.approx(4.0, abs=1e-14)
+def test_operator_is_a_preset_pair():
+    op = model.OperatorSpec.preset_by_name("bilaplacian", 2)
+    assert op == model.OperatorSpec("bilaplacian", 2) == model.OperatorSpec.bilaplacian(2)
+    assert (op.preset, op.order, op.dimension) == ("bilaplacian", 4, 2)
+    assert model.OperatorSpec.laplacian(1).order == 2
 
 
-def test_symbol_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        model.symbol_value(model.OperatorSpec.laplacian(2), [1.0])
-
-
-def test_laplacian_symbol_is_squared_norm():
-    rng = np.random.default_rng(42)
-    op = model.OperatorSpec.laplacian(2)
-    for _ in range(100):
-        xi = rng.standard_normal(2)
-        assert model.symbol_value(op, xi) == pytest.approx(
-            float(xi @ xi), rel=1e-14
-        )
-
-
-def test_ellipticity_violation():
-    # hyperbolic symbol xi1^2 - xi2^2 vanishes on the diagonal directions
-    op = model.OperatorSpec({(2, 0): 1.0, (0, 2): -1.0}, order=2, dimension=2)
-    with pytest.raises(EllipticityViolation):
-        model.validate_problem(
-            op, model.DomainSpec("square"), model.PotentialSpec.constant(1.0, 2)
-        )
+def test_operator_rejects_anything_but_a_preset():
+    # -5 Laplacian as a symbol dictionary, which assembly would solve as -Laplacian
+    with pytest.raises(TypeError):
+        model.OperatorSpec({(2,): 5.0}, order=2, dimension=1)
+    with pytest.raises(ValueError):
+        model.OperatorSpec({(2,): 5.0}, 1)
+    with pytest.raises(ValueError):
+        model.OperatorSpec.preset_by_name("custom", 1)
 
 
 def test_nonpositive_potential():
