@@ -105,10 +105,6 @@ class BasisSet:
     norms: np.ndarray = field(repr=False)  # per-function 1D scale factors
     gram: np.ndarray = field(repr=False)
 
-    @property
-    def total_size(self) -> int:
-        return self.size**self.dimension
-
     # -- 1D factor evaluation -------------------------------------------------
 
     def deriv1d(self, k: int, x: np.ndarray) -> np.ndarray:
@@ -331,7 +327,7 @@ class WhitenedSystem:
     mu: np.ndarray
     b: np.ndarray
     to_basis: np.ndarray
-    system: Optional[GalerkinSystem] = None
+    system: GalerkinSystem
 
     @property
     def size(self) -> int:

@@ -211,9 +211,13 @@ def _parse_potential(token: str, dimension: int) -> PotentialSpec:
 
 
 def _build_problem(cfg: RunConfig):
-    dim = cfg.int_("problem", "dimension")
+    dom = DomainSpec(cfg.choice("problem", "domain", ("interval", "square")))
+    dim = int(cfg.choice("problem", "dimension", ("1", "2")))
+    if dim != dom.dimension:
+        raise UsageError(
+            f"problem.domain={dom.shape} needs problem.dimension={dom.dimension}, not {dim}"
+        )
     op = OperatorSpec.preset_by_name(cfg.choice("problem", "operator", PRESET_ORDERS), dim)
-    dom = DomainSpec(cfg.str_("problem", "domain"))
     pot = _parse_potential(cfg.str_("problem", "potential"), dim)
     return validate_problem(op, dom, pot)
 

@@ -8,10 +8,13 @@ stiffness and K = S B S, the block matrix
 
 has exactly the reciprocals of the pencil roots as eigenvalues: lambda != 0
 solves det(A - lambda B + lambda^2 I) = 0 if and only if 1/lambda is an
-eigenvalue of D.  This module builds D, extracts and clusters its spectrum,
-recovers interior states (u, v, w) from eigenvectors, assembles chains of
-generalized eigenvectors, and validates the resolvent block formula of the
-first-order form.
+eigenvalue of D.  With T = diag(1/sqrt(mu), I) and the first-order form
+F = [[0, I], [-A, B]], D = T F^{-1} T^{-1}; since F^{-1} - 1/lambda =
+-F^{-1} (F - lambda) / lambda, ker (D - 1/lambda)^j = T ker (F - lambda)^j at
+every depth j.  This module builds D, extracts and clusters its spectrum,
+recovers interior states (u, v, w) from eigenvectors, reads chains of
+generalized eigenvectors from one flag of nested kernels of D, and validates
+the resolvent block formula of the first-order form.
 """
 
 from __future__ import annotations
@@ -249,7 +252,7 @@ def recover_state(
     u = u / np.linalg.norm(u)
 
     sys_ = wh.system
-    if sys_ is None or sys_.basis is None or sys_.problem is None:
+    if sys_.basis is None or sys_.problem is None:
         return Eigenstate(complex(lam), u, None, None, r_pencil, None, None)
 
     basis, problem = sys_.basis, sys_.problem
@@ -327,11 +330,6 @@ def _nullity(svals: np.ndarray, threshold: float) -> int:
     return int(dropped.size)
 
 
-def _null_basis(m: np.ndarray, nullity: int) -> np.ndarray:
-    _, _, vh = np.linalg.svd(m)
-    return vh[m.shape[1] - nullity :].conj().T
-
-
 def jordan_chains(
     comp: CompanionSystem,
     cluster: Sequence[TransmissionEigenvalue],
@@ -339,11 +337,13 @@ def jordan_chains(
 ) -> list[JordanChain]:
     """Chains of generalized states spanning one eigenvalue cluster.
 
-    Rank decisions come from singular-value truncation of powers of
-    (D - mu); the root subspace is mapped through S to first-order-form
-    coordinates, where the nilpotent restriction is chained down so that the
-    returned whitened first components satisfy the pencil chain recursion.
-    Chains failing their residual check are discarded rather than repaired.
+    One kernel flag decides the Jordan structure: at each depth j a single
+    SVD of (D - mu)^j gives the kernel dimension (``_nullity`` at the cut
+    1e-8 sigma_max(D - mu)^j) and its basis, which T^{-1} maps onto
+    ker (F - lambda)^j (see the module docstring).  Tops are completed from
+    the deepest level down and pushed through F - lambda, so the whitened
+    first components satisfy the pencil chain recursion.  Chains failing
+    their residual check are discarded rather than repaired.
     """
     if not cluster:
         raise EmptyChain("cluster must contain at least one eigenvalue")
@@ -352,120 +352,47 @@ def jordan_chains(
     size = len(cluster)
     n = comp.size
     wh = comp.whitened
+    root = np.sqrt(wh.mu)[:, None]
 
     shifted = comp.d.astype(complex) - mu * np.eye(2 * n)
-    # truncation scale for the k-th power is sigma_max(D - mu)^k, so that a
-    # numerically nilpotent power (all noise) is still recognized as zero
-    base_sigma = max(float(np.linalg.norm(shifted, 2)), 1e-300)
     power = np.eye(2 * n, dtype=complex)
-    nullities = [0]
-    depth = 0
-    while nullities[-1] < size and depth < min(size, 2 * n):
+    levels = [np.zeros((2 * n, 0), dtype=complex)]
+    while levels[-1].shape[1] < size and len(levels) <= min(size, 2 * n):
         power = power @ shifted
-        svals = np.linalg.svd(power, compute_uv=False)
-        nullities.append(_nullity(svals, _RANK_TRUNCATION * base_sigma ** (depth + 1)))
-        depth += 1
-        if len(nullities) >= 3 and nullities[-1] == nullities[-2]:
-            break
-
-    root_dim = nullities[-1]
-    basis_d = _null_basis(power, root_dim)
-
-    # map ker (D - mu)^k through the block scaling into first-order coordinates
-    mapped = np.vstack([np.sqrt(wh.mu)[:, None] * basis_d[:n], basis_d[n:]])
-    q, _ = np.linalg.qr(mapped)
+        _, svals, vh = np.linalg.svd(power)
+        # the cut for the j-th power is sigma_max(D - mu)^j, so that a
+        # numerically nilpotent power (all noise) is still recognized as zero
+        if len(levels) == 1:
+            sigma = max(float(svals[0]), 1e-300)
+        nullity = _nullity(svals, _RANK_TRUNCATION * sigma ** len(levels))
+        if len(levels) >= 2 and nullity == levels[-1].shape[1]:
+            break  # the flag is stationary: the root subspace is complete
+        kernel = vh[2 * n - nullity :].conj().T
+        levels.append(np.linalg.qr(np.vstack([root * kernel[:n], kernel[n:]]))[0])
 
     shifted_fo = _first_order(wh) - lam * np.eye(2 * n)
-    m_res = q.conj().T @ shifted_fo @ q
-
-    chains_c = _nilpotent_chains(m_res, scale=float(np.linalg.norm(shifted_fo, 2)))
     out = []
-    for chain in chains_c:
-        xs = [q @ c for c in chain]
-        us = [x[:n] for x in xs]
-        if np.linalg.norm(us[0]) < 1e-12:
-            continue
-        residuals = jordan_chain_residual(wh, lam, us)
-        if np.max(residuals) < residual_tol:
-            out.append(
-                JordanChain(
-                    lam=complex(lam),
-                    vectors=tuple(us),
-                    residuals=tuple(float(r) for r in residuals),
-                )
-            )
+    carried = np.zeros((2 * n, 0), dtype=complex)  # images of higher-level tops
+    for depth in range(len(levels) - 1, 0, -1):
+        # tops complete the level modulo the level below and the carried images
+        known = np.linalg.qr(np.hstack([levels[depth - 1], carried]))[0]
+        rest = levels[depth] - known @ (known.conj().T @ levels[depth])
+        u, svals, _ = np.linalg.svd(rest, full_matrices=False)
+        tops = u[:, svals > 1e-10]
+        for top in tops.T:
+            xs = [top]
+            for _ in range(depth - 1):
+                xs.append(shifted_fo @ xs[-1])
+            us = [x[:n] for x in reversed(xs)]  # eigenvector first
+            if np.linalg.norm(us[0]) < 1e-12:
+                continue
+            residuals = tuple(float(r) for r in jordan_chain_residual(wh, lam, us))
+            if max(residuals) < residual_tol:
+                out.append(JordanChain(complex(lam), tuple(us), residuals))
+        # the new tops and the images carried from above drop one level
+        carried = shifted_fo @ np.column_stack([tops, carried])
+        carried = carried[:, np.linalg.norm(carried, axis=0) > 1e-12]
     return out
-
-
-def _nilpotent_chains(
-    m: np.ndarray, scale: float, tol_scale: float = _RANK_TRUNCATION
-) -> list[list[np.ndarray]]:
-    """Jordan chains of a (numerically) nilpotent small matrix.
-
-    ``scale`` is the norm of the parent operator the restriction was cut
-    from; kernel thresholds for the p-th power are tol * scale**p so a
-    restriction that is pure rounding noise still counts as zero.  Standard
-    construction otherwise: walk from the deepest kernel level down,
-    complete tops modulo the previous level plus already-mapped vectors, and
-    push each top through the matrix to produce its chain.
-    """
-    k = m.shape[0]
-    if k == 0:
-        return []
-    scale = max(scale, 1e-300)
-
-    def nullspace(mat, depth):
-        svals = np.linalg.svd(mat, compute_uv=False)
-        thr = tol_scale * scale**depth
-        nullity = int(np.sum(svals < thr))
-        return _null_basis(mat, nullity)
-
-    levels = [np.zeros((k, 0), dtype=complex)]
-    power = np.eye(k, dtype=complex)
-    depth = 0
-    while levels[-1].shape[1] < k and depth < k:
-        power = power @ m
-        levels.append(nullspace(power, depth + 1))
-        depth += 1
-        if len(levels) >= 3 and levels[-1].shape[1] == levels[-2].shape[1]:
-            break
-    max_depth = len(levels) - 1
-
-    def complement(candidates, against):
-        """Orthonormal vectors spanning candidates modulo span(against)."""
-        proj = candidates.copy()
-        if against.shape[1]:
-            proj = proj - against @ (against.conj().T @ proj)
-        if proj.shape[1] == 0:
-            return proj
-        u, svals, _ = np.linalg.svd(proj, full_matrices=False)
-        rank = int(np.sum(svals > 1e-10))
-        return u[:, :rank]
-
-    chains: list[list[np.ndarray]] = []
-    carried = np.zeros((k, 0), dtype=complex)  # images of higher-level tops
-    for depth_k in range(max_depth, 0, -1):
-        lower = levels[depth_k - 1]
-        span_known = np.hstack([lower, carried])
-        if span_known.shape[1]:
-            q_known, _ = np.linalg.qr(span_known)
-        else:
-            q_known = span_known
-        tops = complement(levels[depth_k], q_known)
-        for i in range(tops.shape[1]):
-            top = tops[:, i]
-            chain = [top]
-            for _ in range(depth_k - 1):
-                chain.append(m @ chain[-1])
-            chain.reverse()  # eigenvector first
-            chains.append(chain)
-        # height-k chain vectors (new tops and those mapped from above) drop
-        # one level for the next round
-        carried = m @ np.column_stack([tops, carried])
-        if carried.shape[1]:
-            keep = np.linalg.norm(carried, axis=0) > 1e-12
-            carried = carried[:, keep]
-    return chains
 
 
 def resolvent_block_check(wh: WhitenedSystem, lam: complex) -> float:

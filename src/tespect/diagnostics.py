@@ -55,7 +55,6 @@ class TraceReport:
     powers: tuple  # ((p, trace), ...) for every requested power
     schatten_1: float
     schatten_2: float
-    schatten_pmin: float
     spectral_radius: float
     profile: SchattenProfile
     identity_residuals: tuple  # (tr D, tr D^2) identity residuals
@@ -101,7 +100,7 @@ def trace_power(comp: CompanionSystem, p: int) -> complex:
     if p < 1:
         raise ValueError("power must be a positive integer")
     wh = comp.whitened
-    if wh.system is not None and wh.system.problem is not None:
+    if wh.system.problem is not None:
         prob = wh.system.problem
         if p * prob.order <= prob.dimension:
             warnings.warn(
@@ -152,7 +151,7 @@ def schatten_profile(wh: WhitenedSystem) -> SchattenProfile:
     svals = np.sort(np.sqrt(wh.mu))[::-1]
     exponent = loglog_slope(svals)
     theory = None
-    if wh.system is not None and wh.system.problem is not None:
+    if wh.system.problem is not None:
         prob = wh.system.problem
         theory = -prob.order / prob.dimension
     return SchattenProfile(svals, exponent, theory)
@@ -163,9 +162,6 @@ def trace_report(
 ) -> TraceReport:
     """Full trace/Schatten report for a companion system."""
     wh = comp.whitened
-    p_min = 1
-    if wh.system is not None and wh.system.problem is not None:
-        p_min = wh.system.problem.p_min
     powers = tuple((int(p), trace_power(comp, int(p))) for p in p_list)
     svals_d = densela.singular_values(comp.d)
     mus = densela.nonsym_eig(comp.d).eigenvalues
@@ -176,7 +172,6 @@ def trace_report(
         powers=powers,
         schatten_1=float(np.sum(svals_d)),
         schatten_2=float(np.sqrt(np.sum(svals_d**2))),
-        schatten_pmin=float(np.sum(svals_d**p_min) ** (1.0 / p_min)),
         spectral_radius=float(np.max(np.abs(mus))),
         profile=profile,
         identity_residuals=trace_identity_check(wh, comp),

@@ -226,11 +226,6 @@ def _bilinear(values: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     )
 
 
-def potential_floor(pot: PotentialSpec, points: np.ndarray) -> float:
-    """Minimum of V over the given points (flat array of domain points)."""
-    return float(np.min(_potential_values(pot, points)))
-
-
 def _validation_points(dimension: int) -> np.ndarray:
     if dimension == 1:
         return np.linspace(0.0, 1.0, 1025)
@@ -260,7 +255,7 @@ def validate_problem(op: OperatorSpec, dom: DomainSpec, pot: PotentialSpec) -> P
             f"potential dimension {pot.dimension} != operator dimension {op.dimension}"
         )
 
-    floor = potential_floor(pot, _validation_points(op.dimension))
+    floor = float(np.min(_potential_values(pot, _validation_points(op.dimension))))
     if floor <= _POSITIVITY_MARGIN:
         raise NonpositivePotential(
             f"potential minimum {floor:.3e} is below the strict-positivity margin"

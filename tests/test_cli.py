@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from tespect import __version__
 from tespect.cli import RunConfig, convergence_table, run
@@ -110,6 +111,23 @@ def test_unknown_operator_exits_2(tmp_path, capsys):
     out = tmp_path / "o"
     assert run(["solve", "--out", str(out), "--set", "problem.operator=foo"]) == 2
     assert "problem.operator" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "override, named",
+    [
+        ("problem.domain=disk", ["problem.domain"]),
+        ("problem.dimension=3", ["problem.dimension"]),
+        # a shape and a dimension that disagree name both keys
+        ("problem.dimension=2", ["problem.domain", "problem.dimension"]),
+        ("problem.domain=square", ["problem.domain", "problem.dimension"]),
+    ],
+)
+def test_bad_domain_or_dimension_exits_2(tmp_path, capsys, override, named):
+    out = tmp_path / "d"
+    assert run(["solve", "--out", str(out), "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert all(key in err for key in named)
 
 
 def test_unknown_basis_family_exits_2(tmp_path, capsys):

@@ -270,6 +270,21 @@ def test_jordan_chains_mixed_structure():
     assert lengths[2] == [1] and lengths[3] == [1]
 
 
+@pytest.mark.parametrize("stiffness", [1e2, 1e6, 1e10, 1e12])
+def test_jordan_chains_defective_next_to_stiff_mode(stiffness):
+    # (1 - lam)^2 on the first mode, lam^2 + s on the second: the norm of D
+    # and of the first-order form grows with s, as on every Galerkin pencil,
+    # yet the defective root keeps exactly one chain of length 2
+    wh = assembly.WhitenedSystem.from_matrices(
+        np.diag([1.0, stiffness]), np.diag([2.0, 0.0])
+    )
+    comp = companion.build_companion(wh)
+    cluster = [t for t in companion.extract_spectrum(comp) if abs(t.lam - 1.0) < 1e-3]
+    chains = companion.jordan_chains(comp, cluster)
+    assert [len(c.vectors) for c in chains] == [2]
+    assert max(chains[0].residuals) < 1e-10
+
+
 def test_recover_state_square_domain():
     _, _, _, wh = cached_system(
         operator="laplacian", dimension=2, size=12, contrast=3.0
