@@ -21,9 +21,14 @@ row-major in the construction order.
 All integrals use one composite Gauss-Legendre rule with a cell between each
 pair of consecutive kinks of V, exact by construction (see ``quadrature_rule``).
 
-``whiten`` then reduces the pencil by a single congruence X, from one
-Cholesky factor of A and one symmetric eigensolve, to coordinates where the
-mass is the identity and the stiffness is diagonal.
+Both families have parity (-1)^j under x -> 1 - x and both presets commute
+with that reflection, so along every axis where V is reflection-invariant the
+pencil couples only indices of equal parity (Bossavit, CMAME 56 (1986) 167):
+1, 2 or 4 parity classes, stored on the system as ``blocks``, between which
+A, B and C vanish in exact arithmetic and are stored as exact zeros.
+``whiten`` then reduces the pencil block by block, by one Cholesky factor
+and one symmetric eigensolve each, to coordinates where the mass is the
+identity and the stiffness is diagonal.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from .errors import (
     BasisOrderMismatch,
     NonpositivePotential,
     NotPositiveDefinite,
+    ParityViolation,
     QuadratureUnderflow,
     QuadratureWarning,
 )
@@ -294,7 +300,12 @@ def _factor_form(e1: np.ndarray, e2: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GalerkinSystem:
-    """Assembled pencil matrices in basis coordinates."""
+    """Assembled pencil matrices in basis coordinates.
+
+    ``blocks`` are the parity classes, ascending basis indices each; A, B
+    and C are exactly zero between two classes.  None means one class, as
+    for a synthetic system.
+    """
 
     gram: np.ndarray
     a: np.ndarray
@@ -302,6 +313,11 @@ class GalerkinSystem:
     c: np.ndarray
     problem: Optional[ProblemSpec] = None
     basis: Optional[BasisSet] = None
+    blocks: Optional[tuple[np.ndarray, ...]] = None
+
+    def __post_init__(self):
+        if self.blocks is None:
+            self.blocks = (np.arange(self.size),)
 
     @property
     def size(self) -> int:
@@ -312,11 +328,13 @@ class GalerkinSystem:
 class WhitenedSystem:
     """Pencil in mass-orthonormal coordinates with a diagonal stiffness.
 
-    ``mu`` holds the eigenvalues of C relative to A, descending: the whitened
-    stiffness is diag(1/mu), the mass is the identity and ``b`` is the
-    transformed B.  ``to_basis`` is the congruence X with X^T C X = I and
-    X^T A X = diag(1/mu); it maps whitened coordinate vectors back to basis
-    coefficients.
+    Whitened coordinates run block by block: ``blocks`` holds one slice per
+    parity class of the source system, in its order.  ``mu`` holds the
+    eigenvalues of C relative to A, descending within each block: the
+    whitened stiffness is diag(1/mu), the mass is the identity and ``b`` is
+    the transformed B, exactly zero off the blocks.  ``to_basis`` is the
+    congruence X with X^T C X = I and X^T A X = diag(1/mu); it maps whitened
+    coordinate vectors back to basis coefficients.
 
     Only the vector ``mu`` is stored: products with A_w = diag(1/mu),
     S = A_w^{-1/2} = diag(sqrt(mu)) and A_w^{-1} = diag(mu) are row or column
@@ -328,6 +346,7 @@ class WhitenedSystem:
     b: np.ndarray
     to_basis: np.ndarray
     system: GalerkinSystem
+    blocks: tuple[slice, ...]
 
     @property
     def size(self) -> int:
@@ -423,38 +442,79 @@ def _assemble(problem: ProblemSpec, basis: BasisSet) -> dict[str, np.ndarray]:
     return {"A": mat_a, "B": mat_b, "C": mat_c}
 
 
+def _parity_classes(problem: ProblemSpec, basis: BasisSet) -> tuple[np.ndarray, ...]:
+    """Basis indices grouped by parity along the axes where V is reflection-invariant.
+
+    A 1D factor j has parity (-1)^j in both families; a 2D index is
+    i * size + j with x-factor i and y-factor j.  Gives 1, 2 or 4 classes,
+    each ascending, in the order of their parity key.
+    """
+    parity = np.arange(basis.size) % 2
+    keys = [
+        parity if problem.potential.reflection_invariant(axis) else np.zeros_like(parity)
+        for axis in range(problem.dimension)
+    ]
+    key = keys[0] if problem.dimension == 1 else (2 * keys[0][:, None] + keys[1]).ravel()
+    return tuple(np.flatnonzero(key == k) for k in np.unique(key))
+
+
 def assemble_system(problem: ProblemSpec, basis: BasisSet) -> GalerkinSystem:
     """Assemble A, B, C once, on the composite rule of ``basis``.
 
     The rule is exact for q = 1/V resolved on each cell; a QuadratureWarning
     reports a q whose Legendre tail says otherwise (V near zero, say).  The
-    Gram matrix is the basis's own, checked by ``build_basis``.
+    Gram matrix is the basis's own, checked by ``build_basis``.  Entries
+    coupling two parity classes (``_parity_classes``) vanish in exact
+    arithmetic and are set to zero.
 
     Raises:
         AsymmetryExceeded: pre-symmetrization asymmetry above 1e-8.
+        ParityViolation: the dropped entries exceed 1e-8 of their matrix.
         NotPositiveDefinite: A or C fails factorization.
         NonpositivePotential: V not strictly positive at a quadrature node.
     """
     out = {k: _check_and_symmetrize(k, v) for k, v in _assemble(problem, basis).items()}
+    blocks = _parity_classes(problem, basis)
+    label = np.empty(basis.gram.shape[0], dtype=int)
+    for cls, idx in enumerate(blocks):
+        label[idx] = cls
+    coupled = label[:, None] != label[None, :]
+    for name, mat in out.items():
+        leak = float(np.linalg.norm(mat[coupled])) / max(float(np.linalg.norm(mat)), 1e-300)
+        if leak > _ASYM_TOL:
+            raise ParityViolation(
+                f"matrix {name} couples parity classes at {leak:.3e} of its norm, "
+                f"above {_ASYM_TOL:.0e}"
+            )
+        mat[coupled] = 0.0
     for name in ("A", "C"):
-        try:
-            np.linalg.cholesky(out[name])
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefinite(f"matrix {name} is not positive definite") from exc
+        for idx in blocks:
+            try:
+                np.linalg.cholesky(out[name][np.ix_(idx, idx)])
+            except np.linalg.LinAlgError as exc:
+                raise NotPositiveDefinite(f"matrix {name} is not positive definite") from exc
 
     return GalerkinSystem(
-        gram=basis.gram, a=out["A"], b=out["B"], c=out["C"], problem=problem, basis=basis
+        gram=basis.gram,
+        a=out["A"],
+        b=out["B"],
+        c=out["C"],
+        problem=problem,
+        basis=basis,
+        blocks=blocks,
     )
 
 
 def whiten(system: GalerkinSystem) -> WhitenedSystem:
-    """Diagonalize the stiffness in mass-orthonormal coordinates.
+    """Diagonalize the stiffness in mass-orthonormal coordinates, block by block.
 
-    One congruence, taken on the inverse side: with L = chol(A), the
-    eigendecomposition M = L^{-1} C L^{-T} = Q diag(mu) Q^T gives
-    X = L^{-T} Q diag(mu)^{-1/2}, so that X^T C X = I and X^T A X = diag(1/mu).
-    The small stiffness eigenvalues 1/mu are the largest mu, which the
-    symmetric eigensolver resolves to full relative accuracy.
+    One congruence per parity block, taken on the inverse side: with
+    L = chol(A_b), the eigendecomposition M = L^{-1} C_b L^{-T} = Q diag(mu) Q^T
+    gives X_b = L^{-T} Q diag(mu)^{-1/2}, so that X^T C X = I and
+    X^T A X = diag(1/mu).  The small stiffness eigenvalues 1/mu are the
+    largest mu, which the symmetric eigensolver resolves to full relative
+    accuracy.  The floor on mu is global, over all blocks, so a split pencil
+    is refused exactly when the whole one is.
 
     Raises:
         NotPositiveDefinite: A or C has a non-finite entry, A has no Cholesky
@@ -462,18 +522,28 @@ def whiten(system: GalerkinSystem) -> WhitenedSystem:
     """
     if not (np.all(np.isfinite(system.a)) and np.all(np.isfinite(system.c))):
         raise NotPositiveDefinite("stiffness or mass has non-finite entries")
-    try:
-        chol = np.linalg.cholesky(system.a)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("stiffness is not positive definite") from exc
-    m = np.linalg.solve(chol, np.linalg.solve(chol, system.c).T)
-    dec = densela.sym_eig(0.5 * (m + m.T))
-    mu = dec.eigenvalues[::-1]
-    if mu[0] <= 0 or mu[-1] <= _SPD_FLOOR * mu[0]:
+    factors = []
+    for idx in system.blocks:
+        sub = np.ix_(idx, idx)
+        try:
+            chol = np.linalg.cholesky(system.a[sub])
+        except np.linalg.LinAlgError as exc:
+            raise NotPositiveDefinite("stiffness is not positive definite") from exc
+        m = np.linalg.solve(chol, np.linalg.solve(chol, system.c[sub]).T)
+        factors.append((idx, sub, chol, densela.sym_eig(0.5 * (m + m.T))))
+    mu = np.concatenate([dec.eigenvalues[::-1] for *_, dec in factors])
+    lo, hi = float(np.min(mu)), float(np.max(mu))
+    if hi <= 0 or lo <= _SPD_FLOOR * hi:
         raise NotPositiveDefinite(
-            f"mass-to-stiffness eigenvalue range [{mu[-1]:.3e}, {mu[0]:.3e}] "
-            "is not safely positive"
+            f"mass-to-stiffness eigenvalue range [{lo:.3e}, {hi:.3e}] is not safely positive"
         )
-    x = np.linalg.solve(chol.T, dec.eigenvectors[:, ::-1]) / np.sqrt(mu)
-    bw = x.T @ system.b @ x
-    return WhitenedSystem(mu=mu, b=0.5 * (bw + bw.T), to_basis=x, system=system)
+    n = system.size
+    stops = np.cumsum([idx.size for idx in system.blocks])
+    blocks = tuple(slice(int(stop) - idx.size, int(stop)) for idx, stop in zip(system.blocks, stops))
+    x, bw = np.zeros((n, n)), np.zeros((n, n))
+    for (idx, sub, chol, dec), cols in zip(factors, blocks):
+        xb = np.linalg.solve(chol.T, dec.eigenvectors[:, ::-1]) / np.sqrt(mu[cols])
+        bb = xb.T @ system.b[sub] @ xb
+        x[idx, cols] = xb
+        bw[cols, cols] = 0.5 * (bb + bb.T)
+    return WhitenedSystem(mu=mu, b=bw, to_basis=x, system=system, blocks=blocks)

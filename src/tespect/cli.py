@@ -280,6 +280,7 @@ def _cmd_assemble(cfg: RunConfig, out: OutputWriter) -> int:
             "basis_family": basis.family,
             "basis_size_per_dim": basis.size,
             "matrix_size": system.size,
+            "block_sizes": [int(idx.size) for idx in system.blocks],
             "trace_class": problem.trace_class,
             "hilbert_schmidt": problem.hilbert_schmidt,
             "p_min": problem.p_min,

@@ -11,7 +11,10 @@ solves det(A - lambda B + lambda^2 I) = 0 if and only if 1/lambda is an
 eigenvalue of D.  With T = diag(1/sqrt(mu), I) and the first-order form
 F = [[0, I], [-A, B]], D = T F^{-1} T^{-1}; since F^{-1} - 1/lambda =
 -F^{-1} (F - lambda) / lambda, ker (D - 1/lambda)^j = T ker (F - lambda)^j at
-every depth j.  This module builds D, extracts and clusters its spectrum,
+every depth j.  D inherits the parity blocks of the whitened system: block b
+owns its whitened coordinates in both halves of D, and D couples no two
+blocks, so every eigensolve runs on one diagonal block D_b at a time.
+This module builds D, extracts and clusters its spectrum,
 recovers interior states (u, v, w) from eigenvectors, reads chains of
 generalized eigenvectors from one flag of nested kernels of D, and validates
 the resolvent block formula of the first-order form.
@@ -57,10 +60,30 @@ class CompanionSystem:
     def size(self) -> int:
         return self.k.shape[0]
 
+    @property
+    def block_indices(self) -> list[np.ndarray]:
+        """Rows (and columns) of D per parity block: its coordinates in both halves."""
+        rows = np.arange(self.size)
+        return [np.concatenate([rows[b], rows[b] + self.size]) for b in self.whitened.blocks]
+
+    def diagonal_blocks(self) -> list[np.ndarray]:
+        """The diagonal blocks D_b of D; D vanishes off them."""
+        return [self.d[np.ix_(idx, idx)] for idx in self.block_indices]
+
     def eigen_data(self) -> densela.ComplexSpectrum:
-        """Eigenpairs of D, computed once and cached."""
+        """Eigenpairs of D, computed once and cached, one block at a time.
+
+        The eigenpairs of D_b take the columns ``block_indices[b]``, with each
+        eigenvector scattered into those rows of a 2N-vector.
+        """
         if self._spectrum is None:
-            self._spectrum = densela.nonsym_eig(self.d, want_vectors=True)
+            vals = np.empty(2 * self.size, dtype=complex)
+            vecs = np.zeros((2 * self.size, 2 * self.size), dtype=complex)
+            for idx, block in zip(self.block_indices, self.diagonal_blocks()):
+                spec = densela.nonsym_eig(block, want_vectors=True)
+                vals[idx] = spec.eigenvalues
+                vecs[np.ix_(idx, idx)] = spec.eigenvectors
+            self._spectrum = densela.ComplexSpectrum(vals, vecs)
         return self._spectrum
 
 
@@ -73,7 +96,7 @@ class TransmissionEigenvalue:
     qep_residual: float
     cluster_id: int
     multiplicity: int
-    eigenvector_index: int  # column in the companion eigen decomposition
+    eigenvector_index: int  # column of CompanionSystem.eigen_data(), the blocked decomposition
 
 
 @dataclass(frozen=True)
@@ -201,18 +224,20 @@ def pencil_eigenvalues(wh: WhitenedSystem) -> np.ndarray:
     """Pencil roots by direct first-order linearization [[0, I], [-A, B]].
 
     Independent route used to cross-check the reciprocal correspondence of
-    the companion spectrum.
+    the companion spectrum; one eigensolve per parity block.
     """
-    return densela.nonsym_eig(_first_order(wh)).eigenvalues
+    return np.concatenate(
+        [densela.nonsym_eig(_first_order(wh.mu[b], wh.b[b, b])).eigenvalues for b in wh.blocks]
+    )
 
 
-def _first_order(wh: WhitenedSystem) -> np.ndarray:
-    """First-order form [[0, I], [-A, B]] of the whitened pencil."""
-    n = wh.size
+def _first_order(mu: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """First-order form [[0, I], [-A, B]] of a whitened pencil, A = diag(1/mu)."""
+    n = mu.size
     m = np.zeros((2 * n, 2 * n))
     m[:n, n:] = np.eye(n)
-    np.fill_diagonal(m[n:, :n], -1.0 / wh.mu)
-    m[n:, n:] = wh.b
+    np.fill_diagonal(m[n:, :n], -1.0 / mu)
+    m[n:, n:] = b
     return m
 
 
@@ -370,7 +395,7 @@ def jordan_chains(
         kernel = vh[2 * n - nullity :].conj().T
         levels.append(np.linalg.qr(np.vstack([root * kernel[:n], kernel[n:]]))[0])
 
-    shifted_fo = _first_order(wh) - lam * np.eye(2 * n)
+    shifted_fo = _first_order(wh.mu, wh.b) - lam * np.eye(2 * n)
     out = []
     carried = np.zeros((2 * n, 0), dtype=complex)  # images of higher-level tops
     for depth in range(len(levels) - 1, 0, -1):
@@ -408,7 +433,7 @@ def resolvent_block_check(wh: WhitenedSystem, lam: complex) -> float:
 
     n = wh.size
     eye = np.eye(n)
-    direct = np.linalg.inv(_first_order(wh) - lam * np.eye(2 * n, dtype=complex))
+    direct = np.linalg.inv(_first_order(wh.mu, wh.b) - lam * np.eye(2 * n, dtype=complex))
 
     inv_mu = 1.0 / wh.mu
     pencil = lam**2 * eye - lam * wh.b

@@ -5,9 +5,12 @@ The entire function of interest is
     f(lam) = det(I - lam K + lam^2 A^{-1}),   K = A^{-1/2} B A^{-1/2},
 
 whose zeros are exactly the pencil roots and which satisfies f(0) = 1.
-Because f grows like |lam|^(2N), every magnitude here is carried in log
-scale.  Winding numbers come from unwrapped contour phases, the disk-count
-bound from the standard contour-maximum inequality
+The matrix vanishes off the parity blocks of the whitened system, so f is
+a product of one determinant per block, each a quarter (square) or half
+(interval) the size for a reflection-invariant V.  Because f grows like
+|lam|^(2N), every magnitude here is carried in log scale.  Winding numbers
+come from unwrapped contour phases, the disk-count bound from the standard
+contour-maximum inequality
 
     N(R/2) <= (max_{|lam|=R} log|f| - log|f(0)|) / log 2,
 
@@ -56,13 +59,20 @@ class CountReport:
 
 
 def fredholm_det(wh: WhitenedSystem, lam: complex) -> densela.LogDet:
-    """Log-scale determinant of I - lam K + lam^2 A^{-1}; exact one at zero."""
+    """Log-scale determinant of I - lam K + lam^2 A^{-1}; exact one at zero.
+
+    The matrix vanishes off the parity blocks, so f is the product of one
+    determinant per block: log-magnitudes add, arguments add modulo 2 pi.
+    """
     if lam == 0:
         return densela.LogDet(0.0, 0.0)
-    n = wh.size
-    mat = np.eye(n, dtype=complex) - lam * wh.comp_block
-    mat.flat[:: n + 1] += lam**2 * wh.mu
-    return densela.complex_det(mat)
+    log_abs, arg = 0.0, 0.0
+    for blk in wh.blocks:
+        mat = np.eye(blk.stop - blk.start, dtype=complex) - lam * wh.comp_block[blk, blk]
+        mat.flat[:: mat.shape[0] + 1] += lam**2 * wh.mu[blk]
+        det = densela.complex_det(mat)
+        log_abs, arg = log_abs + det.log_abs, arg + det.arg
+    return densela.LogDet(log_abs, wrap_angle(arg))
 
 
 def _computed_spectrum(wh: WhitenedSystem) -> np.ndarray:

@@ -30,7 +30,7 @@ from .model import PotentialSpec, ProblemSpec, _potential_values, _validation_po
 from .util import loglog_slope
 
 _IDENTITY_TOL = 1e-10
-_RANGE_BLOCK = 1024  # sample columns per block: bounds the transient memory
+_RANGE_BLOCK = 256  # sample columns per block: bounds the transient memory
 RANGE_NOTE = (
     "random sampling under-approximates the quadratic-form range: a violation "
     "of the angle condition is conclusive, satisfaction is evidence only"
@@ -93,7 +93,8 @@ class ScanReport:
 def trace_power(comp: CompanionSystem, p: int) -> complex:
     """Trace of the p-th power of the companion matrix.
 
-    Computed by repeated multiplication; intended envelope is p <= 8.  When
+    Computed by repeated multiplication of each diagonal block D_b, whose
+    traces sum to tr(D^p); intended envelope is p <= 8.  When
     the source problem is known and p is not above n/m, the trace criterion
     hypothesis fails and a warning is emitted (the value is still returned).
     """
@@ -108,10 +109,13 @@ def trace_power(comp: CompanionSystem, p: int) -> complex:
                 "the trace criterion does not apply at this power",
                 stacklevel=2,
             )
-    power = comp.d
-    for _ in range(p - 1):
-        power = power @ comp.d
-    return complex(np.trace(power))
+    total = 0.0
+    for block in comp.diagonal_blocks():
+        power = block
+        for _ in range(p - 1):
+            power = power @ block
+        total += np.trace(power)
+    return complex(total)
 
 
 def trace_identity_check(wh: WhitenedSystem, comp: CompanionSystem) -> tuple[float, float]:
@@ -123,7 +127,8 @@ def trace_identity_check(wh: WhitenedSystem, comp: CompanionSystem) -> tuple[flo
     tr(D^2) = sum(M o M^T) - 2 tr(A^{-1} C),
 
     both invariant under the whitening congruence.  The raw route never
-    touches mu or B_w, so a fault in the whitening or in D shows here.  Each
+    touches mu, B_w or the parity blocks, so a fault in the whitening, in
+    the split or in D shows here.  Each
     residual is relative to the larger magnitude (floored at one, so
     exact-zero cases stay well-defined).
     """
@@ -160,11 +165,16 @@ def schatten_profile(wh: WhitenedSystem) -> SchattenProfile:
 def trace_report(
     comp: CompanionSystem, p_list: Sequence[int] = (1, 2)
 ) -> TraceReport:
-    """Full trace/Schatten report for a companion system."""
+    """Full trace/Schatten report for a companion system.
+
+    Singular values and the spectral radius come from the diagonal blocks
+    D_b, one eigensolve each; the trace identities from the assembled A, B, C.
+    """
     wh = comp.whitened
     powers = tuple((int(p), trace_power(comp, int(p))) for p in p_list)
-    svals_d = densela.singular_values(comp.d)
-    mus = densela.nonsym_eig(comp.d).eigenvalues
+    blocks = comp.diagonal_blocks()
+    svals_d = np.sort(np.concatenate([densela.singular_values(b) for b in blocks]))[::-1]
+    radius = max(float(np.max(np.abs(densela.nonsym_eig(b).eigenvalues))) for b in blocks)
     profile = schatten_profile(wh)
     return TraceReport(
         p=int(p_list[0]),
@@ -172,7 +182,7 @@ def trace_report(
         powers=powers,
         schatten_1=float(np.sum(svals_d)),
         schatten_2=float(np.sqrt(np.sum(svals_d**2))),
-        spectral_radius=float(np.max(np.abs(mus))),
+        spectral_radius=radius,
         profile=profile,
         identity_residuals=trace_identity_check(wh, comp),
     )
@@ -188,8 +198,9 @@ def numerical_range(
 
         z = <K u0, u0> - 2i Im <S v0, u0>.
 
-    Draws are mirrored with their conjugates, so the sample set is closed
-    under conjugation by construction; an odd count is rounded up.  The
+    K vanishes off the parity blocks, so <K u0, u0> is summed block by
+    block.  Draws are mirrored with their conjugates, so the sample set is
+    closed under conjugation by construction; an odd count is rounded up.  The
     smallest real-axis-symmetric closed sector containing all samples has
     full opening 2 max|arg z|, reported against pi/p.
     """
@@ -198,17 +209,21 @@ def numerical_range(
     half = (sample_count + 1) // 2
     n = comp.size
     rng = np.random.default_rng(seed)
-    # drawn whole and in a fixed order, so the samples do not depend on the block
-    raw = np.empty((2 * n, half), dtype=complex)
-    raw.real = rng.standard_normal(raw.shape)
-    raw.imag = rng.standard_normal(raw.shape)
+    # drawn whole and in a fixed order, so the samples do not depend on the
+    # block; real and imaginary parts stay apart until a block is formed
+    re = rng.standard_normal((2 * n, half))
+    im = rng.standard_normal((2 * n, half))
     z = np.empty(half, dtype=complex)
     root = np.sqrt(comp.whitened.mu)[:, None]
     for cols in (slice(lo, lo + _RANGE_BLOCK) for lo in range(0, half, _RANGE_BLOCK)):
-        blk = raw[:, cols]
+        blk = re[:, cols].astype(complex)
+        blk.imag = im[:, cols]
         blk /= np.linalg.norm(blk, axis=0, keepdims=True)
         u0, v0 = blk[:n], blk[n:]
-        z.real[cols] = np.einsum("ij,ij->j", u0.conj(), comp.k @ u0).real
+        z.real[cols] = sum(
+            np.einsum("ij,ij->j", u0[b].conj(), comp.k[b, b] @ u0[b]).real
+            for b in comp.whitened.blocks
+        )
         z.imag[cols] = -2.0 * np.einsum("ij,ij->j", u0.conj(), root * v0).imag
     samples = np.concatenate([z, z.conj()])
 

@@ -57,6 +57,10 @@ class NotPositiveDefinite(ComputationError):
     """A matrix expected to be positive definite fails its factorization."""
 
 
+class ParityViolation(ComputationError):
+    """Entries coupling two reflection-parity classes are too large to drop."""
+
+
 # --- dense linear algebra -------------------------------------------------
 
 class NoConvergence(ComputationError):

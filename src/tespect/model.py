@@ -135,6 +135,23 @@ class PotentialSpec:
             raise DimensionMismatch("base and direction dimensions differ")
         return cls("affine", (base, direction, float(scale)), base.dimension)
 
+    def reflection_invariant(self, axis: int) -> bool:
+        """Whether V is exactly invariant under x_axis -> 1 - x_axis.
+
+        Read from the representation, never sampled: a constant always is; a
+        grid when its samples equal their flip along ``axis``; a polynomial
+        only when no coefficient depends on that coordinate; an affine family
+        when both of its parts are.
+        """
+        if self.kind == "constant":
+            return True
+        if self.kind == "affine":
+            base, direction, _ = self.data
+            return base.reflection_invariant(axis) and direction.reflection_invariant(axis)
+        if self.kind == "grid":
+            return bool(np.array_equal(self.data, np.flip(self.data, axis)))
+        return not np.any(np.take(self.data, np.arange(1, self.data.shape[axis]), axis=axis))
+
 
 @dataclass(frozen=True)
 class ProblemSpec:

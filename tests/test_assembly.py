@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -6,16 +7,17 @@ import numpy as np
 import pytest
 
 from conftest import build_system, cached_system
-from tespect import assembly, model
+from tespect import assembly, companion, model
 from tespect.errors import (
     AsymmetryExceeded,
     BasisOrderMismatch,
     NotPositiveDefinite,
+    ParityViolation,
     QuadratureUnderflow,
     QuadratureWarning,
     SmoothnessWarning,
 )
-from tespect.util import loglog_slope
+from tespect.util import loglog_slope, match_multisets
 
 
 # -- exact-arithmetic polynomial oracle ----------------------------------------
@@ -439,3 +441,111 @@ def test_grid_potential_assembles_with_warnings():
     basis = assembly.build_basis(prob, 8)
     system = assembly.assemble_system(prob, basis)
     assert_whitening_congruence(system, assembly.whiten(system))
+
+
+# -- reflection-parity blocks --------------------------------------------------------
+
+
+def grid(values, dimension):
+    with pytest.warns(SmoothnessWarning):
+        return model.PotentialSpec.grid(values, dimension)
+
+
+def parity_system(potential, size=6):
+    dimension = potential.dimension
+    prob = model.validate_problem(
+        model.OperatorSpec.laplacian(dimension),
+        model.DomainSpec("interval" if dimension == 1 else "square"),
+        potential,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", QuadratureWarning)
+        return assembly.assemble_system(prob, assembly.build_basis(prob, size))
+
+
+def test_parity_of_constant_potential():
+    for dimension, count in ((1, 2), (2, 4)):
+        pot = model.PotentialSpec.constant(3.0, dimension)
+        assert all(pot.reflection_invariant(axis) for axis in range(dimension))
+        system = parity_system(pot)
+        assert len(system.blocks) == count
+        assert sorted(np.concatenate(system.blocks)) == list(range(system.size))
+
+
+def test_parity_of_grid_potentials_1d():
+    assert len(parity_system(grid([2.0, 1.0, 3.0, 1.0, 2.0], 1)).blocks) == 2
+    assert len(parity_system(grid([2.0, 1.0, 3.0, 2.5, 2.0], 1)).blocks) == 1
+
+
+def test_parity_of_grid_potentials_2d():
+    sym_x = np.array([[2.0, 1.0, 1.5], [3.0, 2.0, 2.5], [2.0, 1.0, 1.5]])  # rows run along x
+    both = np.array([[2.0, 1.0, 2.0], [3.0, 2.0, 3.0], [2.0, 1.0, 2.0]])
+    asym = np.array([[2.0, 1.0, 1.5], [3.0, 2.0, 2.5], [2.2, 1.0, 1.5]])
+    pot = grid(sym_x, 2)
+    assert pot.reflection_invariant(0) and not pot.reflection_invariant(1)
+    system = parity_system(pot)
+    # classes by x-parity: the x-factor of index I is I // size
+    assert [sorted({int(i) // 6 % 2 for i in blk}) for blk in system.blocks] == [[0], [1]]
+    assert len(parity_system(grid(both, 2)).blocks) == 4
+    assert len(parity_system(grid(asym, 2)).blocks) == 1
+
+
+def test_parity_of_polynomial_constant_in_one_axis():
+    pot = model.PotentialSpec.polynomial([[2.0, 0.5, -0.3]], 2)  # 2 + 0.5 y - 0.3 y^2
+    assert pot.reflection_invariant(0) and not pot.reflection_invariant(1)
+    system = parity_system(pot)
+    assert [len(blk) for blk in system.blocks] == [18, 18]
+    assert not model.PotentialSpec.polynomial([2.0, 1.0, -1.0], 1).reflection_invariant(0)
+
+
+def test_parity_of_asymmetric_benchmark_polynomial():
+    # V = sum c_ij x^i y^j with c10, c20 > 0, the form of the square-2d benchmark
+    coeffs = [[2.4, 0.3], [1.1, -0.2], [0.3, 0.0]]
+    system = parity_system(model.PotentialSpec.polynomial(coeffs, 2))
+    assert len(system.blocks) == 1
+
+
+def test_parity_of_affine_potential():
+    base = model.PotentialSpec.constant(2.0, 1)
+    sym = model.PotentialSpec.affine(base, grid([1.0, 0.0, 1.0], 1), 0.5)
+    asym = model.PotentialSpec.affine(base, model.PotentialSpec.polynomial([0.0, 1.0], 1), 0.5)
+    assert sym.reflection_invariant(0) and not asym.reflection_invariant(0)
+    assert len(parity_system(sym).blocks) == 2
+    assert len(parity_system(asym).blocks) == 1
+
+
+def test_parity_blocks_decouple_exactly():
+    system = parity_system(model.PotentialSpec.constant(3.0, 2))
+    label = np.empty(system.size, dtype=int)
+    for cls, idx in enumerate(system.blocks):
+        label[idx] = cls
+    coupled = label[:, None] != label[None, :]
+    for mat in (system.a, system.b, system.c):
+        assert np.all(mat[coupled] == 0.0)
+
+
+def test_claimed_parity_of_asymmetric_potential_is_refused(monkeypatch):
+    monkeypatch.setattr(model.PotentialSpec, "reflection_invariant", lambda self, axis: True)
+    with pytest.raises(ParityViolation):
+        parity_system(model.PotentialSpec.polynomial([2.0, 1.0], 1))
+
+
+def spectrum(system):
+    wh = assembly.whiten(system)
+    return np.array([t.lam for t in companion.extract_spectrum(companion.build_companion(wh))])
+
+
+@pytest.mark.parametrize(
+    "operator,dimension,size",
+    [("laplacian", 1, 24), ("bilaplacian", 1, 16), ("laplacian", 2, 8), ("bilaplacian", 2, 6)],
+)
+def test_blocked_spectrum_matches_one_block(operator, dimension, size):
+    # contrast 2: at contrast 3 the interval pencil has a fourfold defective
+    # root at 4 pi^2 whose computed star moves by eps^(1/3) between any two
+    # backward-stable routes
+    _, _, system, _ = cached_system(
+        operator=operator, dimension=dimension, size=size, contrast=2.0
+    )
+    assert len(system.blocks) == 2**dimension
+    one_block = dataclasses.replace(system, blocks=(np.arange(system.size),))
+    assert match_multisets(spectrum(system), spectrum(one_block)) < 1e-10

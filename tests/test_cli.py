@@ -185,6 +185,8 @@ def test_assemble_outputs(tmp_path):
     assert run(["assemble", "--out", str(out), "--set", "basis.n=6"]) == 0
     meta = json.loads((out / "system.json").read_text())
     assert meta["matrix_size"] == 6
+    assert meta["block_sizes"] == [3, 3]  # constant V: even and odd basis indices
+    assert sum(meta["block_sizes"]) == meta["matrix_size"]
     assert meta["p_min"] == 1
     _, rows = read_csv(out / "A.csv")
     mat = np.array([[float(v) for v in row] for row in rows])

@@ -1,13 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from conftest import random_spd_pencil
+from conftest import cached_system, random_spd_pencil
 from tespect import assembly, companion, counting
 from tespect.errors import (
     ContourNearZero,
     InsufficientResolvedRange,
+    NotPositiveDefinite,
     PhaseUnresolved,
 )
+from tespect.util import wrap_angle
 
 
 def toy_det(lam):
@@ -48,6 +52,33 @@ def test_det_vanishes_at_computed_eigenvalues():
         nearby = counting.fredholm_det(wh, t.lam * (1.0 + 1e-3))
         # the determinant collapses by many orders at the computed root
         assert at_root.log_abs < nearby.log_abs + np.log(1e-7)
+
+
+@pytest.mark.parametrize("dimension,size", [(1, 24), (2, 8)])
+def test_blocked_det_matches_one_block(dimension, size):
+    _, _, system, wh = cached_system(dimension=dimension, size=size, contrast=2.0)
+    assert len(wh.blocks) == 2**dimension
+    whole = assembly.whiten(dataclasses.replace(system, blocks=(np.arange(system.size),)))
+    for lam in (3.0 + 2.0j, -10.0 + 5.0j, 20.0 - 1.0j, 0.5j):
+        split, one = counting.fredholm_det(wh, lam), counting.fredholm_det(whole, lam)
+        assert abs(split.log_abs - one.log_abs) < 1e-12
+        assert abs(wrap_angle(split.arg - one.arg)) < 1e-12
+
+
+@pytest.mark.parametrize("ratio,refused", [(5e-14, True), (2e-13, False)])
+def test_whiten_floor_is_global_across_blocks(ratio, refused):
+    # each block alone holds one mu and passes any per-block floor; the
+    # floor compares mu_min with the largest mu of every block
+    system = assembly.GalerkinSystem(
+        gram=np.eye(2), a=np.diag([1.0, ratio]), b=np.eye(2), c=np.eye(2)
+    )
+    split = dataclasses.replace(system, blocks=(np.array([0]), np.array([1])))
+    for candidate in (system, split):
+        if refused:
+            with pytest.raises(NotPositiveDefinite):
+                assembly.whiten(candidate)
+        else:
+            assert assembly.whiten(candidate).size == 2
 
 
 # -- winding ------------------------------------------------------------------------
