@@ -52,6 +52,7 @@ from .diagnostics import (  # noqa: F401
 )
 from .counting import (  # noqa: F401
     CountReport,
+    auto_radii,
     fredholm_det,
     growth_profile,
     jensen_bound,

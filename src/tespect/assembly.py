@@ -377,11 +377,19 @@ def _check_and_symmetrize(name: str, m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
+@cache
+def _legendre_analysis(n: int) -> np.ndarray:
+    """Map from values at n Gauss-Legendre nodes to Legendre coefficients."""
+    t, w = npleg.leggauss(n)
+    to_coeffs = (npleg.legvander(t, n - 1) * w[:, None] * (np.arange(n) + 0.5)).T
+    to_coeffs.setflags(write=False)
+    return to_coeffs
+
+
 def _warn_if_unresolved(qvals: np.ndarray, basis: BasisSet) -> None:
     """Warn if q = 1/V has Legendre coefficients past 3N/4 on an N-node cell."""
     n = basis.cell_nodes
-    t, w = npleg.leggauss(n)
-    to_coeffs = (npleg.legvander(t, n - 1) * w[:, None] * (np.arange(n) + 0.5)).T
+    to_coeffs = _legendre_analysis(n)
     coef = qvals.reshape((basis.nodes.size // n, n) * basis.dimension)
     for axis in range(1, coef.ndim, 2):
         coef = np.moveaxis(np.tensordot(to_coeffs, coef, axes=(1, axis)), 0, axis)

@@ -402,32 +402,15 @@ def _cmd_range(cfg: RunConfig, out: OutputWriter) -> int:
     return 0
 
 
-def _auto_radii(spectrum: np.ndarray, count: int = 5) -> list[float]:
-    """Radii aimed at eigenvalue counts inside the resolved window [3, N/2]."""
-    moduli = np.sort(np.abs(spectrum))
-    n_half = max(len(moduli) // 4, 4)  # matrix size is len(spectrum)/2
-    targets = sorted({int(t) for t in np.linspace(3, n_half, count)})
-    radii = []
-    for t in targets:
-        if t < 1 or t >= len(moduli):
-            continue
-        r = float(np.sqrt(moduli[t - 1] * moduli[t]))
-        if radii and r <= radii[-1]:
-            continue
-        radii.append(r)
-    if not radii:
-        radii = [1.5 * float(moduli[0])]
-    return radii
-
-
 def _cmd_count(cfg: RunConfig, out: OutputWriter) -> int:
     _, _, _, wh = _build_pipeline(cfg)
     comp, spec = _solve_spectrum(cfg, wh)
     lams = np.array([t.lam for t in spec])
-    raw = cfg.str_("count", "radii")
-    radii = _auto_radii(lams) if raw == "auto" else cfg.list_float("count", "radii")
-    nudged = [counting.nudge_radius(r, np.abs(lams)) for r in radii]
-    report = counting.growth_profile(wh, sorted(nudged), spectrum=lams)
+    if cfg.str_("count", "radii") == "auto":
+        radii = counting.auto_radii(lams)
+    else:
+        radii = sorted(cfg.list_float("count", "radii"))
+    report = counting.growth_profile(wh, radii, spectrum=lams)
     out.csv(
         "count.csv",
         ["radius", "winding", "jensen_bound", "max_log_f"],
@@ -442,7 +425,6 @@ def _cmd_count(cfg: RunConfig, out: OutputWriter) -> int:
         "count.json",
         {
             "radii": [float(r) for r in report.radii],
-            "requested_radii": [float(r) for r in radii],
             "grid_sizes": [int(g) for g in report.grid_sizes],
             "windings": [int(w) for w in report.windings],
             "cross_counts": [int(c) for c in report.cross_counts],

@@ -182,20 +182,23 @@ def extract_spectrum(
     if cluster_tol <= 0:
         raise ValueError("cluster_tol must be positive")
     spec = comp.eigen_data()
-    n = comp.size
     keep = np.nonzero(np.abs(spec.eigenvalues) > mu_floor)[0]
     mus = spec.eigenvalues[keep]
     lams = 1.0 / mus
 
-    mu_w = comp.whitened.mu
-    # take() keeps u0 in C order; the column norms below round by memory order
-    u0 = np.sqrt(mu_w)[:, None] * spec.eigenvectors[:n].take(keep, axis=1)
-    au = (1.0 / mu_w)[:, None] * u0
-    bu = comp.whitened.b @ u0
-    res_vec = au - bu * lams[None, :] + u0 * (lams**2)[None, :]
-    u0_norm = np.maximum(np.linalg.norm(u0, axis=0), 1e-300)
-    denom = (1.0 + np.abs(lams) + np.abs(lams) ** 2) * u0_norm
-    residuals = np.linalg.norm(res_vec, axis=0) / denom
+    # each eigenvector head lives in its block's coordinates: form the pencil
+    # residual there, with B_bb
+    wh = comp.whitened
+    residuals = np.empty(keep.size)
+    for blk, idx in zip(wh.blocks, comp.block_indices):
+        at = np.flatnonzero(np.isin(keep, idx))
+        lam = lams[at]
+        # take() keeps u0 in C order; the column norms below round by memory order
+        u0 = np.sqrt(wh.mu[blk])[:, None] * spec.eigenvectors[blk].take(keep[at], axis=1)
+        res_vec = (1.0 / wh.mu[blk])[:, None] * u0 - (wh.b[blk, blk] @ u0) * lam + u0 * lam**2
+        u0_norm = np.maximum(np.linalg.norm(u0, axis=0), 1e-300)
+        denom = (1.0 + np.abs(lam) + np.abs(lam) ** 2) * u0_norm
+        residuals[at] = np.linalg.norm(res_vec, axis=0) / denom
 
     order = np.lexsort((lams.imag, lams.real, np.abs(lams)))
     mus, lams, residuals = mus[order], lams[order], residuals[order]

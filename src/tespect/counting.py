@@ -17,9 +17,12 @@ contour-maximum inequality
 and the growth profile fits log N(R) against log R over the radii the
 discretization actually resolves.
 
+Automatic radii sit in gaps of the computed spectrum (``auto_radii``), so
+they need no adjustment; a given radius too close to the spectrum fails.
 Each contour grid is sized once from the computed spectrum (Ying & Katz,
-Numer. Math. 53 (1988) 143); f is still evaluated by determinants, so a
-measured phase step of pi/2 shows a zero the spectrum missed.
+Numer. Math. 53 (1988) 143); f is still evaluated by determinants, on the
+upper half circle since f(conj z) = conj f(z), so a measured phase step of
+pi/2 shows a zero the spectrum missed.
 """
 
 from __future__ import annotations
@@ -119,9 +122,11 @@ def _contour_scan(
     if radius <= 0:
         raise ValueError("radius must be positive")
     points = _grid_size(radius, spectrum)
-    lams = radius * np.exp(2j * np.pi * np.arange(points) / points)
+    # f(conj z) = conj f(z): evaluate theta in [0, pi], mirror the arguments
+    lams = radius * np.exp(2j * np.pi * np.arange(points // 2 + 1) / points)
     dets = [fredholm_det(wh, z) for z in lams]
-    args = np.array([d.arg for d in dets])
+    half = np.array([d.arg for d in dets])
+    args = np.concatenate([half, -half[-2:0:-1]])
     steps = wrap_angle(np.diff(args, append=args[:1]))
     worst = float(np.max(np.abs(steps)))
     if worst >= _PHASE_STEP_LIMIT:
@@ -143,16 +148,31 @@ def jensen_bound(wh: WhitenedSystem, radius: float) -> float:
     return _contour_scan(wh, radius, _computed_spectrum(wh))[0] / np.log(2.0)
 
 
-def nudge_radius(radius: float, lam_moduli: np.ndarray, clearance: float = _SPECTRUM_CLEARANCE) -> float:
-    """Push a radius outward until it clears the spectrum by the given margin."""
-    r = float(radius)
-    if lam_moduli.size == 0:
-        return r
-    for _ in range(256):
-        if np.min(np.abs(lam_moduli - r)) / r > clearance:
-            return r
-        r *= 1.0 + 2.5 * clearance
-    return r
+def auto_radii(spectrum: np.ndarray, count: int = 5) -> list[float]:
+    """Contour radii in gaps of the spectrum, at counts in the window [3, N/2].
+
+    Over sorted moduli m, r_i = sqrt(m[i-1] m[i]) encloses i of them and is
+    usable when it clears m[i-1] by over 1% of itself.  Each of ``count``
+    log-spaced target counts takes the widest usable gap within 10% of it,
+    else the usable gap nearest in log count.
+
+    Raises:
+        InsufficientResolvedRange: no usable gap in the window.
+    """
+    moduli = np.sort(np.abs(spectrum))
+    top = moduli.size / 4.0  # N/2 for a matrix of size N
+    counts = np.arange(3, min(int(top), moduli.size - 1) + 1)
+    clearance = 1.0 - np.sqrt(moduli[counts - 1] / moduli[counts])
+    usable = clearance > _SPECTRUM_CLEARANCE
+    counts, clearance = counts[usable], clearance[usable]
+    if counts.size == 0:
+        raise InsufficientResolvedRange(f"no usable gap of the spectrum at counts in [3, {top:g}]")
+    picks = set()
+    for target in np.geomspace(3.0, top, count):
+        near = np.flatnonzero(np.abs(counts - target) <= 0.1 * target)
+        nearest = np.argmin(np.abs(np.log(counts / target)))
+        picks.add(int(near[np.argmax(clearance[near])] if near.size else nearest))
+    return [float(np.sqrt(moduli[i - 1] * moduli[i])) for i in counts[sorted(picks)]]
 
 
 def growth_profile(

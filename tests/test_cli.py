@@ -234,6 +234,42 @@ def test_count_outputs(tmp_path):
     assert header == ["radius", "winding", "jensen_bound", "max_log_f"]
     assert len(rows) == len(payload["windings"])
     assert len(payload["grid_sizes"]) == len(payload["windings"])
+    assert sorted(payload) == [
+        "config_hash",
+        "cross_counts",
+        "grid_sizes",
+        "growth_ceiling",
+        "growth_exponent",
+        "jensen_bounds",
+        "radii",
+        "resolved",
+        "tool_version",
+        "windings",
+    ]
+
+
+def test_count_radius_on_the_spectrum_exits_1(tmp_path, capsys):
+    # a given radius is used as given: one equal to a computed |lambda| fails
+    assert run(["solve", "--out", str(tmp_path / "sv"), "--set", "basis.n=24"]) == 0
+    _, rows = read_csv(tmp_path / "sv" / "eigenvalues.csv")
+    modulus = abs(complex(float(rows[5][1]), float(rows[5][2])))
+    radii = f"count.radii=10.0,{modulus!r},2000.0"
+    out = tmp_path / "ct"
+    assert run(["count", "--out", str(out), "--set", "basis.n=24", "--set", radii]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["code"] == "ContourNearZero" and f"{modulus:g}" in error["message"]
+    assert not (out / "count.json").exists()
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("operator", ["laplacian", "bilaplacian"])
+def test_count_square_2d_defaults(tmp_path, operator):
+    out = tmp_path / "ct2"
+    settings = ("problem.dimension=2", "problem.domain=square", f"problem.operator={operator}")
+    assert run(["count", "--out", str(out), *(f"--set={s}" for s in settings)]) == 0
+    payload = json.loads((out / "count.json").read_text())
+    assert payload["windings"] == payload["cross_counts"]
+    assert sum(payload["resolved"]) >= 3
 
 
 def test_count_square_2d(tmp_path):

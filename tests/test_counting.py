@@ -107,7 +107,9 @@ def test_winding_sizes_grid_near_zero(toy_whitened, monkeypatch):
     # spectrum predicts there needs more than the 256-point minimum
     calls = count_det_calls(monkeypatch)
     assert counting.winding_count(toy_whitened, 1.005) == 1
-    assert len(calls) > 256 and len(calls) % 8 == 0
+    points = counting._grid_size(1.005, counting._computed_spectrum(toy_whitened))
+    assert points > 256 and points % 8 == 0
+    assert len(calls) == points // 2 + 1  # the upper half circle, theta = 0 and pi included
 
 
 def test_winding_contour_through_zero(toy_whitened, monkeypatch):
@@ -189,7 +191,7 @@ def test_growth_profile_grids_sized_once(monkeypatch):
     report = counting.growth_profile(wh, radii)
     assert np.all(report.grid_sizes >= 256) and np.all(report.grid_sizes % 8 == 0)
     assert report.grid_sizes[-1] > 256  # 64.65 lies 1% off the double root at 64
-    assert len(calls) == int(np.sum(report.grid_sizes))
+    assert len(calls) == int(np.sum(report.grid_sizes // 2 + 1))
 
 
 def test_growth_profile_insufficient_range(toy_whitened):
@@ -197,8 +199,38 @@ def test_growth_profile_insufficient_range(toy_whitened):
         counting.growth_profile(toy_whitened, [0.5, 2.0, 5.0])
 
 
-def test_nudge_radius_moves_off_spectrum():
-    moduli = np.array([1.0, 4.0])
-    r = counting.nudge_radius(4.0, moduli)
-    assert np.min(np.abs(moduli - r)) / r > 0.01
-    assert counting.nudge_radius(2.0, moduli) == 2.0
+def star_spectrum():
+    # 80 moduli 9% apart (window [3, 20], targets 3, 4.8, 7.7, 12.4, 20), a
+    # 4-member star (moduli within 1e-5) holding counts 7-9 around the third
+    # target, and exact conjugate pairs leaving no gap at counts 3, 12 and 20
+    rng = np.random.default_rng(3)
+    moduli = np.geomspace(10.0, 1e4, 80)
+    moduli[6:10] = moduli[6] * (1.0 + 3e-6 * np.arange(4))
+    spectrum = moduli * np.exp(1j * rng.uniform(-np.pi, np.pi, 80))
+    for i in (2, 11, 19):
+        spectrum[i + 1] = np.conj(spectrum[i])
+    return spectrum
+
+
+def test_radius_rule_clears_a_star_and_pairs():
+    moduli = np.abs(star_spectrum())
+    radii = counting.auto_radii(star_spectrum())
+    assert len(radii) >= 3 and np.all(np.diff(radii) > 0)
+    for r in radii:
+        assert np.min(np.abs(moduli - r)) / r > 0.01
+        assert 3 <= np.sum(moduli < r) <= moduli.size / 4
+
+
+def test_radius_rule_resolves_the_default_potential():
+    # 1D -Laplacian at V = 3: the 4 pi^2 and 16 pi^2 roots are stars
+    _, _, _, wh = cached_system(operator="laplacian", size=24, contrast=3.0)
+    comp = companion.build_companion(wh)
+    lams = np.array([t.lam for t in companion.extract_spectrum(comp)])
+    report = counting.growth_profile(wh, counting.auto_radii(lams), spectrum=lams)
+    assert np.count_nonzero(report.resolved) >= 3
+    assert np.array_equal(report.windings, report.cross_counts)
+
+
+def test_radius_rule_without_a_usable_gap():
+    with pytest.raises(InsufficientResolvedRange):
+        counting.auto_radii(np.full(40, 5.0))
