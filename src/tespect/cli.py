@@ -403,13 +403,17 @@ def _cmd_range(cfg: RunConfig, out: OutputWriter) -> int:
 
 
 def _cmd_count(cfg: RunConfig, out: OutputWriter) -> int:
+    auto = cfg.str_("count", "radii") == "auto"
+    radii = [] if auto else sorted(cfg.list_float("count", "radii"))
+    if not auto and not (
+        radii and np.all(np.isfinite(radii)) and radii[0] > 0 and np.all(np.diff(radii) > 0)
+    ):
+        raise UsageError("count.radii must be auto or finite, positive and distinct numbers")
     _, _, _, wh = _build_pipeline(cfg)
     comp, spec = _solve_spectrum(cfg, wh)
     lams = np.array([t.lam for t in spec])
-    if cfg.str_("count", "radii") == "auto":
+    if auto:
         radii = counting.auto_radii(lams)
-    else:
-        radii = sorted(cfg.list_float("count", "radii"))
     report = counting.growth_profile(wh, radii, spectrum=lams)
     out.csv(
         "count.csv",

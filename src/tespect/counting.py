@@ -22,7 +22,10 @@ they need no adjustment; a given radius too close to the spectrum fails.
 Each contour grid is sized once from the computed spectrum (Ying & Katz,
 Numer. Math. 53 (1988) 143); f is still evaluated by determinants, on the
 upper half circle since f(conj z) = conj f(z), so a measured phase step of
-pi/2 shows a zero the spectrum missed.
+pi/2 shows a zero the spectrum missed.  One call evaluates a whole grid:
+each parity block is factored for a stack of grid points per LU call, a
+stack holding at most ``_DET_STACK_BYTES`` of matrices, so small blocks
+share the per-call overhead and a large block still goes one at a time.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .util import wrap_angle
 _MIN_CONTOUR_POINTS = 256
 _MAX_CONTOUR_POINTS = 8192
 _PROBE_BLOCK = 128  # probe angles per block: bounds the transient memory
+_DET_STACK_BYTES = 1 << 20  # matrix bytes per LU call: bounds the transient memory
 _PHASE_STEP_LIMIT = 0.5 * np.pi
 _SPECTRUM_CLEARANCE = 0.01
 GROWTH_CEILING = 2.0
@@ -61,21 +65,33 @@ class CountReport:
     resolved: np.ndarray  # mask of radii inside the counting window
 
 
-def fredholm_det(wh: WhitenedSystem, lam: complex) -> densela.LogDet:
-    """Log-scale determinant of I - lam K + lam^2 A^{-1}; exact one at zero.
+def fredholm_det(wh: WhitenedSystem, lam) -> densela.LogDet:
+    """Log-scale determinant of I - lam K + lam^2 A^{-1}, at one lam or an array.
 
     The matrix vanishes off the parity blocks, so f is the product of one
     determinant per block: log-magnitudes add, arguments add modulo 2 pi.
+    Each block is factored for a stack of points per LU call, at most
+    ``_DET_STACK_BYTES`` of matrices; an array ``lam`` gives fields of its
+    shape, a scalar gives floats.
     """
-    if lam == 0:
-        return densela.LogDet(0.0, 0.0)
-    log_abs, arg = 0.0, 0.0
+    lam = np.asarray(lam, dtype=complex)
+    z = lam.reshape(-1, 1, 1)
+    # lam^2 from its parts, each product rounded once: numpy's vector complex
+    # multiply may fuse them, which moves the last bit depending on the CPU
+    z2 = (z.real**2 - z.imag**2) + 2j * (z.real * z.imag)
+    log_abs, arg = np.zeros(z.shape[0]), np.zeros(z.shape[0])
     for blk in wh.blocks:
-        mat = np.eye(blk.stop - blk.start, dtype=complex) - lam * wh.comp_block[blk, blk]
-        mat.flat[:: mat.shape[0] + 1] += lam**2 * wh.mu[blk]
-        det = densela.complex_det(mat)
-        log_abs, arg = log_abs + det.log_abs, arg + det.arg
-    return densela.LogDet(log_abs, wrap_angle(arg))
+        k, mu = wh.comp_block[blk, blk], wh.mu[blk]
+        eye, diag = np.eye(mu.size, dtype=complex), np.arange(mu.size)
+        step = max(1, _DET_STACK_BYTES // max(eye.nbytes, 1))
+        for part in (slice(i, i + step) for i in range(0, z.shape[0], step)):
+            stack = eye - z[part] * k
+            stack[:, diag, diag] += z2[part, 0] * mu
+            det = densela.complex_det(stack)
+            log_abs[part] += det.log_abs
+            arg[part] += det.arg
+    log_abs, arg = log_abs.reshape(lam.shape), wrap_angle(arg.reshape(lam.shape))
+    return densela.LogDet(float(log_abs) if lam.ndim == 0 else log_abs, arg)
 
 
 def _computed_spectrum(wh: WhitenedSystem) -> np.ndarray:
@@ -123,10 +139,8 @@ def _contour_scan(
         raise ValueError("radius must be positive")
     points = _grid_size(radius, spectrum)
     # f(conj z) = conj f(z): evaluate theta in [0, pi], mirror the arguments
-    lams = radius * np.exp(2j * np.pi * np.arange(points // 2 + 1) / points)
-    dets = [fredholm_det(wh, z) for z in lams]
-    half = np.array([d.arg for d in dets])
-    args = np.concatenate([half, -half[-2:0:-1]])
+    det = fredholm_det(wh, radius * np.exp(2j * np.pi * np.arange(points // 2 + 1) / points))
+    args = np.concatenate([det.arg, -det.arg[-2:0:-1]])
     steps = wrap_angle(np.diff(args, append=args[:1]))
     worst = float(np.max(np.abs(steps)))
     if worst >= _PHASE_STEP_LIMIT:
@@ -135,7 +149,7 @@ def _contour_scan(
             f"|lam| = {radius:g}: the computed spectrum misses a zero near it"
         )
     winding = int(round(float(np.sum(steps)) / (2.0 * np.pi)))
-    return max(d.log_abs for d in dets), winding, points
+    return float(np.max(det.log_abs)), winding, points
 
 
 def winding_count(wh: WhitenedSystem, radius: float) -> int:

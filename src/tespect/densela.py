@@ -41,10 +41,12 @@ class LogDet:
 
     Keeps contour evaluations alive where the linear-scale determinant
     overflows; ``value`` reconstructs the complex number when representable.
+    The fields are floats for one determinant and arrays for a stack of
+    them; ``value`` is for one determinant.
     """
 
-    log_abs: float
-    arg: float
+    log_abs: float | np.ndarray
+    arg: float | np.ndarray
 
     @property
     def value(self) -> complex:
@@ -102,22 +104,21 @@ def nonsym_eig(m: np.ndarray, want_vectors: bool = False) -> ComplexSpectrum:
 def complex_det(m: np.ndarray) -> LogDet:
     """Determinant of a complex matrix via partially pivoted LU, in log scale.
 
-    Singular input is not an error: it returns log-magnitude -inf.
+    ``m`` is one matrix or a stack ``(..., n, n)``; the fields of a stack's
+    result are arrays of its leading shape.  Singular input is not an
+    error: it returns log-magnitude -inf.
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("expected a square matrix")
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+        raise ValueError("expected a square matrix or a stack of them")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
-    if m.shape[0] == 0:
-        return LogDet(0.0, 0.0)
+    # slogdet gives sign 0 and -inf when singular, sign 1 and 0 when 0 x 0
     sign, log_abs = np.linalg.slogdet(m)
-    if sign == 0:
-        return LogDet(-np.inf, 0.0)
-    arg = float(np.angle(sign))
-    if arg == -np.pi:
-        arg = np.pi
-    return LogDet(float(log_abs), arg)
+    arg = np.where(sign == -1, np.pi, np.angle(sign))  # -1 - 0j has angle -pi
+    if m.ndim == 2:
+        return LogDet(float(log_abs), float(arg))
+    return LogDet(log_abs, arg)
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:

@@ -261,6 +261,14 @@ def test_count_radius_on_the_spectrum_exits_1(tmp_path, capsys):
     assert not (out / "count.json").exists()
 
 
+@pytest.mark.parametrize("radii", ["100,100,300", "-5,100,300", "nan,100,300", ""])
+def test_count_bad_radii_exit_2(tmp_path, capsys, radii):
+    out = tmp_path / "ct"
+    assert run(["count", "--out", str(out), "--set", f"count.radii={radii}"]) == 2
+    assert "count.radii" in capsys.readouterr().err
+    assert not (out / "count.json").exists()
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("operator", ["laplacian", "bilaplacian"])
 def test_count_square_2d_defaults(tmp_path, operator):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import cached_system, random_spd_pencil
-from tespect import assembly, companion, counting
+from tespect import assembly, companion, counting, densela
 from tespect.errors import (
     ContourNearZero,
     InsufficientResolvedRange,
@@ -65,6 +65,57 @@ def test_blocked_det_matches_one_block(dimension, size):
         assert abs(wrap_angle(split.arg - one.arg)) < 1e-12
 
 
+def per_point_det(wh, lam):
+    # reference: one matrix per block and point, the same operations unstacked
+    log_abs, arg = 0.0, 0.0
+    for blk in wh.blocks:
+        mat = np.eye(blk.stop - blk.start, dtype=complex) - lam * wh.comp_block[blk, blk]
+        mat.flat[:: mat.shape[0] + 1] += lam**2 * wh.mu[blk]
+        det = densela.complex_det(mat)
+        log_abs, arg = log_abs + det.log_abs, arg + det.arg
+    return log_abs, wrap_angle(arg)
+
+
+@pytest.mark.parametrize("dimension,size", [(1, 24), (2, 8)])
+def test_stacked_det_matches_scalar_and_per_point_bitwise(dimension, size):
+    _, _, _, wh = cached_system(dimension=dimension, size=size, contrast=2.0)
+    assert len(wh.blocks) == 2**dimension
+    spectrum = companion.extract_spectrum(companion.build_companion(wh))
+    root = min((t.lam for t in spectrum), key=abs)
+    # zero, the selftest's 2.0, a point near a root and an arc of complex points
+    arc = 30.0 * np.exp(1j * np.linspace(0.1, 3.0, 16))
+    lams = np.concatenate([[0.0, 2.0, root * (1.0 + 1e-6)], arc])
+    stacked = counting.fredholm_det(wh, lams)
+    assert stacked.log_abs.shape == stacked.arg.shape == lams.shape
+    for i, lam in enumerate(lams):
+        scalar = counting.fredholm_det(wh, lam)
+        assert isinstance(scalar.log_abs, float) and isinstance(scalar.arg, float)
+        assert (stacked.log_abs[i], stacked.arg[i]) == (scalar.log_abs, scalar.arg)
+        assert (scalar.log_abs, scalar.arg) == per_point_det(wh, lam)
+    assert (stacked.log_abs[0], stacked.arg[0]) == (0.0, 0.0)  # f(0) = 1 exactly
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 30])
+def test_stacked_det_independent_of_stack_size(monkeypatch, budget):
+    _, _, _, wh = cached_system(dimension=2, size=8, contrast=2.0)
+    lams = 40.0 * np.exp(1j * np.linspace(0.0, np.pi, 37)).reshape(37, 1)
+    default = counting.fredholm_det(wh, lams)
+    monkeypatch.setattr(counting, "_DET_STACK_BYTES", budget)
+    other = counting.fredholm_det(wh, lams)
+    assert default.log_abs.shape == (37, 1)
+    assert np.array_equal(other.log_abs, default.log_abs)
+    assert np.array_equal(other.arg, default.arg)
+
+
+def test_stacked_det_with_an_empty_block():
+    eye = np.eye(2)
+    system = assembly.GalerkinSystem(gram=eye, a=np.diag([4.0, 2.0]), b=eye, c=eye)
+    padded = dataclasses.replace(system, blocks=(np.arange(2), np.array([], dtype=int)))
+    lams = np.array([1.0 + 1.0j, -3.0])
+    one, split = (counting.fredholm_det(assembly.whiten(s), lams) for s in (system, padded))
+    assert np.array_equal(one.log_abs, split.log_abs) and np.array_equal(one.arg, split.arg)
+
+
 @pytest.mark.parametrize("ratio,refused", [(5e-14, True), (2e-13, False)])
 def test_whiten_floor_is_global_across_blocks(ratio, refused):
     # each block alone holds one mu and passes any per-block floor; the
@@ -95,7 +146,7 @@ def count_det_calls(monkeypatch):
     det = counting.fredholm_det
 
     def counted(wh, lam):
-        calls.append(lam)
+        calls.extend(np.ravel(lam))  # one entry per evaluated point
         return det(wh, lam)
 
     monkeypatch.setattr(counting, "fredholm_det", counted)

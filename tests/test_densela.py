@@ -188,6 +188,32 @@ def test_complex_det_contract_edges():
         densela.complex_det(np.array([[np.nan]]))
 
 
+def test_complex_det_stack_matches_per_matrix_calls():
+    rng = np.random.default_rng(22)
+    stack = rng.standard_normal((2, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 4, 4))
+    stack[0, 1, 3] = stack[0, 1, 0]  # singular member
+    stack[1, 2] = np.diag([-2.0, 1.0, 1.0, 1.0])  # sign -1
+    stack[1, 0] = np.diag([complex(-2.0, -0.0), 1.0, 1.0, 1.0])  # sign -1 - 0j
+    det = densela.complex_det(stack)
+    assert det.log_abs.shape == det.arg.shape == (2, 3)
+    for idx in np.ndindex(2, 3):
+        one = densela.complex_det(stack[idx])
+        assert (det.log_abs[idx], det.arg[idx]) == (one.log_abs, one.arg)
+    assert det.log_abs[0, 1] == -np.inf
+    assert det.arg[1, 2] == det.arg[1, 0] == np.pi
+
+
+def test_complex_det_stack_contract_edges():
+    empty = densela.complex_det(np.zeros((3, 0, 0)))
+    assert np.array_equal(empty.log_abs, np.zeros(3)) and np.array_equal(empty.arg, np.zeros(3))
+    with pytest.raises(ValueError):
+        densela.complex_det(np.ones(3))
+    with pytest.raises(ValueError):
+        densela.complex_det(np.ones((2, 2, 3)))
+    with pytest.raises(ValueError):
+        densela.complex_det(np.stack([np.eye(2), np.full((2, 2), np.inf)]))
+
+
 # -- singular values -------------------------------------------------------------------
 
 
