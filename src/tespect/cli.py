@@ -17,6 +17,7 @@ import argparse
 import configparser
 import hashlib
 import io
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -93,10 +94,6 @@ SUBCOMMANDS = (
 
 class UsageError(Exception):
     pass
-
-
-def _fmt(x) -> str:
-    return f"{x:.17g}"
 
 
 class RunConfig:
@@ -248,11 +245,17 @@ class OutputWriter:
         (self.dir / "config.resolved").write_text(text)
 
     def csv(self, name: str, columns: list[str], rows) -> Path:
+        """Write a table given as a 2D float array or as an iterable of rows.
+
+        The first row's types fix each column's format: 17 significant
+        digits for a float, ``str`` otherwise.  The body is formatted by one
+        ``%`` over the repeated row format.
+        """
         path = self.dir / name
-        lines = [self.header(), ",".join(columns)]
-        for row in rows:
-            lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-        path.write_text("\n".join(lines) + "\n")
+        rows = rows.tolist() if isinstance(rows, np.ndarray) else list(rows)
+        fields = ["%.17g" if isinstance(v, float) else "%s" for v in rows[0]] if rows else []
+        body = (",".join(fields) + "\n") * len(rows) % tuple(itertools.chain.from_iterable(rows))
+        path.write_text(f"{self.header()}\n{','.join(columns)}\n{body}")
         return path
 
     def json(self, name: str, payload: dict) -> Path:
@@ -269,8 +272,7 @@ class OutputWriter:
 def _cmd_assemble(cfg: RunConfig, out: OutputWriter) -> int:
     problem, basis, system, _ = _build_pipeline(cfg)
     for name, mat in (("G", system.gram), ("A", system.a), ("B", system.b), ("C", system.c)):
-        rows = ([float(v) for v in row] for row in mat)
-        out.csv(f"{name}.csv", [f"c{j}" for j in range(mat.shape[1])], rows)
+        out.csv(f"{name}.csv", [f"c{j}" for j in range(mat.shape[1])], mat)
     out.json(
         "system.json",
         {
@@ -382,9 +384,7 @@ def _cmd_range(cfg: RunConfig, out: OutputWriter) -> int:
         p=problem.p_min,
     )
     samples_path = out.csv(
-        "samples.csv",
-        ["re_z", "im_z"],
-        ((float(z.real), float(z.imag)) for z in report.samples),
+        "samples.csv", ["re_z", "im_z"], np.column_stack((report.samples.real, report.samples.imag))
     )
     out.json(
         "range.json",
@@ -461,14 +461,8 @@ def _cmd_scan(cfg: RunConfig, out: OutputWriter) -> int:
     out.csv(
         "scan.csv",
         ["s", "t", "dt", "d2t"],
-        (
-            (float(s), float(t), float(d1), float(d2))
-            for s, t, d1, d2 in zip(
-                report.s_values,
-                report.t_values,
-                report.first_derivative,
-                report.second_derivative,
-            )
+        np.column_stack(
+            (report.s_values, report.t_values, report.first_derivative, report.second_derivative)
         ),
     )
     out.json(

@@ -42,19 +42,21 @@ class LogDet:
     Keeps contour evaluations alive where the linear-scale determinant
     overflows; ``value`` reconstructs the complex number when representable.
     The fields are floats for one determinant and arrays for a stack of
-    them; ``value`` is for one determinant.
+    them; ``value`` is a complex for one determinant and a complex array of
+    the stack's shape for a stack, element by element.
     """
 
     log_abs: float | np.ndarray
     arg: float | np.ndarray
 
     @property
-    def value(self) -> complex:
-        if self.log_abs == -np.inf:
-            return 0.0 + 0.0j
-        if self.log_abs > 700.0:  # exp overflow; caller should stay in log scale
-            return complex(np.inf, np.inf)
-        return complex(np.exp(self.log_abs) * np.exp(1j * self.arg))
+    def value(self) -> complex | np.ndarray:
+        log_abs = np.asarray(self.log_abs)
+        value = np.exp(np.minimum(log_abs, 700.0)) * np.exp(1j * np.asarray(self.arg))
+        value = np.where(log_abs == -np.inf, 0j, value)
+        # exp overflow; caller should stay in log scale
+        value = np.where(log_abs > 700.0, complex(np.inf, np.inf), value)
+        return complex(value) if value.ndim == 0 else value
 
 
 def _check_symmetric(s: np.ndarray, tol: float = _SYM_TOL) -> np.ndarray:

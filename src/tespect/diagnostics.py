@@ -5,9 +5,11 @@ Three families of checks on an assembled system:
 * trace criterion -- nonvanishing of tr(D^p) for an integer p above the
   Schatten threshold certifies a nonempty spectrum; the two closed-form
   trace identities for tr(D) and tr(D^2) are verified as residuals;
-* completeness angle -- random samples of the companion quadratic form are
-  tested against a closed sector of opening pi/p (sampling under-approximates
-  the true set, so a violation is conclusive while satisfaction is evidence
+* completeness angle -- random samples of the companion quadratic form,
+  evaluated in real arithmetic from the real and imaginary parts of each
+  draw and divided by the draw's squared norm at the end, are tested
+  against a closed sector of opening pi/p (sampling under-approximates the
+  true set, so a violation is conclusive while satisfaction is evidence
   only);
 * generic-existence scan -- the trace functional tr(B_q A_q^{-1}) along a
   one-parameter potential family, with its cyclicity cross-check, derivative
@@ -188,6 +190,10 @@ def trace_report(
     )
 
 
+def _column_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->j", x, y)
+
+
 def numerical_range(
     comp: CompanionSystem, sample_count: int, seed: int = 0, p: int = 1
 ) -> RangeReport:
@@ -198,9 +204,17 @@ def numerical_range(
 
         z = <K u0, u0> - 2i Im <S v0, u0>.
 
-    K vanishes off the parity blocks, so <K u0, u0> is summed block by
-    block.  Draws are mirrored with their conjugates, so the sample set is
-    closed under conjugation by construction; an odd count is rounded up.  The
+    The arithmetic is real.  With w = (u0, v0) drawn unnormalized, a, b the
+    real and imaginary parts of u0 and c, d those of v0, s = sqrt(mu):
+
+        Re <K u0, u0> = sum over parity blocks of a_b' K_bb a_b + b_b' K_bb b_b,
+        Im <S v0, u0> = sum_i s_i (a_i d_i - b_i c_i),
+        z = (Re <K u0, u0> - 2i Im <S v0, u0>) / |w|^2,
+
+    with |w|^2 the column sum of squares of both parts; K vanishes off the
+    parity blocks, so two real products per block give the first sum.
+    Draws are mirrored with their conjugates, so the sample set is closed
+    under conjugation by construction; an odd count is rounded up.  The
     smallest real-axis-symmetric closed sector containing all samples has
     full opening 2 max|arg z|, reported against pi/p.
     """
@@ -209,22 +223,23 @@ def numerical_range(
     half = (sample_count + 1) // 2
     n = comp.size
     rng = np.random.default_rng(seed)
-    # drawn whole and in a fixed order, so the samples do not depend on the
-    # block; real and imaginary parts stay apart until a block is formed
+    # drawn whole and in a fixed order, so the samples do not depend on the block
     re = rng.standard_normal((2 * n, half))
     im = rng.standard_normal((2 * n, half))
     z = np.empty(half, dtype=complex)
     root = np.sqrt(comp.whitened.mu)[:, None]
     for cols in (slice(lo, lo + _RANGE_BLOCK) for lo in range(0, half, _RANGE_BLOCK)):
-        blk = re[:, cols].astype(complex)
-        blk.imag = im[:, cols]
-        blk /= np.linalg.norm(blk, axis=0, keepdims=True)
-        u0, v0 = blk[:n], blk[n:]
-        z.real[cols] = sum(
-            np.einsum("ij,ij->j", u0[b].conj(), comp.k[b, b] @ u0[b]).real
-            for b in comp.whitened.blocks
+        a, c = re[:n, cols], re[n:, cols]
+        b, d = im[:n, cols], im[n:, cols]
+        norm2 = _column_dots(re[:, cols], re[:, cols]) + _column_dots(im[:, cols], im[:, cols])
+        quad = sum(
+            _column_dots(a[blk], comp.k[blk, blk] @ a[blk])
+            + _column_dots(b[blk], comp.k[blk, blk] @ b[blk])
+            for blk in comp.whitened.blocks
         )
-        z.imag[cols] = -2.0 * np.einsum("ij,ij->j", u0.conj(), root * v0).imag
+        cross = _column_dots(root * a, d) - _column_dots(root * b, c)
+        z.real[cols] = quad / norm2
+        z.imag[cols] = -2.0 * cross / norm2
     samples = np.concatenate([z, z.conj()])
 
     max_arg = float(np.max(np.abs(np.angle(samples))))

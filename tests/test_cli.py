@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from tespect import __version__
-from tespect.cli import RunConfig, convergence_table, run
+from tespect.cli import OutputWriter, RunConfig, convergence_table, run
 
 
 def read_csv(path):
@@ -173,11 +173,42 @@ def test_domain_error_produces_json_record(tmp_path, capsys):
 
 def test_outputs_are_deterministic(tmp_path):
     args = ["--set", "basis.n=16", "--set", "trace.seed=11"]
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert run(["solve", "--out", str(out1), *args]) == 0
-    assert run(["solve", "--out", str(out2), *args]) == 0
-    for name in ("eigenvalues.csv", "config.resolved"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    for command, names in (
+        ("solve", ("eigenvalues.csv", "config.resolved")),
+        ("range", ("samples.csv", "range.json")),
+    ):
+        out1, out2 = tmp_path / command / "a", tmp_path / command / "b"
+        assert run([command, "--out", str(out1), *args]) == 0
+        assert run([command, "--out", str(out2), *args]) == 0
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_csv_writer_is_byte_exact(tmp_path):
+    writer = OutputWriter(RunConfig.load(None, []), str(tmp_path))
+    floats = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1.0 / 3.0, -2.5e300, 7.0]
+    mixed = [(i, x, i % 2 == 0, -i) for i, x in enumerate(floats)]
+    array = np.array(floats).reshape(3, 3)
+    tables = {
+        "mixed.csv": (["index", "x", "even", "neg"], mixed, mixed),
+        "array.csv": (["a", "b", "c"], array, array.tolist()),
+        "empty.csv": (["a", "b"], np.empty((0, 2)), []),
+        "empty_rows.csv": (["a", "b"], iter(()), []),
+    }
+    for name, (columns, rows, expected_rows) in tables.items():
+        path = writer.csv(name, columns, rows)
+        lines = [writer.header(), ",".join(columns)] + [
+            ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
+            for row in expected_rows
+        ]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        for line, row in zip(path.read_text().splitlines()[2:], expected_rows):
+            for field, v in zip(line.split(","), row):
+                if isinstance(v, float):
+                    back = float(field)
+                    assert (math.isnan(back) and math.isnan(v)) or (
+                        back == v and math.copysign(1.0, back) == math.copysign(1.0, v)
+                    )
 
 
 def test_assemble_outputs(tmp_path):

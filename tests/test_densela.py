@@ -240,3 +240,16 @@ def test_logdet_overflow_guard():
     assert np.isinf(huge.value.real)
     zero = densela.LogDet(-np.inf, 0.0)
     assert zero.value == 0.0
+
+
+def test_logdet_value_on_a_stack():
+    stack = np.stack([np.diag([2.0, 3.0j]), [[1.0, 2.0], [2.0, 4.0]], -np.eye(2), 1e200 * np.eye(2)])
+    det = densela.complex_det(stack)
+    value = det.value
+    assert isinstance(value, np.ndarray) and value.shape == (4,)
+    for i, mat in enumerate(stack[:3]):
+        assert value[i] == densela.complex_det(mat).value
+        assert value[i] == pytest.approx(np.linalg.det(mat), abs=1e-13)
+    assert value[1] == 0.0  # singular member
+    assert value[3] == complex(np.inf, np.inf)  # overflow guard, element by element
+    assert isinstance(densela.complex_det(stack[0]).value, complex)

@@ -162,8 +162,11 @@ def test_numerical_range_positive_semidefinite_b(helmholtz32):
     assert float(np.min(report.samples.real)) >= -1e-10
 
 
-def test_numerical_range_blocks_match_one_shot_draws(helmholtz32):
-    comp = companion.build_companion(helmholtz32[3])
+@pytest.mark.parametrize("dimension, size", [(1, 32), (2, 6)], ids=["1d-two-blocks", "2d-four-blocks"])
+def test_numerical_range_blocks_match_one_shot_draws(dimension, size):
+    wh = cached_system(dimension=dimension, size=size, contrast=3.0)[3]
+    assert len(wh.blocks) == 2 * dimension  # constant V: 2 parity blocks in 1D, 4 in 2D
+    comp = companion.build_companion(wh)
     report = diagnostics.numerical_range(comp, 10000, seed=2025)
     n, shape = comp.size, (2 * comp.size, 5000)
     rng = np.random.default_rng(2025)
