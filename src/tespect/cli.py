@@ -552,9 +552,6 @@ def _cmd_convergence(cfg: RunConfig, out: OutputWriter) -> int:
         ["n", "lambda", "rel_diff", "cauchy"],
         ((r["n"], float(r["lambda"]), float(r["rel_diff"]), r["cauchy"]) for r in rows),
     )
-    for r in rows:
-        print(f"N={r['n']:4d}  lambda={r['lambda']:.12g}  rel_diff={r['rel_diff']:.3e}")
-    print(f"cauchy={rows[-1]['cauchy']}")
     return 0
 
 

@@ -124,9 +124,5 @@ def complex_det(m: np.ndarray) -> LogDet:
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:
-    """Singular values, descending, as roots of the Gram-matrix spectrum."""
-    m = np.asarray(m)
-    gram = (m.conj().T @ m).real if np.iscomplexobj(m) else m.T @ m
-    dec = sym_eig(gram)
-    vals = np.clip(dec.eigenvalues, 0.0, None)
-    return np.sqrt(vals)[::-1]
+    """Singular values, descending, from LAPACK's SVD (no Gram matrix)."""
+    return np.linalg.svd(np.asarray(m), compute_uv=False)

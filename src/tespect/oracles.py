@@ -1,11 +1,14 @@
 """Independent closed-form references for constant-potential problems.
 
-Two matching determinants whose real roots are transmission wavenumbers of
-the second-order preset with constant V (contrast eta = sqrt(1 + V)):
+Matching determinants whose real roots are transmission wavenumbers of the
+second-order preset with constant V (contrast eta = sqrt(1 + V)):
 
 * interval: interior waves cos(kx)/sin(kx) against cos(eta k x)/sin(eta k x),
-  matched in value and first derivative at both endpoints -- a 4x4
-  determinant, row-equilibrated so its magnitude is meaningful as a residual;
+  matched in value and first derivative at both endpoints.  The reflection
+  x -> 1 - x splits the matching into an even and an odd problem, one row
+  each: with s, c = sin, cos(k/2) and S, C = sin, cos(eta k/2),
+  e = sC - eta cS and o = cS - eta sC.  The 4x4 determinant is
+  F = 2 eta (1 - cos k cos eta k) - (1 + eta^2) sin k sin eta k = -4 e o;
 * unit disk: per angular mode l, the 2x2 radial matching of J_l(k r) against
   J_l(eta k r) at r = 1, d_l(k) = eta J_l(k) J_l'(eta k) - J_l'(k) J_l(eta k).
 
@@ -14,12 +17,15 @@ recurrence over an array of arguments (stable for every x > 0: Gautschi, SIAM
 Rev. 9 (1967) 24), so the reference side shares no code with the Galerkin
 pipeline it validates.
 
-Roots are located on a dense k-grid, evaluated for all modes in blocks of 2048
-points (bounding the memory), then refined for all brackets at once: sign
-changes are bisected; even-order zeros, where the determinant only touches
-zero (for eta = 2 the interval determinant is 2 (cos k - 1)^2 (cos k + 2), so
-the whole 2 pi j family is of this kind), are caught as deep local minima and
-refined by ternary search on |F|.
+Roots are located on a dense k-grid, evaluated for all rows in blocks of 2048
+points (bounding the memory); every root is a sign change of some row, and
+all brackets are bisected at once.  Candidates from different rows of one
+mode in the same or adjacent grid cells are one root, and the candidate with
+the smaller max |row| over that mode's rows is kept.  This fires only where e
+and o vanish together, at rational eta (2 pi j at eta = 2, j pi at eta = 3),
+where F has a fourfold zero; one factor then always has a simple zero:
+e' = (1 - eta^2) cC/2 where s = S = 0, and o' = (eta^2 - 1) sS/2 where
+c = C = 0.  Two roots of the same row are never merged.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ from .errors import DegenerateContrast, NoSignChange, RangeExceeded
 _L_MAX = 60
 _X_MAX = 200.0
 _RESIDUAL_TOL = 1e-10
-_TANGENT_DETECT = 1e-8
 DEFAULT_POINTS_PER_UNIT = 2000
 _MIN_CONTRAST = 1e-6
 _SCAN_BLOCK = 2048  # grid points per table evaluation
@@ -50,7 +55,6 @@ class OracleRoot:
     l: Optional[int]  # angular index; None for the interval determinant
     residual: float
     bracket: tuple[float, float]
-    kind: str  # "sign-change" | "tangency"
 
 
 # -- Bessel functions of the first kind ---------------------------------------
@@ -120,29 +124,23 @@ def bessel_j_derivative(l: int, x: float) -> float:
 # -- matching determinants ------------------------------------------------------
 
 
-def interval_matching_matrix(k: float | np.ndarray, eta: float) -> np.ndarray:
-    """Endpoint value/derivative matching of the two interior wave families.
+def interval_parity_determinants(k: float | np.ndarray, eta: float) -> np.ndarray:
+    """Even and odd interval matching rows e, o; shape (2,) + shape(k).
 
-    Columns weight cos(kx), sin(kx), cos(eta k x), sin(eta k x); rows enforce
-    equality of value and first derivative at x = 0 and x = 1.  Rows are
-    scaled to unit norm so the determinant doubles as a residual measure.
-    Shape shape(k) + (4, 4).
+    In y = x - 1/2 the even waves cos(k y), cos(eta k y) and the odd waves
+    sin(k y), sin(eta k y) are matched in value and derivative at y = 1/2
+    (the reflection carries the match to y = -1/2).
     """
     k = np.asarray(k, dtype=float)
-    ek = eta * k
-    c, s, ce, se = np.cos(k), np.sin(k), np.cos(ek), np.sin(ek)
-    rows = np.zeros(k.shape + (4, 4))
-    rows[..., 0, 0], rows[..., 0, 2] = 1.0, -1.0
-    rows[..., 1, 1], rows[..., 1, 3] = k, -ek
-    rows[..., 2, 0], rows[..., 2, 1], rows[..., 2, 2], rows[..., 2, 3] = c, s, -ce, -se
-    rows[..., 3, 0], rows[..., 3, 1] = -k * s, k * c
-    rows[..., 3, 2], rows[..., 3, 3] = ek * se, -ek * ce
-    rows /= np.linalg.norm(rows, axis=-1, keepdims=True)
-    return rows
+    s, c = np.sin(0.5 * k), np.cos(0.5 * k)
+    big_s, big_c = np.sin(0.5 * eta * k), np.cos(0.5 * eta * k)
+    return np.stack([s * big_c - eta * c * big_s, c * big_s - eta * s * big_c])
 
 
 def interval_determinant(k: float | np.ndarray, eta: float) -> float | np.ndarray:
-    return np.linalg.det(interval_matching_matrix(k, eta))
+    """The 4x4 endpoint matching determinant with unit-norm rows, -2 e o / (1 + eta^2)."""
+    e, o = interval_parity_determinants(k, eta)
+    return -2.0 * e * o / (1.0 + eta**2)
 
 
 def _disk_table(k: float | np.ndarray, eta: float, lmax: int) -> np.ndarray:
@@ -177,22 +175,6 @@ def _bisect(fn: Callable, lo, hi):
     return 0.5 * (lo + hi) if lo.ndim else float(0.5 * (lo + hi))
 
 
-def _ternary_min(fn: Callable, lo, hi):
-    """Minimize |fn| on every bracket [lo, hi] at once; scalars give a scalar."""
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    active = np.ones(lo.shape, dtype=bool)
-    for _ in range(200):
-        active &= hi - lo >= np.maximum(1e-13, 8.0 * np.finfo(float).eps * np.abs(lo))
-        if not active.any():
-            break
-        third = (hi - lo) / 3.0
-        m1, m2 = lo + third, hi - third
-        left = np.abs(fn(m1)) <= np.abs(fn(m2))
-        hi = np.where(active & left, m2, hi)
-        lo = np.where(active & ~left, m1, lo)
-    return 0.5 * (lo + hi) if lo.ndim else float(0.5 * (lo + hi))
-
-
 def _scan_roots(
     table: Callable[[np.ndarray], np.ndarray],
     k_lo: float,
@@ -206,38 +188,32 @@ def _scan_roots(
     vals = np.empty((len(modes), count))
     for lo in range(0, count, _SCAN_BLOCK):
         vals[:, lo : lo + _SCAN_BLOCK] = table(ks[lo : lo + _SCAN_BLOCK])
-    scale = np.maximum(np.median(np.abs(vals), axis=1), 1e-300)
+    sign = np.sign(vals)
+    row, cell = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
+    k_star = _bisect(lambda k: table(k)[row, np.arange(k.size)], ks[cell], ks[cell + 1])
 
-    sign, mags = np.sign(vals), np.abs(vals)
-    flips = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
-    # even-order zeros: the determinant touches zero without crossing
-    centre = mags[:, 1:-1]
-    touch = np.nonzero(
-        (centre <= mags[:, :-2])
-        & (centre <= mags[:, 2:])
-        & (centre < _TANGENT_DETECT * scale[:, None])
-        & ~(sign[:, :-2] * sign[:, 2:] < 0)  # already handled as a sign change
-    )
+    # a candidate's residual is its own row; a merge compares max |row| over the mode
+    at_root = np.abs(table(k_star))
+    res = at_root[row, np.arange(row.size)]
+    mode_id = np.array([list(modes).index(m) for m in modes])  # first row of the mode
+    group = mode_id[row]
+    worst = np.array([at_root[mode_id == g, i].max() for i, g in enumerate(group)])
+    clusters: list[list[int]] = []
+    for i in np.lexsort((cell, group)):
+        last = clusters[-1] if clusters else []
+        joins = last and group[i] == group[last[0]] and cell[i] - cell[last[0]] <= 1
+        if joins and row[i] not in row[last]:
+            last.append(i)
+        else:
+            clusters.append([i])
 
     roots: list[OracleRoot] = []
-    for (row, first), width, kind, refine in (
-        (flips, 1, "sign-change", _bisect),
-        (touch, 2, "tangency", _ternary_min),
-    ):
-        lo, hi = ks[first], ks[first + width]
-
-        def at(k: np.ndarray, row: np.ndarray = row) -> np.ndarray:
-            return table(k)[row, np.arange(k.size)]
-
-        k_star = refine(at, lo, hi)
-        res = np.abs(at(k_star))
-        for r, k, rk, a, b in zip(row, k_star, res, lo, hi):
-            l, k = modes[r], float(k)
-            seen = kind == "tangency" and any(
-                q.l == l and abs(q.k - k) < 1e-9 * max(1.0, k) for q in roots
-            )
-            if rk < _RESIDUAL_TOL and k > 0 and not seen:
-                roots.append(OracleRoot(k, k**2, l, float(rk), (float(a), float(b)), kind))
+    for members in clusters:
+        i = min(members, key=lambda j: worst[j])
+        k = float(k_star[i])
+        if res[i] < _RESIDUAL_TOL and k > 0:
+            bracket = (float(ks[cell[i]]), float(ks[cell[i] + 1]))
+            roots.append(OracleRoot(k, k**2, modes[row[i]], float(res[i]), bracket))
     roots.sort(key=lambda r: (r.k, r.l or 0))
     return roots
 
@@ -261,7 +237,7 @@ def oracle_1d(
         raise ValueError("need 0 < k_lo < k_hi")
     eta = math.sqrt(1.0 + contrast)
     roots = _scan_roots(
-        lambda k: interval_determinant(k, eta)[None], k_lo, k_hi, points_per_unit, [None]
+        lambda k: interval_parity_determinants(k, eta), k_lo, k_hi, points_per_unit, [None, None]
     )
     if require_roots and not roots:
         raise NoSignChange(f"no roots in ({k_lo:g}, {k_hi:g})")

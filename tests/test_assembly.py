@@ -340,12 +340,14 @@ def test_whiten_rejects_indefinite_mass():
         assembly.whiten(system)
 
 
-def test_whiten_rejects_stiffness_at_conditioning_floor():
+def test_whiten_accepts_tiny_mass_to_stiffness_ratio():
+    # mu = (1, 1e20): the stiffest mode is kept, not refused by a ratio floor
     system = assembly.GalerkinSystem(
-        gram=np.eye(2), a=np.diag([1.0, 5e-14]), b=np.eye(2), c=np.eye(2)
+        gram=np.eye(2), a=np.diag([1.0, 1e-20]), b=np.eye(2), c=np.eye(2)
     )
-    with pytest.raises(NotPositiveDefinite):
-        assembly.whiten(system)
+    wh = assembly.whiten(system)
+    assert np.array_equal(wh.mu, [1e20, 1.0])
+    assert_whitening_congruence(system, wh)
 
 
 # -- spectral growth ---------------------------------------------------------------

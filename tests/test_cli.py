@@ -414,6 +414,25 @@ def test_convergence_decreasing_toward_oracle(tmp_path):
     assert abs(lam_final - oracle_lam) / oracle_lam < 1e-6
 
 
+def test_convergence_bilaplacian_defaults_quietly(tmp_path, capsys):
+    # mu ratios far below 1e-13 are whitened, not refused; the table goes to
+    # convergence.csv only
+    out = tmp_path / "cv4"
+    assert run(["convergence", "--out", str(out), "--set", "problem.operator=bilaplacian"]) == 0
+    assert capsys.readouterr().out == ""
+    _, rows = read_csv(out / "convergence.csv")
+    assert float(rows[-1][2]) < 1e-10
+
+
+@pytest.mark.slow
+def test_convergence_bilaplacian_square_2d_defaults(tmp_path):
+    out = tmp_path / "cv4"
+    settings = ("problem.dimension=2", "problem.domain=square", "problem.operator=bilaplacian")
+    assert run(["convergence", "--out", str(out), *(f"--set={s}" for s in settings)]) == 0
+    _, rows = read_csv(out / "convergence.csv")
+    assert float(rows[-1][2]) < 1e-8
+
+
 def test_resolved_config_reproduces_run(tmp_path):
     out1 = tmp_path / "first"
     assert run(["solve", "--out", str(out1), "--set", "basis.n=12"]) == 0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,38 @@ def test_lowest_real_eigenvalues_match_interval_oracle_n128():
     ref = np.array([r.lam for r in roots[:4]])
     assert ref.size == 4
     assert np.max(np.abs(real[:4] - ref) / ref) < 1e-10
+
+
+def block_eigenvalues(wh):
+    """Pencil eigenvalues of each parity block, in block order."""
+    sizes = [2 * (b.stop - b.start) for b in wh.blocks]
+    return np.split(companion.pencil_eigenvalues(wh), np.cumsum(sizes)[:-1])
+
+
+def test_parity_blocks_match_oracle_parity_rows():
+    # block 0 holds the even basis functions, which the even row e matches;
+    # scanned as modes 0 and 1, the rows' roots are tagged by parity
+    _, _, _, wh = cached_system(operator="laplacian", size=32, contrast=2.0)
+    eta = math.sqrt(3.0)
+    rows = lambda k: oracles.interval_parity_determinants(k, eta)
+    roots = oracles._scan_roots(rows, 0.5, 20.0, 2000, [0, 1])
+    expected = ([61.868403, 314.782514], [78.973723, 277.460857])
+    for parity, (lams, approx) in enumerate(zip(block_eigenvalues(wh), expected)):
+        real = np.sort(lams[np.abs(lams.imag) <= 1e-8 * np.abs(lams)].real)
+        ref = np.array([r.lam for r in roots if r.l == parity][:2])
+        assert np.allclose(ref, approx, rtol=0.0, atol=1e-6)
+        assert np.max(np.abs(real[:2] - ref)) <= 1e-8
+
+
+@pytest.mark.parametrize("size", [16, 32, 64])
+def test_contrast_three_star_lives_in_the_odd_block(size):
+    # the simple zero of e gives one accurate eigenvalue in the even block;
+    # the triple zero of o gives a cube-root star in the odd block
+    _, _, _, wh = cached_system(operator="laplacian", size=size, contrast=3.0)
+    target = 4.0 * math.pi**2
+    even, odd = (lams[np.abs(lams - target) < 1e-2] for lams in block_eigenvalues(wh))
+    assert even.size == 1 and abs(even[0] - target) <= 1e-10
+    assert odd.size == 3 and abs(odd.mean() - target) <= 1e-10
 
 
 def test_spectrum_conjugate_pairs(helmholtz32):

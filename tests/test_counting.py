@@ -116,13 +116,13 @@ def test_stacked_det_with_an_empty_block():
     assert np.array_equal(one.log_abs, split.log_abs) and np.array_equal(one.arg, split.arg)
 
 
-@pytest.mark.parametrize("ratio,refused", [(5e-14, True), (2e-13, False)])
-def test_whiten_floor_is_global_across_blocks(ratio, refused):
-    # each block alone holds one mu and passes any per-block floor; the
-    # floor compares mu_min with the largest mu of every block
-    system = assembly.GalerkinSystem(
-        gram=np.eye(2), a=np.diag([1.0, ratio]), b=np.eye(2), c=np.eye(2)
-    )
+@pytest.mark.parametrize(
+    "mass,refused", [((1.0, -1.0), True), ((1.0, 1e-20), False)], ids=["indefinite", "ratio-1e-20"]
+)
+def test_whiten_positivity_is_global_across_blocks(mass, refused):
+    # each block alone holds one mu; a nonpositive mu in either block refuses
+    # the split pencil exactly as the whole one, and no ratio of mu is refused
+    system = assembly.GalerkinSystem(gram=np.eye(2), a=np.eye(2), b=np.eye(2), c=np.diag(mass))
     split = dataclasses.replace(system, blocks=(np.array([0]), np.array([1])))
     for candidate in (system, split):
         if refused:

@@ -235,6 +235,15 @@ def test_singular_values_frobenius_identity():
     assert np.all(np.diff(sv) <= 1e-12)
 
 
+def test_singular_values_keep_small_values_relative():
+    # a Gram matrix squares the grading: sigma = 1e-6 would sit at 1e-12 of
+    # the largest eigenvalue and lose about five digits
+    rng = np.random.default_rng(33)
+    sigma = np.logspace(0.0, -6.0, 6)
+    m = rand_orthogonal(rng, 6) @ np.diag(sigma) @ rand_orthogonal(rng, 6).T
+    assert np.max(np.abs(densela.singular_values(m) / sigma - 1.0)) <= 1e-8
+
+
 def test_logdet_overflow_guard():
     huge = densela.LogDet(800.0, 0.3)
     assert np.isinf(huge.value.real)

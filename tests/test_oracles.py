@@ -105,10 +105,23 @@ def test_interval_determinant_against_closed_form(contrast):
 
 
 def test_interval_determinant_nonnegative_at_resonant_contrast():
-    # eta = 2 collapses the determinant to 2 (cos k - 1)^2 (cos k + 2) >= 0,
-    # which is why the 2 pi j family consists of tangency roots
+    # eta = 2 collapses the determinant to 2 (cos k - 1)^2 (cos k + 2) >= 0:
+    # the 2 pi j family are fourfold zeros, touching without a sign change
     for k in np.linspace(0.01, 19.0, 101):
         assert oracles.interval_determinant(float(k), 2.0) >= 0
+
+
+@pytest.mark.parametrize("contrast", [0.5, 2.0, 3.0, 8.0])
+def test_interval_determinant_factors_by_parity(contrast):
+    eta = math.sqrt(1.0 + contrast)
+    ks = np.linspace(0.3, 19.0, 37).reshape(1, -1)
+    rows = oracles.interval_parity_determinants(ks, eta)
+    assert rows.shape == (2, 1, 37)
+    e, o = rows
+    raw = [closed_form_interval_det(float(k), eta) * 2.0 * (1.0 + eta**2) for k in ks.ravel()]
+    assert np.max(np.abs(-4.0 * e * o - raw)) <= 1e-12
+    scalar = oracles.interval_parity_determinants(float(ks[0, 5]), eta)
+    assert scalar.shape == (2,) and np.array_equal(scalar, rows[:, 0, 5])
 
 
 def test_disk_small_k_sign_anchor():
@@ -123,28 +136,36 @@ def test_disk_small_k_sign_anchor():
         assert s1 == s2 != 0
 
 
-def test_oracle_interval_contrast_three_family():
-    roots = oracles.oracle_1d(3.0, 0.5, 20.0)
-    expected = [2.0 * math.pi * j for j in (1, 2, 3)]
-    assert len(roots) == 3  # the 2 pi j family and nothing else
-    for root, ref in zip(roots, expected):
-        assert abs(root.k - ref) <= 1e-8
+def assert_resonant_family(contrast, step, count):
+    # F has a fourfold zero at every multiple of ``step``; one parity factor
+    # has a simple zero there, so bisection resolves it to rounding
+    roots = oracles.oracle_1d(contrast, 0.5, 20.0)
+    assert len(roots) == count  # the family and nothing else
+    for j, root in enumerate(roots, start=1):
+        assert abs(root.k - j * step) <= 1e-12 * j * step
         assert root.residual < 1e-10
-        assert root.kind == "tangency"  # even-order zeros at eta = 2
+        assert root.l is None
         assert root.lam == pytest.approx(root.k**2, rel=1e-15)
+
+
+def test_oracle_interval_contrast_three_family():
+    assert_resonant_family(3.0, 2.0 * math.pi, 3)  # eta = 2
+
+
+def test_oracle_interval_contrast_eight_family():
+    assert_resonant_family(8.0, math.pi, 6)  # eta = 3
 
 
 def test_oracle_interval_generic_contrast_sign_changes():
     eta = math.sqrt(3.0)  # V = 2
     roots = oracles.oracle_1d(2.0, 0.5, 20.0)
-    assert roots
+    assert len(roots) == 4
     for root in roots:
         assert root.residual < 1e-10
-        if root.kind == "sign-change":
-            lo, hi = root.bracket
-            flo = oracles.interval_determinant(lo, eta)
-            fhi = oracles.interval_determinant(hi, eta)
-            assert flo * fhi < 0  # verified bracket
+        lo, hi = root.bracket
+        flo = oracles.interval_determinant(lo, eta)
+        fhi = oracles.interval_determinant(hi, eta)
+        assert flo * fhi < 0  # verified bracket
 
 
 def test_oracle_interval_degenerate_contrast():
@@ -176,7 +197,6 @@ def test_oracle_disk_roots_have_verified_brackets():
     assert roots
     for root in roots:
         assert root.residual < 1e-10
-        assert root.kind == "sign-change"
         lo, hi = root.bracket
         flo = oracles.disk_determinant(lo, eta, root.l)
         fhi = oracles.disk_determinant(hi, eta, root.l)
