@@ -25,9 +25,15 @@ Both families have parity (-1)^j under x -> 1 - x and both presets commute
 with that reflection, so along every axis where V is reflection-invariant the
 pencil couples only indices of equal parity (Bossavit, CMAME 56 (1986) 167):
 1, 2 or 4 parity classes, stored on the system as ``blocks``, between which
-A, B and C vanish in exact arithmetic and are stored as exact zeros.
-``whiten`` then reduces the pencil block by block, by one Cholesky factor
-and one symmetric eigensolve each, to coordinates where the mass is the
+A, B and C vanish in exact arithmetic and are stored as exact zeros.  On the
+square the presets also commute with the diagonal swap x <-> y; when V does
+too, the system stores A, B and C averaged over the swap, so they are exactly
+invariant under it, and records its basis permutation as ``swap``.
+``whiten`` then refines the classes by the swap (``_whitening_blocks``): a
+class the swap maps onto itself splits into a swap-even and a swap-odd half,
+and of two classes it exchanges, the second is a twin of the first, with the
+same mu and B_w.  It reduces each block that is not a twin by one Cholesky
+factor and one symmetric eigensolve, to coordinates where the mass is the
 identity and the stiffness is diagonal.
 """
 
@@ -58,6 +64,7 @@ _GRAM_FLOOR = 1e-12
 _POSITIVITY_MARGIN = 1e-10
 _EDGE_TOL = 1e-12
 _TAIL_TOL = 1e-10
+_EPS = float(np.finfo(float).eps)
 
 POLYNOMIAL = "clamped-polynomial"
 TRIG = "clamped-trig"
@@ -303,7 +310,9 @@ class GalerkinSystem:
 
     ``blocks`` are the parity classes, ascending basis indices each; A, B
     and C are exactly zero between two classes.  None means one class, as
-    for a synthetic system.
+    for a synthetic system.  ``swap`` is the basis permutation of the
+    diagonal swap x <-> y when A, B and C are exactly invariant under it,
+    else None; it maps every class onto a class.
     """
 
     gram: np.ndarray
@@ -313,6 +322,7 @@ class GalerkinSystem:
     problem: Optional[ProblemSpec] = None
     basis: Optional[BasisSet] = None
     blocks: Optional[tuple[np.ndarray, ...]] = None
+    swap: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.blocks is None:
@@ -328,12 +338,17 @@ class WhitenedSystem:
     """Pencil in mass-orthonormal coordinates with a diagonal stiffness.
 
     Whitened coordinates run block by block: ``blocks`` holds one slice per
-    parity class of the source system, in its order.  ``mu`` holds the
-    eigenvalues of C relative to A, descending within each block: the
-    whitened stiffness is diag(1/mu), the mass is the identity and ``b`` is
-    the transformed B, exactly zero off the blocks.  ``to_basis`` is the
-    congruence X with X^T C X = I and X^T A X = diag(1/mu); it maps whitened
-    coordinate vectors back to basis coefficients.
+    symmetry block (``_whitening_blocks``), in its order.  ``twin_of[i]`` is
+    the index of the earlier block that block i is a swap image of, or None:
+    a twin has the source's mu and B_w bitwise, so every per-block result of
+    the source serves it too (``per_block``).  ``mu`` holds the eigenvalues
+    of C relative to A, descending within each block: the whitened stiffness
+    is diag(1/mu), the mass is the identity and ``b`` is the transformed B,
+    exactly zero off the blocks.  ``to_basis`` is the congruence X with
+    X^T C X = I and X^T A X = diag(1/mu); it maps whitened coordinate vectors
+    back to basis coefficients.  ``deflated`` counts the coordinates dropped
+    for a mu that rounding left at or just below zero, so X has that many
+    fewer columns than rows.
 
     Only the vector ``mu`` is stored: products with A_w = diag(1/mu),
     S = A_w^{-1/2} = diag(sqrt(mu)) and A_w^{-1} = diag(mu) are row or column
@@ -346,10 +361,19 @@ class WhitenedSystem:
     to_basis: np.ndarray
     system: GalerkinSystem
     blocks: tuple[slice, ...]
+    twin_of: tuple[Optional[int], ...]
+    deflated: int = 0
 
     @property
     def size(self) -> int:
         return self.mu.size
+
+    def per_block(self, fn) -> list:
+        """``fn(i)`` for each block i that is not a twin; a twin reuses its source's value."""
+        out: list = []
+        for i, source in enumerate(self.twin_of):
+            out.append(fn(i) if source is None else out[source])
+        return out
 
     @classmethod
     def from_matrices(cls, a, b) -> "WhitenedSystem":
@@ -465,6 +489,10 @@ def _parity_classes(problem: ProblemSpec, basis: BasisSet) -> tuple[np.ndarray, 
     return tuple(np.flatnonzero(key == k) for k in np.unique(key))
 
 
+def _relative_leak(mat: np.ndarray, dropped: np.ndarray) -> float:
+    return float(np.linalg.norm(dropped)) / max(float(np.linalg.norm(mat)), 1e-300)
+
+
 def assemble_system(problem: ProblemSpec, basis: BasisSet) -> GalerkinSystem:
     """Assemble A, B, C once, on the composite rule of ``basis``.
 
@@ -472,11 +500,14 @@ def assemble_system(problem: ProblemSpec, basis: BasisSet) -> GalerkinSystem:
     reports a q whose Legendre tail says otherwise (V near zero, say).  The
     Gram matrix is the basis's own, checked by ``build_basis``.  Entries
     coupling two parity classes (``_parity_classes``) vanish in exact
-    arithmetic and are set to zero.
+    arithmetic and are set to zero.  On the square, for a swap-invariant V,
+    each matrix M is replaced by its swap average (M + P M P^T) / 2, which
+    moves it by at most the checked leak.
 
     Raises:
         AsymmetryExceeded: pre-symmetrization asymmetry above 1e-8.
-        ParityViolation: the dropped entries exceed 1e-8 of their matrix.
+        ParityViolation: the dropped entries, or the swap leak
+            ||M - P M P^T|| / ||M||, exceed 1e-8.
         NotPositiveDefinite: A or C fails factorization.
         NonpositivePotential: V not strictly positive at a quadrature node.
     """
@@ -487,13 +518,25 @@ def assemble_system(problem: ProblemSpec, basis: BasisSet) -> GalerkinSystem:
         label[idx] = cls
     coupled = label[:, None] != label[None, :]
     for name, mat in out.items():
-        leak = float(np.linalg.norm(mat[coupled])) / max(float(np.linalg.norm(mat)), 1e-300)
+        leak = _relative_leak(mat, mat[coupled])
         if leak > _ASYM_TOL:
             raise ParityViolation(
                 f"matrix {name} couples parity classes at {leak:.3e} of its norm, "
                 f"above {_ASYM_TOL:.0e}"
             )
         mat[coupled] = 0.0
+    swap = None
+    if problem.dimension == 2 and problem.potential.swap_invariant():
+        swap = np.arange(basis.size**2).reshape(basis.size, basis.size).T.ravel()
+        for name, mat in out.items():
+            image = mat[np.ix_(swap, swap)]
+            leak = _relative_leak(mat, mat - image)
+            if leak > _ASYM_TOL:
+                raise ParityViolation(
+                    f"matrix {name} changes under the swap x <-> y by {leak:.3e} of "
+                    f"its norm, above {_ASYM_TOL:.0e}"
+                )
+            out[name] = 0.5 * (mat + image)
     for name in ("A", "C"):
         for idx in blocks:
             try:
@@ -509,48 +552,147 @@ def assemble_system(problem: ProblemSpec, basis: BasisSet) -> GalerkinSystem:
         problem=problem,
         basis=basis,
         blocks=blocks,
+        swap=swap,
     )
+
+
+@dataclass(frozen=True)
+class _Block:
+    """Orthonormal columns of one whitening block, in basis coordinates.
+
+    Column c is e_{p_c} where ``q`` is None or q_c = p_c, else
+    (e_{p_c} + sign e_{q_c}) / sqrt(2).  A twin lists in ``p`` the swap
+    images of its source's rows.
+    """
+
+    p: np.ndarray
+    q: Optional[np.ndarray] = None
+    sign: float = 1.0
+    twin_of: Optional[int] = None
+
+    def gather(self, m: np.ndarray) -> np.ndarray:
+        """The sub-pencil matrix W^T M W of a swap-invariant M, from two gathers.
+
+        With q = swap(p) and M exactly invariant, the four terms of W^T M W
+        pair up: W^T M W = s s^T o (M[p, p] + sign M[p, q]), with s = 1/sqrt(2)
+        on the swap-fixed members (q_c = p_c) and 1 elsewhere.
+        """
+        rows = self.p[:, None]
+        if self.q is None:
+            return m[rows, self.p]
+        scale = np.where(self.p == self.q, np.sqrt(0.5), 1.0)
+        return (m[rows, self.p] + self.sign * m[rows, self.q]) * scale[:, None] * scale
+
+    def scatter(self, x: np.ndarray, cols: slice, xb: np.ndarray) -> None:
+        """Write W xb into the columns ``cols`` of X."""
+        if self.q is None:
+            x[self.p, cols] = xb
+            return
+        pair = self.p != self.q
+        x[self.p, cols] = np.where(pair, np.sqrt(0.5), 1.0)[:, None] * xb
+        x[self.q[pair], cols] = self.sign * x[self.p[pair], cols]
+
+
+def _whitening_blocks(system: GalerkinSystem) -> list[_Block]:
+    """The parity classes of ``system``, refined by its diagonal swap if it has one.
+
+    A class the swap maps onto itself splits into a swap-even half, columns
+    (e_I + e_swap(I)) / sqrt(2) for I < swap(I) and e_I for I = swap(I), and
+    a swap-odd half, (e_I - e_swap(I)) / sqrt(2) for I < swap(I); on the
+    square I < swap(I) means x-factor below y-factor.  Of two classes the
+    swap exchanges, the first stays a block of plain indices and the second
+    becomes its twin.  Empty halves are left out.
+    """
+    swap = system.swap
+    if swap is None:
+        return [_Block(idx) for idx in system.blocks]
+    out: list[_Block] = []
+    sources: dict[int, int] = {}  # smallest index of a class's image -> the class's block
+    for idx in system.blocks:
+        image = swap[idx]
+        if idx.size and int(idx[0]) in sources:
+            source = sources[int(idx[0])]
+            rows = swap[out[source].p]
+            if not np.array_equal(np.sort(rows), idx):
+                raise ValueError("the swap does not map the parity classes onto each other")
+            out.append(_Block(rows, twin_of=source))
+        elif np.array_equal(np.sort(image), idx):
+            for sign, half in ((1.0, idx <= image), (-1.0, idx < image)):
+                if np.any(half):
+                    out.append(_Block(idx[half], image[half], sign))
+        else:
+            sources[int(image.min())] = len(out)
+            out.append(_Block(idx))
+    return out
 
 
 def whiten(system: GalerkinSystem) -> WhitenedSystem:
     """Diagonalize the stiffness in mass-orthonormal coordinates, block by block.
 
-    One congruence per parity block, taken on the inverse side: with
-    L = chol(A_b), the eigendecomposition M = L^{-1} C_b L^{-T} = Q diag(mu) Q^T
-    gives X_b = L^{-T} Q diag(mu)^{-1/2}, so that X^T C X = I and
-    X^T A X = diag(1/mu).  The small stiffness eigenvalues 1/mu are the
-    largest mu, which the symmetric eigensolver resolves to full relative
-    accuracy.  Tiny mu are the stiffest modes and are kept: they only feed
-    the top of the spectrum.  The sign test on mu is global, over all
-    blocks, so a split pencil is refused exactly when the whole one is.
+    One congruence per symmetry block (``_whitening_blocks``) that is not a
+    twin, taken on the inverse side: with W the block's columns and
+    L = chol(W^T A W), the eigendecomposition
+    M = L^{-1} (W^T C W) L^{-T} = Q diag(mu) Q^T gives X_b = W L^{-T} Q
+    diag(mu)^{-1/2}, so that X^T C X = I and X^T A X = diag(1/mu).  A twin
+    copies its source's mu and B_w, and its rows of X are the source's
+    under the swap.  The small stiffness eigenvalues 1/mu are the largest
+    mu, which the symmetric eigensolver resolves to full relative accuracy.
+    Tiny positive mu are the stiffest modes and are kept: they only feed the
+    top of the spectrum.  A mu in [-tau, 0], tau = eps max(mu), is rounding
+    of such a mode, an eigenvalue of the pencil at infinity: its coordinate
+    is dropped (``deflated``).  The cut is global, over all blocks, so a
+    split pencil is refused or deflated exactly as the whole one.
 
     Raises:
         NotPositiveDefinite: A or C has a non-finite entry, A has no Cholesky
-            factor, or some mu <= 0 (C is not positive definite on the span).
+            factor, no mu is positive, or some mu < -tau (C is not positive
+            definite on the span).
     """
     if not (np.all(np.isfinite(system.a)) and np.all(np.isfinite(system.c))):
         raise NotPositiveDefinite("stiffness or mass has non-finite entries")
-    factors = []
-    for idx in system.blocks:
-        sub = np.ix_(idx, idx)
+    blocks = _whitening_blocks(system)
+    factors: list = []
+    for blk in blocks:
+        if blk.twin_of is not None:
+            factors.append(factors[blk.twin_of])
+            continue
         try:
-            chol = np.linalg.cholesky(system.a[sub])
+            chol = np.linalg.cholesky(blk.gather(system.a))
         except np.linalg.LinAlgError as exc:
             raise NotPositiveDefinite("stiffness is not positive definite") from exc
-        m = np.linalg.solve(chol, np.linalg.solve(chol, system.c[sub]).T)
-        factors.append((idx, sub, chol, densela.sym_eig(0.5 * (m + m.T))))
-    mu = np.concatenate([dec.eigenvalues[::-1] for *_, dec in factors])
-    if np.min(mu) <= 0:
+        m = np.linalg.solve(chol, np.linalg.solve(chol, blk.gather(system.c)).T)
+        factors.append((chol, densela.sym_eig(0.5 * (m + m.T))))
+    mus = [dec.eigenvalues[::-1] for _, dec in factors]
+    top = max((float(m[0]) for m in mus if m.size), default=0.0)
+    low = min((float(m[-1]) for m in mus if m.size), default=0.0)
+    tau = _EPS * top
+    if top <= 0 or low < -tau:
         raise NotPositiveDefinite(
-            f"mass is not positive definite: smallest mass-to-stiffness eigenvalue {np.min(mu):.3e}"
+            f"mass is not positive definite: smallest mass-to-stiffness eigenvalue {low:.3e}, "
+            f"largest {top:.3e}, rounding level {tau:.1e}"
         )
-    n = system.size
-    stops = np.cumsum([idx.size for idx in system.blocks])
-    blocks = tuple(slice(int(stop) - idx.size, int(stop)) for idx, stop in zip(system.blocks, stops))
-    x, bw = np.zeros((n, n)), np.zeros((n, n))
-    for (idx, sub, chol, dec), cols in zip(factors, blocks):
-        xb = np.linalg.solve(chol.T, dec.eigenvectors[:, ::-1]) / np.sqrt(mu[cols])
-        bb = xb.T @ system.b[sub] @ xb
-        x[idx, cols] = xb
+    kept = [int(np.count_nonzero(m > 0)) for m in mus]  # mu descends: a prefix
+    stops = np.cumsum(kept)
+    slices = tuple(slice(int(stop) - k, int(stop)) for k, stop in zip(kept, stops))
+    mu = np.concatenate([m[:k] for m, k in zip(mus, kept)])
+    x, bw = np.zeros((system.size, mu.size)), np.zeros((mu.size, mu.size))
+    for blk, (chol, dec), cols in zip(blocks, factors, slices):
+        if blk.twin_of is not None:
+            source = slices[blk.twin_of]
+            x[blk.p, cols] = x[blocks[blk.twin_of].p, source]
+            bw[cols, cols] = bw[source, source]
+            continue
+        vecs = dec.eigenvectors[:, ::-1][:, : cols.stop - cols.start]
+        xb = np.linalg.solve(chol.T, vecs) / np.sqrt(mu[cols])
+        bb = xb.T @ blk.gather(system.b) @ xb
+        blk.scatter(x, cols, xb)
         bw[cols, cols] = 0.5 * (bb + bb.T)
-    return WhitenedSystem(mu=mu, b=bw, to_basis=x, system=system, blocks=blocks)
+    return WhitenedSystem(
+        mu=mu,
+        b=bw,
+        to_basis=x,
+        system=system,
+        blocks=slices,
+        twin_of=tuple(blk.twin_of for blk in blocks),
+        deflated=system.size - mu.size,
+    )

@@ -270,7 +270,7 @@ class OutputWriter:
 
 
 def _cmd_assemble(cfg: RunConfig, out: OutputWriter) -> int:
-    problem, basis, system, _ = _build_pipeline(cfg)
+    problem, basis, system, wh = _build_pipeline(cfg)
     for name, mat in (("G", system.gram), ("A", system.a), ("B", system.b), ("C", system.c)):
         out.csv(f"{name}.csv", [f"c{j}" for j in range(mat.shape[1])], mat)
     out.json(
@@ -282,7 +282,9 @@ def _cmd_assemble(cfg: RunConfig, out: OutputWriter) -> int:
             "basis_family": basis.family,
             "basis_size_per_dim": basis.size,
             "matrix_size": system.size,
-            "block_sizes": [int(idx.size) for idx in system.blocks],
+            "block_sizes": [blk.stop - blk.start for blk in wh.blocks],
+            "block_copies": list(wh.twin_of),
+            "deflated": wh.deflated,
             "trace_class": problem.trace_class,
             "hilbert_schmidt": problem.hilbert_schmidt,
             "p_min": problem.p_min,

@@ -11,9 +11,10 @@ solves det(A - lambda B + lambda^2 I) = 0 if and only if 1/lambda is an
 eigenvalue of D.  With T = diag(1/sqrt(mu), I) and the first-order form
 F = [[0, I], [-A, B]], D = T F^{-1} T^{-1}; since F^{-1} - 1/lambda =
 -F^{-1} (F - lambda) / lambda, ker (D - 1/lambda)^j = T ker (F - lambda)^j at
-every depth j.  D inherits the parity blocks of the whitened system: block b
-owns its whitened coordinates in both halves of D, and D couples no two
-blocks, so every eigensolve runs on one diagonal block D_b at a time.
+every depth j.  D inherits the symmetry blocks of the whitened system: block
+b owns its whitened coordinates in both halves of D, and D couples no two
+blocks, so every eigensolve runs on one diagonal block D_b at a time, and a
+twin block's D_b, equal to its source's, reuses the source's eigenpairs.
 This module builds D, extracts and clusters its spectrum,
 recovers interior states (u, v, w) from eigenvectors, reads chains of
 generalized eigenvectors from one flag of nested kernels of D, and validates
@@ -62,27 +63,35 @@ class CompanionSystem:
 
     @property
     def block_indices(self) -> list[np.ndarray]:
-        """Rows (and columns) of D per parity block: its coordinates in both halves."""
+        """Rows (and columns) of D per symmetry block: its coordinates in both halves."""
         rows = np.arange(self.size)
         return [np.concatenate([rows[b], rows[b] + self.size]) for b in self.whitened.blocks]
 
-    def diagonal_blocks(self) -> list[np.ndarray]:
-        """The diagonal blocks D_b of D; D vanishes off them."""
-        return [self.d[np.ix_(idx, idx)] for idx in self.block_indices]
+    def diagonal_block(self, b: int) -> np.ndarray:
+        """The diagonal block D_b of D; D vanishes off the blocks."""
+        idx = self.block_indices[b]
+        return self.d[np.ix_(idx, idx)]
 
     def eigen_data(self) -> densela.ComplexSpectrum:
         """Eigenpairs of D, computed once and cached, one block at a time.
 
         The eigenpairs of D_b take the columns ``block_indices[b]``, with each
-        eigenvector scattered into those rows of a 2N-vector.
+        eigenvector scattered into those rows of a 2N-vector; a twin block
+        takes its source's.
         """
         if self._spectrum is None:
             vals = np.empty(2 * self.size, dtype=complex)
             vecs = np.zeros((2 * self.size, 2 * self.size), dtype=complex)
-            for idx, block in zip(self.block_indices, self.diagonal_blocks()):
-                spec = densela.nonsym_eig(block, want_vectors=True)
-                vals[idx] = spec.eigenvalues
-                vecs[np.ix_(idx, idx)] = spec.eigenvectors
+            # a twin copies its source's entries of vecs, so no block's own
+            # eigenvectors outlive their scatter
+            rows = self.block_indices
+            for b, (idx, source) in enumerate(zip(rows, self.whitened.twin_of)):
+                if source is None:
+                    spec = densela.nonsym_eig(self.diagonal_block(b), want_vectors=True)
+                    vals[idx], vecs[np.ix_(idx, idx)] = spec.eigenvalues, spec.eigenvectors
+                else:
+                    src = rows[source]
+                    vals[idx], vecs[np.ix_(idx, idx)] = vals[src], vecs[np.ix_(src, src)]
             self._spectrum = densela.ComplexSpectrum(vals, vecs)
         return self._spectrum
 
@@ -187,18 +196,23 @@ def extract_spectrum(
     lams = 1.0 / mus
 
     # each eigenvector head lives in its block's coordinates: form the pencil
-    # residual there, with B_bb
+    # residual there, with B_bb; a twin's kept columns match its source's
     wh = comp.whitened
-    residuals = np.empty(keep.size)
-    for blk, idx in zip(wh.blocks, comp.block_indices):
-        at = np.flatnonzero(np.isin(keep, idx))
+    places = [np.flatnonzero(np.isin(keep, idx)) for idx in comp.block_indices]
+
+    def block_residuals(b: int) -> np.ndarray:
+        blk, at = wh.blocks[b], places[b]
         lam = lams[at]
         # take() keeps u0 in C order; the column norms below round by memory order
         u0 = np.sqrt(wh.mu[blk])[:, None] * spec.eigenvectors[blk].take(keep[at], axis=1)
         res_vec = (1.0 / wh.mu[blk])[:, None] * u0 - (wh.b[blk, blk] @ u0) * lam + u0 * lam**2
         u0_norm = np.maximum(np.linalg.norm(u0, axis=0), 1e-300)
         denom = (1.0 + np.abs(lam) + np.abs(lam) ** 2) * u0_norm
-        residuals[at] = np.linalg.norm(res_vec, axis=0) / denom
+        return np.linalg.norm(res_vec, axis=0) / denom
+
+    residuals = np.empty(keep.size)
+    for at, res in zip(places, wh.per_block(block_residuals)):
+        residuals[at] = res
 
     order = np.lexsort((lams.imag, lams.real, np.abs(lams)))
     mus, lams, residuals = mus[order], lams[order], residuals[order]
@@ -227,11 +241,15 @@ def pencil_eigenvalues(wh: WhitenedSystem) -> np.ndarray:
     """Pencil roots by direct first-order linearization [[0, I], [-A, B]].
 
     Independent route used to cross-check the reciprocal correspondence of
-    the companion spectrum; one eigensolve per parity block.
+    the companion spectrum; one eigensolve per symmetry block, a twin
+    reusing its source's.
     """
-    return np.concatenate(
-        [densela.nonsym_eig(_first_order(wh.mu[b], wh.b[b, b])).eigenvalues for b in wh.blocks]
-    )
+
+    def block_roots(b: int) -> np.ndarray:
+        blk = wh.blocks[b]
+        return densela.nonsym_eig(_first_order(wh.mu[blk], wh.b[blk, blk])).eigenvalues
+
+    return np.concatenate(wh.per_block(block_roots))
 
 
 def _first_order(mu: np.ndarray, b: np.ndarray) -> np.ndarray:

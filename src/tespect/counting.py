@@ -5,9 +5,12 @@ The entire function of interest is
     f(lam) = det(I - lam K + lam^2 A^{-1}),   K = A^{-1/2} B A^{-1/2},
 
 whose zeros are exactly the pencil roots and which satisfies f(0) = 1.
-The matrix vanishes off the parity blocks of the whitened system, so f is
-a product of one determinant per block, each a quarter (square) or half
-(interval) the size for a reflection-invariant V.  Because f grows like
+The matrix vanishes off the symmetry blocks of the whitened system, so f is
+a product of one determinant per block: for a reflection-invariant V, half
+the size on the interval and a quarter on the square, and on the square a
+swap-invariant V splits two of those quarters into halves again and makes
+the other two twins, equal matrices whose determinant is factored once.
+Because f grows like
 |lam|^(2N), every magnitude here is carried in log scale.  Winding numbers
 come from unwrapped contour phases, the disk-count bound from the standard
 contour-maximum inequality
@@ -23,7 +26,7 @@ Each contour grid is sized once from the computed spectrum (Ying & Katz,
 Numer. Math. 53 (1988) 143); f is still evaluated by determinants, on the
 upper half circle since f(conj z) = conj f(z), so a measured phase step of
 pi/2 shows a zero the spectrum missed.  One call evaluates a whole grid:
-each parity block is factored for a stack of grid points per LU call, a
+each symmetry block is factored for a stack of grid points per LU call, a
 stack holding at most ``_DET_STACK_BYTES`` of matrices, so small blocks
 share the per-call overhead and a large block still goes one at a time.
 """
@@ -68,29 +71,34 @@ class CountReport:
 def fredholm_det(wh: WhitenedSystem, lam) -> densela.LogDet:
     """Log-scale determinant of I - lam K + lam^2 A^{-1}, at one lam or an array.
 
-    The matrix vanishes off the parity blocks, so f is the product of one
-    determinant per block: log-magnitudes add, arguments add modulo 2 pi.
-    Each block is factored for a stack of points per LU call, at most
-    ``_DET_STACK_BYTES`` of matrices; an array ``lam`` gives fields of its
-    shape, a scalar gives floats.
+    The matrix vanishes off the symmetry blocks, so f is the product of one
+    determinant per block: log-magnitudes add, arguments add modulo 2 pi; a
+    twin block adds its source's again.  Each block is factored for a stack
+    of points per LU call, at most ``_DET_STACK_BYTES`` of matrices; an
+    array ``lam`` gives fields of its shape, a scalar gives floats.
     """
     lam = np.asarray(lam, dtype=complex)
     z = lam.reshape(-1, 1, 1)
     # lam^2 from its parts, each product rounded once: numpy's vector complex
     # multiply may fuse them, which moves the last bit depending on the CPU
     z2 = (z.real**2 - z.imag**2) + 2j * (z.real * z.imag)
-    log_abs, arg = np.zeros(z.shape[0]), np.zeros(z.shape[0])
-    for blk in wh.blocks:
+
+    def block_det(b: int) -> tuple[np.ndarray, np.ndarray]:
+        blk = wh.blocks[b]
         k, mu = wh.comp_block[blk, blk], wh.mu[blk]
         eye, diag = np.eye(mu.size, dtype=complex), np.arange(mu.size)
         step = max(1, _DET_STACK_BYTES // max(eye.nbytes, 1))
+        log_abs, arg = np.empty(z.shape[0]), np.empty(z.shape[0])
         for part in (slice(i, i + step) for i in range(0, z.shape[0], step)):
             stack = eye - z[part] * k
             stack[:, diag, diag] += z2[part, 0] * mu
             det = densela.complex_det(stack)
-            log_abs[part] += det.log_abs
-            arg[part] += det.arg
-    log_abs, arg = log_abs.reshape(lam.shape), wrap_angle(arg.reshape(lam.shape))
+            log_abs[part], arg[part] = det.log_abs, det.arg
+        return log_abs, arg
+
+    dets = wh.per_block(block_det)
+    log_abs = sum((d[0] for d in dets), np.zeros(z.shape[0])).reshape(lam.shape)
+    arg = wrap_angle(sum((d[1] for d in dets), np.zeros(z.shape[0])).reshape(lam.shape))
     return densela.LogDet(float(log_abs) if lam.ndim == 0 else log_abs, arg)
 
 

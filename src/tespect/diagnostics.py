@@ -96,7 +96,8 @@ def trace_power(comp: CompanionSystem, p: int) -> complex:
     """Trace of the p-th power of the companion matrix.
 
     Computed by repeated multiplication of each diagonal block D_b, whose
-    traces sum to tr(D^p); intended envelope is p <= 8.  When
+    traces sum to tr(D^p), a twin block counting its source's trace again;
+    intended envelope is p <= 8.  When
     the source problem is known and p is not above n/m, the trace criterion
     hypothesis fails and a warning is emitted (the value is still returned).
     """
@@ -111,13 +112,15 @@ def trace_power(comp: CompanionSystem, p: int) -> complex:
                 "the trace criterion does not apply at this power",
                 stacklevel=2,
             )
-    total = 0.0
-    for block in comp.diagonal_blocks():
+
+    def block_trace(b: int) -> float:
+        block = comp.diagonal_block(b)
         power = block
         for _ in range(p - 1):
             power = power @ block
-        total += np.trace(power)
-    return complex(total)
+        return np.trace(power)
+
+    return complex(sum(wh.per_block(block_trace)))
 
 
 def trace_identity_check(wh: WhitenedSystem, comp: CompanionSystem) -> tuple[float, float]:
@@ -129,13 +132,13 @@ def trace_identity_check(wh: WhitenedSystem, comp: CompanionSystem) -> tuple[flo
     tr(D^2) = sum(M o M^T) - 2 tr(A^{-1} C),
 
     both invariant under the whitening congruence.  The raw route never
-    touches mu, B_w or the parity blocks, so a fault in the whitening, in
-    the split or in D shows here.  Each
+    touches mu, B_w or the symmetry blocks, so a fault in the whitening, in
+    the split, in a twin or in D shows here.  Each
     residual is relative to the larger magnitude (floored at one, so
     exact-zero cases stay well-defined).
     """
     system = wh.system
-    n = wh.size
+    n = system.size
     solved = np.linalg.solve(system.a, np.hstack([system.b, system.c]))
     m, a_inv_c = solved[:, :n], solved[:, n:]
     tr_d = float(np.trace(comp.d))
@@ -170,13 +173,20 @@ def trace_report(
     """Full trace/Schatten report for a companion system.
 
     Singular values and the spectral radius come from the diagonal blocks
-    D_b, one eigensolve each; the trace identities from the assembled A, B, C.
+    D_b, one SVD and one eigensolve each, a twin reusing its source's; the
+    trace identities from the assembled A, B, C.
     """
     wh = comp.whitened
     powers = tuple((int(p), trace_power(comp, int(p))) for p in p_list)
-    blocks = comp.diagonal_blocks()
-    svals_d = np.sort(np.concatenate([densela.singular_values(b) for b in blocks]))[::-1]
-    radius = max(float(np.max(np.abs(densela.nonsym_eig(b).eigenvalues))) for b in blocks)
+
+    def block_data(b: int) -> tuple[np.ndarray, float]:
+        block = comp.diagonal_block(b)
+        moduli = np.abs(densela.nonsym_eig(block).eigenvalues)
+        return densela.singular_values(block), float(np.max(moduli, initial=0.0))
+
+    data = wh.per_block(block_data)
+    svals_d = np.sort(np.concatenate([svals for svals, _ in data]))[::-1]
+    radius = max(r for _, r in data)
     profile = schatten_profile(wh)
     return TraceReport(
         p=int(p_list[0]),
@@ -207,12 +217,12 @@ def numerical_range(
     The arithmetic is real.  With w = (u0, v0) drawn unnormalized, a, b the
     real and imaginary parts of u0 and c, d those of v0, s = sqrt(mu):
 
-        Re <K u0, u0> = sum over parity blocks of a_b' K_bb a_b + b_b' K_bb b_b,
+        Re <K u0, u0> = sum over symmetry blocks of a_b' K_bb a_b + b_b' K_bb b_b,
         Im <S v0, u0> = sum_i s_i (a_i d_i - b_i c_i),
         z = (Re <K u0, u0> - 2i Im <S v0, u0>) / |w|^2,
 
     with |w|^2 the column sum of squares of both parts; K vanishes off the
-    parity blocks, so two real products per block give the first sum.
+    symmetry blocks, so two real products per block give the first sum.
     Draws are mirrored with their conjugates, so the sample set is closed
     under conjugation by construction; an odd count is rounded up.  The
     smallest real-axis-symmetric closed sector containing all samples has

@@ -58,7 +58,11 @@ class NotPositiveDefinite(ComputationError):
 
 
 class ParityViolation(ComputationError):
-    """Entries coupling two reflection-parity classes are too large to drop."""
+    """A claimed symmetry of V does not hold for the assembled pencil.
+
+    Entries coupling two reflection-parity classes are too large to drop, or
+    a matrix changes under the diagonal swap by too much to average it out.
+    """
 
 
 # --- dense linear algebra -------------------------------------------------

@@ -152,6 +152,23 @@ class PotentialSpec:
             return bool(np.array_equal(self.data, np.flip(self.data, axis)))
         return not np.any(np.take(self.data, np.arange(1, self.data.shape[axis]), axis=axis))
 
+    def swap_invariant(self) -> bool:
+        """Whether V on the square is exactly invariant under the swap x <-> y.
+
+        Read from the representation, never sampled: a constant always is; a
+        polynomial when its coefficient matrix is square and equals its
+        transpose; a grid when it equals its transpose; an affine family when
+        both of its parts are.  A 1D potential has no swap.
+        """
+        if self.dimension != 2:
+            return False
+        if self.kind == "constant":
+            return True
+        if self.kind == "affine":
+            base, direction, _ = self.data
+            return base.swap_invariant() and direction.swap_invariant()
+        return bool(np.array_equal(self.data, self.data.T))
+
 
 @dataclass(frozen=True)
 class ProblemSpec:

@@ -218,6 +218,7 @@ def test_assemble_outputs(tmp_path):
     assert meta["matrix_size"] == 6
     assert meta["block_sizes"] == [3, 3]  # constant V: even and odd basis indices
     assert sum(meta["block_sizes"]) == meta["matrix_size"]
+    assert meta["block_copies"] == [None, None] and meta["deflated"] == 0
     assert meta["p_min"] == 1
     _, rows = read_csv(out / "A.csv")
     mat = np.array([[float(v) for v in row] for row in rows])
@@ -309,6 +310,39 @@ def test_count_square_2d_defaults(tmp_path, operator):
     payload = json.loads((out / "count.json").read_text())
     assert payload["windings"] == payload["cross_counts"]
     assert sum(payload["resolved"]) >= 3
+
+
+def test_assemble_outputs_square_swap_blocks(tmp_path):
+    out = tmp_path / "asm2"
+    settings = ("problem.dimension=2", "problem.domain=square", "basis.n=6")
+    assert run(["assemble", "--out", str(out), *(f"--set={s}" for s in settings)]) == 0
+    meta = json.loads((out / "system.json").read_text())
+    # ee and oo split in swap-even and swap-odd halves; oe copies eo
+    assert meta["block_sizes"] == [6, 3, 9, 9, 6, 3]
+    assert meta["block_copies"] == [None, None, None, 2, None, None]
+    assert meta["deflated"] == 0
+
+
+def lowest_eigenvalues(out, count):
+    columns, rows = read_csv(out / "eigenvalues.csv")
+    lams = np.array([complex(float(r[1]), float(r[2])) for r in rows])
+    return lams[np.argsort(np.abs(lams))][:count]
+
+
+def test_bilaplacian_solve_deflates_rounding_negative_mu(tmp_path):
+    # at n=256 rounding leaves some mu of the stiffest modes just below zero;
+    # they are dropped, and the lowest eigenvalues match n=128
+    lams = {}
+    for n in (128, 256):
+        out = tmp_path / f"bl{n}"
+        settings = ("problem.operator=bilaplacian", f"basis.n={n}")
+        assert run(["solve", "--out", str(out), *(f"--set={s}" for s in settings)]) == 0
+        lams[n] = lowest_eigenvalues(out, 8)
+    assert np.max(np.abs(lams[256] - lams[128]) / np.abs(lams[128])) < 1e-10
+    out = tmp_path / "asm256"
+    settings = ("problem.operator=bilaplacian", "basis.n=256")
+    assert run(["assemble", "--out", str(out), *(f"--set={s}" for s in settings)]) == 0
+    assert json.loads((out / "system.json").read_text())["deflated"] > 0
 
 
 def test_count_square_2d(tmp_path):

@@ -54,15 +54,33 @@ def test_det_vanishes_at_computed_eigenvalues():
         assert at_root.log_abs < nearby.log_abs + np.log(1e-7)
 
 
+# constant V: 2 parity blocks in 1D; in 2D the swap splits ee and oo into two
+# halves each and makes oe the twin of eo, 6 blocks
+WHITENED_BLOCKS = {1: 2, 2: 6}
+
+
 @pytest.mark.parametrize("dimension,size", [(1, 24), (2, 8)])
 def test_blocked_det_matches_one_block(dimension, size):
     _, _, system, wh = cached_system(dimension=dimension, size=size, contrast=2.0)
-    assert len(wh.blocks) == 2**dimension
-    whole = assembly.whiten(dataclasses.replace(system, blocks=(np.arange(system.size),)))
+    assert len(wh.blocks) == WHITENED_BLOCKS[dimension]
+    one_block = dataclasses.replace(system, blocks=(np.arange(system.size),), swap=None)
+    whole = assembly.whiten(one_block)
+    assert len(whole.blocks) == 1
     for lam in (3.0 + 2.0j, -10.0 + 5.0j, 20.0 - 1.0j, 0.5j):
         split, one = counting.fredholm_det(wh, lam), counting.fredholm_det(whole, lam)
         assert abs(split.log_abs - one.log_abs) < 1e-12
         assert abs(wrap_angle(split.arg - one.arg)) < 1e-12
+
+
+@pytest.mark.parametrize("operator,size", [("laplacian", 8), ("bilaplacian", 12)])
+def test_swap_split_det_matches_unsplit(operator, size):
+    _, _, system, wh = cached_system(operator=operator, dimension=2, size=size, contrast=3.0)
+    assert wh.twin_of.count(None) == 5
+    whole = assembly.whiten(dataclasses.replace(system, blocks=(np.arange(system.size),), swap=None))
+    lams = np.array([3.0 + 2.0j, -10.0 + 5.0j, 20.0 - 1.0j, 0.5j, 150.0 * np.exp(0.3j)])
+    split, one = counting.fredholm_det(wh, lams), counting.fredholm_det(whole, lams)
+    assert np.max(np.abs(split.log_abs - one.log_abs)) < 1e-10
+    assert np.max(np.abs(wrap_angle(split.arg - one.arg))) < 1e-10
 
 
 def per_point_det(wh, lam):
@@ -79,7 +97,7 @@ def per_point_det(wh, lam):
 @pytest.mark.parametrize("dimension,size", [(1, 24), (2, 8)])
 def test_stacked_det_matches_scalar_and_per_point_bitwise(dimension, size):
     _, _, _, wh = cached_system(dimension=dimension, size=size, contrast=2.0)
-    assert len(wh.blocks) == 2**dimension
+    assert len(wh.blocks) == WHITENED_BLOCKS[dimension]
     spectrum = companion.extract_spectrum(companion.build_companion(wh))
     root = min((t.lam for t in spectrum), key=abs)
     # zero, the selftest's 2.0, a point near a root and an arc of complex points
@@ -117,19 +135,24 @@ def test_stacked_det_with_an_empty_block():
 
 
 @pytest.mark.parametrize(
-    "mass,refused", [((1.0, -1.0), True), ((1.0, 1e-20), False)], ids=["indefinite", "ratio-1e-20"]
+    "mass,kept",
+    [((1.0, -1.0), None), ((1.0, 1e-20), 2), ((1.0, -1e-17), 1)],
+    ids=["indefinite", "ratio-1e-20", "rounding-negative"],
 )
-def test_whiten_positivity_is_global_across_blocks(mass, refused):
-    # each block alone holds one mu; a nonpositive mu in either block refuses
-    # the split pencil exactly as the whole one, and no ratio of mu is refused
+def test_whiten_positivity_is_global_across_blocks(mass, kept):
+    # each block alone holds one mu; a mu below -eps max(mu) in either block
+    # refuses the split pencil exactly as the whole one, a mu in
+    # [-eps max(mu), 0] is deflated from both, and no ratio of mu is refused
     system = assembly.GalerkinSystem(gram=np.eye(2), a=np.eye(2), b=np.eye(2), c=np.diag(mass))
     split = dataclasses.replace(system, blocks=(np.array([0]), np.array([1])))
     for candidate in (system, split):
-        if refused:
+        if kept is None:
             with pytest.raises(NotPositiveDefinite):
                 assembly.whiten(candidate)
         else:
-            assert assembly.whiten(candidate).size == 2
+            wh = assembly.whiten(candidate)
+            assert (wh.size, wh.deflated, wh.to_basis.shape) == (kept, 2 - kept, (2, kept))
+            assert wh.mu[0] == 1.0
 
 
 # -- winding ------------------------------------------------------------------------

@@ -162,10 +162,13 @@ def test_numerical_range_positive_semidefinite_b(helmholtz32):
     assert float(np.min(report.samples.real)) >= -1e-10
 
 
-@pytest.mark.parametrize("dimension, size", [(1, 32), (2, 6)], ids=["1d-two-blocks", "2d-four-blocks"])
+@pytest.mark.parametrize("dimension, size", [(1, 32), (2, 6)], ids=["1d-two-blocks", "2d-six-blocks"])
 def test_numerical_range_blocks_match_one_shot_draws(dimension, size):
     wh = cached_system(dimension=dimension, size=size, contrast=3.0)[3]
-    assert len(wh.blocks) == 2 * dimension  # constant V: 2 parity blocks in 1D, 4 in 2D
+    # constant V: 2 parity blocks in 1D; in 2D 4 parity blocks, of which the
+    # diagonal swap splits two in halves and pairs the other two as twins
+    assert len(wh.blocks) == {1: 2, 2: 6}[dimension]
+    assert wh.twin_of.count(None) == {1: 2, 2: 5}[dimension]
     comp = companion.build_companion(wh)
     report = diagnostics.numerical_range(comp, 10000, seed=2025)
     n, shape = comp.size, (2 * comp.size, 5000)

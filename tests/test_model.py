@@ -130,3 +130,22 @@ def test_affine_potential():
     direction = model.PotentialSpec.polynomial([0.0, 1.0], 1)  # x
     pot = model.PotentialSpec.affine(base, direction, 2.0)
     assert model.eval_potential(pot, 0.5) == pytest.approx(2.0, abs=1e-15)
+
+
+def test_swap_invariant_is_read_from_the_representation():
+    const = model.PotentialSpec.constant(2.0, 2)
+    sym_poly = model.PotentialSpec.polynomial([[2.0, 1.0], [1.0, 0.5]], 2)
+    asym_poly = model.PotentialSpec.polynomial([[2.0, 1.0], [0.0, 0.5]], 2)
+    non_square = model.PotentialSpec.polynomial([[2.0, 1.0]], 2)
+    with pytest.warns(SmoothnessWarning):
+        sym_grid = model.PotentialSpec.grid([[1.0, 2.0], [2.0, 3.0]], 2)
+    with pytest.warns(SmoothnessWarning):
+        asym_grid = model.PotentialSpec.grid([[1.0, 2.0], [2.5, 3.0]], 2)
+    assert const.swap_invariant() and sym_poly.swap_invariant() and sym_grid.swap_invariant()
+    assert not (asym_poly.swap_invariant() or non_square.swap_invariant())
+    assert not asym_grid.swap_invariant()
+    assert model.PotentialSpec.affine(const, sym_grid, 0.5).swap_invariant()
+    assert not model.PotentialSpec.affine(const, asym_poly, 0.5).swap_invariant()
+    assert not model.PotentialSpec.affine(asym_grid, const, 0.5).swap_invariant()
+    # a 1D potential has no second axis to swap with
+    assert not model.PotentialSpec.constant(2.0, 1).swap_invariant()
