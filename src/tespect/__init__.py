@@ -36,7 +36,7 @@ from .companion import (  # noqa: F401
     jordan_chain_residual,
     jordan_chains,
     pencil_eigenvalues,
-    recover_state,
+    recover_states,
     resolvent_block_check,
 )
 from .diagnostics import (  # noqa: F401

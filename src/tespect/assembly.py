@@ -142,38 +142,36 @@ class BasisSet:
             return self.weights
         return np.outer(self.weights, self.weights).ravel()
 
+    @cached_property
+    def tables(self) -> list[np.ndarray]:
+        """``deriv1d(k)`` at the quadrature nodes for k = 0 ... order, evaluated once."""
+        return [self.deriv1d(k, self.nodes) for k in range(self.order + 1)]
+
     def point_values(self, coeffs: np.ndarray, orders: tuple[int, ...]) -> np.ndarray:
-        """Values of sum_J c_J d^orders phi_J at the quadrature points."""
+        """Values of sum_J c_J d^orders phi_J at the quadrature points, per stacked row of coeffs."""
         coeffs = np.asarray(coeffs)
         if self.dimension == 1:
-            return coeffs @ self.deriv1d(orders[0], self.nodes)
-        cx = self.deriv1d(orders[0], self.nodes)
-        cy = self.deriv1d(orders[1], self.nodes)
-        cm = coeffs.reshape(self.size, self.size)
-        return (cx.T @ cm @ cy).ravel()
+            return coeffs @ self.tables[orders[0]]
+        cm = coeffs.reshape(coeffs.shape[:-1] + (self.size, self.size))
+        values = self.tables[orders[0]].T @ cm @ self.tables[orders[1]]
+        return values.reshape(coeffs.shape[:-1] + (-1,))
 
     def apply_terms(self, coeffs: np.ndarray, terms) -> np.ndarray:
-        """Pointwise action of a differential-term list on a coefficient vector."""
+        """Pointwise action of a differential-term list on coefficient vectors."""
         return sum(c * self.point_values(coeffs, orders) for c, orders in terms)
 
     def weighted_moments(self, values: np.ndarray, orders: tuple[int, ...]) -> np.ndarray:
-        """Vector of int values * d^orders phi_j over basis functions."""
+        """Vector of int values * d^orders phi_j over basis functions, per stacked row of values."""
         w = self.grid_weights() * np.asarray(values)
         if self.dimension == 1:
-            return self.deriv1d(orders[0], self.nodes) @ w
-        vx = self.deriv1d(orders[0], self.nodes)
-        vy = self.deriv1d(orders[1], self.nodes)
-        wgrid = w.reshape(self.nodes.size, self.nodes.size)
-        return (vx @ wgrid @ vy.T).ravel()
+            return w @ self.tables[orders[0]].T
+        wgrid = w.reshape(w.shape[:-1] + (self.nodes.size, self.nodes.size))
+        moments = self.tables[orders[0]] @ wgrid @ self.tables[orders[1]].T
+        return moments.reshape(w.shape[:-1] + (-1,))
 
     def dual_moments(self, values: np.ndarray, terms) -> np.ndarray:
-        """Vector of int values * (term-list acting on phi_j)."""
+        """Vector of int values * (term-list acting on phi_j), per stacked row of values."""
         return sum(c * self.weighted_moments(values, orders) for c, orders in terms)
-
-    def project(self, values: np.ndarray) -> np.ndarray:
-        """L2-projection of pointwise values onto the basis span."""
-        rhs = self.weighted_moments(values, (0,) * self.dimension)
-        return np.linalg.solve(self.gram, rhs)
 
 
 # -- factor-function implementations -----------------------------------------
@@ -437,7 +435,7 @@ def _assemble(problem: ProblemSpec, basis: BasisSet) -> dict[str, np.ndarray]:
     pterms = p0_terms(problem.order, n)
     dfactors = dirichlet_factors(problem.order, n)
     ident = [(1.0, (0,) * n)]
-    ev1 = cache(lambda k: basis.deriv1d(k, nodes))
+    ev1 = basis.tables
 
     if n == 1:
 
@@ -445,7 +443,7 @@ def _assemble(problem: ProblemSpec, basis: BasisSet) -> dict[str, np.ndarray]:
             out = np.zeros((basis.size, basis.size))
             for ci, (ki,) in termsI:
                 for cj, (kj,) in termsJ:
-                    out += ci * cj * _factor_form(ev1(ki), ev1(kj), weights * wvals)
+                    out += ci * cj * _factor_form(ev1[ki], ev1[kj], weights * wvals)
             return out
 
     else:
@@ -458,8 +456,8 @@ def _assemble(problem: ProblemSpec, basis: BasisSet) -> dict[str, np.ndarray]:
             out = np.zeros((ns * ns, ns * ns))
             for ci, (kxi, kyi) in termsI:
                 for cj, (kxj, kyj) in termsJ:
-                    u = np.einsum("ia,ja->ija", ev1(kxi), ev1(kxj)).reshape(ns * ns, qn)
-                    v = np.einsum("ib,jb->ijb", ev1(kyi), ev1(kyj)).reshape(ns * ns, qn)
+                    u = np.einsum("ia,ja->ija", ev1[kxi], ev1[kxj]).reshape(ns * ns, qn)
+                    v = np.einsum("ib,jb->ijb", ev1[kyi], ev1[kyj]).reshape(ns * ns, qn)
                     r = (u @ wgrid @ v.T).reshape(ns, ns, ns, ns)
                     out += ci * cj * r.transpose(0, 2, 1, 3).reshape(ns * ns, ns * ns)
             return out

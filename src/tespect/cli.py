@@ -325,27 +325,16 @@ def _cmd_solve(cfg: RunConfig, out: OutputWriter) -> int:
         rows,
     )
     if cfg.bool_("solve", "want_states"):
-        data = comp.eigen_data()
-        srows = []
-        for i, t in enumerate(spec):
-            state = companion.recover_state(comp, t.mu, data.eigenvectors[:, t.eigenvector_index])
-            for j in range(state.u.size):
-                srows.append(
-                    (
-                        i,
-                        j,
-                        float(state.u[j].real),
-                        float(state.u[j].imag),
-                        float(state.v[j].real),
-                        float(state.v[j].imag),
-                        float(state.w[j].real),
-                        float(state.w[j].imag),
-                    )
-                )
+        states = [
+            np.column_stack(
+                (np.full(s.u.size, i), np.arange(s.u.size), s.u.real, s.u.imag, s.v.real, s.v.imag, s.w.real, s.w.imag)
+            )
+            for i, s in enumerate(companion.recover_states(comp, spec))
+        ]
         out.csv(
             "states.csv",
             ["index", "coef", "re_u", "im_u", "re_v", "im_v", "re_w", "im_w"],
-            srows,
+            np.vstack(states) if states else [],
         )
     return 0
 

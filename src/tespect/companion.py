@@ -13,17 +13,20 @@ F = [[0, I], [-A, B]], D = T F^{-1} T^{-1}; since F^{-1} - 1/lambda =
 -F^{-1} (F - lambda) / lambda, ker (D - 1/lambda)^j = T ker (F - lambda)^j at
 every depth j.  D inherits the symmetry blocks of the whitened system: block
 b owns its whitened coordinates in both halves of D, and D couples no two
-blocks, so every eigensolve runs on one diagonal block D_b at a time, and a
-twin block's D_b, equal to its source's, reuses the source's eigenpairs.
-This module builds D, extracts and clusters its spectrum,
-recovers interior states (u, v, w) from eigenvectors, reads chains of
-generalized eigenvectors from one flag of nested kernels of D, and validates
-the resolvent block formula of the first-order form.
+blocks.  So D is stored as its diagonal blocks D_b = [[K_b, -S_b], [S_b, 0]],
+each of size 2 n_b, and every eigensolve, state check and kernel flag runs
+on one D_b; a twin block, whose D_b equals its source's, refers to the
+source's block and eigenpairs.  No 2N x 2N matrix is formed.
+This module builds the blocks, extracts and clusters their spectra,
+recovers interior states (u, v, w) from eigenvectors in one batch, reads
+chains of generalized eigenvectors from one flag of nested kernels per
+block, and validates the resolvent block formula of the first-order form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -43,57 +46,35 @@ DEFAULT_CLUSTER_TOL = 1e-6
 DEFAULT_MU_FLOOR = 1e-12
 _RANK_TRUNCATION = 1e-8
 _RANK_GAP = 10.0
+_STATE_CHUNK = 1 << 20  # point values per batch of states: bounds the transient memory
 
 
 @dataclass
 class CompanionSystem:
-    """Companion matrix with its blocks and source system."""
+    """Companion matrix as its diagonal blocks, with its source system.
 
-    k: np.ndarray  # S B S, symmetric
-    d: np.ndarray  # 2N x 2N companion matrix
+    ``blocks[b]`` is D_b, the 2 n_b x 2 n_b block of symmetry block b, with
+    K_b in its leading n_b x n_b corner; a twin's entry is its source's array.
+    """
+
+    blocks: list[np.ndarray]
     whitened: WhitenedSystem
 
-    _spectrum: Optional[densela.ComplexSpectrum] = field(
+    _spectra: Optional[list[densela.ComplexSpectrum]] = field(
         default=None, repr=False, compare=False
     )
 
-    @property
-    def size(self) -> int:
-        return self.k.shape[0]
+    def eigen_data(self) -> list[densela.ComplexSpectrum]:
+        """Eigenpairs of each block D_b, computed once and cached.
 
-    @property
-    def block_indices(self) -> list[np.ndarray]:
-        """Rows (and columns) of D per symmetry block: its coordinates in both halves."""
-        rows = np.arange(self.size)
-        return [np.concatenate([rows[b], rows[b] + self.size]) for b in self.whitened.blocks]
-
-    def diagonal_block(self, b: int) -> np.ndarray:
-        """The diagonal block D_b of D; D vanishes off the blocks."""
-        idx = self.block_indices[b]
-        return self.d[np.ix_(idx, idx)]
-
-    def eigen_data(self) -> densela.ComplexSpectrum:
-        """Eigenpairs of D, computed once and cached, one block at a time.
-
-        The eigenpairs of D_b take the columns ``block_indices[b]``, with each
-        eigenvector scattered into those rows of a 2N-vector; a twin block
-        takes its source's.
+        Entry b holds the eigenvalues of D_b and its eigenvectors as columns
+        of length 2 n_b; a twin's entry is its source's.
         """
-        if self._spectrum is None:
-            vals = np.empty(2 * self.size, dtype=complex)
-            vecs = np.zeros((2 * self.size, 2 * self.size), dtype=complex)
-            # a twin copies its source's entries of vecs, so no block's own
-            # eigenvectors outlive their scatter
-            rows = self.block_indices
-            for b, (idx, source) in enumerate(zip(rows, self.whitened.twin_of)):
-                if source is None:
-                    spec = densela.nonsym_eig(self.diagonal_block(b), want_vectors=True)
-                    vals[idx], vecs[np.ix_(idx, idx)] = spec.eigenvalues, spec.eigenvectors
-                else:
-                    src = rows[source]
-                    vals[idx], vecs[np.ix_(idx, idx)] = vals[src], vecs[np.ix_(src, src)]
-            self._spectrum = densela.ComplexSpectrum(vals, vecs)
-        return self._spectrum
+        if self._spectra is None:
+            self._spectra = self.whitened.per_block(
+                lambda b: densela.nonsym_eig(self.blocks[b], want_vectors=True)
+            )
+        return self._spectra
 
 
 @dataclass(frozen=True)
@@ -105,7 +86,8 @@ class TransmissionEigenvalue:
     qep_residual: float
     cluster_id: int
     multiplicity: int
-    eigenvector_index: int  # column of CompanionSystem.eigen_data(), the blocked decomposition
+    block: int  # symmetry block whose D_b has mu as an eigenvalue
+    column: int  # its eigenvector's column in CompanionSystem.eigen_data()[block]
 
 
 @dataclass(frozen=True)
@@ -136,44 +118,55 @@ class JordanChain:
 
 
 def build_companion(wh: WhitenedSystem) -> CompanionSystem:
-    """Assemble the companion matrix from a whitened system.
+    """Assemble the companion blocks D_b from a whitened system.
 
-    S = diag(sqrt(mu)) and K = S B S are diagonal scalings of the whitened
-    system; the small stiffness eigenvalues, which dominate every trace of D,
-    enter as the largest mu at full relative accuracy.
+    S_b = diag(sqrt(mu_b)) and K_b = S_b B_w,bb S_b are diagonal scalings of
+    the whitened block; the small stiffness eigenvalues, which dominate every
+    trace of D, enter as the largest mu at full relative accuracy.  A twin
+    block refers to its source's D_b.
     """
-    k = wh.comp_block
-    n = wh.size
-    root = np.sqrt(wh.mu)
-    d = np.zeros((2 * n, 2 * n))
-    d[:n, :n] = k
-    np.fill_diagonal(d[:n, n:], -root)
-    np.fill_diagonal(d[n:, :n], root)
-    return CompanionSystem(k=k, d=d, whitened=wh)
+
+    def block(b: int) -> np.ndarray:
+        blk = wh.blocks[b]
+        root = np.sqrt(wh.mu[blk])
+        k = root[:, None] * wh.b[blk, blk] * root[None, :]
+        return np.block([[k, np.diag(-root)], [np.diag(root), np.zeros_like(k)]])
+
+    return CompanionSystem(blocks=wh.per_block(block), whitened=wh)
 
 
 def _cluster(mus: np.ndarray, tol: float) -> np.ndarray:
-    """Single-linkage clusters under relative distance tol; returns labels."""
-    m = mus.size
-    labels = -np.ones(m, dtype=int)
-    if m == 0:
-        return labels
-    scale = np.maximum(np.abs(mus)[:, None], np.abs(mus)[None, :])
-    scale = np.maximum(scale, 1e-300)
-    close = np.abs(mus[:, None] - mus[None, :]) / scale <= tol
-    current = 0
-    for i in range(m):
-        if labels[i] >= 0:
-            continue
-        stack = [i]
-        labels[i] = current
-        while stack:
-            j = stack.pop()
-            for k in np.nonzero(close[j] & (labels < 0))[0]:
-                labels[k] = current
-                stack.append(int(k))
-        current += 1
-    return labels
+    """Single-linkage clusters under relative distance tol; returns labels.
+
+    Two values are linked when |a - b| <= tol max(|a|, |b|).  Such a pair
+    also has ||a| - |b|| <= tol max(|a|, |b|), so after sorting by modulus
+    each value is compared only with the later ones up to that gap (with
+    twice the tolerance, against rounding); comparing only neighbours would
+    miss links, since conjugates and twins share a modulus.  Labels count
+    the clusters in the order of their first member in ``mus``.
+    """
+    order = np.argsort(np.abs(mus), kind="stable")
+    z = mus[order]
+    r = np.abs(z)
+    stop = np.searchsorted(r, r / (1.0 - 2.0 * tol) if tol < 0.5 else np.inf, side="right")
+    idx = np.arange(mus.size)
+    links = [np.empty((2, 0), dtype=int)]
+    for shift in range(1, int(np.max(stop - idx, initial=1))):
+        i = idx[idx + shift < stop]
+        close = np.abs(z[i] - z[i + shift]) / np.maximum(np.maximum(r[i], r[i + shift]), 1e-300) <= tol
+        links.append(np.vstack([i[close], i[close] + shift]))
+    i, j = np.hstack(links)
+
+    # each label points at a member of its cluster, at or below itself: lower
+    # them along the links, then to their targets' labels, until links agree
+    labels = idx.copy()
+    while np.any(labels[i] != labels[j]):
+        low = np.minimum(labels[i], labels[j])
+        np.minimum.at(labels, i, low)
+        np.minimum.at(labels, j, low)
+        labels = labels[labels]
+    _, first, inverse = np.unique(labels[np.argsort(order)], return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
 
 
 def extract_spectrum(
@@ -190,51 +183,50 @@ def extract_spectrum(
     """
     if cluster_tol <= 0:
         raise ValueError("cluster_tol must be positive")
-    spec = comp.eigen_data()
-    keep = np.nonzero(np.abs(spec.eigenvalues) > mu_floor)[0]
-    mus = spec.eigenvalues[keep]
-    lams = 1.0 / mus
+    spectra = comp.eigen_data()
+    wh = comp.whitened
 
     # each eigenvector head lives in its block's coordinates: form the pencil
     # residual there, with B_bb; a twin's kept columns match its source's
-    wh = comp.whitened
-    places = [np.flatnonzero(np.isin(keep, idx)) for idx in comp.block_indices]
+    def block_part(b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        blk, spec = wh.blocks[b], spectra[b]
+        cols = np.flatnonzero(np.abs(spec.eigenvalues) > mu_floor)
+        mu = spec.eigenvalues[cols]
+        # take() keeps u0 in C order; the column norms round by memory order
+        u0 = np.sqrt(wh.mu[blk])[:, None] * spec.eigenvectors[: blk.stop - blk.start].take(cols, axis=1)
+        return cols, mu, _pencil_residuals(wh, blk, 1.0 / mu, u0)
 
-    def block_residuals(b: int) -> np.ndarray:
-        blk, at = wh.blocks[b], places[b]
-        lam = lams[at]
-        # take() keeps u0 in C order; the column norms below round by memory order
-        u0 = np.sqrt(wh.mu[blk])[:, None] * spec.eigenvectors[blk].take(keep[at], axis=1)
-        res_vec = (1.0 / wh.mu[blk])[:, None] * u0 - (wh.b[blk, blk] @ u0) * lam + u0 * lam**2
-        u0_norm = np.maximum(np.linalg.norm(u0, axis=0), 1e-300)
-        denom = (1.0 + np.abs(lam) + np.abs(lam) ** 2) * u0_norm
-        return np.linalg.norm(res_vec, axis=0) / denom
-
-    residuals = np.empty(keep.size)
-    for at, res in zip(places, wh.per_block(block_residuals)):
-        residuals[at] = res
+    parts = wh.per_block(block_part)
+    columns, mus, residuals = (np.concatenate(part) for part in zip(*parts))
+    blocks = np.repeat(np.arange(len(parts)), [cols.size for cols, _, _ in parts])
+    lams = 1.0 / mus
 
     order = np.lexsort((lams.imag, lams.real, np.abs(lams)))
     mus, lams, residuals = mus[order], lams[order], residuals[order]
-    keep = keep[order]
+    blocks, columns = blocks[order], columns[order]
 
     labels = _cluster(mus, cluster_tol)
     counts = np.bincount(labels)
-    relabel: dict[int, int] = {}
-    out = []
-    for i in range(lams.size):
-        cid = relabel.setdefault(int(labels[i]), len(relabel))
-        out.append(
-            TransmissionEigenvalue(
-                lam=complex(lams[i]),
-                mu=complex(mus[i]),
-                qep_residual=float(residuals[i]),
-                cluster_id=cid,
-                multiplicity=int(counts[labels[i]]),
-                eigenvector_index=int(keep[i]),
-            )
+    return [
+        TransmissionEigenvalue(
+            lam=complex(lams[i]),
+            mu=complex(mus[i]),
+            qep_residual=float(residuals[i]),
+            cluster_id=int(labels[i]),
+            multiplicity=int(counts[labels[i]]),
+            block=int(blocks[i]),
+            column=int(columns[i]),
         )
-    return out
+        for i in range(lams.size)
+    ]
+
+
+def _pencil_residuals(wh: WhitenedSystem, blk: slice, lam: np.ndarray, u0: np.ndarray) -> np.ndarray:
+    """Relative residuals of the whitened pencil at columns u0 of block ``blk``, each at its lam."""
+    res_vec = (1.0 / wh.mu[blk])[:, None] * u0 - (wh.b[blk, blk] @ u0) * lam + u0 * lam**2
+    u0_norm = np.maximum(np.linalg.norm(u0, axis=0), 1e-300)
+    denom = (1.0 + np.abs(lam) + np.abs(lam) ** 2) * u0_norm
+    return np.linalg.norm(res_vec, axis=0) / denom
 
 
 def pencil_eigenvalues(wh: WhitenedSystem) -> np.ndarray:
@@ -255,83 +247,91 @@ def pencil_eigenvalues(wh: WhitenedSystem) -> np.ndarray:
 def _first_order(mu: np.ndarray, b: np.ndarray) -> np.ndarray:
     """First-order form [[0, I], [-A, B]] of a whitened pencil, A = diag(1/mu)."""
     n = mu.size
-    m = np.zeros((2 * n, 2 * n))
-    m[:n, n:] = np.eye(n)
-    np.fill_diagonal(m[n:, :n], -1.0 / mu)
-    m[n:, n:] = b
-    return m
+    return np.block([[np.zeros((n, n)), np.eye(n)], [np.diag(-1.0 / mu), b]])
 
 
-def recover_state(
-    comp: CompanionSystem, mu: complex, y: np.ndarray, check_tol: float = 1e-6
-) -> Eigenstate:
-    """Interior states from a companion eigenpair.
+def recover_states(
+    comp: CompanionSystem,
+    spec: Sequence[TransmissionEigenvalue],
+    check_tol: float = 1e-6,
+) -> list[Eigenstate]:
+    """Interior states from companion eigenpairs, one per entry of ``spec``.
 
-    The first eigenvector block maps through S and the whitening congruence
-    to the clamped state u (unit coefficient norm).  When basis metadata is
-    present, w = q (P - lambda) u / lambda is sampled pointwise and projected,
-    and v = w - u; their equations are checked weakly against the clamped
-    test space, reported as dual-norm residuals scaled by (1 + |lambda|) ||.||.
+    Each entry's eigenvector is checked against its own block D_b, relative
+    to ||D_b||_F.  Its first half maps through S_b and the block's columns of
+    the whitening congruence to the clamped state u (unit coefficient norm).
+    When basis metadata is present, w = q (P - lambda) u / lambda is sampled
+    pointwise and projected, and v = w - u; their equations are checked
+    weakly against the clamped test space, reported as dual-norm residuals
+    scaled by (1 + |lambda|) ||.||.  The states are sampled in batches, and
+    one solve with the Gram matrix G projects all of them, one with its
+    Cholesky factor takes all their dual norms.
     """
-    y = np.asarray(y).reshape(-1)
-    n = comp.size
-    if abs(mu) < DEFAULT_MU_FLOOR:
-        raise ZeroEigenvalue(f"companion eigenvalue {mu} below the floor")
-    dresid = np.linalg.norm(comp.d @ y - mu * y)
-    dscale = max(float(np.linalg.norm(comp.d)), 1e-300)
-    if dresid > check_tol * dscale * max(np.linalg.norm(y), 1e-300):
-        raise ValueError("supplied vector is not an eigenvector of the companion matrix")
-    y1 = y[:n]
-    if np.linalg.norm(y1) < 1e-12 * max(np.linalg.norm(y), 1e-300):
-        raise DegenerateState("first component block vanishes; defective pairing")
-
-    lam = 1.0 / mu
     wh = comp.whitened
-    u_white = np.sqrt(wh.mu) * y1
-    res = (1.0 / wh.mu) * u_white - lam * (wh.b @ u_white) + lam**2 * u_white
-    r_pencil = float(
-        np.linalg.norm(res)
-        / ((1.0 + abs(lam) + abs(lam) ** 2) * max(np.linalg.norm(u_white), 1e-300))
-    )
+    mus = np.array([t.mu for t in spec], dtype=complex)
+    if np.any(np.abs(mus) < DEFAULT_MU_FLOOR):
+        raise ZeroEigenvalue(f"companion eigenvalue {mus[np.argmin(np.abs(mus))]} below the floor")
+    lams = 1.0 / mus
+    blocks = np.array([t.block for t in spec], dtype=int)
+    u = np.empty((mus.size, wh.to_basis.shape[0]), dtype=complex)
+    r_pencil = np.empty(mus.size)
+    for b in set(blocks.tolist()):
+        blk, d = wh.blocks[b], comp.blocks[b]
+        at = np.flatnonzero(blocks == b)
+        y = comp.eigen_data()[b].eigenvectors[:, [spec[i].column for i in at]]
+        y_norm = np.maximum(np.linalg.norm(y, axis=0), 1e-300)
+        dresid = np.linalg.norm(d @ y - y * mus[at], axis=0)
+        if np.any(dresid > check_tol * max(float(np.linalg.norm(d)), 1e-300) * y_norm):
+            raise ValueError("supplied vector is not an eigenvector of its companion block")
+        y1 = y[: blk.stop - blk.start]
+        if np.any(np.linalg.norm(y1, axis=0) < 1e-12 * y_norm):
+            raise DegenerateState("first component block vanishes; defective pairing")
 
-    u = wh.to_basis @ u_white
-    u = u / np.linalg.norm(u)
+        u_white = np.sqrt(wh.mu[blk])[:, None] * y1
+        r_pencil[at] = _pencil_residuals(wh, blk, lams[at], u_white)
+        ub = wh.to_basis[:, blk] @ u_white
+        u[at] = (ub / np.linalg.norm(ub, axis=0)).T
 
     sys_ = wh.system
     if sys_.basis is None or sys_.problem is None:
-        return Eigenstate(complex(lam), u, None, None, r_pencil, None, None)
+        return [
+            Eigenstate(complex(lam), ui, None, None, float(r), None, None)
+            for lam, ui, r in zip(lams, u, r_pencil)
+        ]
 
     basis, problem = sys_.basis, sys_.problem
-    pts = basis.grid_points()
+    zero = (0,) * problem.dimension
     wq = basis.grid_weights()
-    vvals = _potential_values(problem.potential, pts)
-    qvals = 1.0 / vvals
+    vvals = _potential_values(problem.potential, basis.grid_points())
     terms = p0_terms(problem.order, problem.dimension)
 
-    u_pts = basis.point_values(u, (0,) * problem.dimension)
-    pu_pts = basis.apply_terms(u, terms)
-    w_pts = qvals * (pu_pts - lam * u_pts) / lam
-    v_pts = w_pts - u_pts
+    # moments of w against the basis, and the weak residuals of v and of w
+    m, size = u.shape
+    moments = np.empty_like(u)
+    weak = np.empty((2, m, size), dtype=complex)
+    norm_h = np.empty((2, m))
+    step = max(1, _STATE_CHUNK // wq.size)
+    for lo in range(0, m, step):
+        rows = slice(lo, lo + step)
+        lam = lams[rows, None]
+        u_pts = basis.point_values(u[rows], zero)
+        w_pts = (basis.apply_terms(u[rows], terms) - lam * u_pts) / (lam * vvals)
+        v_pts = w_pts - u_pts
+        moments[rows] = basis.weighted_moments(w_pts, zero)
+        for k, (values, weight) in enumerate(((v_pts, lam), (w_pts, lam * (1.0 + vvals)))):
+            weak[k, rows] = basis.dual_moments(values, terms) - basis.weighted_moments(values * weight, zero)
+            norm_h[k, rows] = np.sqrt(np.abs(np.sum(wq * np.abs(values) ** 2, axis=1)))
 
-    w_coef = basis.project(w_pts)
+    w_coef = np.linalg.solve(sys_.gram, moments.T).T
     v_coef = w_coef - u
-
     # ||L_G^{-1} r|| = ||G^{-1/2} r||, the dual norm, for G = L_G L_G^T
     chol_g = np.linalg.cholesky(sys_.gram)
-
-    def dual_residual(values, lam_weight):
-        rvec = basis.dual_moments(values, terms) - basis.weighted_moments(
-            values * lam_weight, (0,) * problem.dimension
-        )
-        norm_h = float(np.sqrt(abs(np.sum(wq * np.abs(values) ** 2))))
-        return float(
-            np.linalg.norm(np.linalg.solve(chol_g, rvec))
-            / ((1.0 + abs(lam)) * max(norm_h, 1e-300))
-        )
-
-    r_v = dual_residual(v_pts, lam)
-    r_w = dual_residual(w_pts, lam * (1.0 + vvals))
-    return Eigenstate(complex(lam), u, v_coef, w_coef, r_pencil, r_v, r_w)
+    dual = np.linalg.norm(np.linalg.solve(chol_g, weak.reshape(2 * m, size).T), axis=0)
+    r_v, r_w = dual.reshape(2, m) / ((1.0 + np.abs(lams)) * np.maximum(norm_h, 1e-300))
+    return [
+        Eigenstate(complex(lam), *vecs, float(r), float(rv), float(rw))
+        for lam, *vecs, r, rv, rw in zip(lams, u, v_coef, w_coef, r_pencil, r_v, r_w)
+    ]
 
 
 def jordan_chain_residual(
@@ -345,23 +345,12 @@ def jordan_chain_residual(
     """
     if len(chain) == 0:
         raise EmptyChain("chain must contain at least one vector")
-    vecs = [np.asarray(v).reshape(-1).astype(complex) for v in chain]
-    scale = max(max(np.linalg.norm(v) for v in vecs), 1e-300)
-    zero = np.zeros_like(vecs[0])
-    inv_mu = 1.0 / wh.mu
-    out = []
-    for j, uj in enumerate(vecs):
-        um1 = vecs[j - 1] if j >= 1 else zero
-        um2 = vecs[j - 2] if j >= 2 else zero
-        r = (
-            inv_mu * uj
-            - lam * (wh.b @ uj)
-            + lam**2 * uj
-            + (-(wh.b @ um1) + 2.0 * lam * um1)
-            + um2
-        )
-        out.append(np.linalg.norm(r) / scale)
-    return np.asarray(out)
+    u = np.array([np.asarray(v).reshape(-1) for v in chain], dtype=complex)
+    um1 = np.vstack([np.zeros_like(u[:1]), u[:-1]])
+    um2 = np.vstack([np.zeros_like(u[:2]), u[:-2]])
+    # rows are the links; B_w is symmetric, so u_j B_w is (B_w u_j)^T
+    r = u / wh.mu - lam * (u @ wh.b) + lam**2 * u + (-(um1 @ wh.b) + 2.0 * lam * um1) + um2
+    return np.linalg.norm(r, axis=1) / max(float(np.max(np.linalg.norm(u, axis=1))), 1e-300)
 
 
 def _nullity(svals: np.ndarray, threshold: float) -> int:
@@ -383,30 +372,52 @@ def jordan_chains(
 ) -> list[JordanChain]:
     """Chains of generalized states spanning one eigenvalue cluster.
 
-    One kernel flag decides the Jordan structure: at each depth j a single
-    SVD of (D - mu)^j gives the kernel dimension (``_nullity`` at the cut
-    1e-8 sigma_max(D - mu)^j) and its basis, which T^{-1} maps onto
-    ker (F - lambda)^j (see the module docstring).  Tops are completed from
-    the deepest level down and pushed through F - lambda, so the whitened
-    first components satisfy the pencil chain recursion.  Chains failing
-    their residual check are discarded rather than repaired.
+    Each block holding members of the cluster gives its chains from its own
+    D_b (``_block_chains``), a twin reusing its source's in its own slice, in
+    whitened N-coordinates; chains failing their residual check are
+    discarded rather than repaired.
     """
     if not cluster:
         raise EmptyChain("cluster must contain at least one eigenvalue")
     mu = complex(np.mean([t.mu for t in cluster]))
     lam = 1.0 / mu
-    size = len(cluster)
-    n = comp.size
     wh = comp.whitened
-    root = np.sqrt(wh.mu)[:, None]
+    members = np.bincount([t.block for t in cluster])
+    chains_of = cache(lambda source, size: _block_chains(comp, source, mu, size))
+    out = []
+    for b in np.flatnonzero(members):
+        for heads in chains_of(b if wh.twin_of[b] is None else wh.twin_of[b], int(members[b])):
+            us = np.zeros((len(heads), wh.size), dtype=complex)
+            us[:, wh.blocks[b]] = heads
+            residuals = tuple(float(r) for r in jordan_chain_residual(wh, lam, us))
+            if max(residuals) < residual_tol:
+                out.append(JordanChain(complex(lam), tuple(us), residuals))
+    return out
 
-    shifted = comp.d.astype(complex) - mu * np.eye(2 * n)
+
+def _block_chains(comp: CompanionSystem, b: int, mu: complex, size: int) -> list[list[np.ndarray]]:
+    """Candidate chains of D_b at mu, in block b's whitened coordinates, eigenvector first.
+
+    One kernel flag decides the Jordan structure: at each depth j a single
+    SVD of (D_b - mu)^j gives the kernel dimension (``_nullity`` at the cut
+    1e-8 sigma_max(D_b - mu)^j) and its basis, which T^{-1} maps onto
+    ker (F_b - lambda)^j (see the module docstring); ``size`` bounds the
+    depth of the flag.  Tops are completed from the deepest level down and
+    pushed through F_b - lambda, so the whitened first components satisfy
+    the pencil chain recursion.
+    """
+    wh = comp.whitened
+    blk = wh.blocks[b]
+    n = blk.stop - blk.start
+    root = np.sqrt(wh.mu[blk])[:, None]
+
+    shifted = comp.blocks[b].astype(complex) - mu * np.eye(2 * n)
     power = np.eye(2 * n, dtype=complex)
     levels = [np.zeros((2 * n, 0), dtype=complex)]
     while levels[-1].shape[1] < size and len(levels) <= min(size, 2 * n):
         power = power @ shifted
         _, svals, vh = np.linalg.svd(power)
-        # the cut for the j-th power is sigma_max(D - mu)^j, so that a
+        # the cut for the j-th power is sigma_max(D_b - mu)^j, so that a
         # numerically nilpotent power (all noise) is still recognized as zero
         if len(levels) == 1:
             sigma = max(float(svals[0]), 1e-300)
@@ -416,7 +427,7 @@ def jordan_chains(
         kernel = vh[2 * n - nullity :].conj().T
         levels.append(np.linalg.qr(np.vstack([root * kernel[:n], kernel[n:]]))[0])
 
-    shifted_fo = _first_order(wh.mu, wh.b) - lam * np.eye(2 * n)
+    shifted_fo = _first_order(wh.mu[blk], wh.b[blk, blk]) - np.eye(2 * n) / mu
     out = []
     carried = np.zeros((2 * n, 0), dtype=complex)  # images of higher-level tops
     for depth in range(len(levels) - 1, 0, -1):
@@ -430,11 +441,8 @@ def jordan_chains(
             for _ in range(depth - 1):
                 xs.append(shifted_fo @ xs[-1])
             us = [x[:n] for x in reversed(xs)]  # eigenvector first
-            if np.linalg.norm(us[0]) < 1e-12:
-                continue
-            residuals = tuple(float(r) for r in jordan_chain_residual(wh, lam, us))
-            if max(residuals) < residual_tol:
-                out.append(JordanChain(complex(lam), tuple(us), residuals))
+            if np.linalg.norm(us[0]) >= 1e-12:
+                out.append(us)
         # the new tops and the images carried from above drop one level
         carried = shifted_fo @ np.column_stack([tops, carried])
         carried = carried[:, np.linalg.norm(carried, axis=0) > 1e-12]
@@ -445,24 +453,29 @@ def resolvent_block_check(wh: WhitenedSystem, lam: complex) -> float:
     """Relative discrepancy of the first-order resolvent block formula.
 
     Compares the direct inverse of ([[0, I], [-A, B]] - lam) against the
-    2x2 block expression built from the pencil inverse at lam.
+    2x2 block expression built from the pencil inverse at lam.  The form
+    couples no two symmetry blocks, so both sides are taken block by block
+    and their Frobenius norms summed in squares, a twin counting its
+    source's again.
     """
     lams = pencil_eigenvalues(wh)
     dist = np.abs(lams - lam) / np.maximum(np.abs(lams), 1e-300)
     if dist.size and float(np.min(dist)) < 1e-6:
         raise NearSpectrum(f"shift {lam} is within 1e-6 of a pencil eigenvalue")
 
-    n = wh.size
-    eye = np.eye(n)
-    direct = np.linalg.inv(_first_order(wh.mu, wh.b) - lam * np.eye(2 * n, dtype=complex))
+    def block_norms(b: int) -> tuple[float, float]:
+        blk = wh.blocks[b]
+        mu, bmat = wh.mu[blk], wh.b[blk, blk]
+        n = mu.size
+        eye = np.eye(n)
+        direct = np.linalg.inv(_first_order(mu, bmat) - lam * np.eye(2 * n, dtype=complex))
 
-    inv_mu = 1.0 / wh.mu
-    pencil = lam**2 * eye - lam * wh.b
-    pencil.flat[:: n + 1] += inv_mu
-    linv = np.linalg.inv(pencil.astype(complex))
-    block = np.zeros_like(direct)
-    block[:n, :n] = linv @ (wh.b - lam * eye)
-    block[:n, n:] = -linv
-    block[n:, :n] = linv * inv_mu[None, :]
-    block[n:, n:] = -lam * linv
-    return float(np.linalg.norm(direct - block) / max(np.linalg.norm(block), 1e-300))
+        inv_mu = 1.0 / mu
+        pencil = lam**2 * eye - lam * bmat
+        pencil.flat[:: n + 1] += inv_mu
+        linv = np.linalg.inv(pencil.astype(complex))
+        block = np.block([[linv @ (bmat - lam * eye), -linv], [linv * inv_mu[None, :], -lam * linv]])
+        return np.linalg.norm(direct - block) ** 2, np.linalg.norm(block) ** 2
+
+    gap, scale = np.sqrt(np.sum(wh.per_block(block_norms), axis=0))
+    return float(gap / max(scale, 1e-300))

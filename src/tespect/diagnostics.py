@@ -95,9 +95,9 @@ class ScanReport:
 def trace_power(comp: CompanionSystem, p: int) -> complex:
     """Trace of the p-th power of the companion matrix.
 
-    Computed by repeated multiplication of each diagonal block D_b, whose
-    traces sum to tr(D^p), a twin block counting its source's trace again;
-    intended envelope is p <= 8.  When
+    Computed from the p-th power of each block D_b (``matrix_power``, by
+    repeated squaring), whose traces sum to tr(D^p), a twin block counting
+    its source's trace again; intended envelope is p <= 8.  When
     the source problem is known and p is not above n/m, the trace criterion
     hypothesis fails and a warning is emitted (the value is still returned).
     """
@@ -113,14 +113,7 @@ def trace_power(comp: CompanionSystem, p: int) -> complex:
                 stacklevel=2,
             )
 
-    def block_trace(b: int) -> float:
-        block = comp.diagonal_block(b)
-        power = block
-        for _ in range(p - 1):
-            power = power @ block
-        return np.trace(power)
-
-    return complex(sum(wh.per_block(block_trace)))
+    return complex(sum(wh.per_block(lambda b: np.trace(np.linalg.matrix_power(comp.blocks[b], p)))))
 
 
 def trace_identity_check(wh: WhitenedSystem, comp: CompanionSystem) -> tuple[float, float]:
@@ -131,9 +124,10 @@ def trace_identity_check(wh: WhitenedSystem, comp: CompanionSystem) -> tuple[flo
     tr(D)   = tr(M) and
     tr(D^2) = sum(M o M^T) - 2 tr(A^{-1} C),
 
-    both invariant under the whitening congruence.  The raw route never
-    touches mu, B_w or the symmetry blocks, so a fault in the whitening, in
-    the split, in a twin or in D shows here.  Each
+    both invariant under the whitening congruence.  The companion side sums
+    tr D_b and sum(D_b o D_b^T) over the blocks, a twin counting again.  The
+    raw route never touches mu, B_w or the symmetry blocks, so a fault in the
+    whitening, in the split, in a twin or in a D_b shows here.  Each
     residual is relative to the larger magnitude (floored at one, so
     exact-zero cases stay well-defined).
     """
@@ -141,11 +135,11 @@ def trace_identity_check(wh: WhitenedSystem, comp: CompanionSystem) -> tuple[flo
     n = system.size
     solved = np.linalg.solve(system.a, np.hstack([system.b, system.c]))
     m, a_inv_c = solved[:, :n], solved[:, n:]
-    tr_d = float(np.trace(comp.d))
+    tr_d = float(sum(np.trace(d) for d in comp.blocks))
     tr_m = float(np.trace(m))
     r1 = abs(tr_d - tr_m) / max(abs(tr_d), abs(tr_m), 1.0)
 
-    tr_d2 = float(np.sum(comp.d * comp.d.T))
+    tr_d2 = float(sum(np.sum(d * d.T) for d in comp.blocks))
     tr_raw = float(np.sum(m * m.T) - 2.0 * np.trace(a_inv_c))
     r2 = abs(tr_d2 - tr_raw) / max(abs(tr_d2), abs(tr_raw), 1.0)
     return r1, r2
@@ -180,7 +174,7 @@ def trace_report(
     powers = tuple((int(p), trace_power(comp, int(p))) for p in p_list)
 
     def block_data(b: int) -> tuple[np.ndarray, float]:
-        block = comp.diagonal_block(b)
+        block = comp.blocks[b]
         moduli = np.abs(densela.nonsym_eig(block).eigenvalues)
         return densela.singular_values(block), float(np.max(moduli, initial=0.0))
 
@@ -217,12 +211,13 @@ def numerical_range(
     The arithmetic is real.  With w = (u0, v0) drawn unnormalized, a, b the
     real and imaginary parts of u0 and c, d those of v0, s = sqrt(mu):
 
-        Re <K u0, u0> = sum over symmetry blocks of a_b' K_bb a_b + b_b' K_bb b_b,
+        Re <K u0, u0> = sum over symmetry blocks of a_b' K_b a_b + b_b' K_b b_b,
         Im <S v0, u0> = sum_i s_i (a_i d_i - b_i c_i),
         z = (Re <K u0, u0> - 2i Im <S v0, u0>) / |w|^2,
 
     with |w|^2 the column sum of squares of both parts; K vanishes off the
-    symmetry blocks, so two real products per block give the first sum.
+    symmetry blocks, so two real products per block give the first sum, with
+    K_b read from the leading corner of D_b.
     Draws are mirrored with their conjugates, so the sample set is closed
     under conjugation by construction; an odd count is rounded up.  The
     smallest real-axis-symmetric closed sector containing all samples has
@@ -231,21 +226,24 @@ def numerical_range(
     if sample_count < 100:
         raise ValueError("need at least 100 samples")
     half = (sample_count + 1) // 2
-    n = comp.size
+    n = comp.whitened.size
     rng = np.random.default_rng(seed)
     # drawn whole and in a fixed order, so the samples do not depend on the block
     re = rng.standard_normal((2 * n, half))
     im = rng.standard_normal((2 * n, half))
     z = np.empty(half, dtype=complex)
     root = np.sqrt(comp.whitened.mu)[:, None]
+    corners = [
+        (blk, d[: blk.stop - blk.start, : blk.stop - blk.start])
+        for blk, d in zip(comp.whitened.blocks, comp.blocks)
+    ]
     for cols in (slice(lo, lo + _RANGE_BLOCK) for lo in range(0, half, _RANGE_BLOCK)):
         a, c = re[:n, cols], re[n:, cols]
         b, d = im[:n, cols], im[n:, cols]
         norm2 = _column_dots(re[:, cols], re[:, cols]) + _column_dots(im[:, cols], im[:, cols])
         quad = sum(
-            _column_dots(a[blk], comp.k[blk, blk] @ a[blk])
-            + _column_dots(b[blk], comp.k[blk, blk] @ b[blk])
-            for blk in comp.whitened.blocks
+            _column_dots(a[blk], k @ a[blk]) + _column_dots(b[blk], k @ b[blk])
+            for blk, k in corners
         )
         cross = _column_dots(root * a, d) - _column_dots(root * b, c)
         z.real[cols] = quad / norm2

@@ -77,3 +77,24 @@ def random_spd_pencil(rng: np.random.Generator, size: int):
     b = rng.standard_normal((size, size))
     b = 0.5 * (b + b.T)
     return assembly.WhitenedSystem.from_matrices(0.5 * (a + a.T), b)
+
+
+def dense_d(comp):
+    """The companion matrix D (2N x 2N) assembled from its blocks D_b.
+
+    Block b's coordinates take the rows and columns ``blk`` of each half;
+    D vanishes off the blocks.
+    """
+    n = comp.whitened.size
+    halves = [[np.zeros((n, n)) for _ in range(2)] for _ in range(2)]
+    for blk, d in zip(comp.whitened.blocks, comp.blocks):
+        nb = blk.stop - blk.start
+        for r in range(2):
+            for c in range(2):
+                halves[r][c][blk, blk] = d[r * nb : (r + 1) * nb, c * nb : (c + 1) * nb]
+    return np.block(halves)
+
+
+def companion_eigenvalues(comp):
+    """Eigenvalues of D: those of each block D_b in block order, twins included."""
+    return np.concatenate([spec.eigenvalues for spec in comp.eigen_data()])

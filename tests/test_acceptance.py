@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from conftest import cached_system, random_spd_pencil
+from conftest import cached_system, companion_eigenvalues, dense_d, random_spd_pencil
 from tespect import (
     assembly,
     companion,
@@ -76,7 +76,7 @@ def test_c03_reciprocal_correspondence():
     for operator, size in (("laplacian", 32), ("bilaplacian", 24)):
         _, _, _, wh = cached_system(operator=operator, size=size, contrast=2.5)
         comp = companion.build_companion(wh)
-        recips = 1.0 / comp.eigen_data().eigenvalues
+        recips = 1.0 / companion_eigenvalues(comp)
         direct = companion.pencil_eigenvalues(wh)
         ok &= match_multisets(recips, direct) < 1e-7
     elapsed = time.perf_counter() - start
@@ -100,7 +100,7 @@ def test_c04_lidskii_and_conjugate_symmetry():
     for name, wh in suite_systems():
         comp = companion.build_companion(wh)
         mus = np.array([t.mu for t in companion.extract_spectrum(comp)])
-        tr = np.trace(comp.d)
+        tr = np.trace(dense_d(comp))
         ok &= abs(mus.sum() - tr) <= 1e-8 * max(abs(tr), 1e-300)
         lams = 1.0 / mus
         ok &= match_multisets(lams, lams.conj()) < 1e-8

@@ -594,8 +594,9 @@ def test_swap_split_matches_parity_split(operator, size):
     per_block = np.split(pairs, sizes[:-1])
     assert np.array_equal(per_block[2], per_block[3])
     comp = companion.build_companion(wh)
-    eigen, rows = comp.eigen_data().eigenvalues, comp.block_indices
-    assert np.array_equal(eigen[rows[2]], eigen[rows[3]])
+    eigen = comp.eigen_data()
+    assert comp.blocks[3] is comp.blocks[2] and eigen[3] is eigen[2]
+    assert np.array_equal(eigen[2].eigenvalues, eigen[3].eigenvalues)
     assert match_multisets(spectrum(system), spectrum(without_swap(system))) < 1e-11
 
 

@@ -65,6 +65,18 @@ def test_solve_states_output(tmp_path):
     assert header[:4] == ["index", "coef", "re_u", "im_u"]
     assert rows
 
+    # 2D square n=6: every eigenvalue's state over all N = 36 coefficients
+    square = tmp_path / "square"
+    settings = ("problem.dimension=2", "problem.domain=square", "basis.n=6", "solve.want_states=true")
+    assert run(["solve", "--out", str(square), *(f"--set={s}" for s in settings)]) == 0
+    _, eigen = read_csv(square / "eigenvalues.csv")
+    header, rows = read_csv(square / "states.csv")
+    table = np.array(rows, dtype=float)
+    assert table.shape == (len(eigen) * 36, 8)
+    assert np.array_equal(table[:, 0], np.repeat(np.arange(len(eigen)), 36))
+    u, v, w = (table[:, 2 + 2 * k] + 1j * table[:, 3 + 2 * k] for k in range(3))
+    assert np.max(np.abs(v - w + u)) <= 1e-12 * np.max(np.abs(w))
+
 
 def test_unknown_flag_exits_2(tmp_path, capsys):
     assert run(["solve", "--bogus"]) == 2
@@ -456,6 +468,13 @@ def test_convergence_bilaplacian_defaults_quietly(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     _, rows = read_csv(out / "convergence.csv")
     assert float(rows[-1][2]) < 1e-10
+
+
+@pytest.mark.slow
+def test_solve_states_square_2d_defaults(tmp_path):
+    out = tmp_path / "st2"
+    settings = ("problem.dimension=2", "problem.domain=square", "solve.want_states=true")
+    assert run(["solve", "--out", str(out), *(f"--set={s}" for s in settings)]) == 0
 
 
 @pytest.mark.slow

@@ -1,10 +1,12 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import cached_system, random_spd_pencil
-from tespect import assembly, companion, oracles
+from conftest import cached_system, companion_eigenvalues, dense_d, random_spd_pencil
+from tespect import assembly, companion, densela, oracles
 from tespect.errors import (
     DegenerateState,
     EmptyChain,
@@ -12,6 +14,7 @@ from tespect.errors import (
     RankAmbiguous,
     ZeroEigenvalue,
 )
+from tespect.model import _potential_values
 from tespect.util import match_multisets
 
 
@@ -19,11 +22,10 @@ from tespect.util import match_multisets
 
 
 def test_build_companion_toy(toy_companion):
-    assert toy_companion.k[0, 0] == pytest.approx(1.25, abs=1e-14)
+    d = dense_d(toy_companion)
+    assert d[0, 0] == pytest.approx(1.25, abs=1e-14)
     assert np.sqrt(toy_companion.whitened.mu)[0] == pytest.approx(0.5, abs=1e-14)
-    assert np.allclose(
-        toy_companion.d, [[1.25, -0.5], [0.5, 0.0]], atol=1e-14
-    )
+    assert np.allclose(d, [[1.25, -0.5], [0.5, 0.0]], atol=1e-14)
 
 
 def test_build_companion_zero_b():
@@ -32,18 +34,18 @@ def test_build_companion_zero_b():
     expected = np.block(
         [[np.zeros((3, 3)), -np.eye(3)], [np.eye(3), np.zeros((3, 3))]]
     )
-    assert np.allclose(comp.d, expected, atol=1e-14)
+    assert np.allclose(dense_d(comp), expected, atol=1e-14)
 
 
 def test_companion_blocks_symmetric():
     rng = np.random.default_rng(5)
     wh = random_spd_pencil(rng, 15)
     comp = companion.build_companion(wh)
-    for block in (comp.k, np.diag(np.sqrt(wh.mu))):
+    d, n = dense_d(comp), wh.size
+    for block in (d[:n, :n], np.diag(np.sqrt(wh.mu))):
         assert np.linalg.norm(block - block.T) <= 1e-10 * np.linalg.norm(block)
     # the lower-left block is minus the transpose of the upper-right one
-    n = comp.size
-    assert np.allclose(comp.d[n:, :n], -comp.d[:n, n:].T, atol=1e-14)
+    assert np.allclose(d[n:, :n], -d[:n, n:].T, atol=1e-14)
 
 
 # -- spectrum extraction -----------------------------------------------------------
@@ -130,7 +132,7 @@ def test_lidskii_sum(helmholtz32):
     _, _, _, wh = helmholtz32
     comp = companion.build_companion(wh)
     mus = np.array([t.mu for t in companion.extract_spectrum(comp)])
-    tr = np.trace(comp.k)
+    tr = np.trace(dense_d(comp)[: wh.size, : wh.size])
     assert abs(mus.sum() - tr) <= 1e-8 * max(abs(tr), 1e-300)
 
 
@@ -139,7 +141,7 @@ def test_reciprocal_correspondence_nonresonant():
     for operator, size in (("laplacian", 32), ("bilaplacian", 24)):
         _, _, _, wh = cached_system(operator=operator, size=size, contrast=2.5)
         comp = companion.build_companion(wh)
-        mus = comp.eigen_data().eigenvalues
+        mus = companion_eigenvalues(comp)
         direct = companion.pencil_eigenvalues(wh)
         assert match_multisets(1.0 / mus, direct) < 1e-7
 
@@ -149,7 +151,7 @@ def test_reciprocal_correspondence_random_systems():
     for _ in range(10):
         wh = random_spd_pencil(rng, 12)
         comp = companion.build_companion(wh)
-        mus = comp.eigen_data().eigenvalues
+        mus = companion_eigenvalues(comp)
         direct = companion.pencil_eigenvalues(wh)
         assert match_multisets(1.0 / mus, direct) < 1e-7
 
@@ -164,7 +166,7 @@ def test_square_fourth_order_spectrum_well_formed():
     mus = np.array([t.mu for t in spec])
     lams = np.array([t.lam for t in spec])
     assert match_multisets(lams, lams.conj()) < 1e-8
-    tr = np.trace(comp.d)
+    tr = np.trace(dense_d(comp))
     assert abs(mus.sum() - tr) <= 1e-8 * max(abs(tr), 1e-300)
 
 
@@ -175,15 +177,46 @@ def test_cluster_multiplicity_defective(defective_whitened):
     assert all(t.cluster_id == 0 for t in spec)
 
 
+def brute_force_clusters(mus, tol):
+    """Single linkage over the full pairwise relative-distance matrix."""
+    scale = np.maximum(np.maximum.outer(np.abs(mus), np.abs(mus)), 1e-300)
+    close = np.abs(mus[:, None] - mus[None, :]) / scale <= tol
+    labels = -np.ones(mus.size, dtype=int)
+    for i in range(mus.size):
+        if labels[i] < 0:
+            labels[i] = i
+            stack = [i]
+            while stack:
+                for k in np.flatnonzero(close[stack.pop()] & (labels < 0)):
+                    labels[k] = i
+                    stack.append(k)
+    return labels
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-2])
+@pytest.mark.parametrize("seed", range(4))
+def test_cluster_sweep_matches_pairwise_single_linkage(seed, tol):
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(0.1, 2.0, 40) * np.exp(1j * rng.uniform(0.0, np.pi, 40))
+    # same modulus, turned by a fraction of tol (links) or by about tol (borderline)
+    ring = base[:10] * np.exp(1j * rng.choice([0.3, 0.5, 1.0, 3.0], 10) * tol)
+    ladder = base[10] * (1.0 + 0.6 * tol * np.arange(1, 6))  # linked only transitively
+    near_real = rng.uniform(0.1, 2.0, 5) * np.exp(0.3j * tol)  # linked to its conjugate
+    mus = np.concatenate([base, ring, ladder, near_real, rng.uniform(0.1, 2.0, 5)])
+    mus = np.concatenate([mus, mus.conj(), mus[:15]])  # conjugate pairs and bitwise twins
+    rng.shuffle(mus)
+    labels = companion._cluster(mus, tol)
+    ref = brute_force_clusters(mus, tol)
+    # the same partition: the label pairs match one to one
+    assert len(set(zip(labels, ref))) == len(set(labels)) == len(set(ref)) < mus.size
+
+
 # -- state recovery ------------------------------------------------------------------
 
 
 def test_recover_state_toy(toy_companion):
-    data = toy_companion.eigen_data()
-    idx = int(np.argmin(np.abs(data.eigenvalues - 1.0)))
-    state = companion.recover_state(
-        toy_companion, data.eigenvalues[idx], data.eigenvectors[:, idx]
-    )
+    spec = companion.extract_spectrum(toy_companion)
+    (state,) = companion.recover_states(toy_companion, [min(spec, key=lambda t: abs(t.mu - 1.0))])
     assert state.u.shape == (1,)
     assert abs(np.linalg.norm(state.u) - 1.0) < 1e-14
     assert state.r_pencil < 1e-12
@@ -196,30 +229,85 @@ def test_recover_state_interval_problem(helmholtz48):
     spec = companion.extract_spectrum(comp)
     target = 4.0 * np.pi**2
     best = min(spec, key=lambda t: abs(t.lam - target))
-    data = comp.eigen_data()
-    state = companion.recover_state(
-        comp, best.mu, data.eigenvectors[:, best.eigenvector_index]
-    )
+    (state,) = companion.recover_states(comp, [best])
     assert state.r_v < 1e-3 and state.r_w < 1e-3
     # v = w - u holds exactly in coefficients, by construction
     assert np.array_equal(state.v, state.w - state.u)
 
 
 def test_recover_state_zero_eigenvalue(toy_companion):
-    y = np.array([1.0, 0.0])
+    entry = dataclasses.replace(companion.extract_spectrum(toy_companion)[0], mu=1e-15)
     with pytest.raises(ZeroEigenvalue):
-        companion.recover_state(toy_companion, 1e-15, y)
+        companion.recover_states(toy_companion, [entry])
 
 
 def test_recover_state_degenerate_first_block(toy_companion):
-    y = np.array([0.0, 1.0])
+    # column 0 of the supplied eigenpairs is y = (0, 1): no first component
+    pairs = densela.ComplexSpectrum(np.array([0.5, 0.25]), np.array([[0.0, 1.0], [1.0, 0.0]]))
+    comp = companion.CompanionSystem(toy_companion.blocks, toy_companion.whitened, [pairs])
+    entry = companion.TransmissionEigenvalue(2.0, 0.5, 0.0, 0, 1, block=0, column=0)
     with pytest.raises(DegenerateState):
-        companion.recover_state(toy_companion, 0.5, y, check_tol=10.0)
+        companion.recover_states(comp, [entry], check_tol=10.0)
 
 
 def test_recover_state_rejects_non_eigenvector(toy_companion):
+    # mu = 0.5 is no eigenvalue of D, so the column's vector does not belong to it
+    entry = dataclasses.replace(companion.extract_spectrum(toy_companion)[0], mu=0.5)
     with pytest.raises(ValueError):
-        companion.recover_state(toy_companion, 0.5, np.array([1.0, 1.0]))
+        companion.recover_states(toy_companion, [entry])
+
+
+def reference_state(comp, t):
+    """One state by the per-state route: the dense D, its own Cholesky and solves."""
+    wh, n = comp.whitened, comp.whitened.size
+    blk = wh.blocks[t.block]
+    nb = blk.stop - blk.start
+    vec = comp.eigen_data()[t.block].eigenvectors[:, t.column]
+    y = np.zeros(2 * n, dtype=complex)
+    y[blk], y[n + blk.start : n + blk.stop] = vec[:nb], vec[nb:]
+    d = dense_d(comp)
+    assert np.linalg.norm(d @ y - t.mu * y) <= 1e-6 * np.linalg.norm(d) * np.linalg.norm(y)
+    lam = 1.0 / t.mu
+    u_white = np.sqrt(wh.mu) * y[:n]
+    res = (1.0 / wh.mu) * u_white - lam * (wh.b @ u_white) + lam**2 * u_white
+    r_pencil = np.linalg.norm(res) / ((1.0 + abs(lam) + abs(lam) ** 2) * np.linalg.norm(u_white))
+    u = wh.to_basis @ u_white
+    u = u / np.linalg.norm(u)
+
+    basis, problem = wh.system.basis, wh.system.problem
+    zero = (0,) * problem.dimension
+    vvals = _potential_values(problem.potential, basis.grid_points())
+    terms = assembly.p0_terms(problem.order, problem.dimension)
+    u_pts = basis.point_values(u, zero)
+    w_pts = (1.0 / vvals) * (basis.apply_terms(u, terms) - lam * u_pts) / lam
+    v_pts = w_pts - u_pts
+    w = np.linalg.solve(wh.system.gram, basis.weighted_moments(w_pts, zero))
+    chol_g = np.linalg.cholesky(wh.system.gram)
+
+    def dual_residual(values, weight):
+        rvec = basis.dual_moments(values, terms) - basis.weighted_moments(values * weight, zero)
+        norm_h = np.sqrt(np.sum(basis.grid_weights() * np.abs(values) ** 2))
+        return np.linalg.norm(np.linalg.solve(chol_g, rvec)) / ((1.0 + abs(lam)) * norm_h)
+
+    r_v = dual_residual(v_pts, lam)
+    r_w = dual_residual(w_pts, lam * (1.0 + vvals))
+    return (u, w - u, w), (r_pencil, r_v, r_w)
+
+
+@pytest.mark.parametrize("dimension, size", [(2, 6), (1, 16)], ids=["2d-n6", "1d-n16"])
+def test_recover_states_match_per_state_route(dimension, size):
+    wh = cached_system(dimension=dimension, size=size, contrast=3.0)[3]
+    comp = companion.build_companion(wh)
+    spec = companion.extract_spectrum(comp)
+    states = companion.recover_states(comp, spec)
+    assert len(states) == len(spec) == 2 * wh.size
+    for t, state in zip(spec, states):
+        vectors, residuals = reference_state(comp, t)
+        assert state.lam == t.lam
+        for got, ref in zip((state.u, state.v, state.w), vectors):
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        for got, ref in zip((state.r_pencil, state.r_v, state.r_w), residuals):
+            assert abs(got - ref) <= 1e-12 * max(ref, 1.0)
 
 
 # -- chains of generalized states ------------------------------------------------------
@@ -227,10 +315,10 @@ def test_recover_state_rejects_non_eigenvector(toy_companion):
 
 def test_chain_residual_matches_pencil_residual(toy_companion):
     spec = companion.extract_spectrum(toy_companion)
-    data = toy_companion.eigen_data()
     t = spec[0]
+    data = toy_companion.eigen_data()[t.block]
     s = np.diag(np.sqrt(toy_companion.whitened.mu))
-    u0 = s @ data.eigenvectors[: toy_companion.size, t.eigenvector_index]
+    u0 = s @ data.eigenvectors[: toy_companion.whitened.size, t.column]
     rho = companion.jordan_chain_residual(toy_companion.whitened, t.lam, [u0])
     assert rho[0] < 1e-12
 
@@ -275,6 +363,27 @@ def test_jordan_chains_defective(defective_whitened):
         assert max(c.residuals) < 1e-10
         assert abs(c.lam - 1.0) < 1e-8
         assert np.linalg.norm(c.vectors[0]) > 1e-12
+
+
+def test_jordan_chains_twin_pair_cluster():
+    # the swap pairs two parity classes as twin blocks, so each of their
+    # eigenvalues is a cluster of multiplicity 2 over the two blocks
+    wh = cached_system(dimension=2, size=6, contrast=3.0)[3]
+    assert wh.twin_of[3] == 2
+    comp = companion.build_companion(wh)
+    spec = companion.extract_spectrum(comp)
+    cluster = next(
+        c for c in ([t for t in spec if t.cluster_id == cid] for cid in range(spec[-1].cluster_id + 1))
+        if sorted(t.block for t in c) == [2, 3]
+    )
+    chains = companion.jordan_chains(comp, cluster)
+    assert [len(c.vectors) for c in chains] == [1, 1]
+    for chain, blk in zip(chains, (wh.blocks[2], wh.blocks[3])):
+        assert max(chain.residuals) < 1e-6
+        inside = np.zeros(wh.size, dtype=bool)
+        inside[blk] = True
+        vec = chain.vectors[0]
+        assert np.linalg.norm(vec[inside]) > 0 and not np.any(vec[~inside])
 
 
 def test_rank_decision_requires_a_clean_gap():
@@ -329,10 +438,7 @@ def test_recover_state_square_domain():
         t for t in spec if t.lam.real > 0 and abs(t.lam.imag) <= 1e-6 * t.lam.real
     ]
     first = min(real, key=lambda t: t.lam.real)
-    data = comp.eigen_data()
-    state = companion.recover_state(
-        comp, first.mu, data.eigenvectors[:, first.eigenvector_index]
-    )
+    (state,) = companion.recover_states(comp, [first])
     assert state.r_v < 1e-3 and state.r_w < 1e-3
     assert np.array_equal(state.v, state.w - state.u)
 
@@ -386,3 +492,22 @@ def test_resolvent_random_shifts(helmholtz32):
             continue
         assert companion.resolvent_block_check(wh, lam) < 1e-8
         done += 1
+
+
+def test_extract_spectrum_memory_follows_the_blocks():
+    # extract_spectrum runs the eigensolves: the blocks' eigenvectors it
+    # caches take sum (2 n_b)^2 complex entries over the distinct blocks, and
+    # an eigensolve's copies of one block and the residual temporaries stay
+    # below that again; a 2N x 2N complex matrix, 4 N^2 entries, would not fit
+    wh = cached_system(dimension=2, size=16, contrast=3.0)[3]
+    comp = companion.build_companion(wh)
+    distinct = [blk.stop - blk.start for blk, src in zip(wh.blocks, wh.twin_of) if src is None]
+    bound = 4 * sum((2 * nb) ** 2 for nb in distinct) * 16
+    assert (2 * wh.size) ** 2 * 16 > bound
+    tracemalloc.start()
+    try:
+        companion.extract_spectrum(comp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
