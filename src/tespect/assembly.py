@@ -338,11 +338,13 @@ class WhitenedSystem:
     Whitened coordinates run block by block: ``blocks`` holds one slice per
     symmetry block (``_whitening_blocks``), in its order.  ``twin_of[i]`` is
     the index of the earlier block that block i is a swap image of, or None:
-    a twin has the source's mu and B_w bitwise, so every per-block result of
-    the source serves it too (``per_block``).  ``mu`` holds the eigenvalues
-    of C relative to A, descending within each block: the whitened stiffness
-    is diag(1/mu), the mass is the identity and ``b`` is the transformed B,
-    exactly zero off the blocks.  ``to_basis`` is the congruence X with
+    a twin has the source's mu bitwise and shares its B_w array, so every
+    per-block result of the source serves it too (``per_block``).  ``mu``
+    holds the eigenvalues of C relative to A, descending within each block:
+    the whitened stiffness is diag(1/mu) and the mass is the identity.  The
+    transformed B couples no two blocks, so ``b`` holds only its diagonal
+    blocks, ``b[i]`` the n_i x n_i block B_w,i of block i; a twin's entry
+    is its source's array.  ``to_basis`` is the congruence X with
     X^T C X = I and X^T A X = diag(1/mu); it maps whitened coordinate vectors
     back to basis coefficients.  ``deflated`` counts the coordinates dropped
     for a mu that rounding left at or just below zero, so X has that many
@@ -355,7 +357,7 @@ class WhitenedSystem:
     """
 
     mu: np.ndarray
-    b: np.ndarray
+    b: tuple[np.ndarray, ...]
     to_basis: np.ndarray
     system: GalerkinSystem
     blocks: tuple[slice, ...]
@@ -381,10 +383,10 @@ class WhitenedSystem:
         eye = np.eye(a.shape[0])
         return whiten(GalerkinSystem(gram=eye, a=a, b=b, c=eye))
 
-    @cached_property
-    def comp_block(self) -> np.ndarray:
-        root = np.sqrt(self.mu)
-        return root[:, None] * self.b * root[None, :]
+    def k_block(self, i: int) -> np.ndarray:
+        """K_i = S_i B_w,i S_i, S_i = diag(sqrt(mu_i)), as an elementwise scaling."""
+        root = np.sqrt(self.mu[self.blocks[i]])
+        return root[:, None] * self.b[i] * root[None, :]
 
 
 def _check_and_symmetrize(name: str, m: np.ndarray) -> np.ndarray:
@@ -632,14 +634,14 @@ def whiten(system: GalerkinSystem) -> WhitenedSystem:
     L = chol(W^T A W), the eigendecomposition
     M = L^{-1} (W^T C W) L^{-T} = Q diag(mu) Q^T gives X_b = W L^{-T} Q
     diag(mu)^{-1/2}, so that X^T C X = I and X^T A X = diag(1/mu).  A twin
-    copies its source's mu and B_w, and its rows of X are the source's
-    under the swap.  The small stiffness eigenvalues 1/mu are the largest
-    mu, which the symmetric eigensolver resolves to full relative accuracy.
-    Tiny positive mu are the stiffest modes and are kept: they only feed the
-    top of the spectrum.  A mu in [-tau, 0], tau = eps max(mu), is rounding
-    of such a mode, an eigenvalue of the pencil at infinity: its coordinate
-    is dropped (``deflated``).  The cut is global, over all blocks, so a
-    split pencil is refused or deflated exactly as the whole one.
+    copies its source's mu, shares its B_w array, and its rows of X are the
+    source's under the swap.  The small stiffness eigenvalues 1/mu are the
+    largest mu, which the symmetric eigensolver resolves to full relative
+    accuracy.  Tiny positive mu are the stiffest modes and are kept: they
+    only feed the top of the spectrum.  A mu in [-tau, 0], tau = eps max(mu),
+    is rounding of such a mode, an eigenvalue of the pencil at infinity: its
+    coordinate is dropped (``deflated``).  The cut is global, over all
+    blocks, so a split pencil is refused or deflated exactly as the whole one.
 
     Raises:
         NotPositiveDefinite: A or C has a non-finite entry, A has no Cholesky
@@ -673,21 +675,20 @@ def whiten(system: GalerkinSystem) -> WhitenedSystem:
     stops = np.cumsum(kept)
     slices = tuple(slice(int(stop) - k, int(stop)) for k, stop in zip(kept, stops))
     mu = np.concatenate([m[:k] for m, k in zip(mus, kept)])
-    x, bw = np.zeros((system.size, mu.size)), np.zeros((mu.size, mu.size))
+    x, bw = np.zeros((system.size, mu.size)), []
     for blk, (chol, dec), cols in zip(blocks, factors, slices):
         if blk.twin_of is not None:
-            source = slices[blk.twin_of]
-            x[blk.p, cols] = x[blocks[blk.twin_of].p, source]
-            bw[cols, cols] = bw[source, source]
+            x[blk.p, cols] = x[blocks[blk.twin_of].p, slices[blk.twin_of]]
+            bw.append(bw[blk.twin_of])
             continue
         vecs = dec.eigenvectors[:, ::-1][:, : cols.stop - cols.start]
         xb = np.linalg.solve(chol.T, vecs) / np.sqrt(mu[cols])
         bb = xb.T @ blk.gather(system.b) @ xb
         blk.scatter(x, cols, xb)
-        bw[cols, cols] = 0.5 * (bb + bb.T)
+        bw.append(0.5 * (bb + bb.T))
     return WhitenedSystem(
         mu=mu,
-        b=bw,
+        b=tuple(bw),
         to_basis=x,
         system=system,
         blocks=slices,

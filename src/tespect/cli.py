@@ -90,6 +90,7 @@ SUBCOMMANDS = (
     "convergence",
     "selftest",
 )
+_CSV_CHUNK_ROWS = 1 << 14  # rows formatted per write: bounds the transient memory
 
 
 class UsageError(Exception):
@@ -132,17 +133,23 @@ class RunConfig:
     def str_(self, section: str, key: str) -> str:
         return self.values[section][key].strip()
 
-    def int_(self, section: str, key: str) -> int:
+    def int_(self, section: str, key: str, low: int | None = None) -> int:
         try:
-            return int(self.str_(section, key))
+            value = int(self.str_(section, key))
         except ValueError as exc:
             raise UsageError(f"{section}.{key} must be an integer") from exc
+        if low is not None and value < low:
+            raise UsageError(f"{section}.{key} must be at least {low}")
+        return value
 
-    def float_(self, section: str, key: str) -> float:
+    def float_(self, section: str, key: str, positive: bool = False) -> float:
         try:
-            return float(self.str_(section, key))
+            value = float(self.str_(section, key))
         except ValueError as exc:
             raise UsageError(f"{section}.{key} must be a number") from exc
+        if positive and not value > 0:
+            raise UsageError(f"{section}.{key} must be positive")
+        return value
 
     def bool_(self, section: str, key: str) -> bool:
         raw = self.str_(section, key).lower()
@@ -159,10 +166,14 @@ class RunConfig:
         return raw
 
     def list_int(self, section: str, key: str) -> list[int]:
+        """A nonempty comma list of positive integers."""
         try:
-            return [int(tok) for tok in self.str_(section, key).split(",") if tok.strip()]
+            values = [int(tok) for tok in self.str_(section, key).split(",") if tok.strip()]
         except ValueError as exc:
             raise UsageError(f"{section}.{key} must be a comma list of integers") from exc
+        if not values or min(values) < 1:
+            raise UsageError(f"{section}.{key} must list one or more positive integers")
+        return values
 
     def list_float(self, section: str, key: str) -> list[float]:
         try:
@@ -222,7 +233,7 @@ def _build_problem(cfg: RunConfig):
 def _build_pipeline(cfg: RunConfig, size: int | None = None):
     problem = _build_problem(cfg)
     family = cfg.choice("basis", "family", (POLYNOMIAL, TRIG))
-    basis = build_basis(problem, size or cfg.int_("basis", "n"), family)
+    basis = build_basis(problem, size or cfg.int_("basis", "n", low=1), family)
     system = assemble_system(problem, basis)
     wh = whiten(system)
     return problem, basis, system, wh
@@ -248,14 +259,23 @@ class OutputWriter:
         """Write a table given as a 2D float array or as an iterable of rows.
 
         The first row's types fix each column's format: 17 significant
-        digits for a float, ``str`` otherwise.  The body is formatted by one
-        ``%`` over the repeated row format.
+        digits for a float, ``str`` otherwise.  The body is written in chunks
+        of ``_CSV_CHUNK_ROWS`` rows, each formatted by one ``%`` over the
+        repeated row format.
         """
+        if isinstance(rows, np.ndarray):
+            chunks = (rows[i : i + _CSV_CHUNK_ROWS].tolist() for i in range(0, len(rows), _CSV_CHUNK_ROWS))
+        else:
+            it = iter(rows)
+            chunks = iter(lambda: list(itertools.islice(it, _CSV_CHUNK_ROWS)), [])
         path = self.dir / name
-        rows = rows.tolist() if isinstance(rows, np.ndarray) else list(rows)
-        fields = ["%.17g" if isinstance(v, float) else "%s" for v in rows[0]] if rows else []
-        body = (",".join(fields) + "\n") * len(rows) % tuple(itertools.chain.from_iterable(rows))
-        path.write_text(f"{self.header()}\n{','.join(columns)}\n{body}")
+        with path.open("w") as f:
+            f.write(f"{self.header()}\n{','.join(columns)}\n")
+            line = None
+            for chunk in chunks:
+                if line is None:
+                    line = ",".join("%.17g" if isinstance(v, float) else "%s" for v in chunk[0]) + "\n"
+                f.write(line * len(chunk) % tuple(itertools.chain.from_iterable(chunk)))
         return path
 
     def json(self, name: str, payload: dict) -> Path:
@@ -297,7 +317,7 @@ def _solve_spectrum(cfg: RunConfig, wh: WhitenedSystem):
     comp = companion.build_companion(wh)
     spec = companion.extract_spectrum(
         comp,
-        cluster_tol=cfg.float_("solve", "cluster_tol"),
+        cluster_tol=cfg.float_("solve", "cluster_tol", positive=True),
         mu_floor=cfg.float_("solve", "mu_floor"),
     )
     return comp, spec
@@ -370,8 +390,8 @@ def _cmd_range(cfg: RunConfig, out: OutputWriter) -> int:
     problem = wh.system.problem
     report = diagnostics.numerical_range(
         comp,
-        cfg.int_("trace", "samples"),
-        seed=cfg.int_("trace", "seed"),
+        cfg.int_("trace", "samples", low=100),
+        seed=cfg.int_("trace", "seed", low=0),
         p=problem.p_min,
     )
     samples_path = out.csv(
@@ -438,13 +458,13 @@ def _cmd_scan(cfg: RunConfig, out: OutputWriter) -> int:
     s_grid = np.linspace(
         cfg.float_("scan", "s_min"),
         cfg.float_("scan", "s_max"),
-        cfg.int_("scan", "s_count"),
+        cfg.int_("scan", "s_count", low=2),
     )
     report = diagnostics.potential_scan(
         problem,
         direction,
         s_grid,
-        cfg.int_("basis", "n"),
+        cfg.int_("basis", "n", low=1),
         family=cfg.choice("basis", "family", (POLYNOMIAL, TRIG)),
         zero_tol=cfg.float_("scan", "zero_tol"),
         refine_check=cfg.bool_("scan", "refine_check"),
@@ -478,11 +498,18 @@ def _oracle_rows(roots):
     )
 
 
+def _oracle_band(cfg: RunConfig) -> tuple[float, float]:
+    """oracle.k_min and oracle.k_max, checked to satisfy 0 < k_min < k_max."""
+    k_min, k_max = cfg.float_("oracle", "k_min", positive=True), cfg.float_("oracle", "k_max")
+    if not k_max > k_min:
+        raise UsageError("oracle.k_max must exceed oracle.k_min")
+    return k_min, k_max
+
+
 def _cmd_oracle1d(cfg: RunConfig, out: OutputWriter) -> int:
     roots = oracles.oracle_1d(
         cfg.float_("oracle", "contrast"),
-        cfg.float_("oracle", "k_min"),
-        cfg.float_("oracle", "k_max"),
+        *_oracle_band(cfg),
         cfg.int_("oracle", "points_per_unit"),
     )
     out.csv("roots.csv", ["l", "k", "lambda", "residual"], _oracle_rows(roots))
@@ -493,8 +520,7 @@ def _cmd_oracle_disk(cfg: RunConfig, out: OutputWriter) -> int:
     roots = oracles.oracle_disk(
         cfg.float_("oracle", "contrast"),
         cfg.int_("oracle", "l_max"),
-        cfg.float_("oracle", "k_min"),
-        cfg.float_("oracle", "k_max"),
+        *_oracle_band(cfg),
         cfg.int_("oracle", "points_per_unit"),
     )
     out.csv("roots.csv", ["l", "k", "lambda", "residual"], _oracle_rows(roots))

@@ -120,16 +120,14 @@ class JordanChain:
 def build_companion(wh: WhitenedSystem) -> CompanionSystem:
     """Assemble the companion blocks D_b from a whitened system.
 
-    S_b = diag(sqrt(mu_b)) and K_b = S_b B_w,bb S_b are diagonal scalings of
-    the whitened block; the small stiffness eigenvalues, which dominate every
-    trace of D, enter as the largest mu at full relative accuracy.  A twin
-    block refers to its source's D_b.
+    S_b = diag(sqrt(mu_b)) and K_b = S_b B_w,b S_b (``WhitenedSystem.k_block``)
+    are diagonal scalings of the whitened block; the small stiffness
+    eigenvalues, which dominate every trace of D, enter as the largest mu at
+    full relative accuracy.  A twin block refers to its source's D_b.
     """
 
     def block(b: int) -> np.ndarray:
-        blk = wh.blocks[b]
-        root = np.sqrt(wh.mu[blk])
-        k = root[:, None] * wh.b[blk, blk] * root[None, :]
+        root, k = np.sqrt(wh.mu[wh.blocks[b]]), wh.k_block(b)
         return np.block([[k, np.diag(-root)], [np.diag(root), np.zeros_like(k)]])
 
     return CompanionSystem(blocks=wh.per_block(block), whitened=wh)
@@ -187,14 +185,14 @@ def extract_spectrum(
     wh = comp.whitened
 
     # each eigenvector head lives in its block's coordinates: form the pencil
-    # residual there, with B_bb; a twin's kept columns match its source's
+    # residual there, with B_w,b; a twin's kept columns match its source's
     def block_part(b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         blk, spec = wh.blocks[b], spectra[b]
         cols = np.flatnonzero(np.abs(spec.eigenvalues) > mu_floor)
         mu = spec.eigenvalues[cols]
         # take() keeps u0 in C order; the column norms round by memory order
         u0 = np.sqrt(wh.mu[blk])[:, None] * spec.eigenvectors[: blk.stop - blk.start].take(cols, axis=1)
-        return cols, mu, _pencil_residuals(wh, blk, 1.0 / mu, u0)
+        return cols, mu, _pencil_residuals(wh, b, 1.0 / mu, u0)
 
     parts = wh.per_block(block_part)
     columns, mus, residuals = (np.concatenate(part) for part in zip(*parts))
@@ -221,9 +219,9 @@ def extract_spectrum(
     ]
 
 
-def _pencil_residuals(wh: WhitenedSystem, blk: slice, lam: np.ndarray, u0: np.ndarray) -> np.ndarray:
-    """Relative residuals of the whitened pencil at columns u0 of block ``blk``, each at its lam."""
-    res_vec = (1.0 / wh.mu[blk])[:, None] * u0 - (wh.b[blk, blk] @ u0) * lam + u0 * lam**2
+def _pencil_residuals(wh: WhitenedSystem, b: int, lam: np.ndarray, u0: np.ndarray) -> np.ndarray:
+    """Relative residuals of the whitened pencil at columns u0 of block b, each at its lam."""
+    res_vec = (1.0 / wh.mu[wh.blocks[b]])[:, None] * u0 - (wh.b[b] @ u0) * lam + u0 * lam**2
     u0_norm = np.maximum(np.linalg.norm(u0, axis=0), 1e-300)
     denom = (1.0 + np.abs(lam) + np.abs(lam) ** 2) * u0_norm
     return np.linalg.norm(res_vec, axis=0) / denom
@@ -238,8 +236,7 @@ def pencil_eigenvalues(wh: WhitenedSystem) -> np.ndarray:
     """
 
     def block_roots(b: int) -> np.ndarray:
-        blk = wh.blocks[b]
-        return densela.nonsym_eig(_first_order(wh.mu[blk], wh.b[blk, blk])).eigenvalues
+        return densela.nonsym_eig(_first_order(wh.mu[wh.blocks[b]], wh.b[b])).eigenvalues
 
     return np.concatenate(wh.per_block(block_roots))
 
@@ -288,7 +285,7 @@ def recover_states(
             raise DegenerateState("first component block vanishes; defective pairing")
 
         u_white = np.sqrt(wh.mu[blk])[:, None] * y1
-        r_pencil[at] = _pencil_residuals(wh, blk, lams[at], u_white)
+        r_pencil[at] = _pencil_residuals(wh, b, lams[at], u_white)
         ub = wh.to_basis[:, blk] @ u_white
         u[at] = (ub / np.linalg.norm(ub, axis=0)).T
 
@@ -341,15 +338,16 @@ def jordan_chain_residual(
 
     For vectors u_0, ..., u_k the j-th residual is
     ||(A - lam B + lam^2) u_j + (-B + 2 lam) u_{j-1} + u_{j-2}|| / max_i ||u_i||
-    with the convention u_{-1} = u_{-2} = 0.
+    with the convention u_{-1} = u_{-2} = 0.  B_w is applied block by block.
     """
     if len(chain) == 0:
         raise EmptyChain("chain must contain at least one vector")
     u = np.array([np.asarray(v).reshape(-1) for v in chain], dtype=complex)
-    um1 = np.vstack([np.zeros_like(u[:1]), u[:-1]])
-    um2 = np.vstack([np.zeros_like(u[:2]), u[:-2]])
     # rows are the links; B_w is symmetric, so u_j B_w is (B_w u_j)^T
-    r = u / wh.mu - lam * (u @ wh.b) + lam**2 * u + (-(um1 @ wh.b) + 2.0 * lam * um1) + um2
+    ub = np.hstack([u[:, blk] @ bb for blk, bb in zip(wh.blocks, wh.b)])
+    um1, ubm1 = (np.vstack([np.zeros_like(x[:1]), x[:-1]]) for x in (u, ub))
+    um2 = np.vstack([np.zeros_like(u[:2]), u[:-2]])
+    r = u / wh.mu - lam * ub + lam**2 * u + (-ubm1 + 2.0 * lam * um1) + um2
     return np.linalg.norm(r, axis=1) / max(float(np.max(np.linalg.norm(u, axis=1))), 1e-300)
 
 
@@ -427,7 +425,7 @@ def _block_chains(comp: CompanionSystem, b: int, mu: complex, size: int) -> list
         kernel = vh[2 * n - nullity :].conj().T
         levels.append(np.linalg.qr(np.vstack([root * kernel[:n], kernel[n:]]))[0])
 
-    shifted_fo = _first_order(wh.mu[blk], wh.b[blk, blk]) - np.eye(2 * n) / mu
+    shifted_fo = _first_order(wh.mu[blk], wh.b[b]) - np.eye(2 * n) / mu
     out = []
     carried = np.zeros((2 * n, 0), dtype=complex)  # images of higher-level tops
     for depth in range(len(levels) - 1, 0, -1):
@@ -464,8 +462,7 @@ def resolvent_block_check(wh: WhitenedSystem, lam: complex) -> float:
         raise NearSpectrum(f"shift {lam} is within 1e-6 of a pencil eigenvalue")
 
     def block_norms(b: int) -> tuple[float, float]:
-        blk = wh.blocks[b]
-        mu, bmat = wh.mu[blk], wh.b[blk, blk]
+        mu, bmat = wh.mu[wh.blocks[b]], wh.b[b]
         n = mu.size
         eye = np.eye(n)
         direct = np.linalg.inv(_first_order(mu, bmat) - lam * np.eye(2 * n, dtype=complex))

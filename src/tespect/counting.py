@@ -6,8 +6,10 @@ The entire function of interest is
 
 whose zeros are exactly the pencil roots and which satisfies f(0) = 1.
 The matrix vanishes off the symmetry blocks of the whitened system, so f is
-a product of one determinant per block: for a reflection-invariant V, half
-the size on the interval and a quarter on the square, and on the square a
+a product of one determinant per block b, of I - lam K_b + lam^2 diag(mu_b)
+with K_b from the stored block of B_w (``WhitenedSystem.k_block``); no N x N
+matrix is formed.  For a reflection-invariant V a block is half the size on
+the interval and a quarter on the square, and on the square a
 swap-invariant V splits two of those quarters into halves again and makes
 the other two twins, equal matrices whose determinant is factored once.
 Because f grows like
@@ -84,8 +86,7 @@ def fredholm_det(wh: WhitenedSystem, lam) -> densela.LogDet:
     z2 = (z.real**2 - z.imag**2) + 2j * (z.real * z.imag)
 
     def block_det(b: int) -> tuple[np.ndarray, np.ndarray]:
-        blk = wh.blocks[b]
-        k, mu = wh.comp_block[blk, blk], wh.mu[blk]
+        k, mu = wh.k_block(b), wh.mu[wh.blocks[b]]
         eye, diag = np.eye(mu.size, dtype=complex), np.arange(mu.size)
         step = max(1, _DET_STACK_BYTES // max(eye.nbytes, 1))
         log_abs, arg = np.empty(z.shape[0]), np.empty(z.shape[0])

@@ -217,7 +217,7 @@ def numerical_range(
 
     with |w|^2 the column sum of squares of both parts; K vanishes off the
     symmetry blocks, so two real products per block give the first sum, with
-    K_b read from the leading corner of D_b.
+    K_b from ``WhitenedSystem.k_block``.
     Draws are mirrored with their conjugates, so the sample set is closed
     under conjugation by construction; an odd count is rounded up.  The
     smallest real-axis-symmetric closed sector containing all samples has
@@ -226,17 +226,15 @@ def numerical_range(
     if sample_count < 100:
         raise ValueError("need at least 100 samples")
     half = (sample_count + 1) // 2
-    n = comp.whitened.size
+    wh = comp.whitened
+    n = wh.size
     rng = np.random.default_rng(seed)
     # drawn whole and in a fixed order, so the samples do not depend on the block
     re = rng.standard_normal((2 * n, half))
     im = rng.standard_normal((2 * n, half))
     z = np.empty(half, dtype=complex)
-    root = np.sqrt(comp.whitened.mu)[:, None]
-    corners = [
-        (blk, d[: blk.stop - blk.start, : blk.stop - blk.start])
-        for blk, d in zip(comp.whitened.blocks, comp.blocks)
-    ]
+    root = np.sqrt(wh.mu)[:, None]
+    corners = list(zip(wh.blocks, wh.per_block(wh.k_block)))
     for cols in (slice(lo, lo + _RANGE_BLOCK) for lo in range(0, half, _RANGE_BLOCK)):
         a, c = re[:n, cols], re[n:, cols]
         b, d = im[:n, cols], im[n:, cols]
@@ -281,7 +279,7 @@ def trace_functional_routes(
         basis = build_basis(problem, size, family)
     system = assemble_system(problem, basis)
     wh = whiten(system)
-    whitened = float(wh.mu @ np.diag(wh.b))
+    whitened = float(wh.mu @ np.concatenate([np.diag(bb) for bb in wh.b]))
     raw = float(np.trace(np.linalg.solve(system.a, system.b)))
     return whitened, raw
 

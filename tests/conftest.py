@@ -79,6 +79,14 @@ def random_spd_pencil(rng: np.random.Generator, size: int):
     return assembly.WhitenedSystem.from_matrices(0.5 * (a + a.T), b)
 
 
+def dense_bw(wh):
+    """The whitened B (N x N) assembled from its blocks B_w,b; zero off the blocks."""
+    bw = np.zeros((wh.size, wh.size))
+    for blk, bb in zip(wh.blocks, wh.b):
+        bw[blk, blk] = bb
+    return bw
+
+
 def dense_d(comp):
     """The companion matrix D (2N x 2N) assembled from its blocks D_b.
 

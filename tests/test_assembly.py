@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import build_system, cached_system
+from conftest import build_system, cached_system, dense_bw
 from tespect import assembly, companion, model
 from tespect.errors import (
     AsymmetryExceeded,
@@ -269,7 +269,7 @@ def assert_whitening_congruence(system, wh, b_tol=1e-14):
     assert np.linalg.norm(x.T @ system.c @ x - np.eye(n)) < 1e-10
     assert np.linalg.norm(x.T @ system.a @ x - a_w) < 1e-10 * np.linalg.norm(a_w)
     bw = x.T @ system.b @ x
-    assert np.linalg.norm(bw - wh.b) <= b_tol * np.linalg.norm(bw)
+    assert np.linalg.norm(bw - dense_bw(wh)) <= b_tol * np.linalg.norm(bw)
 
 
 def test_whiten_scalar_mass():
@@ -308,7 +308,7 @@ def test_whiten_unit_toy():
     )
     wh = assembly.whiten(system)
     assert 1.0 / wh.mu[0] == pytest.approx(252.0, rel=1e-14)
-    assert wh.b[0, 0] == pytest.approx(18.0, rel=1e-14)
+    assert dense_bw(wh)[0, 0] == pytest.approx(18.0, rel=1e-14)
 
 
 def test_whiten_random_spd_inputs():
@@ -556,6 +556,16 @@ def test_no_swap_split_without_swap_symmetry():
         assert len(wh.blocks) == len(system.blocks) and set(wh.twin_of) == {None}
 
 
+@pytest.mark.parametrize("dimension,size", [(1, 12), (2, 8)])
+def test_whitened_b_is_stored_per_block(dimension, size):
+    _, _, _, wh = cached_system(dimension=dimension, size=size, contrast=3.0)
+    assert isinstance(wh.b, tuple) and len(wh.b) == len(wh.blocks)
+    for i, (blk, source) in enumerate(zip(wh.blocks, wh.twin_of)):
+        assert wh.b[i].shape == (blk.stop - blk.start,) * 2
+        assert source is None or wh.b[i] is wh.b[source]
+    assert wh.twin_of.count(None) == (2 if dimension == 1 else 5)
+
+
 def test_swap_split_of_polynomial_without_reflection_symmetry():
     # V = 2 + x + y: no reflection, so one parity class, split in swap halves
     pot = model.PotentialSpec.polynomial([[2.0, 1.0], [1.0, 0.0]], 2)
@@ -584,10 +594,11 @@ def test_swap_split_matches_parity_split(operator, size):
     # X^T B X multiplies the pairs (e_I +- e_swap(I)) / sqrt(2) out in another
     # order than B_w: at the bilaplacian's n=12 the two differ by 2e-14 of |B_w|
     assert_whitening_congruence(system, wh, b_tol=1e-13)
-    # the twin oe repeats eo: mu and B_w bitwise, X rows permuted by the swap
+    # the twin oe repeats eo: mu bitwise, B_w shared, X rows permuted by the swap
     eo, oe = wh.blocks[2], wh.blocks[3]
-    assert wh.twin_of[3] == 2
-    assert np.array_equal(wh.mu[eo], wh.mu[oe]) and np.array_equal(wh.b[eo, eo], wh.b[oe, oe])
+    assert wh.twin_of[3] == 2 and wh.b[3] is wh.b[2]
+    bw = dense_bw(wh)
+    assert np.array_equal(wh.mu[eo], wh.mu[oe]) and np.array_equal(bw[eo, eo], bw[oe, oe])
     assert np.array_equal(wh.to_basis[system.swap][:, oe], wh.to_basis[:, eo])
     pairs = companion.pencil_eigenvalues(wh)
     sizes = np.cumsum([2 * (blk.stop - blk.start) for blk in wh.blocks])

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tespect import __version__
+from tespect import __version__, cli
 from tespect.cli import OutputWriter, RunConfig, convergence_table, run
 
 
@@ -169,7 +169,24 @@ def test_malformed_values_exit_2(tmp_path, capsys):
     assert run(["solve", "--out", str(out), "--set", "problem.potential=constant:abc"]) == 2
     assert run(["solve", "--out", str(out), "--set", "problem.potential=mystery:1"]) == 2
     assert run(["convergence", "--out", str(out), "--set", "convergence.n_list=8,x"]) == 2
-    capsys.readouterr()
+    # out-of-range values: a usage error naming the key, not a traceback
+    for command, setting in (
+        ("range", "trace.samples=50"),
+        ("range", "trace.seed=-1"),
+        ("scan", "scan.s_count=1"),
+        ("solve", "basis.n=0"),
+        ("scan", "basis.n=-3"),
+        ("solve", "solve.cluster_tol=0"),
+        ("trace", "trace.p=0"),
+        ("trace", "trace.p="),
+        ("oracle1d", "oracle.k_max=0.1"),
+        ("oracle-disk", "oracle.k_min=0"),
+        ("convergence", "convergence.n_list="),
+        ("convergence", "convergence.n_list=0,8"),
+    ):
+        capsys.readouterr()
+        assert run([command, "--out", str(out), "--set", "basis.n=8", "--set", setting]) == 2, setting
+        assert setting.split("=")[0] in capsys.readouterr().err
 
 
 def test_domain_error_produces_json_record(tmp_path, capsys):
@@ -196,31 +213,38 @@ def test_outputs_are_deterministic(tmp_path):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_csv_writer_is_byte_exact(tmp_path):
+def test_csv_writer_is_byte_exact(tmp_path, monkeypatch):
     writer = OutputWriter(RunConfig.load(None, []), str(tmp_path))
     floats = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1.0 / 3.0, -2.5e300, 7.0]
     mixed = [(i, x, i % 2 == 0, -i) for i, x in enumerate(floats)]
     array = np.array(floats).reshape(3, 3)
-    tables = {
-        "mixed.csv": (["index", "x", "even", "neg"], mixed, mixed),
-        "array.csv": (["a", "b", "c"], array, array.tolist()),
-        "empty.csv": (["a", "b"], np.empty((0, 2)), []),
-        "empty_rows.csv": (["a", "b"], iter(()), []),
-    }
-    for name, (columns, rows, expected_rows) in tables.items():
-        path = writer.csv(name, columns, rows)
-        lines = [writer.header(), ",".join(columns)] + [
-            ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
-            for row in expected_rows
-        ]
-        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
-        for line, row in zip(path.read_text().splitlines()[2:], expected_rows):
-            for field, v in zip(line.split(","), row):
-                if isinstance(v, float):
-                    back = float(field)
-                    assert (math.isnan(back) and math.isnan(v)) or (
-                        back == v and math.copysign(1.0, back) == math.copysign(1.0, v)
-                    )
+
+    def tables():
+        return {
+            "mixed.csv": (["index", "x", "even", "neg"], mixed, mixed),
+            "mixed_rows.csv": (["index", "x", "even", "neg"], iter(mixed), mixed),
+            "array.csv": (["a", "b", "c"], array, array.tolist()),
+            "empty.csv": (["a", "b"], np.empty((0, 2)), []),
+            "empty_rows.csv": (["a", "b"], iter(()), []),
+        }
+
+    # chunks of 2 rows split the 9-row and the 3-row tables across several writes
+    for chunk_rows in (cli._CSV_CHUNK_ROWS, 2):
+        monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", chunk_rows)
+        for name, (columns, rows, expected_rows) in tables().items():
+            path = writer.csv(name, columns, rows)
+            lines = [writer.header(), ",".join(columns)] + [
+                ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
+                for row in expected_rows
+            ]
+            assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+            for line, row in zip(path.read_text().splitlines()[2:], expected_rows):
+                for field, v in zip(line.split(","), row):
+                    if isinstance(v, float):
+                        back = float(field)
+                        assert (math.isnan(back) and math.isnan(v)) or (
+                            back == v and math.copysign(1.0, back) == math.copysign(1.0, v)
+                        )
 
 
 def test_assemble_outputs(tmp_path):

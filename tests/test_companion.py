@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import cached_system, companion_eigenvalues, dense_d, random_spd_pencil
+from conftest import cached_system, companion_eigenvalues, dense_bw, dense_d, random_spd_pencil
 from tespect import assembly, companion, densela, oracles
 from tespect.errors import (
     DegenerateState,
@@ -269,7 +269,7 @@ def reference_state(comp, t):
     assert np.linalg.norm(d @ y - t.mu * y) <= 1e-6 * np.linalg.norm(d) * np.linalg.norm(y)
     lam = 1.0 / t.mu
     u_white = np.sqrt(wh.mu) * y[:n]
-    res = (1.0 / wh.mu) * u_white - lam * (wh.b @ u_white) + lam**2 * u_white
+    res = (1.0 / wh.mu) * u_white - lam * (dense_bw(wh) @ u_white) + lam**2 * u_white
     r_pencil = np.linalg.norm(res) / ((1.0 + abs(lam) + abs(lam) ** 2) * np.linalg.norm(u_white))
     u = wh.to_basis @ u_white
     u = u / np.linalg.norm(u)

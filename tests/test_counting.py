@@ -1,9 +1,10 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import cached_system, random_spd_pencil
+from conftest import cached_system, dense_bw, random_spd_pencil
 from tespect import assembly, companion, counting, densela
 from tespect.errors import (
     ContourNearZero,
@@ -86,8 +87,10 @@ def test_swap_split_det_matches_unsplit(operator, size):
 def per_point_det(wh, lam):
     # reference: one matrix per block and point, the same operations unstacked
     log_abs, arg = 0.0, 0.0
+    root = np.sqrt(wh.mu)
+    k = root[:, None] * dense_bw(wh) * root[None, :]
     for blk in wh.blocks:
-        mat = np.eye(blk.stop - blk.start, dtype=complex) - lam * wh.comp_block[blk, blk]
+        mat = np.eye(blk.stop - blk.start, dtype=complex) - lam * k[blk, blk]
         mat.flat[:: mat.shape[0] + 1] += lam**2 * wh.mu[blk]
         det = densela.complex_det(mat)
         log_abs, arg = log_abs + det.log_abs, arg + det.arg
@@ -123,6 +126,21 @@ def test_stacked_det_independent_of_stack_size(monkeypatch, budget):
     assert default.log_abs.shape == (37, 1)
     assert np.array_equal(other.log_abs, default.log_abs)
     assert np.array_equal(other.arg, default.arg)
+
+
+def test_fredholm_det_memory_follows_the_blocks():
+    # no N x N matrix: the first call holds a few complex copies of one block
+    _, _, system, _ = cached_system(dimension=2, size=24, contrast=3.0)
+    wh = assembly.whiten(system)  # fresh, so no earlier call has left anything cached
+    bound = 6 * max(blk.stop - blk.start for blk in wh.blocks) ** 2 * 16
+    assert bound < wh.size**2 * 8
+    tracemalloc.start()
+    try:
+        counting.fredholm_det(wh, 3.0 + 2.0j)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, f"peak {peak} B, bound {bound} B"
 
 
 def test_stacked_det_with_an_empty_block():
