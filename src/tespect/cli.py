@@ -195,9 +195,10 @@ class RunConfig:
         return hashlib.sha256(self.resolved_text().encode()).hexdigest()[:12]
 
 
-def _parse_potential(token: str, dimension: int) -> PotentialSpec:
+def _parse_potential(cfg: RunConfig, section: str, key: str, dimension: int) -> PotentialSpec:
+    name, token = f"{section}.{key}", cfg.str_(section, key)
     if ":" not in token:
-        raise UsageError(f"potential {token!r} needs a kind prefix")
+        raise UsageError(f"{name}: potential {token!r} needs a kind prefix")
     kind, payload = token.split(":", 1)
     try:
         if kind == "constant":
@@ -208,14 +209,19 @@ def _parse_potential(token: str, dimension: int) -> PotentialSpec:
             if row.strip()
         ]
     except ValueError as exc:
-        raise UsageError(f"potential {token!r} has non-numeric data") from exc
+        raise UsageError(f"{name}: potential {token!r} has non-numeric data") from exc
+    if kind not in ("poly", "grid"):
+        raise UsageError(f"{name}: unknown potential kind {kind!r}")
+    if not rows or not rows[0] or len({len(row) for row in rows}) > 1:
+        raise UsageError(f"{name}: potential {token!r} needs non-empty rows of equal length")
+    if dimension == 1 and len(rows) > 1:
+        raise UsageError(f"{name}: a 1D potential {token!r} takes one row")
+    arr = np.array(rows[0] if dimension == 1 else rows)
     if kind == "poly":
-        data = rows[0] if dimension == 1 else rows
-        return PotentialSpec.polynomial(np.array(data), dimension)
-    if kind == "grid":
-        data = rows[0] if dimension == 1 else rows
-        return PotentialSpec.grid(np.array(data), dimension)
-    raise UsageError(f"unknown potential kind {kind!r}")
+        return PotentialSpec.polynomial(arr, dimension)
+    if min(arr.shape) < 2:
+        raise UsageError(f"{name}: grid {token!r} needs two or more samples per axis")
+    return PotentialSpec.grid(arr, dimension)
 
 
 def _build_problem(cfg: RunConfig):
@@ -226,7 +232,7 @@ def _build_problem(cfg: RunConfig):
             f"problem.domain={dom.shape} needs problem.dimension={dom.dimension}, not {dim}"
         )
     op = OperatorSpec.preset_by_name(cfg.choice("problem", "operator", PRESET_ORDERS), dim)
-    pot = _parse_potential(cfg.str_("problem", "potential"), dim)
+    pot = _parse_potential(cfg, "problem", "potential", dim)
     return validate_problem(op, dom, pot)
 
 
@@ -454,7 +460,7 @@ def _cmd_count(cfg: RunConfig, out: OutputWriter) -> int:
 
 def _cmd_scan(cfg: RunConfig, out: OutputWriter) -> int:
     problem = _build_problem(cfg)
-    direction = _parse_potential(cfg.str_("scan", "direction"), problem.dimension)
+    direction = _parse_potential(cfg, "scan", "direction", problem.dimension)
     s_grid = np.linspace(
         cfg.float_("scan", "s_min"),
         cfg.float_("scan", "s_max"),
@@ -510,7 +516,7 @@ def _cmd_oracle1d(cfg: RunConfig, out: OutputWriter) -> int:
     roots = oracles.oracle_1d(
         cfg.float_("oracle", "contrast"),
         *_oracle_band(cfg),
-        cfg.int_("oracle", "points_per_unit"),
+        cfg.int_("oracle", "points_per_unit", low=1),
     )
     out.csv("roots.csv", ["l", "k", "lambda", "residual"], _oracle_rows(roots))
     return 0
@@ -519,9 +525,9 @@ def _cmd_oracle1d(cfg: RunConfig, out: OutputWriter) -> int:
 def _cmd_oracle_disk(cfg: RunConfig, out: OutputWriter) -> int:
     roots = oracles.oracle_disk(
         cfg.float_("oracle", "contrast"),
-        cfg.int_("oracle", "l_max"),
+        cfg.int_("oracle", "l_max", low=0),
         *_oracle_band(cfg),
-        cfg.int_("oracle", "points_per_unit"),
+        cfg.int_("oracle", "points_per_unit", low=1),
     )
     out.csv("roots.csv", ["l", "k", "lambda", "residual"], _oracle_rows(roots))
     return 0

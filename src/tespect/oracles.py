@@ -18,12 +18,25 @@ Rev. 9 (1967) 24), so the reference side shares no code with the Galerkin
 pipeline it validates.
 
 Roots are located on a dense k-grid, evaluated for all rows in blocks of 2048
-points (bounding the memory); every root is a sign change of some row, and
-all brackets are bisected at once.  Candidates from different rows of one
-mode in the same or adjacent grid cells are one root, and the candidate with
-the smaller max |row| over that mode's rows is kept.  This fires only where e
-and o vanish together, at rational eta (2 pi j at eta = 2, j pi at eta = 3),
-where F has a fourfold zero; one factor then always has a simple zero:
+points (bounding the memory); every root is a sign change of some row.  Each
+row is an entire function of exponential type tau, bounded by M on the real
+line: tau = 1 + eta for the disk rows, where M = 1 + eta as |J_l|, |J_l'| <= 1,
+and tau = (1 + eta) / 2 for the interval rows.  So every bracket, of
+half-width h, is resolved from one sample: all brackets' rows are evaluated at m
+Chebyshev-Lobatto points in a single table call, one solve with the m x m
+Chebyshev-Vandermonde matrix gives each bracket's interpolant, and the
+interpolants are bisected.  m is the smallest count with
+(tau h)^m / (2^(m-2) m!) <= eps, which bounds the interpolation error by
+eps * M (Bernstein's inequality |f^(m)| <= M tau^m, and the Lobatto node
+polynomial is at most 2^(2-m) on [-1, 1]); m = 6 at the disk's 200 points per
+unit for eta = 2.  Every refined root is then checked on the true table: a
+candidate whose own row exceeds 1e-10 there is dropped.
+
+Candidates from different rows of one mode in the same or adjacent grid cells
+are one root, and the candidate with the smaller max |row| over that mode's
+rows (on the true table) is kept.  This fires only where e and o vanish
+together, at rational eta (2 pi j at eta = 2, j pi at eta = 3), where F has a
+fourfold zero; one factor then always has a simple zero:
 e' = (1 - eta^2) cC/2 where s = S = 0, and o' = (eta^2 - 1) sS/2 where
 c = C = 0.  Two roots of the same row are never merged.
 """
@@ -145,8 +158,8 @@ def interval_determinant(k: float | np.ndarray, eta: float) -> float | np.ndarra
 
 def _disk_table(k: float | np.ndarray, eta: float, lmax: int) -> np.ndarray:
     """d_l(k) for every l <= lmax, shape (lmax + 1,) + shape(k)."""
-    row = bessel_row(lmax + 1, k)
-    row_eta = bessel_row(lmax + 1, eta * k)
+    k = np.asarray(k, dtype=float)
+    row, row_eta = np.moveaxis(bessel_row(lmax + 1, np.stack([k, eta * k])), 1, 0)
     return eta * row[:-1] * _derivative_rows(row_eta) - _derivative_rows(row) * row_eta[:-1]
 
 
@@ -175,14 +188,34 @@ def _bisect(fn: Callable, lo, hi):
     return 0.5 * (lo + hi) if lo.ndim else float(0.5 * (lo + hi))
 
 
+def _proxy_points(tau: float, h: float) -> int:
+    """Chebyshev-Lobatto samples m for a bracket of half-width h of a row of
+    exponential type tau: the smallest m >= 2 with (tau h)^m / (2^(m-2) m!) <= eps,
+    the interpolation error bound relative to the row's bound on the real line."""
+    m = 2
+    while (tau * h) ** m / (2.0 ** (m - 2) * math.factorial(m)) > np.finfo(float).eps:
+        m += 1
+    return m
+
+
+def _chebyshev_sum(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_n coef[n] T_n(x), column by column, by Clenshaw's recurrence."""
+    b1 = b2 = np.zeros_like(x)
+    for c in coef[:0:-1]:
+        b1, b2 = c + 2.0 * x * b1 - b2, b1
+    return coef[0] + x * b1 - b2
+
+
 def _scan_roots(
     table: Callable[[np.ndarray], np.ndarray],
     k_lo: float,
     k_hi: float,
     points_per_unit: int,
     modes: Sequence[Optional[int]],
+    tau: float,
 ) -> list[OracleRoot]:
-    """Roots of every row of ``table`` (row i belongs to mode ``modes[i]``)."""
+    """Roots of every row of ``table`` (row i belongs to mode ``modes[i]``);
+    every row is an entire function of exponential type at most ``tau``."""
     count = max(int(math.ceil((k_hi - k_lo) * points_per_unit)), 8) + 1
     ks = np.linspace(k_lo, k_hi, count)
     vals = np.empty((len(modes), count))
@@ -190,12 +223,20 @@ def _scan_roots(
         vals[:, lo : lo + _SCAN_BLOCK] = table(ks[lo : lo + _SCAN_BLOCK])
     sign = np.sign(vals)
     row, cell = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
-    k_star = _bisect(lambda k: table(k)[row, np.arange(k.size)], ks[cell], ks[cell + 1])
+
+    # each bracket's row, interpolated at m Lobatto points, is bisected as a polynomial
+    lo, hi = ks[cell], ks[cell + 1]
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    m = _proxy_points(tau, 0.5 * (k_hi - k_lo) / (count - 1))
+    nodes = np.cos(np.pi * np.arange(m) / (m - 1))
+    samples = table(mid[:, None] + half[:, None] * nodes)[row, np.arange(row.size)]
+    coef = np.linalg.solve(np.polynomial.chebyshev.chebvander(nodes, m - 1), samples.T)
+    k_star = _bisect(lambda k: _chebyshev_sum(coef, (k - mid) / half), lo, hi)
 
     # a candidate's residual is its own row; a merge compares max |row| over the mode
     at_root = np.abs(table(k_star))
     res = at_root[row, np.arange(row.size)]
-    mode_id = np.array([list(modes).index(m) for m in modes])  # first row of the mode
+    mode_id = np.array([list(modes).index(mode) for mode in modes])  # first row of the mode
     group = mode_id[row]
     worst = np.array([at_root[mode_id == g, i].max() for i, g in enumerate(group)])
     clusters: list[list[int]] = []
@@ -237,7 +278,12 @@ def oracle_1d(
         raise ValueError("need 0 < k_lo < k_hi")
     eta = math.sqrt(1.0 + contrast)
     roots = _scan_roots(
-        lambda k: interval_parity_determinants(k, eta), k_lo, k_hi, points_per_unit, [None, None]
+        lambda k: interval_parity_determinants(k, eta),
+        k_lo,
+        k_hi,
+        points_per_unit,
+        [None, None],
+        tau=0.5 * (1.0 + eta),
     )
     if require_roots and not roots:
         raise NoSignChange(f"no roots in ({k_lo:g}, {k_hi:g})")
@@ -271,5 +317,10 @@ def oracle_disk(
     if k_lo <= 0 or k_hi <= k_lo:
         raise ValueError("need 0 < k_lo < k_hi")
     return _scan_roots(
-        lambda k: _disk_table(k, eta, l_max), k_lo, k_hi, points_per_unit, range(l_max + 1)
+        lambda k: _disk_table(k, eta, l_max),
+        k_lo,
+        k_hi,
+        points_per_unit,
+        range(l_max + 1),
+        tau=1.0 + eta,
     )

@@ -181,12 +181,36 @@ def test_malformed_values_exit_2(tmp_path, capsys):
         ("trace", "trace.p="),
         ("oracle1d", "oracle.k_max=0.1"),
         ("oracle-disk", "oracle.k_min=0"),
+        ("oracle1d", "oracle.points_per_unit=0"),
+        ("oracle-disk", "oracle.points_per_unit=-3"),
+        ("oracle-disk", "oracle.l_max=-1"),
         ("convergence", "convergence.n_list="),
         ("convergence", "convergence.n_list=0,8"),
     ):
         capsys.readouterr()
         assert run([command, "--out", str(out), "--set", "basis.n=8", "--set", setting]) == 2, setting
         assert setting.split("=")[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, dimension, setting",
+    [
+        ("solve", 1, "problem.potential=grid:1"),
+        ("solve", 1, "problem.potential=poly:"),
+        ("solve", 1, "problem.potential=grid:1,2;9,9"),
+        ("scan", 1, "scan.direction=grid:2"),
+        ("solve", 2, "problem.potential=grid:1,2"),
+        ("solve", 2, "problem.potential=grid:1,2;3"),
+        ("solve", 2, "problem.potential=poly:1,2;3"),
+    ],
+)
+def test_malformed_potential_shape_exits_2(tmp_path, capsys, command, dimension, setting):
+    domain = "interval" if dimension == 1 else "square"
+    argv = [command, "--out", str(tmp_path / "p"), "--set", "basis.n=6"]
+    argv += ["--set", f"problem.domain={domain}", "--set", f"problem.dimension={dimension}"]
+    assert run(argv + ["--set", setting]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: " + setting.split("=")[0])
 
 
 def test_domain_error_produces_json_record(tmp_path, capsys):

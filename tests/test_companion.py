@@ -93,7 +93,7 @@ def test_parity_blocks_match_oracle_parity_rows():
     _, _, _, wh = cached_system(operator="laplacian", size=32, contrast=2.0)
     eta = math.sqrt(3.0)
     rows = lambda k: oracles.interval_parity_determinants(k, eta)
-    roots = oracles._scan_roots(rows, 0.5, 20.0, 2000, [0, 1])
+    roots = oracles._scan_roots(rows, 0.5, 20.0, 2000, [0, 1], tau=0.5 * (1.0 + eta))
     expected = ([61.868403, 314.782514], [78.973723, 277.460857])
     for parity, (lams, approx) in enumerate(zip(block_eigenvalues(wh), expected)):
         real = np.sort(lams[np.abs(lams.imag) <= 1e-8 * np.abs(lams)].real)

@@ -138,7 +138,7 @@ def test_disk_small_k_sign_anchor():
 
 def assert_resonant_family(contrast, step, count):
     # F has a fourfold zero at every multiple of ``step``; one parity factor
-    # has a simple zero there, so bisection resolves it to rounding
+    # has a simple zero there, so its interpolant's root is resolved to rounding
     roots = oracles.oracle_1d(contrast, 0.5, 20.0)
     assert len(roots) == count  # the family and nothing else
     for j, root in enumerate(roots, start=1):
@@ -217,6 +217,64 @@ def test_disk_no_simultaneous_bessel_zeros_below_twenty():
         zeros2 = oracles._bisect(f2, grid[i2], grid[i2 + 1])
         gaps = [abs(a - b) for a in zeros1 for b in zeros2]
         assert min(gaps) > 1e-3
+
+
+def test_disk_table_is_two_bessel_rows_bitwise():
+    eta = 2.0
+    for k in (3.3, np.linspace(0.5, 20.0, 3901).reshape(47, 83)):
+        row = oracles.bessel_row(9, k)
+        row_eta = oracles.bessel_row(9, eta * np.asarray(k))
+        two_calls = eta * row[:-1] * oracles._derivative_rows(row_eta)
+        two_calls -= oracles._derivative_rows(row) * row_eta[:-1]
+        assert np.array_equal(oracles._disk_table(k, eta, 8), two_calls)
+
+
+def test_proxy_points_degree_rule():
+    assert oracles._proxy_points(3.0, 2.5e-3) == 6  # the disk at 200 points per unit
+    assert oracles._proxy_points(3.0, 0.1) == 11  # and at 5 points per unit
+    for tau, h in ((3.0, 2.5e-3), (1.5, 2.5e-4), (21.0, 0.5)):
+        m = oracles._proxy_points(tau, h)
+        bound = lambda n: (tau * h) ** n / (2.0 ** (n - 2) * math.factorial(n))
+        assert bound(m) <= np.finfo(float).eps < bound(m - 1)
+
+
+def test_scan_roots_samples_each_bracket_once():
+    eta, calls = 2.0, []
+
+    def table(k):
+        calls.append(np.size(k))
+        return oracles._disk_table(k, eta, 8)
+
+    count = 3901  # 200 points per unit on [0.5, 20]
+    roots = oracles._scan_roots(table, 0.5, 20.0, 200, range(9), tau=1.0 + eta)
+    assert len(roots) == 53
+    assert len(calls) <= math.ceil(count / oracles._SCAN_BLOCK) + 2
+    assert sum(calls) <= count + 53 * oracles._proxy_points(1.0 + eta, 2.5e-3) + 53
+
+
+def test_disk_roots_independent_of_grid_density():
+    fine = oracles.oracle_disk(3.0, 8, 0.5, 20.0, points_per_unit=200)
+    coarse = oracles.oracle_disk(3.0, 8, 0.5, 20.0, points_per_unit=5)
+    assert len(fine) == len(coarse) == 53
+    assert [r.l for r in fine] == [r.l for r in coarse]
+    for a, b in zip(fine, coarse):
+        assert abs(a.k - b.k) <= 1e-13 * a.k
+
+
+def test_disk_roots_match_scipy_roots():
+    special = pytest.importorskip("scipy.special")
+    optimize = pytest.importorskip("scipy.optimize")
+    eta = 2.0
+
+    def row(k, l):
+        jv, jvp = special.jv, special.jvp
+        return eta * jv(l, k) * jvp(l, eta * k) - jvp(l, k) * jv(l, eta * k)
+
+    roots = oracles.oracle_disk(3.0, 8, 0.5, 20.0, points_per_unit=200)
+    assert len(roots) == 53
+    for root in roots:
+        k = optimize.brentq(row, *root.bracket, args=(root.l,), xtol=1e-15, rtol=1e-15)
+        assert abs(root.lam - k * k) <= 3e-14 * k * k
 
 
 def test_oracle_disk_range_guards():
