@@ -329,6 +329,11 @@ def _solve_spectrum(cfg: RunConfig, wh: WhitenedSystem):
     return comp, spec
 
 
+def _solve_eigenvalues(cfg: RunConfig, wh: WhitenedSystem) -> np.ndarray:
+    comp = companion.build_companion(wh)
+    return companion.extract_eigenvalues(comp, mu_floor=cfg.float_("solve", "mu_floor"))
+
+
 def _cmd_solve(cfg: RunConfig, out: OutputWriter) -> int:
     _, _, _, wh = _build_pipeline(cfg)
     comp, spec = _solve_spectrum(cfg, wh)
@@ -409,6 +414,8 @@ def _cmd_range(cfg: RunConfig, out: OutputWriter) -> int:
             "samples_csv_path": samples_path.name,
             "max_abs_arg": report.max_abs_arg,
             "sector_opening": report.sector_opening,
+            "lambda_min_k": list(report.lambda_min_k),
+            "exact_opening": report.exact_opening,
             "pi_over_p": report.pi_over_p,
             "within_angle": report.within_angle,
             "sample_count": report.sample_count,
@@ -427,8 +434,7 @@ def _cmd_count(cfg: RunConfig, out: OutputWriter) -> int:
     ):
         raise UsageError("count.radii must be auto or finite, positive and distinct numbers")
     _, _, _, wh = _build_pipeline(cfg)
-    comp, spec = _solve_spectrum(cfg, wh)
-    lams = np.array([t.lam for t in spec])
+    lams = _solve_eigenvalues(cfg, wh)
     if auto:
         radii = counting.auto_radii(lams)
     report = counting.growth_profile(wh, radii, spectrum=lams)
@@ -533,16 +539,12 @@ def _cmd_oracle_disk(cfg: RunConfig, out: OutputWriter) -> int:
     return 0
 
 
-def first_real_eigenvalue(spec, real_tol: float) -> complex:
+def first_real_eigenvalue(lams: np.ndarray, real_tol: float) -> complex:
     """Smallest positive real eigenvalue under the given imaginary tolerance."""
-    real = [
-        t.lam
-        for t in spec
-        if t.lam.real > 0 and abs(t.lam.imag) <= real_tol * max(1.0, abs(t.lam.real))
-    ]
-    if not real:
+    real = lams[(lams.real > 0) & (np.abs(lams.imag) <= real_tol * np.maximum(1.0, np.abs(lams.real)))]
+    if not real.size:
         raise ComputationError("no real eigenvalue found")
-    return min(real, key=lambda z: z.real)
+    return complex(real[np.argmin(real.real)])
 
 
 def convergence_table(cfg: RunConfig) -> list[dict]:
@@ -556,8 +558,7 @@ def convergence_table(cfg: RunConfig) -> list[dict]:
     prev = None
     for n in n_list:
         _, _, _, wh = _build_pipeline(cfg, size=n)
-        _, spec = _solve_spectrum(cfg, wh)
-        lam = first_real_eigenvalue(spec, real_tol).real
+        lam = first_real_eigenvalue(_solve_eigenvalues(cfg, wh), real_tol).real
         rel = abs(lam - prev) / abs(lam) if prev is not None else float("nan")
         rows.append({"n": n, "lambda": lam, "rel_diff": rel})
         prev = lam

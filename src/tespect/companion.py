@@ -219,6 +219,20 @@ def extract_spectrum(
     ]
 
 
+def extract_eigenvalues(comp: CompanionSystem, mu_floor: float = DEFAULT_MU_FLOOR) -> np.ndarray:
+    """The pencil roots of ``extract_spectrum``, without eigenvectors.
+
+    lambda = 1/mu for each eigenvalue mu of a block D_b with |mu| > mu_floor,
+    ordered as ``extract_spectrum`` orders them; one eigenvalue-only solve per
+    block, a twin repeating its source's.  LAPACK's eigenvalue-only path may
+    round differently from the one with vectors.
+    """
+    wh = comp.whitened
+    mus = np.concatenate(wh.per_block(lambda b: densela.nonsym_eig(comp.blocks[b]).eigenvalues))
+    lams = 1.0 / mus[np.abs(mus) > mu_floor]
+    return lams[np.lexsort((lams.imag, lams.real, np.abs(lams)))]
+
+
 def _pencil_residuals(wh: WhitenedSystem, b: int, lam: np.ndarray, u0: np.ndarray) -> np.ndarray:
     """Relative residuals of the whitened pencil at columns u0 of block b, each at its lam."""
     res_vec = (1.0 / wh.mu[wh.blocks[b]])[:, None] * u0 - (wh.b[b] @ u0) * lam + u0 * lam**2

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import densela
 from .assembly import WhitenedSystem
-from .companion import build_companion, extract_spectrum
+from .companion import build_companion, extract_eigenvalues
 from .errors import ContourNearZero, InsufficientResolvedRange, PhaseUnresolved
 from .util import wrap_angle
 
@@ -104,7 +104,7 @@ def fredholm_det(wh: WhitenedSystem, lam) -> densela.LogDet:
 
 
 def _computed_spectrum(wh: WhitenedSystem) -> np.ndarray:
-    return np.array([t.lam for t in extract_spectrum(build_companion(wh))])
+    return extract_eigenvalues(build_companion(wh))
 
 
 def _grid_size(radius: float, spectrum: np.ndarray) -> int:

@@ -5,12 +5,18 @@ Three families of checks on an assembled system:
 * trace criterion -- nonvanishing of tr(D^p) for an integer p above the
   Schatten threshold certifies a nonempty spectrum; the two closed-form
   trace identities for tr(D) and tr(D^2) are verified as residuals;
-* completeness angle -- random samples of the companion quadratic form,
-  evaluated in real arithmetic from the real and imaginary parts of each
-  draw and divided by the draw's squared norm at the end, are tested
-  against a closed sector of opening pi/p (sampling under-approximates the
-  true set, so a violation is conclusive while satisfaction is evidence
-  only);
+* completeness angle -- whether the numerical range W(D) lies in a closed
+  sector of opening pi/p, decided exactly: the Hermitian part of D is
+  diag(K, 0), so W(D) lies in the closed right half-plane exactly when every
+  K_b is positive semidefinite (one symmetric eigensolve per block), and
+  since S > 0 the supremum of |arg| over W(D) is pi/2; the opening is pi, or
+  2 pi when some K_b is indefinite.  Random samples of the quadratic form
+  are reported alongside as statistics: their real parts are drawn whole,
+  their imaginary parts one symmetry block at a time in the stream order of
+  a single draw, and each block is reduced in real arithmetic as it
+  arrives, so the sampler holds 2N h doubles plus a few n_b x h arrays
+  (h = half the sample count); the draws equal one whole draw bitwise, so
+  a seed keeps its samples up to rounding in the order of the sums;
 * generic-existence scan -- the trace functional tr(B_q A_q^{-1}) along a
   one-parameter potential family, with its cyclicity cross-check, derivative
   estimates, zero diagnostics and grid-refinement continuity data.
@@ -32,10 +38,11 @@ from .model import PotentialSpec, ProblemSpec, _potential_values, _validation_po
 from .util import loglog_slope
 
 _IDENTITY_TOL = 1e-10
-_RANGE_BLOCK = 256  # sample columns per block: bounds the transient memory
 RANGE_NOTE = (
-    "random sampling under-approximates the quadratic-form range: a violation "
-    "of the angle condition is conclusive, satisfaction is evidence only"
+    "within_angle compares exact_opening, which follows from lambda_min_k and the "
+    "closed-form supremum pi/2 of |arg| over the numerical range, with pi/p; "
+    "max_abs_arg and sector_opening describe the random samples only, which "
+    "under-approximate the range"
 )
 
 
@@ -64,16 +71,18 @@ class TraceReport:
 
 @dataclass(frozen=True)
 class RangeReport:
-    """Sampled numerical range of the companion operator."""
+    """Numerical range of the companion operator: exact opening and samples."""
 
     sample_count: int
     seed: int
     samples: np.ndarray
     max_abs_arg: float
     sector_opening: float  # full opening of the real-axis sector holding all samples
+    lambda_min_k: tuple  # smallest eigenvalue of each K_b, a twin repeating its source's
+    exact_opening: float  # full opening of the real-axis sector holding W(D)
     p: int
     pi_over_p: float
-    within_angle: bool
+    within_angle: bool  # exact_opening <= pi/p
     note: str = RANGE_NOTE
 
 
@@ -198,13 +207,36 @@ def _column_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", x, y)
 
 
+def _range_opening(wh: WhitenedSystem) -> tuple[tuple, float]:
+    """Smallest eigenvalue of each K_b and the exact opening of W(D).
+
+    The Hermitian part of D is diag(K, 0), since its +-S blocks are skew, so
+    Re W(D) >= 0 exactly when every K_b is positive semidefinite, judged as
+    lambda_min(K_b) >= -n_b eps ||K_b||_2.  As S > 0, |arg| reaches
+    pi/2 - O(t) at w = (t a, i S a / |S a|) for real a, so the supremum of
+    |arg| over W(D) is pi/2: the opening is pi, or 2 pi when some K_b is
+    indefinite.  One ``eigvalsh`` per block, a twin repeating its source's.
+    """
+
+    def block_floor(b: int) -> tuple[float, bool]:
+        vals = np.linalg.eigvalsh(wh.k_block(b))
+        tol = vals.size * np.finfo(float).eps * float(np.max(np.abs(vals), initial=0.0))
+        return float(vals[0]), bool(vals[0] >= -tol)
+
+    floors = wh.per_block(block_floor)
+    opening = np.pi if all(ok for _, ok in floors) else 2.0 * np.pi
+    return tuple(lam for lam, _ in floors), opening
+
+
 def numerical_range(
     comp: CompanionSystem, sample_count: int, seed: int = 0, p: int = 1
 ) -> RangeReport:
-    """Sampled quadratic-form range of the companion operator.
+    """Exact opening of the companion operator's numerical range, with samples.
 
-    Draws unit-norm complex pairs (u0, v0) (Gaussian components, then joint
-    normalization) and evaluates
+    ``within_angle`` compares the exact opening (``_range_opening``) with
+    pi/p.  The samples are statistics only: they draw unit-norm complex
+    pairs (u0, v0) (Gaussian components, then joint normalization) and
+    evaluate
 
         z = <K u0, u0> - 2i Im <S v0, u0>.
 
@@ -215,13 +247,21 @@ def numerical_range(
         Im <S v0, u0> = sum_i s_i (a_i d_i - b_i c_i),
         z = (Re <K u0, u0> - 2i Im <S v0, u0>) / |w|^2,
 
-    with |w|^2 the column sum of squares of both parts; K vanishes off the
-    symmetry blocks, so two real products per block give the first sum, with
-    K_b from ``WhitenedSystem.k_block``.
+    with |w|^2 the column sum of squares of all four parts; K vanishes off
+    the symmetry blocks, so two real products per block give the first sum,
+    with K_b from ``WhitenedSystem.k_block``.  The real parts (a; c) are
+    drawn whole as one 2N x h array, h = ceil(sample_count / 2); the
+    imaginary parts follow from the same generator one block at a time, the
+    rows b_b in block order and then the rows d_b, so together they are the
+    draw of one 2N x h array, and each block's share is added to the three
+    sums as it arrives.  Memory therefore stays at 2N h doubles plus a few
+    n_b x h arrays of the block at hand.  A seed gives the samples of one
+    whole draw, the same rows as before, whose values move only at rounding
+    with the order of the sums.
     Draws are mirrored with their conjugates, so the sample set is closed
     under conjugation by construction; an odd count is rounded up.  The
     smallest real-axis-symmetric closed sector containing all samples has
-    full opening 2 max|arg z|, reported against pi/p.
+    full opening 2 max|arg z|.
     """
     if sample_count < 100:
         raise ValueError("need at least 100 samples")
@@ -229,33 +269,36 @@ def numerical_range(
     wh = comp.whitened
     n = wh.size
     rng = np.random.default_rng(seed)
-    # drawn whole and in a fixed order, so the samples do not depend on the block
     re = rng.standard_normal((2 * n, half))
-    im = rng.standard_normal((2 * n, half))
+    a, c = re[:n], re[n:]
+    norm2 = _column_dots(re, re)
+    quad = np.zeros(half)
+    cross = np.zeros(half)
+    # the imaginary parts in the stream order of one (2N, h) draw: the rows
+    # b_b block by block, then the rows d_b, so no block split moves a sample
+    for i, blk in enumerate(wh.blocks):
+        k, im = wh.k_block(i), rng.standard_normal((blk.stop - blk.start, half))
+        norm2 += _column_dots(im, im)
+        quad += _column_dots(a[blk], k @ a[blk]) + _column_dots(im, k @ im)
+        cross -= _column_dots(np.sqrt(wh.mu[blk])[:, None] * im, c[blk])
+    for blk in wh.blocks:
+        im = rng.standard_normal((blk.stop - blk.start, half))
+        norm2 += _column_dots(im, im)
+        cross += _column_dots(np.sqrt(wh.mu[blk])[:, None] * a[blk], im)
     z = np.empty(half, dtype=complex)
-    root = np.sqrt(wh.mu)[:, None]
-    corners = list(zip(wh.blocks, wh.per_block(wh.k_block)))
-    for cols in (slice(lo, lo + _RANGE_BLOCK) for lo in range(0, half, _RANGE_BLOCK)):
-        a, c = re[:n, cols], re[n:, cols]
-        b, d = im[:n, cols], im[n:, cols]
-        norm2 = _column_dots(re[:, cols], re[:, cols]) + _column_dots(im[:, cols], im[:, cols])
-        quad = sum(
-            _column_dots(a[blk], k @ a[blk]) + _column_dots(b[blk], k @ b[blk])
-            for blk, k in corners
-        )
-        cross = _column_dots(root * a, d) - _column_dots(root * b, c)
-        z.real[cols] = quad / norm2
-        z.imag[cols] = -2.0 * cross / norm2
+    z.real, z.imag = quad / norm2, -2.0 * cross / norm2
     samples = np.concatenate([z, z.conj()])
 
     max_arg = float(np.max(np.abs(np.angle(samples))))
-    opening = 2.0 * max_arg
+    floors, opening = _range_opening(wh)
     return RangeReport(
         sample_count=samples.size,
         seed=seed,
         samples=samples,
         max_abs_arg=max_arg,
-        sector_opening=opening,
+        sector_opening=2.0 * max_arg,
+        lambda_min_k=floors,
+        exact_opening=opening,
         p=p,
         pi_over_p=np.pi / p,
         within_angle=bool(opening <= np.pi / p + 1e-12),

@@ -314,6 +314,9 @@ def test_range_report_fields(tmp_path):
     payload = json.loads((out / "range.json").read_text())
     for field in ("samples_csv_path", "max_abs_arg", "sector_opening", "pi_over_p"):
         assert field in payload
+    assert payload["exact_opening"] == pytest.approx(np.pi)
+    assert payload["within_angle"] is True  # 1D -Laplacian: p = 1
+    assert len(payload["lambda_min_k"]) == 2 and min(payload["lambda_min_k"]) > 0
     assert (out / payload["samples_csv_path"]).exists()
 
 

@@ -458,6 +458,18 @@ def test_trig_basis_finds_oracle_eigenvalue():
 def test_extract_spectrum_mu_floor(toy_companion):
     spec = companion.extract_spectrum(toy_companion, mu_floor=0.5)
     assert [t.lam for t in spec] == [1.0 + 0.0j]
+    assert companion.extract_eigenvalues(toy_companion, mu_floor=0.5).tolist() == [1.0 + 0.0j]
+
+
+@pytest.mark.parametrize("dimension, size", [(1, 32), (2, 6)], ids=["1d-n32", "2d-n6"])
+def test_extract_eigenvalues_match_extract_spectrum(dimension, size):
+    comp = companion.build_companion(cached_system(dimension=dimension, size=size, contrast=3.0)[3])
+    lams = companion.extract_eigenvalues(comp)
+    full = np.array([t.lam for t in companion.extract_spectrum(comp)])
+    assert lams.shape == full.shape
+    # the eigenvalue-only solve rounds on its own, and at a defective star
+    # (1D, n = 32) rounding moves the eigenvalues by about eps^(1/3)
+    assert np.max(np.abs(lams - full) / np.abs(full)) <= 1e-4
 
 
 def test_build_companion_rejects_nonfinite():

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,6 +183,52 @@ def test_numerical_range_blocks_match_one_shot_draws(dimension, size):
     z = re + 1j * im
     expected = np.concatenate([z, z.conj()])
     assert np.max(np.abs(report.samples - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def test_numerical_range_memory_holds_half_the_draws():
+    # the real parts are held whole (2N x h); the imaginary parts arrive one
+    # block at a time, so the rest stays within a few n_b x h arrays
+    wh = cached_system(dimension=2, size=8, contrast=3.0)[3]
+    comp = companion.build_companion(wh)
+    half = 5000
+    bound = (2 * wh.size + 4 * max(blk.stop - blk.start for blk in wh.blocks)) * half * 8
+    tracemalloc.start()
+    try:
+        diagnostics.numerical_range(comp, 10000, seed=2025)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
+
+
+@pytest.mark.parametrize(
+    "operator, dimension, size, verdict",
+    [("laplacian", 2, 6, False), ("laplacian", 1, 16, True), ("bilaplacian", 2, 6, True)],
+    ids=["2d-laplacian", "1d-laplacian", "2d-bilaplacian"],
+)
+def test_numerical_range_exact_verdict(operator, dimension, size, verdict):
+    problem, _, _, wh = cached_system(operator=operator, dimension=dimension, size=size, contrast=3.0)
+    comp = companion.build_companion(wh)
+    report = diagnostics.numerical_range(comp, 1000, seed=4, p=problem.p_min)
+    assert report.within_angle is verdict
+    assert report.exact_opening == np.pi  # every K_b is positive definite here
+    assert len(report.lambda_min_k) == len(wh.blocks) and min(report.lambda_min_k) > 0
+    # w = (t a, i S a / |S a|) has |arg <D w, w>| -> pi/2 as t -> 0
+    a = np.linspace(1.0, 2.0, wh.size)
+    s_a = np.sqrt(wh.mu) * a
+    w = np.concatenate([1e-4 * a, 1j * s_a / np.linalg.norm(s_a)])
+    angle = abs(np.angle(np.vdot(w, dense_d(comp) @ w)))
+    assert angle > np.pi / 4 and angle > report.max_abs_arg
+    assert bool(angle <= report.pi_over_p / 2) is verdict
+
+
+def test_numerical_range_indefinite_k_opens_full_plane():
+    # K = diag(1, -1): W(D) reaches both half-planes, so no sector short of 2 pi holds it
+    wh = assembly.WhitenedSystem.from_matrices(np.eye(2), np.diag([1.0, -1.0]))
+    report = diagnostics.numerical_range(companion.build_companion(wh), 500, seed=2, p=1)
+    assert report.exact_opening == 2 * np.pi
+    assert not report.within_angle
+    assert sorted(report.lambda_min_k) == pytest.approx([-1.0])
 
 
 def test_numerical_range_deterministic(toy_companion):
