@@ -29,12 +29,19 @@ A, B and C vanish in exact arithmetic and are stored as exact zeros.  On the
 square the presets also commute with the diagonal swap x <-> y; when V does
 too, the system stores A, B and C averaged over the swap, so they are exactly
 invariant under it, and records its basis permutation as ``swap``.
-``whiten`` then refines the classes by the swap (``_whitening_blocks``): a
+``whiten`` then refines the classes by the swap (``whitening_blocks``): a
 class the swap maps onto itself splits into a swap-even and a swap-odd half,
 and of two classes it exchanges, the second is a twin of the first, with the
 same mu and B_w.  It reduces each block that is not a twin by one Cholesky
 factor and one symmetric eigensolve, to coordinates where the mass is the
 identity and the stiffness is diagonal.
+
+The numeric steps act on the last two axes with an optional leading stack
+axis: ``assemble_stack`` forms and checks A, B, C for V given at the
+quadrature points, ``whiten_stack`` whitens them block by block, and a
+family of potentials on one basis (the potential scan) runs through them
+as one stack, sharing the blocks and the Dirichlet form.  ``assemble_system``
+and ``whiten`` are these kernels on one member.
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ from .errors import (
     ParityViolation,
     QuadratureUnderflow,
     QuadratureWarning,
+    refuse,
 )
 from .model import PotentialSpec, ProblemSpec, _potential_values
 
@@ -299,7 +307,8 @@ def build_basis(
 
 
 def _factor_form(e1: np.ndarray, e2: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return (e1 * w[None, :]) @ e2.T
+    """int w e1_i e2_j on the rule, for weights w on the last axis (stacks allowed)."""
+    return (e1 * w[..., None, :]) @ e2.T
 
 
 @dataclass
@@ -336,7 +345,7 @@ class WhitenedSystem:
     """Pencil in mass-orthonormal coordinates with a diagonal stiffness.
 
     Whitened coordinates run block by block: ``blocks`` holds one slice per
-    symmetry block (``_whitening_blocks``), in its order.  ``twin_of[i]`` is
+    symmetry block (``whitening_blocks``), in its order.  ``twin_of[i]`` is
     the index of the earlier block that block i is a swap image of, or None:
     a twin has the source's mu bitwise and shares its B_w array, so every
     per-block result of the source serves it too (``per_block``).  ``mu``
@@ -389,15 +398,53 @@ class WhitenedSystem:
         return root[:, None] * self.b[i] * root[None, :]
 
 
-def _check_and_symmetrize(name: str, m: np.ndarray) -> np.ndarray:
-    scale = max(float(np.linalg.norm(m)), 1e-300)
-    asym = float(np.linalg.norm(m - m.T)) / scale
-    if asym > _ASYM_TOL:
-        raise AsymmetryExceeded(
-            f"matrix {name} asymmetry {asym:.3e} exceeds {_ASYM_TOL:.0e}; "
-            "quadrature is inconsistent"
-        )
-    return 0.5 * (m + m.T)
+def _frobenius(x: np.ndarray, lead: int) -> np.ndarray:
+    """Frobenius norm over the axes after the first ``lead``, one per stack member."""
+    flat = x.reshape(x.shape[:lead] + (-1,))
+    return np.sqrt(np.einsum("...k,...k->...", flat, flat))
+
+
+def _pair_swapped(m: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """An ns^2 x ns^2 matrix as (..., ns, ns, ns, ns) and the view with each index pair swapped.
+
+    Row (a, b) and column (c, d) become row (b, a) and column (d, c).  In
+    the pair layout of ``_form`` that is the transpose; in basis order, the
+    diagonal swap x <-> y.  Both stay in cache-friendly order, unlike a
+    plain N x N transpose.
+    """
+    m4 = m.reshape(m.shape[:-2] + (size,) * 4)
+    return m4, np.swapaxes(np.swapaxes(m4, -4, -3), -2, -1)
+
+
+def _transposed(m: np.ndarray, basis: Optional[BasisSet]) -> tuple[np.ndarray, np.ndarray]:
+    """M and M^T as views of one shape, for M in the layout of ``_form`` on ``basis``."""
+    if basis is None or basis.dimension == 1:
+        return m, np.swapaxes(m, -1, -2)
+    return _pair_swapped(m, basis.size)
+
+
+def _check_and_symmetrize(name: str, m: np.ndarray, basis: Optional[BasisSet] = None) -> np.ndarray:
+    """(M + M^T) / 2 after checking ||M - M^T|| / ||M||, for M or each member of a stack.
+
+    Given a 2D basis, M is in the pair layout of ``_form`` and the result
+    in basis order.
+    """
+    lead = m.ndim - 2
+    m, mt = _transposed(m, basis)
+    out = m - mt
+    asym = _frobenius(out, lead) / np.maximum(_frobenius(m, lead), 1e-300)
+    refuse(
+        AsymmetryExceeded,
+        asym > _ASYM_TOL,
+        lambda i: f"matrix {name} asymmetry {asym[i]:.3e} exceeds {_ASYM_TOL:.0e}; "
+        "quadrature is inconsistent",
+    )
+    np.add(m, mt, out=out)
+    out *= 0.5
+    if out.ndim == lead + 2:
+        return out
+    # (i, j), (k, l) -> (i, k), (j, l): test index i*ns + k, trial index j*ns + l
+    return out.swapaxes(-3, -2).reshape(out.shape[:lead] + (basis.size**2,) * 2)
 
 
 @cache
@@ -410,70 +457,91 @@ def _legendre_analysis(n: int) -> np.ndarray:
 
 
 def _warn_if_unresolved(qvals: np.ndarray, basis: BasisSet) -> None:
-    """Warn if q = 1/V has Legendre coefficients past 3N/4 on an N-node cell."""
+    """Warn, per stack member, if q = 1/V has Legendre coefficients past 3N/4 on an N-node cell."""
     n = basis.cell_nodes
     to_coeffs = _legendre_analysis(n)
-    coef = qvals.reshape((basis.nodes.size // n, n) * basis.dimension)
-    for axis in range(1, coef.ndim, 2):
+    lead = qvals.ndim - 1
+    coef = qvals.reshape(qvals.shape[:-1] + (basis.nodes.size // n, n) * basis.dimension)
+    node_axes = range(lead + 1, coef.ndim, 2)
+    for axis in node_axes:
         coef = np.moveaxis(np.tensordot(to_coeffs, coef, axes=(1, axis)), 0, axis)
     coef, high = np.abs(coef), np.arange(n) >= 0.75 * n
-    tail = max(coef[:, high].max(), coef[..., high].max()) / coef.max()
-    if tail > _TAIL_TOL:
+    member = tuple(range(lead, coef.ndim))
+    peaks = [np.compress(high, coef, axis=axis).max(axis=member) for axis in node_axes]
+    tails = np.atleast_1d(np.maximum.reduce(peaks) / coef.max(axis=member))
+    for tail in tails[tails > _TAIL_TOL]:
         msg = f"q = 1/V unresolved on {n}-node cells: Legendre tail {tail:.1e} past 3N/4"
         warnings.warn(msg, QuadratureWarning, stacklevel=4)
 
 
-def _assemble(problem: ProblemSpec, basis: BasisSet) -> dict[str, np.ndarray]:
-    n = problem.dimension
-    nodes, weights = basis.nodes, basis.weights
-    vvals = _potential_values(problem.potential, basis.grid_points())
-    if np.min(vvals) <= _POSITIVITY_MARGIN:
-        raise NonpositivePotential(
-            f"potential minimum {np.min(vvals):.3e} at a quadrature node"
-        )
-    qvals = 1.0 / vvals
-    _warn_if_unresolved(qvals, basis)
+def _form(basis: BasisSet, terms_i, terms_j, wvals: np.ndarray) -> np.ndarray:
+    """sum c_i c_j int w (d^i phi_I)(d^j phi_J) over two term lists, w on the last axis of ``wvals``.
 
-    pterms = p0_terms(problem.order, n)
-    dfactors = dirichlet_factors(problem.order, n)
-    ident = [(1.0, (0,) * n)]
-    ev1 = basis.tables
+    In 2D the result is in the pair layout: rows (i, j) pair the x-factors
+    of test and trial function, columns (k, l) their y-factors, for test
+    index i*ns + k and trial index j*ns + l; ``_check_and_symmetrize``
+    returns it in basis order.
+    """
+    ev = basis.tables
+    if basis.dimension == 1:
+        w = basis.weights * wvals
 
-    if n == 1:
-
-        def form(termsI, termsJ, wvals):
-            out = np.zeros((basis.size, basis.size))
-            for ci, (ki,) in termsI:
-                for cj, (kj,) in termsJ:
-                    out += ci * cj * _factor_form(ev1[ki], ev1[kj], weights * wvals)
-            return out
+        def term(ci, ki, cj, kj):
+            return ci * cj * _factor_form(ev[ki[0]], ev[kj[0]], w)
 
     else:
-        w2 = np.outer(weights, weights)
-        qn = nodes.size
+        ns, qn = basis.size, basis.nodes.size
+        wgrid = np.outer(basis.weights, basis.weights) * wvals.reshape(wvals.shape[:-1] + (qn, qn))
 
-        def form(termsI, termsJ, wvals):
-            ns = basis.size
-            wgrid = w2 * wvals.reshape(qn, qn)
-            out = np.zeros((ns * ns, ns * ns))
-            for ci, (kxi, kyi) in termsI:
-                for cj, (kxj, kyj) in termsJ:
-                    u = np.einsum("ia,ja->ija", ev1[kxi], ev1[kxj]).reshape(ns * ns, qn)
-                    v = np.einsum("ib,jb->ijb", ev1[kyi], ev1[kyj]).reshape(ns * ns, qn)
-                    r = (u @ wgrid @ v.T).reshape(ns, ns, ns, ns)
-                    out += ci * cj * r.transpose(0, 2, 1, 3).reshape(ns * ns, ns * ns)
-            return out
+        def term(ci, ki, cj, kj):
+            u = np.einsum("ia,ja->ija", ev[ki[0]], ev[kj[0]]).reshape(ns * ns, qn)
+            v = np.einsum("ib,jb->ijb", ev[ki[1]], ev[kj[1]]).reshape(ns * ns, qn)
+            r = u @ wgrid @ v.T
+            if ci * cj != 1.0:
+                r *= ci * cj
+            return r
 
-    ones = np.ones_like(qvals)
-    mat_a = form(pterms, pterms, qvals)
-    mat_bq = form(pterms, ident, qvals)
-    mat_bd = sum(form(f, f, ones) for f in dfactors)
-    mat_b = mat_bq + mat_bq.T + mat_bd
-    mat_c = form(ident, ident, 1.0 + qvals)
-    return {"A": mat_a, "B": mat_b, "C": mat_c}
+    out = None
+    for ci, ki in terms_i:
+        for cj, kj in terms_j:
+            if out is None:
+                out = term(ci, ki, cj, kj)
+            else:
+                out += term(ci, ki, cj, kj)
+    return out
 
 
-def _parity_classes(problem: ProblemSpec, basis: BasisSet) -> tuple[np.ndarray, ...]:
+def dirichlet_form(basis: BasisSet) -> np.ndarray:
+    """The Dirichlet form d(u_i, u_j) of the basis's preset order, in the layout of ``_form``.
+
+    It does not involve V, so one serves every potential on the basis.
+    """
+    ones = np.ones(basis.grid_weights().size)
+    factors = dirichlet_factors(basis.order, basis.dimension)
+    return sum(_form(basis, f, f, ones) for f in factors)
+
+
+def _raw_forms(basis: BasisSet, qvals: np.ndarray, dirichlet=None):
+    """Yield ("A", A), ("B", B), ("C", C) before symmetrization, one at a time.
+
+    q = 1/V at the quadrature points is on the last axis of ``qvals``, after
+    an optional stack axis; ``dirichlet`` is ``dirichlet_form``, built here
+    when not given.  The matrices are in the layout of ``_form``.  One is
+    formed at a time, so a consumer that checks each as it comes holds one
+    unchecked matrix at once.  B = Bq + Bq^T + d with Bq = int q (P u_i) u_j.
+    """
+    pterms, ident = p0_terms(basis.order, basis.dimension), [(1.0, (0,) * basis.dimension)]
+    yield "A", _form(basis, pterms, pterms, qvals)
+    bq = _form(basis, pterms, ident, qvals)
+    b = np.add(*_transposed(bq, basis)).reshape(bq.shape)
+    del bq
+    b += dirichlet_form(basis) if dirichlet is None else dirichlet
+    yield "B", b
+    del b
+    yield "C", _form(basis, ident, ident, 1.0 + qvals)
+
+
+def parity_classes(problem: ProblemSpec, basis: BasisSet) -> tuple[np.ndarray, ...]:
     """Basis indices grouped by parity along the axes where V is reflection-invariant.
 
     A 1D factor j has parity (-1)^j in both families; a 2D index is
@@ -489,8 +557,97 @@ def _parity_classes(problem: ProblemSpec, basis: BasisSet) -> tuple[np.ndarray, 
     return tuple(np.flatnonzero(key == k) for k in np.unique(key))
 
 
-def _relative_leak(mat: np.ndarray, dropped: np.ndarray) -> float:
-    return float(np.linalg.norm(dropped)) / max(float(np.linalg.norm(mat)), 1e-300)
+def swap_permutation(problem: ProblemSpec, basis: BasisSet) -> Optional[np.ndarray]:
+    """Basis permutation of the diagonal swap x <-> y when V on the square is invariant under it."""
+    if problem.dimension != 2 or not problem.potential.swap_invariant():
+        return None
+    return np.arange(basis.size**2).reshape(basis.size, basis.size).T.ravel()
+
+
+def _cholesky(m: np.ndarray, what: str) -> np.ndarray:
+    """Cholesky factor of each member of a stack; NotPositiveDefinite names ``what``."""
+    try:
+        return np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        flat = m.reshape((-1,) + m.shape[-2:])
+        bad = np.array([not _factors(x) for x in flat]).reshape(m.shape[:-2])
+        refuse(NotPositiveDefinite, bad, lambda i: f"{what} is not positive definite")
+        raise NotPositiveDefinite(f"{what} is not positive definite") from None
+
+
+def _factors(m: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def assemble_stack(
+    basis: BasisSet,
+    vvals: np.ndarray,
+    classes: tuple[np.ndarray, ...],
+    swap: Optional[np.ndarray] = None,
+    dirichlet: Optional[np.ndarray] = None,
+    factor: str = "AC",
+) -> dict[str, np.ndarray]:
+    """Checked A, B, C of one pencil, or of a stack of pencils on one basis.
+
+    ``vvals`` holds V at ``basis.grid_points()`` on its last axis, after an
+    optional leading stack axis that the matrices then share.  ``classes``
+    and ``swap`` are ``parity_classes`` and ``swap_permutation`` of the
+    problem, which an affine family shares for every s; ``dirichlet`` is
+    ``dirichlet_form``, built here when not given.  Every check runs on
+    every member: the positivity of V at the nodes, the Legendre tail of
+    q, the asymmetry, the parity and swap leaks, and the Cholesky factors
+    of the matrices named in ``factor`` on each class.  A failure names the
+    first failing member (``errors.refuse``).
+    """
+    vmin = np.min(vvals, axis=-1)
+    refuse(
+        NonpositivePotential,
+        vmin <= _POSITIVITY_MARGIN,
+        lambda i: f"potential minimum {vmin[i]:.3e} at a quadrature node",
+    )
+    lead, qvals = vvals.ndim - 1, 1.0 / vvals
+    _warn_if_unresolved(qvals, basis)
+    out = {
+        name: _check_and_symmetrize(name, mat, basis)
+        for name, mat in _raw_forms(basis, qvals, dirichlet)
+    }
+    if len(classes) > 1:
+        label = np.empty(out["A"].shape[-1], dtype=int)
+        for cls, idx in enumerate(classes):
+            label[idx] = cls
+        coupled = label[:, None] != label[None, :]
+        for name, mat in out.items():
+            leak = _frobenius(mat * coupled, lead) / np.maximum(_frobenius(mat, lead), 1e-300)
+            refuse(
+                ParityViolation,
+                leak > _ASYM_TOL,
+                lambda i: f"matrix {name} couples parity classes at {leak[i]:.3e} of its norm, "
+                f"above {_ASYM_TOL:.0e}",
+            )
+            mat *= ~coupled
+    if swap is not None:
+        for name, mat in out.items():
+            scale = np.maximum(_frobenius(mat, lead), 1e-300)
+            m4, image = _pair_swapped(mat, basis.size)  # image[I, J] = M[swap(I), swap(J)]
+            mean = m4 + image
+            mean *= 0.5  # the swap average (M + P M P^T) / 2
+            m4 -= mean  # (M - P M P^T) / 2
+            leak = 2.0 * _frobenius(mat, lead) / scale
+            refuse(
+                ParityViolation,
+                leak > _ASYM_TOL,
+                lambda i: f"matrix {name} changes under the swap x <-> y by {leak[i]:.3e} of "
+                f"its norm, above {_ASYM_TOL:.0e}",
+            )
+            out[name] = mean.reshape(mat.shape)
+    for name in factor:
+        for idx in classes:
+            _cholesky(out[name][..., idx[:, None], idx], f"matrix {name}")
+    return out
 
 
 def assemble_system(problem: ProblemSpec, basis: BasisSet) -> GalerkinSystem:
@@ -499,10 +656,11 @@ def assemble_system(problem: ProblemSpec, basis: BasisSet) -> GalerkinSystem:
     The rule is exact for q = 1/V resolved on each cell; a QuadratureWarning
     reports a q whose Legendre tail says otherwise (V near zero, say).  The
     Gram matrix is the basis's own, checked by ``build_basis``.  Entries
-    coupling two parity classes (``_parity_classes``) vanish in exact
+    coupling two parity classes (``parity_classes``) vanish in exact
     arithmetic and are set to zero.  On the square, for a swap-invariant V,
     each matrix M is replaced by its swap average (M + P M P^T) / 2, which
-    moves it by at most the checked leak.
+    moves it by at most the checked leak.  This is ``assemble_stack`` on
+    one member.
 
     Raises:
         AsymmetryExceeded: pre-symmetrization asymmetry above 1e-8.
@@ -511,39 +669,9 @@ def assemble_system(problem: ProblemSpec, basis: BasisSet) -> GalerkinSystem:
         NotPositiveDefinite: A or C fails factorization.
         NonpositivePotential: V not strictly positive at a quadrature node.
     """
-    out = {k: _check_and_symmetrize(k, v) for k, v in _assemble(problem, basis).items()}
-    blocks = _parity_classes(problem, basis)
-    label = np.empty(basis.gram.shape[0], dtype=int)
-    for cls, idx in enumerate(blocks):
-        label[idx] = cls
-    coupled = label[:, None] != label[None, :]
-    for name, mat in out.items():
-        leak = _relative_leak(mat, mat[coupled])
-        if leak > _ASYM_TOL:
-            raise ParityViolation(
-                f"matrix {name} couples parity classes at {leak:.3e} of its norm, "
-                f"above {_ASYM_TOL:.0e}"
-            )
-        mat[coupled] = 0.0
-    swap = None
-    if problem.dimension == 2 and problem.potential.swap_invariant():
-        swap = np.arange(basis.size**2).reshape(basis.size, basis.size).T.ravel()
-        for name, mat in out.items():
-            image = mat[np.ix_(swap, swap)]
-            leak = _relative_leak(mat, mat - image)
-            if leak > _ASYM_TOL:
-                raise ParityViolation(
-                    f"matrix {name} changes under the swap x <-> y by {leak:.3e} of "
-                    f"its norm, above {_ASYM_TOL:.0e}"
-                )
-            out[name] = 0.5 * (mat + image)
-    for name in ("A", "C"):
-        for idx in blocks:
-            try:
-                np.linalg.cholesky(out[name][np.ix_(idx, idx)])
-            except np.linalg.LinAlgError as exc:
-                raise NotPositiveDefinite(f"matrix {name} is not positive definite") from exc
-
+    classes, swap = parity_classes(problem, basis), swap_permutation(problem, basis)
+    vvals = _potential_values(problem.potential, basis.grid_points())
+    out = assemble_stack(basis, vvals, classes, swap)
     return GalerkinSystem(
         gram=basis.gram,
         a=out["A"],
@@ -551,7 +679,7 @@ def assemble_system(problem: ProblemSpec, basis: BasisSet) -> GalerkinSystem:
         c=out["C"],
         problem=problem,
         basis=basis,
-        blocks=blocks,
+        blocks=classes,
         swap=swap,
     )
 
@@ -571,17 +699,19 @@ class _Block:
     twin_of: Optional[int] = None
 
     def gather(self, m: np.ndarray) -> np.ndarray:
-        """The sub-pencil matrix W^T M W of a swap-invariant M, from two gathers.
+        """The sub-pencil matrix W^T M W of a swap-invariant M (or of each member of a stack).
 
         With q = swap(p) and M exactly invariant, the four terms of W^T M W
         pair up: W^T M W = s s^T o (M[p, p] + sign M[p, q]), with s = 1/sqrt(2)
         on the swap-fixed members (q_c = p_c) and 1 elsewhere.
         """
+        if self.q is None and self.p.size == m.shape[-1]:
+            return m  # the whole pencil in one block: p is every index, ascending
         rows = self.p[:, None]
         if self.q is None:
-            return m[rows, self.p]
+            return m[..., rows, self.p]
         scale = np.where(self.p == self.q, np.sqrt(0.5), 1.0)
-        return (m[rows, self.p] + self.sign * m[rows, self.q]) * scale[:, None] * scale
+        return (m[..., rows, self.p] + self.sign * m[..., rows, self.q]) * scale[:, None] * scale
 
     def scatter(self, x: np.ndarray, cols: slice, xb: np.ndarray) -> None:
         """Write W xb into the columns ``cols`` of X."""
@@ -593,8 +723,8 @@ class _Block:
         x[self.q[pair], cols] = self.sign * x[self.p[pair], cols]
 
 
-def _whitening_blocks(system: GalerkinSystem) -> list[_Block]:
-    """The parity classes of ``system``, refined by its diagonal swap if it has one.
+def whitening_blocks(classes: tuple[np.ndarray, ...], swap: Optional[np.ndarray]) -> list[_Block]:
+    """The parity classes, refined by the diagonal swap if there is one.
 
     A class the swap maps onto itself splits into a swap-even half, columns
     (e_I + e_swap(I)) / sqrt(2) for I < swap(I) and e_I for I = swap(I), and
@@ -603,12 +733,11 @@ def _whitening_blocks(system: GalerkinSystem) -> list[_Block]:
     swap exchanges, the first stays a block of plain indices and the second
     becomes its twin.  Empty halves are left out.
     """
-    swap = system.swap
     if swap is None:
-        return [_Block(idx) for idx in system.blocks]
+        return [_Block(idx) for idx in classes]
     out: list[_Block] = []
     sources: dict[int, int] = {}  # smallest index of a class's image -> the class's block
-    for idx in system.blocks:
+    for idx in classes:
         image = swap[idx]
         if idx.size and int(idx[0]) in sources:
             source = sources[int(idx[0])]
@@ -626,66 +755,94 @@ def _whitening_blocks(system: GalerkinSystem) -> list[_Block]:
     return out
 
 
+def whiten_stack(
+    blocks: list[_Block], a: np.ndarray, b: np.ndarray, c: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The block whitening of one pencil, or of each member of a stack.
+
+    For each block (``whitening_blocks``) that is not a twin, with W its
+    columns and L = chol(W^T A W), the eigendecomposition
+    M = L^{-1} (W^T C W) L^{-T} = Q diag(mu) Q^T gives X_b = L^{-T} Q
+    diag(mu)^{-1/2} in the block's coordinates and B_w,b = X_b^T (W^T B W) X_b,
+    symmetrized.  Returns (mu, X_b, B_w,b) per block, mu descending; a
+    twin's entry is its source's tuple.  The mu cut is taken per member
+    over all its blocks: with tau = eps max(mu), a mu in [-tau, 0] is
+    rounding of an eigenvalue at infinity, whose column of X_b and row and
+    column of B_w,b are zero, so a cut that differs between members is a
+    mask.
+
+    Raises:
+        NotPositiveDefinite: A or C has a non-finite entry, a W^T A W has no
+            Cholesky factor, no mu is positive, or some mu < -tau.
+    """
+    finite = np.isfinite(a).all(axis=(-2, -1)) & np.isfinite(c).all(axis=(-2, -1))
+    refuse(NotPositiveDefinite, ~finite, lambda i: "stiffness or mass has non-finite entries")
+    factors: list = []
+    for blk in blocks:
+        if blk.twin_of is not None:
+            factors.append(factors[blk.twin_of])
+            continue
+        chol = _cholesky(blk.gather(a), "stiffness")
+        m = np.linalg.solve(chol, np.swapaxes(np.linalg.solve(chol, blk.gather(c)), -1, -2))
+        dec = densela.sym_eig(0.5 * (m + np.swapaxes(m, -1, -2)))
+        factors.append((chol, dec.eigenvalues[..., ::-1], dec.eigenvectors[..., ::-1]))
+    sized = [mu for _, mu, _ in factors if mu.shape[-1]]
+    top = np.max([mu[..., 0] for mu in sized], axis=0) if sized else np.zeros(a.shape[:-2])
+    low = np.min([mu[..., -1] for mu in sized], axis=0) if sized else np.zeros(a.shape[:-2])
+    tau = _EPS * top
+    refuse(
+        NotPositiveDefinite,
+        (top <= 0) | (low < -tau),
+        lambda i: "mass is not positive definite: smallest mass-to-stiffness eigenvalue "
+        f"{low[i]:.3e}, largest {top[i]:.3e}, rounding level {tau[i]:.1e}",
+    )
+    out: list = []
+    for blk, (chol, mu, vecs) in zip(blocks, factors):
+        if blk.twin_of is not None:
+            out.append(out[blk.twin_of])
+            continue
+        root = np.sqrt(np.where(mu > 0, mu, np.inf))  # a cut column divides by inf
+        xb = np.linalg.solve(np.swapaxes(chol, -1, -2), vecs) / root[..., None, :]
+        bb = np.swapaxes(xb, -1, -2) @ blk.gather(b) @ xb
+        out.append((mu, xb, 0.5 * (bb + np.swapaxes(bb, -1, -2))))
+    return out
+
+
 def whiten(system: GalerkinSystem) -> WhitenedSystem:
     """Diagonalize the stiffness in mass-orthonormal coordinates, block by block.
 
-    One congruence per symmetry block (``_whitening_blocks``) that is not a
-    twin, taken on the inverse side: with W the block's columns and
-    L = chol(W^T A W), the eigendecomposition
-    M = L^{-1} (W^T C W) L^{-T} = Q diag(mu) Q^T gives X_b = W L^{-T} Q
-    diag(mu)^{-1/2}, so that X^T C X = I and X^T A X = diag(1/mu).  A twin
-    copies its source's mu, shares its B_w array, and its rows of X are the
-    source's under the swap.  The small stiffness eigenvalues 1/mu are the
-    largest mu, which the symmetric eigensolver resolves to full relative
-    accuracy.  Tiny positive mu are the stiffest modes and are kept: they
-    only feed the top of the spectrum.  A mu in [-tau, 0], tau = eps max(mu),
-    is rounding of such a mode, an eigenvalue of the pencil at infinity: its
-    coordinate is dropped (``deflated``).  The cut is global, over all
-    blocks, so a split pencil is refused or deflated exactly as the whole one.
+    ``whiten_stack`` on one member: one congruence per symmetry block
+    (``whitening_blocks``) that is not a twin, taken on the inverse side,
+    X_b = W L^{-T} Q diag(mu)^{-1/2}, so that X^T C X = I and
+    X^T A X = diag(1/mu).  A twin copies its source's mu, shares its B_w
+    array, and its rows of X are the source's under the swap.  The small
+    stiffness eigenvalues 1/mu are the largest mu, which the symmetric
+    eigensolver resolves to full relative accuracy.  Tiny positive mu are
+    the stiffest modes and are kept: they only feed the top of the
+    spectrum.  A mu in [-tau, 0], tau = eps max(mu), is rounding of such a
+    mode, an eigenvalue of the pencil at infinity: its coordinate is
+    dropped (``deflated``).  The cut is global, over all blocks, so a split
+    pencil is refused or deflated exactly as the whole one.
 
     Raises:
         NotPositiveDefinite: A or C has a non-finite entry, A has no Cholesky
             factor, no mu is positive, or some mu < -tau (C is not positive
             definite on the span).
     """
-    if not (np.all(np.isfinite(system.a)) and np.all(np.isfinite(system.c))):
-        raise NotPositiveDefinite("stiffness or mass has non-finite entries")
-    blocks = _whitening_blocks(system)
-    factors: list = []
-    for blk in blocks:
-        if blk.twin_of is not None:
-            factors.append(factors[blk.twin_of])
-            continue
-        try:
-            chol = np.linalg.cholesky(blk.gather(system.a))
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefinite("stiffness is not positive definite") from exc
-        m = np.linalg.solve(chol, np.linalg.solve(chol, blk.gather(system.c)).T)
-        factors.append((chol, densela.sym_eig(0.5 * (m + m.T))))
-    mus = [dec.eigenvalues[::-1] for _, dec in factors]
-    top = max((float(m[0]) for m in mus if m.size), default=0.0)
-    low = min((float(m[-1]) for m in mus if m.size), default=0.0)
-    tau = _EPS * top
-    if top <= 0 or low < -tau:
-        raise NotPositiveDefinite(
-            f"mass is not positive definite: smallest mass-to-stiffness eigenvalue {low:.3e}, "
-            f"largest {top:.3e}, rounding level {tau:.1e}"
-        )
-    kept = [int(np.count_nonzero(m > 0)) for m in mus]  # mu descends: a prefix
+    blocks = whitening_blocks(system.blocks, system.swap)
+    parts = whiten_stack(blocks, system.a, system.b, system.c)
+    kept = [int(np.count_nonzero(mu > 0)) for mu, _, _ in parts]  # mu descends: a prefix
     stops = np.cumsum(kept)
     slices = tuple(slice(int(stop) - k, int(stop)) for k, stop in zip(kept, stops))
-    mu = np.concatenate([m[:k] for m, k in zip(mus, kept)])
+    mu = np.concatenate([m[:k] for (m, _, _), k in zip(parts, kept)])
     x, bw = np.zeros((system.size, mu.size)), []
-    for blk, (chol, dec), cols in zip(blocks, factors, slices):
+    for blk, (_, xb, bb), cols, k in zip(blocks, parts, slices, kept):
         if blk.twin_of is not None:
             x[blk.p, cols] = x[blocks[blk.twin_of].p, slices[blk.twin_of]]
             bw.append(bw[blk.twin_of])
             continue
-        vecs = dec.eigenvectors[:, ::-1][:, : cols.stop - cols.start]
-        xb = np.linalg.solve(chol.T, vecs) / np.sqrt(mu[cols])
-        bb = xb.T @ blk.gather(system.b) @ xb
-        blk.scatter(x, cols, xb)
-        bw.append(0.5 * (bb + bb.T))
+        blk.scatter(x, cols, xb[:, :k])
+        bw.append(bb if k == bb.shape[0] else np.ascontiguousarray(bb[:k, :k]))
     return WhitenedSystem(
         mu=mu,
         b=tuple(bw),

@@ -19,6 +19,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -147,6 +148,8 @@ class RunConfig:
             value = float(self.str_(section, key))
         except ValueError as exc:
             raise UsageError(f"{section}.{key} must be a number") from exc
+        if not math.isfinite(value):
+            raise UsageError(f"{section}.{key} must be a finite number")
         if positive and not value > 0:
             raise UsageError(f"{section}.{key} must be positive")
         return value
@@ -202,14 +205,19 @@ def _parse_potential(cfg: RunConfig, section: str, key: str, dimension: int) -> 
     kind, payload = token.split(":", 1)
     try:
         if kind == "constant":
-            return PotentialSpec.constant(float(payload), dimension)
-        rows = [
-            [float(v) for v in row.split(",") if v.strip()]
-            for row in payload.split(";")
-            if row.strip()
-        ]
+            rows = [[float(payload)]]
+        else:
+            rows = [
+                [float(v) for v in row.split(",") if v.strip()]
+                for row in payload.split(";")
+                if row.strip()
+            ]
     except ValueError as exc:
         raise UsageError(f"{name}: potential {token!r} has non-numeric data") from exc
+    if not all(math.isfinite(v) for row in rows for v in row):
+        raise UsageError(f"{name}: potential {token!r} has non-finite data")
+    if kind == "constant":
+        return PotentialSpec.constant(rows[0][0], dimension)
     if kind not in ("poly", "grid"):
         raise UsageError(f"{name}: unknown potential kind {kind!r}")
     if not rows or not rows[0] or len({len(row) for row in rows}) > 1:

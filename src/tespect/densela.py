@@ -21,7 +21,10 @@ _SYM_TOL = 1e-10
 
 @dataclass(frozen=True)
 class SymEig:
-    """Full symmetric eigendecomposition, eigenvalues ascending."""
+    """Full symmetric eigendecomposition, eigenvalues ascending.
+
+    For a stack the fields carry its leading axes: (..., n) and (..., n, n).
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # orthonormal columns
@@ -61,18 +64,18 @@ class LogDet:
 
 def _check_symmetric(s: np.ndarray, tol: float = _SYM_TOL) -> np.ndarray:
     s = np.asarray(s, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ValueError("expected a square matrix")
-    scale = max(float(np.linalg.norm(s)), 1e-300)
-    if np.linalg.norm(s - s.T) > tol * scale:
-        raise AsymmetryExceeded(
-            f"matrix asymmetry {np.linalg.norm(s - s.T) / scale:.3e} exceeds {tol:.1e}"
-        )
-    return 0.5 * (s + s.T)
+    if s.ndim < 2 or s.shape[-2] != s.shape[-1]:
+        raise ValueError("expected a square matrix or a stack of them")
+    st = np.swapaxes(s, -1, -2)
+    scale = np.maximum(np.linalg.norm(s, axis=(-2, -1)), 1e-300)
+    asym = np.max(np.linalg.norm(s - st, axis=(-2, -1)) / scale, initial=0.0)
+    if asym > tol:
+        raise AsymmetryExceeded(f"matrix asymmetry {asym:.3e} exceeds {tol:.1e}")
+    return 0.5 * (s + st)
 
 
 def sym_eig(s: np.ndarray) -> SymEig:
-    """Eigendecomposition of a symmetric matrix, eigenvalues ascending."""
+    """Eigendecomposition of a symmetric matrix, or of each of a stack, eigenvalues ascending."""
     sym = _check_symmetric(s)
     try:
         vals, vecs = np.linalg.eigh(sym)

@@ -19,7 +19,12 @@ Three families of checks on an assembled system:
   a seed keeps its samples up to rounding in the order of the sums;
 * generic-existence scan -- the trace functional tr(B_q A_q^{-1}) along a
   one-parameter potential family, with its cyclicity cross-check, derivative
-  estimates, zero diagnostics and grid-refinement continuity data.
+  estimates, zero diagnostics and grid-refinement continuity data.  The
+  family is evaluated in stacks over s through the kernels that evaluate
+  one problem (``assembly.assemble_stack``, ``assembly.whiten_stack`` and
+  the per-class raw route ``_class_solves``), at most ``_SCAN_STACK_BYTES``
+  = 32 MB of N x N arrays per stack; every check of one evaluation runs
+  for every s (``potential_scan``).
 """
 
 from __future__ import annotations
@@ -31,13 +36,25 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import densela
-from .assembly import BasisSet, WhitenedSystem, assemble_system, build_basis, whiten
+from .assembly import (
+    BasisSet,
+    WhitenedSystem,
+    assemble_stack,
+    build_basis,
+    dirichlet_form,
+    parity_classes,
+    swap_permutation,
+    whiten_stack,
+    whitening_blocks,
+)
 from .companion import CompanionSystem
-from .errors import CrossCheckFailed, PotentialLeavesCone
+from .errors import ComputationError, CrossCheckFailed, PotentialLeavesCone, refuse
 from .model import PotentialSpec, ProblemSpec, _potential_values, _validation_points
 from .util import loglog_slope
 
 _IDENTITY_TOL = 1e-10
+_SCAN_STACK_BYTES = 1 << 25  # N x N array bytes per scan stack: bounds the transient memory
+_MEMBER_ARRAYS = 10  # N x N arrays one member holds at once, at most (9 measured for 2D, one class)
 RANGE_NOTE = (
     "within_angle compares exact_opening, which follows from lambda_min_k and the "
     "closed-form supremum pi/2 of |arg| over the numerical range, with pi/p; "
@@ -125,6 +142,18 @@ def trace_power(comp: CompanionSystem, p: int) -> complex:
     return complex(sum(wh.per_block(lambda b: np.trace(np.linalg.matrix_power(comp.blocks[b], p)))))
 
 
+def _class_solves(a: np.ndarray, classes, *rhs: np.ndarray):
+    """Yield A_cc^{-1} [R_cc ...] for each parity class c, the raw route.
+
+    A and every R couple no two classes, so A^{-1} R is block diagonal and
+    these are its diagonal blocks, the columns of the R in turn.  Acts on
+    the last two axes, so on one pencil or on each member of a stack.
+    """
+    for idx in classes:
+        cut = (Ellipsis, idx[:, None], idx)
+        yield np.linalg.solve(a[cut], np.concatenate([r[cut] for r in rhs], axis=-1))
+
+
 def trace_identity_check(wh: WhitenedSystem, comp: CompanionSystem) -> tuple[float, float]:
     """Residuals of tr(D) and tr(D^2) against the raw route on the assembled matrices.
 
@@ -134,22 +163,26 @@ def trace_identity_check(wh: WhitenedSystem, comp: CompanionSystem) -> tuple[flo
     tr(D^2) = sum(M o M^T) - 2 tr(A^{-1} C),
 
     both invariant under the whitening congruence.  The companion side sums
-    tr D_b and sum(D_b o D_b^T) over the blocks, a twin counting again.  The
-    raw route never touches mu, B_w or the symmetry blocks, so a fault in the
-    whitening, in the split, in a twin or in a D_b shows here.  Each
-    residual is relative to the larger magnitude (floored at one, so
-    exact-zero cases stay well-defined).
+    tr D_b and sum(D_b o D_b^T) over the blocks, a twin counting again.  A,
+    B and C are exact zeros between parity classes by construction, so M
+    and A^{-1} C are block diagonal over them and the raw side sums the
+    same traces class by class (``_class_solves``: one solve per class with
+    the class's B and C as right-hand sides).  It never touches mu, B_w,
+    the swap split or the twins, so a fault in the whitening, in the split,
+    in a twin or in a D_b shows here.  Each residual is relative to the
+    larger magnitude (floored at one, so exact-zero cases stay
+    well-defined).
     """
     system = wh.system
-    n = system.size
-    solved = np.linalg.solve(system.a, np.hstack([system.b, system.c]))
-    m, a_inv_c = solved[:, :n], solved[:, n:]
+    tr_m = tr_raw = 0.0
+    for idx, solved in zip(system.blocks, _class_solves(system.a, system.blocks, system.b, system.c)):
+        m, a_inv_c = solved[:, : idx.size], solved[:, idx.size :]
+        tr_m += float(np.trace(m))
+        tr_raw += float(np.sum(m * m.T) - 2.0 * np.trace(a_inv_c))
     tr_d = float(sum(np.trace(d) for d in comp.blocks))
-    tr_m = float(np.trace(m))
     r1 = abs(tr_d - tr_m) / max(abs(tr_d), abs(tr_m), 1.0)
 
     tr_d2 = float(sum(np.sum(d * d.T) for d in comp.blocks))
-    tr_raw = float(np.sum(m * m.T) - 2.0 * np.trace(a_inv_c))
     r2 = abs(tr_d2 - tr_raw) / max(abs(tr_d2), abs(tr_raw), 1.0)
     return r1, r2
 
@@ -305,6 +338,53 @@ def numerical_range(
     )
 
 
+@dataclass(frozen=True)
+class _Pencils:
+    """What the pencils of one basis share across a family of potentials.
+
+    The parity classes, the swap and so the whitening blocks follow from the
+    representation of V, and for an affine family V_0 + s d from both of
+    its parts, never from s; the Dirichlet form does not involve V at all.
+    So one instance serves every member of a scan.
+    """
+
+    basis: BasisSet
+    classes: tuple
+    swap: Optional[np.ndarray]
+    blocks: list  # whitening_blocks(classes, swap)
+    dirichlet: np.ndarray
+
+    @classmethod
+    def of(cls, problem: ProblemSpec, basis: BasisSet) -> "_Pencils":
+        classes, swap = parity_classes(problem, basis), swap_permutation(problem, basis)
+        return cls(basis, classes, swap, whitening_blocks(classes, swap), dirichlet_form(basis))
+
+    def routes(self, vvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Whitened and raw trace functional for V at the quadrature points, per stack member.
+
+        ``vvals`` is one potential (last axis) or a stack of them.  The
+        stiffness A is factored once per whitening block, for its positivity
+        check and for the whitening; the mass C keeps its per-class check.
+        """
+        mats = assemble_stack(self.basis, vvals, self.classes, self.swap, self.dirichlet, factor="C")
+        parts = whiten_stack(self.blocks, mats["A"], mats["B"], mats["C"])
+        mu = np.concatenate([m for m, _, _ in parts], axis=-1)
+        diag = np.concatenate([np.diagonal(bb, axis1=-2, axis2=-1) for _, _, bb in parts], axis=-1)
+        whitened = (mu[..., None, :] @ diag[..., :, None])[..., 0, 0]  # one BLAS dot per member
+        raw = sum(np.trace(m, axis1=-2, axis2=-1) for m in _class_solves(mats["A"], self.classes, mats["B"]))
+        return whitened, raw
+
+
+def _cross_check(whitened, raw, tol: float) -> None:
+    whitened, raw = np.asarray(whitened), np.asarray(raw)
+    residual = np.abs(whitened - raw) / np.maximum(np.maximum(np.abs(whitened), np.abs(raw)), 1.0)
+    refuse(
+        CrossCheckFailed,
+        residual > tol,
+        lambda i: f"cyclicity cross-check residual {residual[i]:.3e} exceeds {tol:.1e}",
+    )
+
+
 def trace_functional_routes(
     problem: ProblemSpec,
     size: int,
@@ -315,16 +395,15 @@ def trace_functional_routes(
 
     Whitened: tr(B_w A_w^{-1}) = sum_i mu_i (B_w)_ii after the whitening
     congruence.  Raw: the same trace evaluated directly on the assembled
-    matrices, equal by cyclicity of the trace.  Both values are returned so
-    callers can assert the residual.
+    matrices, sum over parity classes c of tr(A_cc^{-1} B_cc), equal by
+    cyclicity of the trace.  Both values are returned so callers can assert
+    the residual.  The scan's kernels on one member.
     """
     if basis is None:
         basis = build_basis(problem, size, family)
-    system = assemble_system(problem, basis)
-    wh = whiten(system)
-    whitened = float(wh.mu @ np.concatenate([np.diag(bb) for bb in wh.b]))
-    raw = float(np.trace(np.linalg.solve(system.a, system.b)))
-    return whitened, raw
+    vvals = _potential_values(problem.potential, basis.grid_points())
+    whitened, raw = _Pencils.of(problem, basis).routes(vvals)
+    return float(whitened), float(raw)
 
 
 def trace_functional(
@@ -344,11 +423,7 @@ def trace_functional(
         CrossCheckFailed: the two routes disagree beyond ``tol`` relative.
     """
     whitened, raw = trace_functional_routes(problem, size, family, basis)
-    residual = abs(whitened - raw) / max(abs(whitened), abs(raw), 1.0)
-    if residual > tol:
-        raise CrossCheckFailed(
-            f"cyclicity cross-check residual {residual:.3e} exceeds {tol:.1e}"
-        )
+    _cross_check(whitened, raw, tol)
     return whitened
 
 
@@ -359,19 +434,38 @@ def _scan_values(
     basis: BasisSet,
     tol: float,
 ) -> np.ndarray:
-    check_pts = _validation_points(problem.dimension)
+    """t(s) on ``s_grid`` in stacks of at most ``_SCAN_STACK_BYTES`` of N x N arrays.
 
-    def one(s: float) -> float:
-        pot_s = PotentialSpec.affine(problem.potential, direction, float(s))
-        floor = np.min(_potential_values(pot_s, check_pts))
-        if floor <= 1e-10:
-            raise PotentialLeavesCone(
-                f"potential floor {floor:.3e} at family parameter s={s:g}"
-            )
-        prob_s = ProblemSpec(problem.operator, problem.domain, pot_s)
-        return trace_functional(prob_s, basis.size, basis.family, tol, basis)
+    Each stack runs every check of a single evaluation on every member, and
+    an error names the first failing s in grid order: when member i fails a
+    check, members before i passed it but may fail a later one, so they are
+    evaluated again on their own first.
+    """
+    family = PotentialSpec.affine(problem.potential, direction, 0.0)
+    pencils = _Pencils.of(ProblemSpec(problem.operator, problem.domain, family), basis)
+    # V_0 and d on the validation grid and at the quadrature nodes
+    checks, nodes = (
+        [_potential_values(pot, pts) for pot in (problem.potential, direction)]
+        for pts in (_validation_points(problem.dimension), basis.grid_points())
+    )
 
-    return np.array([one(float(s)) for s in s_grid])
+    def stack(s: np.ndarray) -> np.ndarray:
+        try:
+            floor = np.min(checks[0] + s[:, None] * checks[1], axis=-1)
+            refuse(PotentialLeavesCone, floor <= 1e-10, lambda i: f"potential floor {floor[i]:.3e}")
+            whitened, raw = pencils.routes(nodes[0] + s[:, None] * nodes[1])
+            _cross_check(whitened, raw, tol)
+            return whitened
+        except ComputationError as exc:
+            if exc.member is None:
+                raise
+            if exc.member:
+                stack(s[: exc.member])
+            exc.args = (f"{exc} at family parameter s={s[exc.member]:g}",)
+            raise
+
+    step = max(1, _SCAN_STACK_BYTES // (_MEMBER_ARRAYS * 8 * basis.gram.shape[0] ** 2))
+    return np.concatenate([stack(s_grid[i : i + step]) for i in range(0, s_grid.size, step)])
 
 
 def potential_scan(
@@ -389,18 +483,32 @@ def potential_scan(
     Derivatives are centered finite differences (one-sided second order at
     the ends).  ``refine_check=True`` additionally scans the midpoints of
     ``s_grid`` and records the maximal increment on the grid refined by them
-    next to the coarse one, the continuity diagnostic.  The basis depends only
-    on the kinks of V_0 and of the direction, so it is built once for all s.
+    next to the coarse one, the continuity diagnostic.
+
+    The family is evaluated in stacks over s, coarse points first and then
+    midpoints, through the kernels that ``trace_functional`` runs on one
+    member (``assemble_stack``, ``whiten_stack`` and the per-class raw
+    route): the basis, the parity classes, the swap, the whitening blocks
+    and the Dirichlet form are built once, and a stack holds at most
+    ``_SCAN_STACK_BYTES`` (32 MB) of N x N arrays, all points in 1D and one
+    or a few in 2D.  For every s the checks are those of one evaluation:
+    the cone check on the validation grid, V > 0 at the quadrature nodes,
+    the Legendre tail warning, asymmetry, parity and swap leaks, the
+    Cholesky factor of C on each class and of A on each whitening block,
+    the mu cut, and the cyclicity cross-check.
 
     Raises:
         PotentialLeavesCone: the family loses positivity at some s.
+        Any error of ``trace_functional``, naming the first failing s.
     """
     s = np.asarray(list(s_grid), dtype=float)
     if s.size < 2:
         raise ValueError("scan grid needs at least two points")
     base = PotentialSpec.affine(problem.potential, direction, 0.0)
     basis = build_basis(ProblemSpec(problem.operator, problem.domain, base), size, family)
-    t = _scan_values(problem, direction, s, basis, cross_check_tol)
+    mid = 0.5 * (s[:-1] + s[1:]) if refine_check else s[:0]
+    values = _scan_values(problem, direction, np.concatenate([s, mid]), basis, cross_check_tol)
+    t = values[: s.size]
 
     dt = np.gradient(t, s)
     d2t = np.gradient(dt, s)
@@ -415,8 +523,7 @@ def potential_scan(
     if refine_check:
         t_fine = np.empty(2 * s.size - 1)
         t_fine[0::2] = t
-        mid = 0.5 * (s[:-1] + s[1:])
-        t_fine[1::2] = _scan_values(problem, direction, mid, basis, cross_check_tol)
+        t_fine[1::2] = values[s.size :]
         refined_inc = float(np.max(np.abs(np.diff(t_fine))))
 
     return ScanReport(

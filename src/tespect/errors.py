@@ -5,12 +5,38 @@ the CLI serializes that code into its JSON error records.
 """
 
 
+import numpy as np
+
+
 class ComputationError(Exception):
-    """Base class for all domain errors raised by this package."""
+    """Base class for all domain errors raised by this package.
+
+    ``member`` is the index of the failing member when a kernel that works
+    on a stack of problems raised the error (``refuse``), else None.
+    """
+
+    member = None
 
     @property
     def code(self) -> str:
         return type(self).__name__
+
+
+def refuse(error: type, bad, message) -> None:
+    """Raise ``error`` for the first flagged member of a check, if any.
+
+    ``bad`` holds one flag per stack member, or is a single flag when the
+    check ran on one problem; ``message(i)`` builds the text from the index
+    ``i`` of that member into the check's per-member values (``()`` for a
+    single flag).  The raised error records the member's position.
+    """
+    bad = np.asarray(bad)
+    flagged = np.flatnonzero(bad)
+    if flagged.size:
+        first = int(flagged[0])
+        exc = error(message(first if bad.ndim else ()))
+        exc.member = first
+        raise exc
 
 
 # --- problem definition ---------------------------------------------------

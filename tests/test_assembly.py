@@ -247,8 +247,8 @@ def test_raw_assembly_asymmetry_is_rounding_level():
     pot = model.PotentialSpec.polynomial([1.0, 0.5], 1)
     prob = model.validate_problem(op, model.DomainSpec("interval"), pot)
     basis = assembly.build_basis(prob, 16)
-    raw = assembly._assemble(prob, basis)
-    for mat in raw.values():
+    qvals = 1.0 / model.eval_potential(pot, basis.grid_points())
+    for _, mat in assembly._raw_forms(basis, qvals):
         scale = max(np.linalg.norm(mat), 1e-300)
         assert np.linalg.norm(mat - mat.T) / scale < 1e-10
 
@@ -348,6 +348,28 @@ def test_whiten_accepts_tiny_mass_to_stiffness_ratio():
     wh = assembly.whiten(system)
     assert np.array_equal(wh.mu, [1e20, 1.0])
     assert_whitening_congruence(system, wh)
+
+
+def test_whiten_stack_masks_a_cut_that_differs_between_members():
+    # member 0 keeps both mu, member 1 deflates a rounding-negative one;
+    # each member of the stack whitens as it would alone
+    a = np.stack([np.eye(2), np.eye(2)])
+    b = np.stack([[[2.0, 0.5], [0.5, 3.0]]] * 2)
+    c = np.stack([np.diag([1.0, 0.5]), np.diag([1.0, -1e-17])])
+    blocks = assembly.whitening_blocks((np.arange(2),), None)
+    ((mu, xb, bw),) = assembly.whiten_stack(blocks, a, b, c)
+    for i, kept in enumerate((2, 1)):
+        wh = assembly.whiten(assembly.GalerkinSystem(gram=np.eye(2), a=a[i], b=b[i], c=c[i]))
+        assert wh.size == kept
+        assert np.array_equal(mu[i, :kept], wh.mu) and np.array_equal(bw[i, :kept, :kept], wh.b[0])
+        assert not np.any(xb[i, :, kept:]) and not np.any(bw[i, kept:]) and not np.any(bw[i, :, kept:])
+
+
+def test_stacked_cholesky_names_first_failing_member():
+    stack = np.stack([np.eye(2), np.diag([1.0, -1.0]), -np.eye(2)])
+    with pytest.raises(NotPositiveDefinite, match="matrix X") as info:
+        assembly._cholesky(stack, "matrix X")
+    assert info.value.member == 1
 
 
 # -- spectral growth ---------------------------------------------------------------

@@ -186,6 +186,13 @@ def test_malformed_values_exit_2(tmp_path, capsys):
         ("oracle-disk", "oracle.l_max=-1"),
         ("convergence", "convergence.n_list="),
         ("convergence", "convergence.n_list=0,8"),
+        # non-finite numbers: nan passes every comparison and inf overflows
+        ("solve", "solve.mu_floor=nan"),
+        ("oracle1d", "oracle.contrast=nan"),
+        ("oracle1d", "oracle.k_max=inf"),
+        ("scan", "scan.s_min=nan"),
+        ("scan", "scan.s_max=inf"),
+        ("scan", "scan.zero_tol=-inf"),
     ):
         capsys.readouterr()
         assert run([command, "--out", str(out), "--set", "basis.n=8", "--set", setting]) == 2, setting
@@ -202,6 +209,11 @@ def test_malformed_values_exit_2(tmp_path, capsys):
         ("solve", 2, "problem.potential=grid:1,2"),
         ("solve", 2, "problem.potential=grid:1,2;3"),
         ("solve", 2, "problem.potential=poly:1,2;3"),
+        ("scan", 1, "problem.potential=constant:nan"),
+        ("scan", 1, "scan.direction=constant:nan"),
+        ("scan", 1, "scan.direction=constant:inf"),
+        ("solve", 1, "problem.potential=poly:1,nan"),
+        ("solve", 2, "problem.potential=grid:1,2;3,-inf"),
     ],
 )
 def test_malformed_potential_shape_exits_2(tmp_path, capsys, command, dimension, setting):
@@ -535,6 +547,21 @@ def test_convergence_bilaplacian_square_2d_defaults(tmp_path):
     assert run(["convergence", "--out", str(out), *(f"--set={s}" for s in settings)]) == 0
     _, rows = read_csv(out / "convergence.csv")
     assert float(rows[-1][2]) < 1e-8
+
+
+@pytest.mark.slow
+def test_scan_square_2d_defaults(tmp_path):
+    # 41 points, as many as the defaults evaluate (21 and their 20
+    # midpoints), in many stacks at n=32; V = 3 + s is constant, so
+    # t(s) / (2 + V(s)) is constant
+    out = tmp_path / "sc2"
+    settings = ("problem.dimension=2", "problem.domain=square", "scan.s_count=41", "scan.refine_check=false")
+    assert run(["scan", "--out", str(out), *(f"--set={s}" for s in settings)]) == 0
+    payload = json.loads((out / "scan.json").read_text())
+    s, t = np.array(payload["s_values"]), np.array(payload["t_values"])
+    assert s.size == 41 and np.all(np.isfinite(t))
+    ratio = t / (5.0 + s)
+    assert np.ptp(ratio) <= 1e-12 * np.max(ratio)
 
 
 def test_resolved_config_reproduces_run(tmp_path):

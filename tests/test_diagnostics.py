@@ -301,7 +301,7 @@ def test_potential_scan_builds_one_basis(monkeypatch):
         diagnostics.trace_functional(model.ProblemSpec(prob.operator, prob.domain, pot), 10)
         for pot in family
     ]
-    calls = {"build_basis": 0, "assemble_system": 0}
+    calls = {"build_basis": 0, "assemble_stack": 0}
 
     def counted(name):
         inner = getattr(diagnostics, name)
@@ -315,7 +315,8 @@ def test_potential_scan_builds_one_basis(monkeypatch):
     for name in calls:
         monkeypatch.setattr(diagnostics, name, counted(name))
     report = diagnostics.potential_scan(prob, direction, s_grid, 10, refine_check=True)
-    assert calls == {"build_basis": 1, "assemble_system": 2 * s_grid.size - 1}
+    # the coarse points and the midpoints fit in one stack
+    assert calls == {"build_basis": 1, "assemble_stack": 1}
     assert report.t_values.tolist() == expected
 
 
@@ -324,3 +325,122 @@ def test_potential_scan_positivity_guard():
     direction = model.PotentialSpec.constant(-1.0, 1)
     with pytest.raises(PotentialLeavesCone, match="s="):
         diagnostics.potential_scan(prob, direction, np.linspace(0.0, 2.0, 5), 8)
+
+
+def square_problem(potential, operator="laplacian"):
+    op = model.OperatorSpec.preset_by_name(operator, 2)
+    return model.validate_problem(op, model.DomainSpec("square"), potential)
+
+
+@pytest.mark.parametrize(
+    "operator, dimension, size",
+    [("laplacian", 1, 16), ("laplacian", 1, 32), ("bilaplacian", 1, 16), ("bilaplacian", 1, 32),
+     ("laplacian", 2, 8)],
+)
+def test_constant_family_trace_is_linear_in_v(operator, dimension, size):
+    # for constant V, A = q L and B = (2q + 1) K with L, K free of q, so
+    # t = tr(B A^{-1}) = (2 + V) tr(K L^{-1}); in 2D the stack carries a swap
+    # split and a twin
+    base = model.PotentialSpec.constant(1.0, dimension)
+    if dimension == 1:
+        prob = unit_problem(operator)
+    else:
+        prob = square_problem(base, operator)
+    s = np.linspace(0.0, 2.0, 9)
+    report = diagnostics.potential_scan(prob, base, s, size, refine_check=True)
+    ratio = report.t_values / (3.0 + s)
+    assert np.ptp(ratio) <= 1e-13 * np.max(np.abs(ratio))
+
+
+def per_s_values(prob, direction, s_grid, size):
+    family = [model.PotentialSpec.affine(prob.potential, direction, s) for s in s_grid]
+    return np.array([
+        diagnostics.trace_functional(model.ProblemSpec(prob.operator, prob.domain, pot), size)
+        for pot in family
+    ])
+
+
+@pytest.mark.filterwarnings("ignore::tespect.errors.SmoothnessWarning")
+def test_stacked_scan_matches_per_s_on_kinked_grid_family():
+    prob = unit_problem("bilaplacian", contrast=2.0)
+    direction = model.PotentialSpec.grid([1.0, -0.5, 2.0, 0.25, 1.0], 1)
+    s_grid = np.linspace(0.0, 1.5, 7)
+    report = diagnostics.potential_scan(prob, direction, s_grid, 14)
+    expected = per_s_values(prob, direction, s_grid, 14)
+    assert np.max(np.abs(report.t_values - expected) / np.abs(expected)) <= 1e-14
+
+
+def test_stacked_scan_matches_per_s_on_asymmetric_square_family(monkeypatch):
+    # no reflection or swap symmetry: one class, one whitening block; three
+    # members per stack, so 9 + 8 points make six stacks
+    prob = square_problem(model.PotentialSpec.polynomial([[2.4, 0.3], [1.1, -0.2], [0.3, 0.0]], 2))
+    direction = model.PotentialSpec.polynomial([[0.0, 0.5], [0.2, 0.0]], 2)
+    size = 6
+    monkeypatch.setattr(diagnostics, "_SCAN_STACK_BYTES", 3 * diagnostics._MEMBER_ARRAYS * 8 * size**4)
+    calls = []
+    inner = diagnostics.assemble_stack
+
+    def counted(basis, vvals, *args, **kwargs):
+        calls.append(len(vvals))
+        return inner(basis, vvals, *args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "assemble_stack", counted)
+    s_grid = np.linspace(0.0, 2.0, 9)
+    report = diagnostics.potential_scan(prob, direction, s_grid, size, refine_check=True)
+    assert calls == [3, 3, 3, 3, 3, 2]
+    assert len(diagnostics.parity_classes(prob, diagnostics.build_basis(prob, size))) == 1
+    expected = per_s_values(prob, direction, s_grid, size)
+    assert np.max(np.abs(report.t_values - expected) / np.abs(expected)) <= 1e-14
+
+
+def gap_at(monkeypatch, v_values):
+    """Make the raw route miss by 1e-6 wherever V at the first node is in ``v_values``."""
+    routes = diagnostics._Pencils.routes
+
+    def gapped(self, vvals):
+        whitened, raw = routes(self, vvals)
+        return whitened, raw + 1e-6 * np.isin(vvals[..., 0], v_values)
+
+    monkeypatch.setattr(diagnostics._Pencils, "routes", gapped)
+
+
+def test_stacked_scan_cross_check_names_first_failing_s(monkeypatch):
+    prob = unit_problem()  # V = 1 + s
+    gap_at(monkeypatch, [1.75, 1.25])
+    with pytest.raises(CrossCheckFailed, match=r"s=0\.25$"):
+        diagnostics.potential_scan(prob, prob.potential, np.linspace(0.0, 1.0, 5), 8)
+
+
+def test_stacked_scan_cone_exit_names_first_failing_s():
+    prob = unit_problem()
+    direction = model.PotentialSpec.constant(-1.0, 1)  # V = 1 - s leaves the cone at s = 1
+    with pytest.raises(PotentialLeavesCone, match=r"s=1$"):
+        diagnostics.potential_scan(prob, direction, np.linspace(0.0, 2.0, 9), 8)
+
+
+def test_stacked_scan_reports_earlier_s_of_a_later_check(monkeypatch):
+    # in one stack the cone check flags s = 1 first; s = 0.5 passes it but
+    # fails the later cross-check, and comes first in grid order
+    prob = unit_problem()
+    gap_at(monkeypatch, [0.5])
+    direction = model.PotentialSpec.constant(-1.0, 1)
+    with pytest.raises(CrossCheckFailed, match=r"s=0\.5$"):
+        diagnostics.potential_scan(prob, direction, np.linspace(0.0, 2.0, 9), 8)
+
+
+def test_stacked_scan_memory_stays_within_budget(monkeypatch):
+    # worst case: one class, so one whitening block spans the pencil
+    prob = square_problem(model.PotentialSpec.polynomial([[2.4, 0.3], [1.1, -0.2], [0.3, 0.0]], 2))
+    direction = model.PotentialSpec.polynomial([[0.0, 0.5], [0.2, 0.0]], 2)
+    size = 12
+    matrix = 8 * size**4
+    budget = 3 * diagnostics._MEMBER_ARRAYS * matrix
+    monkeypatch.setattr(diagnostics, "_SCAN_STACK_BYTES", budget)
+    tracemalloc.start()
+    try:
+        diagnostics.potential_scan(prob, direction, np.linspace(0.0, 1.0, 5), size, refine_check=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the budget, plus the Gram matrix, the Dirichlet form and the basis tables
+    assert peak <= budget + 3 * matrix
