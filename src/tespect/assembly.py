@@ -589,7 +589,6 @@ def assemble_stack(
     classes: tuple[np.ndarray, ...],
     swap: Optional[np.ndarray] = None,
     dirichlet: Optional[np.ndarray] = None,
-    factor: str = "AC",
 ) -> dict[str, np.ndarray]:
     """Checked A, B, C of one pencil, or of a stack of pencils on one basis.
 
@@ -599,14 +598,15 @@ def assemble_stack(
     problem, which an affine family shares for every s; ``dirichlet`` is
     ``dirichlet_form``, built here when not given.  Every check runs on
     every member: the positivity of V at the nodes, the Legendre tail of
-    q, the asymmetry, the parity and swap leaks, and the Cholesky factors
-    of the matrices named in ``factor`` on each class.  A failure names the
-    first failing member (``errors.refuse``).
+    q, the asymmetry, the parity and swap leaks, and the Cholesky factor of
+    C on each class; A is judged by its Cholesky factor per whitening block
+    in ``whiten_stack``.  A failure names the first failing member
+    (``errors.refuse``).
     """
     vmin = np.min(vvals, axis=-1)
     refuse(
         NonpositivePotential,
-        vmin <= _POSITIVITY_MARGIN,
+        ~np.all(vvals > _POSITIVITY_MARGIN, axis=-1),  # a NaN fails the comparison too
         lambda i: f"potential minimum {vmin[i]:.3e} at a quadrature node",
     )
     lead, qvals = vvals.ndim - 1, 1.0 / vvals
@@ -644,9 +644,8 @@ def assemble_stack(
                 f"its norm, above {_ASYM_TOL:.0e}",
             )
             out[name] = mean.reshape(mat.shape)
-    for name in factor:
-        for idx in classes:
-            _cholesky(out[name][..., idx[:, None], idx], f"matrix {name}")
+    for idx in classes:
+        _cholesky(out["C"][..., idx[:, None], idx], "matrix C")
     return out
 
 
@@ -666,7 +665,9 @@ def assemble_system(problem: ProblemSpec, basis: BasisSet) -> GalerkinSystem:
         AsymmetryExceeded: pre-symmetrization asymmetry above 1e-8.
         ParityViolation: the dropped entries, or the swap leak
             ||M - P M P^T|| / ||M||, exceed 1e-8.
-        NotPositiveDefinite: A or C fails factorization.
+        NotPositiveDefinite: C fails factorization on a parity class.  A is
+            judged by ``whiten``, whose Cholesky factor per whitening block
+            refuses it as "stiffness".
         NonpositivePotential: V not strictly positive at a quadrature node.
     """
     classes, swap = parity_classes(problem, basis), swap_permutation(problem, basis)
@@ -784,7 +785,7 @@ def whiten_stack(
             continue
         chol = _cholesky(blk.gather(a), "stiffness")
         m = np.linalg.solve(chol, np.swapaxes(np.linalg.solve(chol, blk.gather(c)), -1, -2))
-        dec = densela.sym_eig(0.5 * (m + np.swapaxes(m, -1, -2)))
+        dec = densela.sym_eig(m)  # checks the symmetry of m, then decomposes (m + m^T) / 2
         factors.append((chol, dec.eigenvalues[..., ::-1], dec.eigenvectors[..., ::-1]))
     sized = [mu for _, mu, _ in factors if mu.shape[-1]]
     top = np.max([mu[..., 0] for mu in sized], axis=0) if sized else np.zeros(a.shape[:-2])

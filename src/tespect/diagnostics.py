@@ -11,12 +11,10 @@ Three families of checks on an assembled system:
   K_b is positive semidefinite (one symmetric eigensolve per block), and
   since S > 0 the supremum of |arg| over W(D) is pi/2; the opening is pi, or
   2 pi when some K_b is indefinite.  Random samples of the quadratic form
-  are reported alongside as statistics: their real parts are drawn whole,
-  their imaginary parts one symmetry block at a time in the stream order of
-  a single draw, and each block is reduced in real arithmetic as it
-  arrives, so the sampler holds 2N h doubles plus a few n_b x h arrays
-  (h = half the sample count); the draws equal one whole draw bitwise, so
-  a seed keeps its samples up to rounding in the order of the sums;
+  are reported alongside as statistics, drawn and reduced in real
+  arithmetic one chunk of columns at a time, at most ``_RANGE_DRAW_BYTES``
+  = 4 MB of draws per chunk, so the sampler's memory does not grow with
+  the sample count;
 * generic-existence scan -- the trace functional tr(B_q A_q^{-1}) along a
   one-parameter potential family, with its cyclicity cross-check, derivative
   estimates, zero diagnostics and grid-refinement continuity data.  The
@@ -55,6 +53,7 @@ from .util import loglog_slope
 _IDENTITY_TOL = 1e-10
 _SCAN_STACK_BYTES = 1 << 25  # N x N array bytes per scan stack: bounds the transient memory
 _MEMBER_ARRAYS = 10  # N x N arrays one member holds at once, at most (9 measured for 2D, one class)
+_RANGE_DRAW_BYTES = 1 << 22  # bytes of one chunk of range samples' draws: bounds the transient memory
 RANGE_NOTE = (
     "within_angle compares exact_opening, which follows from lambda_min_k and the "
     "closed-form supremum pi/2 of |arg| over the numerical range, with pi/p; "
@@ -90,17 +89,31 @@ class TraceReport:
 class RangeReport:
     """Numerical range of the companion operator: exact opening and samples."""
 
-    sample_count: int
     seed: int
     samples: np.ndarray
     max_abs_arg: float
-    sector_opening: float  # full opening of the real-axis sector holding all samples
     lambda_min_k: tuple  # smallest eigenvalue of each K_b, a twin repeating its source's
     exact_opening: float  # full opening of the real-axis sector holding W(D)
     p: int
-    pi_over_p: float
-    within_angle: bool  # exact_opening <= pi/p
     note: str = RANGE_NOTE
+
+    @property
+    def sample_count(self) -> int:
+        return self.samples.size
+
+    @property
+    def sector_opening(self) -> float:
+        """Full opening of the real-axis sector holding all samples."""
+        return 2.0 * self.max_abs_arg
+
+    @property
+    def pi_over_p(self) -> float:
+        return np.pi / self.p
+
+    @property
+    def within_angle(self) -> bool:
+        """exact_opening <= pi/p."""
+        return bool(self.exact_opening <= np.pi / self.p + 1e-12)
 
 
 @dataclass(frozen=True)
@@ -236,11 +249,7 @@ def trace_report(
     )
 
 
-def _column_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->j", x, y)
-
-
-def _range_opening(wh: WhitenedSystem) -> tuple[tuple, float]:
+def _range_opening(wh: WhitenedSystem, ks: list) -> tuple[tuple, float]:
     """Smallest eigenvalue of each K_b and the exact opening of W(D).
 
     The Hermitian part of D is diag(K, 0), since its +-S blocks are skew, so
@@ -248,11 +257,12 @@ def _range_opening(wh: WhitenedSystem) -> tuple[tuple, float]:
     lambda_min(K_b) >= -n_b eps ||K_b||_2.  As S > 0, |arg| reaches
     pi/2 - O(t) at w = (t a, i S a / |S a|) for real a, so the supremum of
     |arg| over W(D) is pi/2: the opening is pi, or 2 pi when some K_b is
-    indefinite.  One ``eigvalsh`` per block, a twin repeating its source's.
+    indefinite.  ``ks`` holds K_b per block (``WhitenedSystem.k_block``);
+    one ``eigvalsh`` per block, a twin repeating its source's.
     """
 
     def block_floor(b: int) -> tuple[float, bool]:
-        vals = np.linalg.eigvalsh(wh.k_block(b))
+        vals = np.linalg.eigvalsh(ks[b])
         tol = vals.size * np.finfo(float).eps * float(np.max(np.abs(vals), initial=0.0))
         return float(vals[0]), bool(vals[0] >= -tol)
 
@@ -281,16 +291,12 @@ def numerical_range(
         z = (Re <K u0, u0> - 2i Im <S v0, u0>) / |w|^2,
 
     with |w|^2 the column sum of squares of all four parts; K vanishes off
-    the symmetry blocks, so two real products per block give the first sum,
-    with K_b from ``WhitenedSystem.k_block``.  The real parts (a; c) are
-    drawn whole as one 2N x h array, h = ceil(sample_count / 2); the
-    imaginary parts follow from the same generator one block at a time, the
-    rows b_b in block order and then the rows d_b, so together they are the
-    draw of one 2N x h array, and each block's share is added to the three
-    sums as it arrives.  Memory therefore stays at 2N h doubles plus a few
-    n_b x h arrays of the block at hand.  A seed gives the samples of one
-    whole draw, the same rows as before, whose values move only at rounding
-    with the order of the sums.
+    the symmetry blocks, so two real products per block give the first sum.
+    The h = ceil(sample_count / 2) columns are drawn in chunks of
+    w = max(1, ``_RANGE_DRAW_BYTES`` // (32 N)) columns, the last one
+    shorter: each chunk is one standard-normal draw of shape (4, N, w),
+    read as (a, b, c, d), and is reduced before the next is drawn, so the
+    memory stays at one draw plus a few N x w arrays whatever the count.
     Draws are mirrored with their conjugates, so the sample set is closed
     under conjugation by construction; an odd count is rounded up.  The
     smallest real-axis-symmetric closed sector containing all samples has
@@ -298,43 +304,28 @@ def numerical_range(
     """
     if sample_count < 100:
         raise ValueError("need at least 100 samples")
-    half = (sample_count + 1) // 2
-    wh = comp.whitened
-    n = wh.size
+    wh, half = comp.whitened, (sample_count + 1) // 2
+    ks, root = wh.per_block(wh.k_block), np.sqrt(wh.mu)
     rng = np.random.default_rng(seed)
-    re = rng.standard_normal((2 * n, half))
-    a, c = re[:n], re[n:]
-    norm2 = _column_dots(re, re)
-    quad = np.zeros(half)
-    cross = np.zeros(half)
-    # the imaginary parts in the stream order of one (2N, h) draw: the rows
-    # b_b block by block, then the rows d_b, so no block split moves a sample
-    for i, blk in enumerate(wh.blocks):
-        k, im = wh.k_block(i), rng.standard_normal((blk.stop - blk.start, half))
-        norm2 += _column_dots(im, im)
-        quad += _column_dots(a[blk], k @ a[blk]) + _column_dots(im, k @ im)
-        cross -= _column_dots(np.sqrt(wh.mu[blk])[:, None] * im, c[blk])
-    for blk in wh.blocks:
-        im = rng.standard_normal((blk.stop - blk.start, half))
-        norm2 += _column_dots(im, im)
-        cross += _column_dots(np.sqrt(wh.mu[blk])[:, None] * a[blk], im)
-    z = np.empty(half, dtype=complex)
-    z.real, z.imag = quad / norm2, -2.0 * cross / norm2
-    samples = np.concatenate([z, z.conj()])
 
-    max_arg = float(np.max(np.abs(np.angle(samples))))
-    floors, opening = _range_opening(wh)
+    def chunk(cols: int) -> np.ndarray:  # its draw is freed on return, before the next one
+        draw = rng.standard_normal((4, wh.size, cols))
+        a, b, c, d = draw
+        quad = sum(np.einsum("kij,kij->j", draw[:2, blk], k @ draw[:2, blk]) for blk, k in zip(wh.blocks, ks))
+        cross = np.einsum("i,ij,ij->j", root, a, d) - np.einsum("i,ij,ij->j", root, b, c)
+        return (quad - 2j * cross) / np.einsum("kij,kij->j", draw, draw)
+
+    width = max(1, _RANGE_DRAW_BYTES // (32 * wh.size))
+    z = np.concatenate([chunk(min(width, half - start)) for start in range(0, half, width)])
+    samples = np.concatenate([z, z.conj()])
+    floors, opening = _range_opening(wh, ks)
     return RangeReport(
-        sample_count=samples.size,
         seed=seed,
         samples=samples,
-        max_abs_arg=max_arg,
-        sector_opening=2.0 * max_arg,
+        max_abs_arg=float(np.max(np.abs(np.angle(samples)))),
         lambda_min_k=floors,
         exact_opening=opening,
         p=p,
-        pi_over_p=np.pi / p,
-        within_angle=bool(opening <= np.pi / p + 1e-12),
     )
 
 
@@ -366,7 +357,7 @@ class _Pencils:
         stiffness A is factored once per whitening block, for its positivity
         check and for the whitening; the mass C keeps its per-class check.
         """
-        mats = assemble_stack(self.basis, vvals, self.classes, self.swap, self.dirichlet, factor="C")
+        mats = assemble_stack(self.basis, vvals, self.classes, self.swap, self.dirichlet)
         parts = whiten_stack(self.blocks, mats["A"], mats["B"], mats["C"])
         mu = np.concatenate([m for m, _, _ in parts], axis=-1)
         diag = np.concatenate([np.diagonal(bb, axis1=-2, axis2=-1) for _, _, bb in parts], axis=-1)
@@ -451,8 +442,9 @@ def _scan_values(
 
     def stack(s: np.ndarray) -> np.ndarray:
         try:
-            floor = np.min(checks[0] + s[:, None] * checks[1], axis=-1)
-            refuse(PotentialLeavesCone, floor <= 1e-10, lambda i: f"potential floor {floor[i]:.3e}")
+            values = checks[0] + s[:, None] * checks[1]
+            floor, bad = np.min(values, axis=-1), ~np.all(values > 1e-10, axis=-1)  # NaN is bad too
+            refuse(PotentialLeavesCone, bad, lambda i: f"potential floor {floor[i]:.3e}")
             whitened, raw = pencils.routes(nodes[0] + s[:, None] * nodes[1])
             _cross_check(whitened, raw, tol)
             return whitened

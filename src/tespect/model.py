@@ -289,10 +289,10 @@ def validate_problem(op: OperatorSpec, dom: DomainSpec, pot: PotentialSpec) -> P
             f"potential dimension {pot.dimension} != operator dimension {op.dimension}"
         )
 
-    floor = float(np.min(_potential_values(pot, _validation_points(op.dimension))))
-    if floor <= _POSITIVITY_MARGIN:
+    values = _potential_values(pot, _validation_points(op.dimension))
+    if not np.all(values > _POSITIVITY_MARGIN):  # a NaN fails the comparison too
         raise NonpositivePotential(
-            f"potential minimum {floor:.3e} is below the strict-positivity margin"
+            f"potential minimum {np.min(values):.3e} is below the strict-positivity margin"
         )
 
     return ProblemSpec(op, dom, pot)

@@ -11,6 +11,7 @@ from tespect import assembly, companion, model
 from tespect.errors import (
     AsymmetryExceeded,
     BasisOrderMismatch,
+    NonpositivePotential,
     NotPositiveDefinite,
     ParityViolation,
     QuadratureUnderflow,
@@ -363,6 +364,18 @@ def test_whiten_stack_masks_a_cut_that_differs_between_members():
         assert wh.size == kept
         assert np.array_equal(mu[i, :kept], wh.mu) and np.array_equal(bw[i, :kept, :kept], wh.b[0])
         assert not np.any(xb[i, :, kept:]) and not np.any(bw[i, kept:]) and not np.any(bw[i, :, kept:])
+
+
+def test_assemble_stack_refuses_a_nan_node_in_its_member():
+    prob = model.validate_problem(
+        model.OperatorSpec.laplacian(1), model.DomainSpec("interval"), model.PotentialSpec.constant(2.0, 1)
+    )
+    basis = assembly.build_basis(prob, 8)
+    vvals = np.full((3, basis.grid_points().shape[-1]), 2.0)
+    vvals[1, 5] = np.nan
+    with pytest.raises(NonpositivePotential) as info:
+        assembly.assemble_stack(basis, vvals, assembly.parity_classes(prob, basis))
+    assert info.value.member == 1
 
 
 def test_stacked_cholesky_names_first_failing_member():

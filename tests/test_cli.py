@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -149,13 +150,17 @@ def test_unknown_basis_family_exits_2(tmp_path, capsys):
     assert "basis.family" in capsys.readouterr().err
 
 
-def test_python_m_tespect_runs_selftest():
+def src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
     src = Path(__file__).resolve().parents[1] / "src"
     paths = [str(src), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+
+
+def test_python_m_tespect_runs_selftest():
     proc = subprocess.run(
         [sys.executable, "-m", "tespect", "selftest"],
-        env=env,
+        env=src_env(),
         capture_output=True,
         text=True,
         timeout=120,
@@ -562,6 +567,39 @@ def test_scan_square_2d_defaults(tmp_path):
     assert s.size == 41 and np.all(np.isfinite(t))
     ratio = t / (5.0 + s)
     assert np.ptp(ratio) <= 1e-12 * np.max(ratio)
+
+
+def peak_rss_kb(args):
+    """Exit status and peak RSS (kB) of ``python -m tespect`` with ``args``, run in a child."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tespect", *args],
+        env=src_env(),
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    _, status, usage = os.wait4(proc.pid, 0)  # the rusage of this child alone
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, usage.ru_maxrss
+
+
+@pytest.mark.slow
+def test_range_memory_stays_near_trace_square_2d_defaults(tmp_path):
+    # the sampler's chunks are a few MB, so range holds little beyond the
+    # pipeline that trace builds too
+    settings = ("--set=problem.dimension=2", "--set=problem.domain=square")
+    peaks = {}
+    for command in ("trace", "range"):
+        status, peaks[command] = peak_rss_kb([command, "--out", str(tmp_path / command), *settings])
+        assert status == 0
+    assert peaks["range"] <= 1.25 * peaks["trace"], peaks
+
+
+def test_readme_lists_every_config_key_with_its_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)\.(\w+)` \| `([^`]*)` \|", readme, flags=re.MULTILINE)
+    table = {(section, key): default for section, key, default in rows}
+    assert len(table) == len(rows)  # no key listed twice
+    assert table == {(section, key): v for section, keys in cli._SCHEMA.items() for key, v in keys.items()}
 
 
 def test_resolved_config_reproduces_run(tmp_path):

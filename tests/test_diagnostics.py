@@ -165,7 +165,7 @@ def test_numerical_range_positive_semidefinite_b(helmholtz32):
 
 
 @pytest.mark.parametrize("dimension, size", [(1, 32), (2, 6)], ids=["1d-two-blocks", "2d-six-blocks"])
-def test_numerical_range_blocks_match_one_shot_draws(dimension, size):
+def test_numerical_range_chunks_match_dense_form(dimension, size):
     wh = cached_system(dimension=dimension, size=size, contrast=3.0)[3]
     # constant V: 2 parity blocks in 1D; in 2D 4 parity blocks, of which the
     # diagonal swap splits two in halves and pairs the other two as twins
@@ -173,32 +173,33 @@ def test_numerical_range_blocks_match_one_shot_draws(dimension, size):
     assert wh.twin_of.count(None) == {1: 2, 2: 5}[dimension]
     comp = companion.build_companion(wh)
     report = diagnostics.numerical_range(comp, 10000, seed=2025)
-    n, shape = wh.size, (2 * wh.size, 5000)
+    n, half = wh.size, 5000
+    width = diagnostics._RANGE_DRAW_BYTES // (32 * n)
+    assert width < half and half % width  # two or more chunks, the last one shorter
     rng = np.random.default_rng(2025)
-    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    raw /= np.linalg.norm(raw, axis=0, keepdims=True)
-    u0, v0 = raw[:n], raw[n:]
-    re = np.einsum("ij,ij->j", u0.conj(), dense_d(comp)[:n, :n] @ u0).real
-    im = -2.0 * np.einsum("ij,ij->j", u0.conj(), np.diag(np.sqrt(comp.whitened.mu)) @ v0).imag
-    z = re + 1j * im
-    expected = np.concatenate([z, z.conj()])
+    chunks = [rng.standard_normal((4, n, min(width, half - i))) for i in range(0, half, width)]
+    a, b, c, d = np.concatenate(chunks, axis=-1)
+    w = np.concatenate([a + 1j * b, c + 1j * d])  # (u0; v0), unnormalized
+    dense = np.einsum("ij,ij->j", w.conj(), dense_d(comp) @ w) / np.einsum("ij,ij->j", w.conj(), w)
+    expected = np.concatenate([dense, dense.conj()])
     assert np.max(np.abs(report.samples - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
-def test_numerical_range_memory_holds_half_the_draws():
-    # the real parts are held whole (2N x h); the imaginary parts arrive one
-    # block at a time, so the rest stays within a few n_b x h arrays
+@pytest.mark.parametrize("count", [10**4, 10**5])
+def test_numerical_range_memory_is_flat_in_the_count(count):
+    # one chunk's draw of _RANGE_DRAW_BYTES, the products K_b (a_b; b_b) of
+    # one block (2 n_b x w, at most two N x w arrays), the K_b and the samples
     wh = cached_system(dimension=2, size=8, contrast=3.0)[3]
     comp = companion.build_companion(wh)
-    half = 5000
-    bound = (2 * wh.size + 4 * max(blk.stop - blk.start for blk in wh.blocks)) * half * 8
+    width = diagnostics._RANGE_DRAW_BYTES // (32 * wh.size)
+    bound = diagnostics._RANGE_DRAW_BYTES + 2 * wh.size * width * 8 + 8 * wh.size**2
     tracemalloc.start()
     try:
-        diagnostics.numerical_range(comp, 10000, seed=2025)
+        report = diagnostics.numerical_range(comp, count, seed=2025)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= bound
+    assert peak - report.samples.nbytes <= bound
 
 
 @pytest.mark.parametrize(
@@ -416,6 +417,14 @@ def test_stacked_scan_cone_exit_names_first_failing_s():
     direction = model.PotentialSpec.constant(-1.0, 1)  # V = 1 - s leaves the cone at s = 1
     with pytest.raises(PotentialLeavesCone, match=r"s=1$"):
         diagnostics.potential_scan(prob, direction, np.linspace(0.0, 2.0, 9), 8)
+
+
+@pytest.mark.filterwarnings("ignore::tespect.errors.SmoothnessWarning")
+def test_stacked_scan_cone_check_refuses_nan():
+    prob = unit_problem()
+    direction = model.PotentialSpec.grid([1.0, float("nan")], 1)
+    with pytest.raises(PotentialLeavesCone, match=r"s=0$"):
+        diagnostics.potential_scan(prob, direction, np.linspace(0.0, 1.0, 5), 8)
 
 
 def test_stacked_scan_reports_earlier_s_of_a_later_check(monkeypatch):

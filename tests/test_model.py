@@ -67,6 +67,15 @@ def test_nonpositive_potential():
         )
 
 
+@pytest.mark.filterwarnings("ignore::tespect.errors.SmoothnessWarning")
+@pytest.mark.parametrize("kind, values", [("constant", float("nan")), ("grid", [2.0, float("nan"), 3.0])])
+def test_nan_potential_is_refused(kind, values):
+    # a NaN never compares below the margin, so positivity is asked, not its negation
+    pot = getattr(model.PotentialSpec, kind)(values, 1)
+    with pytest.raises(NonpositivePotential):
+        model.validate_problem(model.OperatorSpec.laplacian(1), model.DomainSpec("interval"), pot)
+
+
 def test_unsupported_dimension():
     with pytest.raises(UnsupportedDimension):
         model.OperatorSpec.laplacian(3)
