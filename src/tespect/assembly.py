@@ -49,7 +49,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -65,11 +65,10 @@ from .errors import (
     QuadratureWarning,
     refuse,
 )
-from .model import PotentialSpec, ProblemSpec, _potential_values
+from .model import PotentialSpec, ProblemSpec, _potential_values, strictly_positive
 
 _ASYM_TOL = 1e-8
 _GRAM_FLOOR = 1e-12
-_POSITIVITY_MARGIN = 1e-10
 _EDGE_TOL = 1e-12
 _TAIL_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
@@ -379,10 +378,7 @@ class WhitenedSystem:
 
     def per_block(self, fn) -> list:
         """``fn(i)`` for each block i that is not a twin; a twin reuses its source's value."""
-        out: list = []
-        for i, source in enumerate(self.twin_of):
-            out.append(fn(i) if source is None else out[source])
-        return out
+        return _reuse_twins(self.twin_of, fn)
 
     @classmethod
     def from_matrices(cls, a, b) -> "WhitenedSystem":
@@ -557,6 +553,14 @@ def parity_classes(problem: ProblemSpec, basis: BasisSet) -> tuple[np.ndarray, .
     return tuple(np.flatnonzero(key == k) for k in np.unique(key))
 
 
+def _reuse_twins(twin_of: Sequence[Optional[int]], fn) -> list:
+    """``fn(i)`` for each i with ``twin_of[i]`` None; a twin reuses its source's value."""
+    out: list = []
+    for i, source in enumerate(twin_of):
+        out.append(fn(i) if source is None else out[source])
+    return out
+
+
 def swap_permutation(problem: ProblemSpec, basis: BasisSet) -> Optional[np.ndarray]:
     """Basis permutation of the diagonal swap x <-> y when V on the square is invariant under it."""
     if problem.dimension != 2 or not problem.potential.swap_invariant():
@@ -606,7 +610,7 @@ def assemble_stack(
     vmin = np.min(vvals, axis=-1)
     refuse(
         NonpositivePotential,
-        ~np.all(vvals > _POSITIVITY_MARGIN, axis=-1),  # a NaN fails the comparison too
+        ~strictly_positive(vvals),
         lambda i: f"potential minimum {vmin[i]:.3e} at a quadrature node",
     )
     lead, qvals = vvals.ndim - 1, 1.0 / vvals
@@ -778,15 +782,15 @@ def whiten_stack(
     """
     finite = np.isfinite(a).all(axis=(-2, -1)) & np.isfinite(c).all(axis=(-2, -1))
     refuse(NotPositiveDefinite, ~finite, lambda i: "stiffness or mass has non-finite entries")
-    factors: list = []
-    for blk in blocks:
-        if blk.twin_of is not None:
-            factors.append(factors[blk.twin_of])
-            continue
-        chol = _cholesky(blk.gather(a), "stiffness")
-        m = np.linalg.solve(chol, np.swapaxes(np.linalg.solve(chol, blk.gather(c)), -1, -2))
+    twin_of = [blk.twin_of for blk in blocks]
+
+    def factor(i: int) -> tuple:
+        chol = _cholesky(blocks[i].gather(a), "stiffness")
+        m = np.linalg.solve(chol, np.swapaxes(np.linalg.solve(chol, blocks[i].gather(c)), -1, -2))
         dec = densela.sym_eig(m)  # checks the symmetry of m, then decomposes (m + m^T) / 2
-        factors.append((chol, dec.eigenvalues[..., ::-1], dec.eigenvectors[..., ::-1]))
+        return chol, dec.eigenvalues[..., ::-1], dec.eigenvectors[..., ::-1]
+
+    factors = _reuse_twins(twin_of, factor)
     sized = [mu for _, mu, _ in factors if mu.shape[-1]]
     top = np.max([mu[..., 0] for mu in sized], axis=0) if sized else np.zeros(a.shape[:-2])
     low = np.min([mu[..., -1] for mu in sized], axis=0) if sized else np.zeros(a.shape[:-2])
@@ -797,16 +801,15 @@ def whiten_stack(
         lambda i: "mass is not positive definite: smallest mass-to-stiffness eigenvalue "
         f"{low[i]:.3e}, largest {top[i]:.3e}, rounding level {tau[i]:.1e}",
     )
-    out: list = []
-    for blk, (chol, mu, vecs) in zip(blocks, factors):
-        if blk.twin_of is not None:
-            out.append(out[blk.twin_of])
-            continue
+
+    def whitened(i: int) -> tuple:
+        chol, mu, vecs = factors[i]
         root = np.sqrt(np.where(mu > 0, mu, np.inf))  # a cut column divides by inf
         xb = np.linalg.solve(np.swapaxes(chol, -1, -2), vecs) / root[..., None, :]
-        bb = np.swapaxes(xb, -1, -2) @ blk.gather(b) @ xb
-        out.append((mu, xb, 0.5 * (bb + np.swapaxes(bb, -1, -2))))
-    return out
+        bb = np.swapaxes(xb, -1, -2) @ blocks[i].gather(b) @ xb
+        return mu, xb, 0.5 * (bb + np.swapaxes(bb, -1, -2))
+
+    return _reuse_twins(twin_of, whitened)
 
 
 def whiten(system: GalerkinSystem) -> WhitenedSystem:
@@ -836,20 +839,17 @@ def whiten(system: GalerkinSystem) -> WhitenedSystem:
     stops = np.cumsum(kept)
     slices = tuple(slice(int(stop) - k, int(stop)) for k, stop in zip(kept, stops))
     mu = np.concatenate([m[:k] for (m, _, _), k in zip(parts, kept)])
-    x, bw = np.zeros((system.size, mu.size)), []
-    for blk, (_, xb, bb), cols, k in zip(blocks, parts, slices, kept):
-        if blk.twin_of is not None:
-            x[blk.p, cols] = x[blocks[blk.twin_of].p, slices[blk.twin_of]]
-            bw.append(bw[blk.twin_of])
-            continue
-        blk.scatter(x, cols, xb[:, :k])
-        bw.append(bb if k == bb.shape[0] else np.ascontiguousarray(bb[:k, :k]))
+    x = np.zeros((system.size, mu.size))
+    for blk, (_, xb, _), cols, k in zip(blocks, parts, slices, kept):
+        blk.scatter(x, cols, xb[:, :k])  # a twin's p lists the swap images of its source's rows
+    twin_of = tuple(blk.twin_of for blk in blocks)
+    bw = _reuse_twins(twin_of, lambda i: np.ascontiguousarray(parts[i][2][: kept[i], : kept[i]]))
     return WhitenedSystem(
         mu=mu,
         b=tuple(bw),
         to_basis=x,
         system=system,
         blocks=slices,
-        twin_of=tuple(blk.twin_of for blk in blocks),
+        twin_of=twin_of,
         deflated=system.size - mu.size,
     )

@@ -79,18 +79,6 @@ _SCHEMA = {
     },
 }
 
-SUBCOMMANDS = (
-    "assemble",
-    "solve",
-    "trace",
-    "range",
-    "count",
-    "scan",
-    "oracle1d",
-    "oracle-disk",
-    "convergence",
-    "selftest",
-)
 _CSV_CHUNK_ROWS = 1 << 14  # rows formatted per write: bounds the transient memory
 
 
@@ -254,20 +242,26 @@ def _build_pipeline(cfg: RunConfig, size: int | None = None):
 
 
 class OutputWriter:
-    """Writes artifacts under the output directory with version headers."""
+    """Writes artifacts under the output directory with version headers.
+
+    The directory and ``config.resolved`` are made with the first artifact
+    (``prepare``), so a run refused before it writes anything leaves nothing.
+    """
 
     def __init__(self, cfg: RunConfig, out_dir: str | None):
         self.cfg = cfg
         self.dir = Path(out_dir or cfg.str_("output", "dir"))
         self.digest = cfg.digest()
+        self.prepared = False
 
     def header(self) -> str:
         return f"# te-spect {__version__} config={self.digest}"
 
     def prepare(self):
-        self.dir.mkdir(parents=True, exist_ok=True)
-        text = self.header() + "\n" + self.cfg.resolved_text()
-        (self.dir / "config.resolved").write_text(text)
+        if not self.prepared:
+            self.dir.mkdir(parents=True, exist_ok=True)
+            (self.dir / "config.resolved").write_text(self.header() + "\n" + self.cfg.resolved_text())
+            self.prepared = True
 
     def csv(self, name: str, columns: list[str], rows) -> Path:
         """Write a table given as a 2D float array or as an iterable of rows.
@@ -282,6 +276,7 @@ class OutputWriter:
         else:
             it = iter(rows)
             chunks = iter(lambda: list(itertools.islice(it, _CSV_CHUNK_ROWS)), [])
+        self.prepare()
         path = self.dir / name
         with path.open("w") as f:
             f.write(f"{self.header()}\n{','.join(columns)}\n")
@@ -293,6 +288,7 @@ class OutputWriter:
         return path
 
     def json(self, name: str, payload: dict) -> Path:
+        self.prepare()
         path = self.dir / name
         record = {"tool_version": __version__, "config_hash": self.digest}
         record.update(payload)
@@ -343,6 +339,7 @@ def _solve_eigenvalues(cfg: RunConfig, wh: WhitenedSystem) -> np.ndarray:
 
 
 def _cmd_solve(cfg: RunConfig, out: OutputWriter) -> int:
+    want_states = cfg.bool_("solve", "want_states")
     _, _, _, wh = _build_pipeline(cfg)
     comp, spec = _solve_spectrum(cfg, wh)
     rows = [
@@ -363,7 +360,7 @@ def _cmd_solve(cfg: RunConfig, out: OutputWriter) -> int:
         ["index", "re_lambda", "im_lambda", "re_mu", "im_mu", "qep_residual", "cluster_id", "multiplicity"],
         rows,
     )
-    if cfg.bool_("solve", "want_states"):
+    if want_states:
         states = [
             np.column_stack(
                 (np.full(s.u.size, i), np.arange(s.u.size), s.u.real, s.u.imag, s.v.real, s.v.imag, s.w.real, s.w.imag)
@@ -637,7 +634,7 @@ def run(argv) -> int:
         prog="te-spect",
         description="transmission-eigenvalue computation and diagnostics",
     )
-    parser.add_argument("command", choices=SUBCOMMANDS)
+    parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("-c", "--config", default=None, help="INI config file")
     parser.add_argument(
         "--set",
@@ -661,13 +658,12 @@ def run(argv) -> int:
 
     writer = OutputWriter(cfg, args.out)
     try:
-        if args.command != "selftest":
-            writer.prepare()
         return _COMMANDS[args.command](cfg, writer)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except ComputationError as exc:
+        writer.prepare()
         record = {"error": {"code": exc.code, "message": str(exc)}}
         print(json.dumps(record), file=sys.stderr)
         return 1

@@ -47,7 +47,7 @@ from .assembly import (
 )
 from .companion import CompanionSystem
 from .errors import ComputationError, CrossCheckFailed, PotentialLeavesCone, refuse
-from .model import PotentialSpec, ProblemSpec, _potential_values, _validation_points
+from .model import PotentialSpec, ProblemSpec, _potential_values, _validation_points, strictly_positive
 from .util import loglog_slope
 
 _IDENTITY_TOL = 1e-10
@@ -377,10 +377,7 @@ def _cross_check(whitened, raw, tol: float) -> None:
 
 
 def trace_functional_routes(
-    problem: ProblemSpec,
-    size: int,
-    family: str = "clamped-polynomial",
-    basis: Optional[BasisSet] = None,
+    problem: ProblemSpec, size: int, family: str = "clamped-polynomial"
 ) -> tuple[float, float]:
     """Trace functional through the whitened and the raw route.
 
@@ -390,20 +387,13 @@ def trace_functional_routes(
     cyclicity of the trace.  Both values are returned so callers can assert
     the residual.  The scan's kernels on one member.
     """
-    if basis is None:
-        basis = build_basis(problem, size, family)
+    basis = build_basis(problem, size, family)
     vvals = _potential_values(problem.potential, basis.grid_points())
     whitened, raw = _Pencils.of(problem, basis).routes(vvals)
     return float(whitened), float(raw)
 
 
-def trace_functional(
-    problem: ProblemSpec,
-    size: int,
-    family: str = "clamped-polynomial",
-    tol: float = _IDENTITY_TOL,
-    basis: Optional[BasisSet] = None,
-) -> float:
+def trace_functional(problem: ProblemSpec, size: int, family: str = "clamped-polynomial") -> float:
     """Trace functional tr(B_q A_q^{-1}) at basis size ``size``.
 
     Evaluated through the whitened route; the raw route is computed alongside
@@ -411,10 +401,10 @@ def trace_functional(
     stiffness eigenvalues to full relative accuracy and agree to rounding.
 
     Raises:
-        CrossCheckFailed: the two routes disagree beyond ``tol`` relative.
+        CrossCheckFailed: the two routes disagree beyond 1e-10 relative.
     """
-    whitened, raw = trace_functional_routes(problem, size, family, basis)
-    _cross_check(whitened, raw, tol)
+    whitened, raw = trace_functional_routes(problem, size, family)
+    _cross_check(whitened, raw, _IDENTITY_TOL)
     return whitened
 
 
@@ -443,7 +433,7 @@ def _scan_values(
     def stack(s: np.ndarray) -> np.ndarray:
         try:
             values = checks[0] + s[:, None] * checks[1]
-            floor, bad = np.min(values, axis=-1), ~np.all(values > 1e-10, axis=-1)  # NaN is bad too
+            floor, bad = np.min(values, axis=-1), ~strictly_positive(values)
             refuse(PotentialLeavesCone, bad, lambda i: f"potential floor {floor[i]:.3e}")
             whitened, raw = pencils.routes(nodes[0] + s[:, None] * nodes[1])
             _cross_check(whitened, raw, tol)

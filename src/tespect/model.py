@@ -84,9 +84,9 @@ class PotentialSpec:
     """Potential V with pointwise evaluation and q = 1/V accessor.
 
     Representations:
-      * ``constant`` -- data is a scalar.
       * ``polynomial`` -- 1D: coefficient array c[k] of sum c_k x^k;
-        2D: matrix c[i, j] of sum c_ij x^i y^j.
+        2D: matrix c[i, j] of sum c_ij x^i y^j.  A constant is the
+        polynomial of degree 0 (``PotentialSpec.constant``).
       * ``grid`` -- samples on a uniform grid over the domain, evaluated by
         piecewise-linear (bilinear in 2D) interpolation.  Rough data is
         accepted for experimentation but flagged with a SmoothnessWarning.
@@ -99,7 +99,7 @@ class PotentialSpec:
     dimension: int = 1
 
     def __post_init__(self):
-        if self.kind not in ("constant", "polynomial", "grid", "affine"):
+        if self.kind not in ("polynomial", "grid", "affine"):
             raise ValueError(f"unknown potential representation {self.kind!r}")
         if self.kind == "grid":
             warnings.warn(
@@ -111,7 +111,8 @@ class PotentialSpec:
 
     @classmethod
     def constant(cls, value: float, dimension: int = 1) -> "PotentialSpec":
-        return cls("constant", float(value), dimension)
+        """The polynomial of degree 0, data [value] (1D) or [[value]] (2D)."""
+        return cls.polynomial(np.full((1,) * dimension, float(value)), dimension)
 
     @classmethod
     def polynomial(cls, coeffs, dimension: int = 1) -> "PotentialSpec":
@@ -138,13 +139,11 @@ class PotentialSpec:
     def reflection_invariant(self, axis: int) -> bool:
         """Whether V is exactly invariant under x_axis -> 1 - x_axis.
 
-        Read from the representation, never sampled: a constant always is; a
-        grid when its samples equal their flip along ``axis``; a polynomial
+        Read from the representation, never sampled: a grid when its samples
+        equal their flip along ``axis``; a polynomial (a constant among them)
         only when no coefficient depends on that coordinate; an affine family
         when both of its parts are.
         """
-        if self.kind == "constant":
-            return True
         if self.kind == "affine":
             base, direction, _ = self.data
             return base.reflection_invariant(axis) and direction.reflection_invariant(axis)
@@ -155,15 +154,13 @@ class PotentialSpec:
     def swap_invariant(self) -> bool:
         """Whether V on the square is exactly invariant under the swap x <-> y.
 
-        Read from the representation, never sampled: a constant always is; a
-        polynomial when its coefficient matrix is square and equals its
-        transpose; a grid when it equals its transpose; an affine family when
-        both of its parts are.  A 1D potential has no swap.
+        Read from the representation, never sampled: a polynomial (a
+        constant among them) when its coefficient matrix is square and equals
+        its transpose; a grid when it equals its transpose; an affine family
+        when both of its parts are.  A 1D potential has no swap.
         """
         if self.dimension != 2:
             return False
-        if self.kind == "constant":
-            return True
         if self.kind == "affine":
             base, direction, _ = self.data
             return base.swap_invariant() and direction.swap_invariant()
@@ -222,9 +219,6 @@ def eval_potential(pot: PotentialSpec, x) -> float:
 
 def _potential_values(pot: PotentialSpec, flat: np.ndarray) -> np.ndarray:
     """Vectorized V on points already known to be inside the domain."""
-    if pot.kind == "constant":
-        n = flat.shape[0] if flat.ndim > 0 else 1
-        return np.full(n, float(pot.data))
     if pot.kind == "affine":
         base, direction, scale = pot.data
         return _potential_values(base, flat) + scale * _potential_values(direction, flat)
@@ -260,6 +254,11 @@ def _bilinear(values: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     )
 
 
+def strictly_positive(values: np.ndarray) -> np.ndarray:
+    """Whether V > ``_POSITIVITY_MARGIN`` all along the last axis; a NaN fails it too."""
+    return np.all(values > _POSITIVITY_MARGIN, axis=-1)
+
+
 def _validation_points(dimension: int) -> np.ndarray:
     if dimension == 1:
         return np.linspace(0.0, 1.0, 1025)
@@ -272,8 +271,8 @@ def validate_problem(op: OperatorSpec, dom: DomainSpec, pot: PotentialSpec) -> P
     """Check the standing hypotheses and return the validated bundle.
 
     The operator is elliptic by construction (see :class:`OperatorSpec`);
-    strict positivity of V is checked on a dense fixed grid with margin 1e-10,
-    deterministically.
+    strict positivity of V (``strictly_positive``) is checked on a dense
+    fixed grid, deterministically.
 
     Raises:
         NonpositivePotential: V drops to the margin somewhere.
@@ -290,7 +289,7 @@ def validate_problem(op: OperatorSpec, dom: DomainSpec, pot: PotentialSpec) -> P
         )
 
     values = _potential_values(pot, _validation_points(op.dimension))
-    if not np.all(values > _POSITIVITY_MARGIN):  # a NaN fails the comparison too
+    if not strictly_positive(values):
         raise NonpositivePotential(
             f"potential minimum {np.min(values):.3e} is below the strict-positivity margin"
         )

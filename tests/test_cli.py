@@ -170,10 +170,12 @@ def test_python_m_tespect_runs_selftest():
 
 
 def test_malformed_values_exit_2(tmp_path, capsys):
+    # a usage error writes nothing, not even config.resolved
     out = tmp_path / "y"
     assert run(["solve", "--out", str(out), "--set", "problem.potential=constant:abc"]) == 2
     assert run(["solve", "--out", str(out), "--set", "problem.potential=mystery:1"]) == 2
     assert run(["convergence", "--out", str(out), "--set", "convergence.n_list=8,x"]) == 2
+    assert not out.exists()
     # out-of-range values: a usage error naming the key, not a traceback
     for command, setting in (
         ("range", "trace.samples=50"),
@@ -198,10 +200,13 @@ def test_malformed_values_exit_2(tmp_path, capsys):
         ("scan", "scan.s_min=nan"),
         ("scan", "scan.s_max=inf"),
         ("scan", "scan.zero_tol=-inf"),
+        # read before the solve's first write
+        ("solve", "solve.want_states=maybe"),
     ):
         capsys.readouterr()
         assert run([command, "--out", str(out), "--set", "basis.n=8", "--set", setting]) == 2, setting
         assert setting.split("=")[0] in capsys.readouterr().err
+        assert not out.exists(), setting
 
 
 @pytest.mark.parametrize(
@@ -239,6 +244,7 @@ def test_domain_error_produces_json_record(tmp_path, capsys):
     err = capsys.readouterr().err
     record = json.loads(err.strip().splitlines()[-1])
     assert record["error"]["code"] == "NonpositivePotential"
+    assert [p.name for p in out.iterdir()] == ["config.resolved"]  # the run stays reproducible
 
 
 def test_outputs_are_deterministic(tmp_path):
@@ -600,6 +606,12 @@ def test_readme_lists_every_config_key_with_its_default():
     table = {(section, key): default for section, key, default in rows}
     assert len(table) == len(rows)  # no key listed twice
     assert table == {(section, key): v for section, keys in cli._SCHEMA.items() for key, v in keys.items()}
+
+
+def test_readme_lists_every_command():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"^Commands: (.*?)\.\s", readme, flags=re.MULTILINE | re.DOTALL).group(1)
+    assert re.findall(r"`([\w-]+)`", listed) == list(cli._COMMANDS)
 
 
 def test_resolved_config_reproduces_run(tmp_path):

@@ -1,10 +1,14 @@
+import math
+
+import numpy as np
 import pytest
 
-from tespect import model
+from tespect import assembly, diagnostics, model
 from tespect.errors import (
     DimensionMismatch,
     NonpositivePotential,
     OutOfDomain,
+    PotentialLeavesCone,
     SmoothnessWarning,
     UnsupportedDimension,
 )
@@ -74,6 +78,52 @@ def test_nan_potential_is_refused(kind, values):
     pot = getattr(model.PotentialSpec, kind)(values, 1)
     with pytest.raises(NonpositivePotential):
         model.validate_problem(model.OperatorSpec.laplacian(1), model.DomainSpec("interval"), pot)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("value", [3.0, 1.0 / 3.0, math.e, 1e-9, math.nan])
+def test_constant_is_the_degree_0_polynomial(dimension, value):
+    const = model.PotentialSpec.constant(value, dimension)
+    poly = model.PotentialSpec.polynomial(np.full((1,) * dimension, value), dimension)
+    assert const.kind == "polynomial" and const.data.shape == (1,) * dimension
+    # V at the quadrature and the validation points is bitwise a filled array
+    size = 6 if dimension == 2 else 12
+    op, dom = model.OperatorSpec.laplacian(dimension), model.DomainSpec(("interval", "square")[dimension - 1])
+    basis = assembly.build_basis(model.ProblemSpec(op, dom, poly), size)
+    for pts in (basis.grid_points(), model._validation_points(dimension)):
+        filled = np.full(pts.shape[0], value)
+        for pot in (const, poly):
+            assert model._potential_values(pot, pts).tobytes() == filled.tobytes()
+    if math.isnan(value):
+        with pytest.raises(NonpositivePotential):  # refused where it is given
+            model.validate_problem(op, dom, const)
+        return
+    for pot in (const, poly):
+        assert all(pot.reflection_invariant(axis) for axis in range(dimension))
+        assert pot.swap_invariant() == (dimension == 2)
+        knots = assembly._knots(pot)  # the ends only: one composite cell
+        assert len(knots) == 1 and np.array_equal(knots[0], [0.0, 1.0])
+
+
+def test_potential_at_the_margin_is_refused_everywhere():
+    # V == the positivity margin fails the one rule in all three places it is asked
+    margin = model._POSITIVITY_MARGIN
+    op, dom = model.OperatorSpec.laplacian(1), model.DomainSpec("interval")
+    assert not model.strictly_positive(np.array([margin]))
+    assert model.strictly_positive(np.array([np.nextafter(margin, 1.0)]))
+    with pytest.raises(NonpositivePotential):
+        model.validate_problem(op, dom, model.PotentialSpec.constant(margin))
+    prob = model.ProblemSpec(op, dom, model.PotentialSpec.constant(1.0))
+    basis = assembly.build_basis(prob, 8)
+    vvals = np.full((2, basis.grid_points().shape[0]), margin)
+    vvals[0] = 1.0
+    with pytest.raises(NonpositivePotential) as err:
+        assembly.assemble_stack(basis, vvals, assembly.parity_classes(prob, basis))
+    assert err.value.member == 1
+    # the scan's cone check: V = 2 margin - s margin is the margin itself at s = 1
+    base = model.ProblemSpec(op, dom, model.PotentialSpec.constant(2.0 * margin))
+    with pytest.raises(PotentialLeavesCone, match="s=1"):
+        diagnostics.potential_scan(base, model.PotentialSpec.constant(-margin), [0.0, 1.0], 8)
 
 
 def test_unsupported_dimension():
