@@ -4,9 +4,11 @@ One INI-style config file with flat sections drives every subcommand; every
 key has a default, unknown keys are rejected, and the fully resolved
 configuration is echoed next to the outputs as ``config.resolved`` so a run
 can be reproduced from its artifacts alone.  ``--set section.key=value``
-overrides config keys one-to-one.  Numeric CSV output uses 17 significant
-digits so doubles round-trip exactly; every output file carries a header
-with the tool version and the resolved-config hash.
+overrides config keys one-to-one.  Every key is typed and bounded by its
+``_SCHEMA`` entry when the config is loaded, whatever the command.  Numeric
+CSV output uses 17 significant digits so doubles round-trip exactly; every
+output file carries a header with the tool version and the resolved-config
+hash.
 
 Exit codes: 0 success, 1 domain error (JSON record on stderr), 2 usage.
 """
@@ -30,55 +32,6 @@ from .assembly import POLYNOMIAL, TRIG, WhitenedSystem, assemble_system, build_b
 from .errors import ComputationError
 from .model import PRESET_ORDERS, DomainSpec, OperatorSpec, PotentialSpec, validate_problem
 
-_SCHEMA = {
-    "problem": {
-        "operator": "laplacian",
-        "dimension": "1",
-        "domain": "interval",
-        "potential": "constant:3.0",
-    },
-    "basis": {
-        "family": POLYNOMIAL,
-        "n": "32",
-    },
-    "solve": {
-        "cluster_tol": "1e-6",
-        "mu_floor": "1e-12",
-        "want_states": "false",
-    },
-    "trace": {
-        "p": "1,2",
-        "samples": "10000",
-        "seed": "2025",
-    },
-    "count": {
-        "radii": "auto",
-    },
-    "scan": {
-        "direction": "constant:1.0",
-        "s_min": "0.0",
-        "s_max": "2.0",
-        "s_count": "21",
-        "zero_tol": "1e-6",
-        "refine_check": "true",
-    },
-    "oracle": {
-        "contrast": "3.0",
-        "k_min": "0.5",
-        "k_max": "20.0",
-        "points_per_unit": "2000",
-        "l_max": "8",
-    },
-    "convergence": {
-        "n_list": "16,24,32,48",
-        "real_tol": "1e-6",
-        "cauchy_tol": "1e-3",
-    },
-    "output": {
-        "dir": "out",
-    },
-}
-
 _CSV_CHUNK_ROWS = 1 << 14  # rows formatted per write: bounds the transient memory
 
 
@@ -86,15 +39,177 @@ class UsageError(Exception):
     pass
 
 
+def _value(cast, what: str, test=lambda v: True):
+    """Parser of one key: ``cast`` the stripped text, then require ``test``."""
+
+    def parse(raw: str):
+        try:
+            value = cast(raw)
+            valid = test(value)
+        except (ValueError, KeyError):
+            valid = False
+        if not valid:
+            raise ValueError(f"must be {what}")
+        return value
+
+    return parse
+
+
+def _one_of(*options: str):
+    return _value(str, f"one of {', '.join(options)}", lambda v: v in options)
+
+
+def _int_at_least(least: int):
+    return _value(int, f"an integer >= {least}", lambda v: v >= least)
+
+
+def _sizes(ascending: bool):
+    """A nonempty comma list of positive integers, ascending if asked."""
+    return _value(
+        lambda raw: [int(tok) for tok in raw.split(",") if tok.strip()],
+        f"{'an ascending' if ascending else 'a'} comma list of positive integers",
+        lambda v: v and min(v) >= 1 and (not ascending or v == sorted(v)),
+    )
+
+
+def _radii(raw: str) -> list[float] | None:
+    """``auto`` (None), or finite, positive and distinct radii, sorted."""
+    if raw == "auto":
+        return None
+    radii = sorted(float(tok) for tok in raw.split(",") if tok.strip())
+    if not (radii and np.all(np.isfinite(radii)) and radii[0] > 0 and np.all(np.diff(radii) > 0)):
+        raise ValueError(raw)
+    return radii
+
+
+_FINITE = _value(float, "a finite number", math.isfinite)
+_POSITIVE = _value(float, "a finite positive number", lambda v: 0 < v < math.inf)
+_NON_NEGATIVE = _value(float, "a finite non-negative number", lambda v: 0 <= v < math.inf)
+_TRUTH = dict.fromkeys(("true", "1", "yes", "on"), True) | dict.fromkeys(("false", "0", "no", "off"), False)
+_BOOLEAN = _value(lambda raw: _TRUTH[raw.lower()], "a boolean")
+
+
+def _potential(raw: str) -> tuple[str, list[list[float]]]:
+    """A potential token as (name of a ``PotentialSpec`` constructor, rows of data).
+
+    ``constant:v`` is the polynomial of degree 0, rows [[v]].  The rows are
+    shaped against ``problem.dimension`` by ``_check_rules``.
+    """
+    if ":" not in raw:
+        raise ValueError("needs a kind prefix: constant, poly or grid")
+    kind, payload = raw.split(":", 1)
+    if kind not in ("constant", "poly", "grid"):
+        raise ValueError(f"has unknown kind {kind!r}")
+    try:
+        if kind == "constant":
+            rows = [[float(payload)]]
+        else:
+            rows = [[float(v) for v in row.split(",") if v.strip()] for row in payload.split(";") if row.strip()]
+    except ValueError:
+        raise ValueError("has non-numeric data") from None
+    if not all(math.isfinite(v) for row in rows for v in row):
+        raise ValueError("has non-finite data")
+    if not rows or not rows[0] or len({len(row) for row in rows}) > 1:
+        raise ValueError("needs non-empty rows of equal length")
+    return ("grid" if kind == "grid" else "polynomial"), rows
+
+
+# every key: (default text, parser); a parser raises ValueError saying what is wrong
+
+_SCHEMA = {
+    "problem": {
+        "operator": ("laplacian", _one_of(*PRESET_ORDERS)),
+        "dimension": ("1", _value(int, "1 or 2", lambda v: v in (1, 2))),
+        "domain": ("interval", _one_of("interval", "square")),
+        "potential": ("constant:3.0", _potential),
+    },
+    "basis": {
+        "family": (POLYNOMIAL, _one_of(POLYNOMIAL, TRIG)),
+        "n": ("32", _int_at_least(1)),
+    },
+    "solve": {
+        "cluster_tol": ("1e-6", _POSITIVE),
+        "mu_floor": ("1e-12", _NON_NEGATIVE),
+        "want_states": ("false", _BOOLEAN),
+    },
+    "trace": {
+        "p": ("1,2", _sizes(ascending=False)),
+        "samples": ("10000", _int_at_least(100)),
+        "seed": ("2025", _int_at_least(0)),
+    },
+    "count": {
+        "radii": ("auto", _value(_radii, "auto or finite, positive and distinct numbers")),
+    },
+    "scan": {
+        "direction": ("constant:1.0", _potential),
+        "s_min": ("0.0", _FINITE),
+        "s_max": ("2.0", _FINITE),
+        "s_count": ("21", _int_at_least(2)),
+        "zero_tol": ("1e-6", _NON_NEGATIVE),
+        "refine_check": ("true", _BOOLEAN),
+    },
+    "oracle": {
+        "contrast": ("3.0", _FINITE),
+        "k_min": ("0.5", _POSITIVE),
+        "k_max": ("20.0", _FINITE),
+        "points_per_unit": ("2000", _int_at_least(1)),
+        "l_max": ("8", _int_at_least(0)),
+    },
+    "convergence": {
+        "n_list": ("16,24,32,48", _sizes(ascending=True)),
+        "real_tol": ("1e-6", _NON_NEGATIVE),
+        "cauchy_tol": ("1e-3", _NON_NEGATIVE),
+    },
+    "output": {
+        "dir": ("out", str),
+    },
+}
+
+
+def _check_rules(typed: dict) -> None:
+    """The rules that span two keys, on the parsed values; shapes the potentials."""
+    dim, dom = typed["problem.dimension"], DomainSpec(typed["problem.domain"])
+    if dim != dom.dimension:
+        raise UsageError(f"problem.domain={dom.shape} needs problem.dimension={dom.dimension}, not {dim}")
+    for name in ("problem.potential", "scan.direction"):
+        kind, rows = typed[name]
+        if dim == 1 and len(rows) > 1:
+            raise UsageError(f"{name}: a 1D potential takes one row")
+        data = np.array(rows[0] if dim == 1 else rows)
+        if kind == "grid" and min(data.shape) < 2:
+            raise UsageError(f"{name}: a grid needs two or more samples per axis")
+        typed[name] = kind, data
+    if not typed["oracle.k_max"] > typed["oracle.k_min"]:
+        raise UsageError("oracle.k_max must exceed oracle.k_min")
+    if not 0 < abs(typed["scan.s_max"] - typed["scan.s_min"]) < math.inf:
+        raise UsageError("scan.s_min and scan.s_max must differ by a finite amount")
+
+
 class RunConfig:
-    """Resolved configuration: every schema key present, typed accessors."""
+    """Resolved configuration: the raw text of every key and its typed value.
+
+    ``cfg["section.key"]`` reads a typed value; ``values`` keeps the text,
+    which ``config.resolved`` echoes.
+    """
 
     def __init__(self, values: dict[str, dict[str, str]]):
         self.values = values
+        self.typed = {}
+        for section, keys in _SCHEMA.items():
+            for key, (_, parse) in keys.items():
+                raw = values[section][key].strip()
+                try:
+                    self.typed[f"{section}.{key}"] = parse(raw)
+                except ValueError as exc:
+                    raise UsageError(f"{section}.{key} {exc} (given {raw!r})") from None
+        _check_rules(self.typed)
+
+    def __getitem__(self, name: str):
+        return self.typed[name]
 
     @classmethod
     def load(cls, path: str | None, overrides: list[str]) -> "RunConfig":
-        values = {s: dict(d) for s, d in _SCHEMA.items()}
+        values = {s: {k: default for k, (default, _) in keys.items()} for s, keys in _SCHEMA.items()}
         if path is not None:
             parser = configparser.ConfigParser()
             read = parser.read(path)
@@ -117,63 +232,6 @@ class RunConfig:
             values[section][key] = val
         return cls(values)
 
-    # typed accessors ---------------------------------------------------------
-
-    def str_(self, section: str, key: str) -> str:
-        return self.values[section][key].strip()
-
-    def int_(self, section: str, key: str, low: int | None = None) -> int:
-        try:
-            value = int(self.str_(section, key))
-        except ValueError as exc:
-            raise UsageError(f"{section}.{key} must be an integer") from exc
-        if low is not None and value < low:
-            raise UsageError(f"{section}.{key} must be at least {low}")
-        return value
-
-    def float_(self, section: str, key: str, positive: bool = False) -> float:
-        try:
-            value = float(self.str_(section, key))
-        except ValueError as exc:
-            raise UsageError(f"{section}.{key} must be a number") from exc
-        if not math.isfinite(value):
-            raise UsageError(f"{section}.{key} must be a finite number")
-        if positive and not value > 0:
-            raise UsageError(f"{section}.{key} must be positive")
-        return value
-
-    def bool_(self, section: str, key: str) -> bool:
-        raw = self.str_(section, key).lower()
-        if raw in ("true", "1", "yes", "on"):
-            return True
-        if raw in ("false", "0", "no", "off"):
-            return False
-        raise UsageError(f"{section}.{key} must be a boolean")
-
-    def choice(self, section: str, key: str, options) -> str:
-        raw = self.str_(section, key)
-        if raw not in options:
-            raise UsageError(f"{section}.{key} must be one of {', '.join(options)}")
-        return raw
-
-    def list_int(self, section: str, key: str) -> list[int]:
-        """A nonempty comma list of positive integers."""
-        try:
-            values = [int(tok) for tok in self.str_(section, key).split(",") if tok.strip()]
-        except ValueError as exc:
-            raise UsageError(f"{section}.{key} must be a comma list of integers") from exc
-        if not values or min(values) < 1:
-            raise UsageError(f"{section}.{key} must list one or more positive integers")
-        return values
-
-    def list_float(self, section: str, key: str) -> list[float]:
-        try:
-            return [float(tok) for tok in self.str_(section, key).split(",") if tok.strip()]
-        except ValueError as exc:
-            raise UsageError(f"{section}.{key} must be a comma list of numbers") from exc
-
-    # serialization -------------------------------------------------------------
-
     def resolved_text(self) -> str:
         parser = configparser.ConfigParser()
         for section, keys in self.values.items():
@@ -186,59 +244,21 @@ class RunConfig:
         return hashlib.sha256(self.resolved_text().encode()).hexdigest()[:12]
 
 
-def _parse_potential(cfg: RunConfig, section: str, key: str, dimension: int) -> PotentialSpec:
-    name, token = f"{section}.{key}", cfg.str_(section, key)
-    if ":" not in token:
-        raise UsageError(f"{name}: potential {token!r} needs a kind prefix")
-    kind, payload = token.split(":", 1)
-    try:
-        if kind == "constant":
-            rows = [[float(payload)]]
-        else:
-            rows = [
-                [float(v) for v in row.split(",") if v.strip()]
-                for row in payload.split(";")
-                if row.strip()
-            ]
-    except ValueError as exc:
-        raise UsageError(f"{name}: potential {token!r} has non-numeric data") from exc
-    if not all(math.isfinite(v) for row in rows for v in row):
-        raise UsageError(f"{name}: potential {token!r} has non-finite data")
-    if kind == "constant":
-        return PotentialSpec.constant(rows[0][0], dimension)
-    if kind not in ("poly", "grid"):
-        raise UsageError(f"{name}: unknown potential kind {kind!r}")
-    if not rows or not rows[0] or len({len(row) for row in rows}) > 1:
-        raise UsageError(f"{name}: potential {token!r} needs non-empty rows of equal length")
-    if dimension == 1 and len(rows) > 1:
-        raise UsageError(f"{name}: a 1D potential {token!r} takes one row")
-    arr = np.array(rows[0] if dimension == 1 else rows)
-    if kind == "poly":
-        return PotentialSpec.polynomial(arr, dimension)
-    if min(arr.shape) < 2:
-        raise UsageError(f"{name}: grid {token!r} needs two or more samples per axis")
-    return PotentialSpec.grid(arr, dimension)
+def _potential_spec(cfg: RunConfig, name: str) -> PotentialSpec:
+    kind, data = cfg[name]
+    return getattr(PotentialSpec, kind)(data, cfg["problem.dimension"])
 
 
 def _build_problem(cfg: RunConfig):
-    dom = DomainSpec(cfg.choice("problem", "domain", ("interval", "square")))
-    dim = int(cfg.choice("problem", "dimension", ("1", "2")))
-    if dim != dom.dimension:
-        raise UsageError(
-            f"problem.domain={dom.shape} needs problem.dimension={dom.dimension}, not {dim}"
-        )
-    op = OperatorSpec.preset_by_name(cfg.choice("problem", "operator", PRESET_ORDERS), dim)
-    pot = _parse_potential(cfg, "problem", "potential", dim)
-    return validate_problem(op, dom, pot)
+    dim = cfg["problem.dimension"]
+    op = OperatorSpec.preset_by_name(cfg["problem.operator"], dim)
+    return validate_problem(op, DomainSpec(cfg["problem.domain"]), _potential_spec(cfg, "problem.potential"))
 
 
-def _build_pipeline(cfg: RunConfig, size: int | None = None):
+def _build_pipeline(cfg: RunConfig, size: int | None = None) -> WhitenedSystem:
     problem = _build_problem(cfg)
-    family = cfg.choice("basis", "family", (POLYNOMIAL, TRIG))
-    basis = build_basis(problem, size or cfg.int_("basis", "n", low=1), family)
-    system = assemble_system(problem, basis)
-    wh = whiten(system)
-    return problem, basis, system, wh
+    basis = build_basis(problem, size or cfg["basis.n"], cfg["basis.family"])
+    return whiten(assemble_system(problem, basis))
 
 
 class OutputWriter:
@@ -250,7 +270,7 @@ class OutputWriter:
 
     def __init__(self, cfg: RunConfig, out_dir: str | None):
         self.cfg = cfg
-        self.dir = Path(out_dir or cfg.str_("output", "dir"))
+        self.dir = Path(out_dir or cfg["output.dir"])
         self.digest = cfg.digest()
         self.prepared = False
 
@@ -300,7 +320,9 @@ class OutputWriter:
 
 
 def _cmd_assemble(cfg: RunConfig, out: OutputWriter) -> int:
-    problem, basis, system, wh = _build_pipeline(cfg)
+    wh = _build_pipeline(cfg)
+    system = wh.system
+    problem, basis = system.problem, system.basis
     for name, mat in (("G", system.gram), ("A", system.a), ("B", system.b), ("C", system.c)):
         out.csv(f"{name}.csv", [f"c{j}" for j in range(mat.shape[1])], mat)
     out.json(
@@ -327,21 +349,19 @@ def _solve_spectrum(cfg: RunConfig, wh: WhitenedSystem):
     comp = companion.build_companion(wh)
     spec = companion.extract_spectrum(
         comp,
-        cluster_tol=cfg.float_("solve", "cluster_tol", positive=True),
-        mu_floor=cfg.float_("solve", "mu_floor"),
+        cluster_tol=cfg["solve.cluster_tol"],
+        mu_floor=cfg["solve.mu_floor"],
     )
     return comp, spec
 
 
 def _solve_eigenvalues(cfg: RunConfig, wh: WhitenedSystem) -> np.ndarray:
     comp = companion.build_companion(wh)
-    return companion.extract_eigenvalues(comp, mu_floor=cfg.float_("solve", "mu_floor"))
+    return companion.extract_eigenvalues(comp, mu_floor=cfg["solve.mu_floor"])
 
 
 def _cmd_solve(cfg: RunConfig, out: OutputWriter) -> int:
-    want_states = cfg.bool_("solve", "want_states")
-    _, _, _, wh = _build_pipeline(cfg)
-    comp, spec = _solve_spectrum(cfg, wh)
+    comp, spec = _solve_spectrum(cfg, _build_pipeline(cfg))
     rows = [
         (
             i,
@@ -360,7 +380,7 @@ def _cmd_solve(cfg: RunConfig, out: OutputWriter) -> int:
         ["index", "re_lambda", "im_lambda", "re_mu", "im_mu", "qep_residual", "cluster_id", "multiplicity"],
         rows,
     )
-    if want_states:
+    if cfg["solve.want_states"]:
         states = [
             np.column_stack(
                 (np.full(s.u.size, i), np.arange(s.u.size), s.u.real, s.u.imag, s.v.real, s.v.imag, s.w.real, s.w.imag)
@@ -376,10 +396,8 @@ def _cmd_solve(cfg: RunConfig, out: OutputWriter) -> int:
 
 
 def _cmd_trace(cfg: RunConfig, out: OutputWriter) -> int:
-    _, _, _, wh = _build_pipeline(cfg)
-    comp = companion.build_companion(wh)
-    p_list = cfg.list_int("trace", "p")
-    report = diagnostics.trace_report(comp, p_list)
+    comp = companion.build_companion(_build_pipeline(cfg))
+    report = diagnostics.trace_report(comp, cfg["trace.p"])
     out.json(
         "trace.json",
         {
@@ -401,14 +419,10 @@ def _cmd_trace(cfg: RunConfig, out: OutputWriter) -> int:
 
 
 def _cmd_range(cfg: RunConfig, out: OutputWriter) -> int:
-    _, _, _, wh = _build_pipeline(cfg)
+    wh = _build_pipeline(cfg)
     comp = companion.build_companion(wh)
-    problem = wh.system.problem
     report = diagnostics.numerical_range(
-        comp,
-        cfg.int_("trace", "samples", low=100),
-        seed=cfg.int_("trace", "seed", low=0),
-        p=problem.p_min,
+        comp, cfg["trace.samples"], seed=cfg["trace.seed"], p=wh.system.problem.p_min
     )
     samples_path = out.csv(
         "samples.csv", ["re_z", "im_z"], np.column_stack((report.samples.real, report.samples.imag))
@@ -432,16 +446,9 @@ def _cmd_range(cfg: RunConfig, out: OutputWriter) -> int:
 
 
 def _cmd_count(cfg: RunConfig, out: OutputWriter) -> int:
-    auto = cfg.str_("count", "radii") == "auto"
-    radii = [] if auto else sorted(cfg.list_float("count", "radii"))
-    if not auto and not (
-        radii and np.all(np.isfinite(radii)) and radii[0] > 0 and np.all(np.diff(radii) > 0)
-    ):
-        raise UsageError("count.radii must be auto or finite, positive and distinct numbers")
-    _, _, _, wh = _build_pipeline(cfg)
+    wh = _build_pipeline(cfg)
     lams = _solve_eigenvalues(cfg, wh)
-    if auto:
-        radii = counting.auto_radii(lams)
+    radii = cfg["count.radii"] or counting.auto_radii(lams)
     report = counting.growth_profile(wh, radii, spectrum=lams)
     out.csv(
         "count.csv",
@@ -471,20 +478,14 @@ def _cmd_count(cfg: RunConfig, out: OutputWriter) -> int:
 
 def _cmd_scan(cfg: RunConfig, out: OutputWriter) -> int:
     problem = _build_problem(cfg)
-    direction = _parse_potential(cfg, "scan", "direction", problem.dimension)
-    s_grid = np.linspace(
-        cfg.float_("scan", "s_min"),
-        cfg.float_("scan", "s_max"),
-        cfg.int_("scan", "s_count", low=2),
-    )
     report = diagnostics.potential_scan(
         problem,
-        direction,
-        s_grid,
-        cfg.int_("basis", "n", low=1),
-        family=cfg.choice("basis", "family", (POLYNOMIAL, TRIG)),
-        zero_tol=cfg.float_("scan", "zero_tol"),
-        refine_check=cfg.bool_("scan", "refine_check"),
+        _potential_spec(cfg, "scan.direction"),
+        np.linspace(cfg["scan.s_min"], cfg["scan.s_max"], cfg["scan.s_count"]),
+        cfg["basis.n"],
+        family=cfg["basis.family"],
+        zero_tol=cfg["scan.zero_tol"],
+        refine_check=cfg["scan.refine_check"],
     )
     out.csv(
         "scan.csv",
@@ -515,19 +516,9 @@ def _oracle_rows(roots):
     )
 
 
-def _oracle_band(cfg: RunConfig) -> tuple[float, float]:
-    """oracle.k_min and oracle.k_max, checked to satisfy 0 < k_min < k_max."""
-    k_min, k_max = cfg.float_("oracle", "k_min", positive=True), cfg.float_("oracle", "k_max")
-    if not k_max > k_min:
-        raise UsageError("oracle.k_max must exceed oracle.k_min")
-    return k_min, k_max
-
-
 def _cmd_oracle1d(cfg: RunConfig, out: OutputWriter) -> int:
     roots = oracles.oracle_1d(
-        cfg.float_("oracle", "contrast"),
-        *_oracle_band(cfg),
-        cfg.int_("oracle", "points_per_unit", low=1),
+        cfg["oracle.contrast"], cfg["oracle.k_min"], cfg["oracle.k_max"], cfg["oracle.points_per_unit"]
     )
     out.csv("roots.csv", ["l", "k", "lambda", "residual"], _oracle_rows(roots))
     return 0
@@ -535,10 +526,11 @@ def _cmd_oracle1d(cfg: RunConfig, out: OutputWriter) -> int:
 
 def _cmd_oracle_disk(cfg: RunConfig, out: OutputWriter) -> int:
     roots = oracles.oracle_disk(
-        cfg.float_("oracle", "contrast"),
-        cfg.int_("oracle", "l_max", low=0),
-        *_oracle_band(cfg),
-        cfg.int_("oracle", "points_per_unit", low=1),
+        cfg["oracle.contrast"],
+        cfg["oracle.l_max"],
+        cfg["oracle.k_min"],
+        cfg["oracle.k_max"],
+        cfg["oracle.points_per_unit"],
     )
     out.csv("roots.csv", ["l", "k", "lambda", "residual"], _oracle_rows(roots))
     return 0
@@ -554,21 +546,16 @@ def first_real_eigenvalue(lams: np.ndarray, real_tol: float) -> complex:
 
 def convergence_table(cfg: RunConfig) -> list[dict]:
     """First real eigenvalue per basis size with successive relative changes."""
-    n_list = cfg.list_int("convergence", "n_list")
-    if any(b < a for a, b in zip(n_list, n_list[1:])):
-        raise UsageError("convergence.n_list must be ascending")
-    real_tol = cfg.float_("convergence", "real_tol")
-    cauchy_tol = cfg.float_("convergence", "cauchy_tol")
     rows = []
     prev = None
-    for n in n_list:
-        _, _, _, wh = _build_pipeline(cfg, size=n)
-        lam = first_real_eigenvalue(_solve_eigenvalues(cfg, wh), real_tol).real
+    for n in cfg["convergence.n_list"]:
+        lams = _solve_eigenvalues(cfg, _build_pipeline(cfg, size=n))
+        lam = first_real_eigenvalue(lams, cfg["convergence.real_tol"]).real
         rel = abs(lam - prev) / abs(lam) if prev is not None else float("nan")
         rows.append({"n": n, "lambda": lam, "rel_diff": rel})
         prev = lam
     tail = [r["rel_diff"] for r in rows[1:]]
-    cauchy = bool(tail) and tail[-1] < cauchy_tol
+    cauchy = bool(tail) and tail[-1] < cfg["convergence.cauchy_tol"]
     for r in rows:
         r["cauchy"] = cauchy
     return rows

@@ -35,6 +35,7 @@ import numpy as np
 
 from . import densela
 from .assembly import (
+    POLYNOMIAL,
     BasisSet,
     WhitenedSystem,
     assemble_stack,
@@ -377,7 +378,7 @@ def _cross_check(whitened, raw, tol: float) -> None:
 
 
 def trace_functional_routes(
-    problem: ProblemSpec, size: int, family: str = "clamped-polynomial"
+    problem: ProblemSpec, size: int, family: str = POLYNOMIAL
 ) -> tuple[float, float]:
     """Trace functional through the whitened and the raw route.
 
@@ -393,7 +394,7 @@ def trace_functional_routes(
     return float(whitened), float(raw)
 
 
-def trace_functional(problem: ProblemSpec, size: int, family: str = "clamped-polynomial") -> float:
+def trace_functional(problem: ProblemSpec, size: int, family: str = POLYNOMIAL) -> float:
     """Trace functional tr(B_q A_q^{-1}) at basis size ``size``.
 
     Evaluated through the whitened route; the raw route is computed alongside
@@ -455,7 +456,7 @@ def potential_scan(
     direction: PotentialSpec,
     s_grid: Sequence[float],
     size: int,
-    family: str = "clamped-polynomial",
+    family: str = POLYNOMIAL,
     zero_tol: float = 1e-6,
     cross_check_tol: float = _IDENTITY_TOL,
     refine_check: bool = False,
@@ -480,12 +481,13 @@ def potential_scan(
     the mu cut, and the cyclicity cross-check.
 
     Raises:
+        ValueError: fewer than two points in ``s_grid``, or a repeated one.
         PotentialLeavesCone: the family loses positivity at some s.
         Any error of ``trace_functional``, naming the first failing s.
     """
     s = np.asarray(list(s_grid), dtype=float)
-    if s.size < 2:
-        raise ValueError("scan grid needs at least two points")
+    if s.size < 2 or np.unique(s).size < s.size:
+        raise ValueError("scan grid needs two or more distinct points")
     base = PotentialSpec.affine(problem.potential, direction, 0.0)
     basis = build_basis(ProblemSpec(problem.operator, problem.domain, base), size, family)
     mid = 0.5 * (s[:-1] + s[1:]) if refine_check else s[:0]

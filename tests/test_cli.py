@@ -175,6 +175,7 @@ def test_malformed_values_exit_2(tmp_path, capsys):
     assert run(["solve", "--out", str(out), "--set", "problem.potential=constant:abc"]) == 2
     assert run(["solve", "--out", str(out), "--set", "problem.potential=mystery:1"]) == 2
     assert run(["convergence", "--out", str(out), "--set", "convergence.n_list=8,x"]) == 2
+    assert run(["scan", "--out", str(out), "--set", "scan.s_min=-1e308", "--set", "scan.s_max=1e308"]) == 2
     assert not out.exists()
     # out-of-range values: a usage error naming the key, not a traceback
     for command, setting in (
@@ -200,6 +201,14 @@ def test_malformed_values_exit_2(tmp_path, capsys):
         ("scan", "scan.s_min=nan"),
         ("scan", "scan.s_max=inf"),
         ("scan", "scan.zero_tol=-inf"),
+        # tolerances are non-negative
+        ("solve", "solve.mu_floor=-1"),
+        ("scan", "scan.zero_tol=-1"),
+        ("convergence", "convergence.real_tol=-1"),
+        ("convergence", "convergence.cauchy_tol=-1"),
+        # a scan grid of one repeated point: the refusal names both ends
+        ("scan", "scan.s_max=0.0"),
+        ("scan", "scan.s_min=2.0"),
         # read before the solve's first write
         ("solve", "solve.want_states=maybe"),
     ):
@@ -207,6 +216,16 @@ def test_malformed_values_exit_2(tmp_path, capsys):
         assert run([command, "--out", str(out), "--set", "basis.n=8", "--set", setting]) == 2, setting
         assert setting.split("=")[0] in capsys.readouterr().err
         assert not out.exists(), setting
+
+
+@pytest.mark.parametrize("command", cli._COMMANDS)
+def test_malformed_value_in_an_unread_key_exits_2(tmp_path, capsys, command):
+    # every key is checked at load, whatever the command reads
+    key = "basis.n" if command.startswith("oracle") else "oracle.k_max"
+    out = tmp_path / "u"
+    assert run([command, "--out", str(out), "--set", f"{key}=abc"]) == 2
+    assert capsys.readouterr().err.startswith(f"usage error: {key}")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -605,7 +624,9 @@ def test_readme_lists_every_config_key_with_its_default():
     rows = re.findall(r"^\| `(\w+)\.(\w+)` \| `([^`]*)` \|", readme, flags=re.MULTILINE)
     table = {(section, key): default for section, key, default in rows}
     assert len(table) == len(rows)  # no key listed twice
-    assert table == {(section, key): v for section, keys in cli._SCHEMA.items() for key, v in keys.items()}
+    assert table == {
+        (section, key): default for section, keys in cli._SCHEMA.items() for key, (default, _) in keys.items()
+    }
 
 
 def test_readme_lists_every_command():

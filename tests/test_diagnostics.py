@@ -328,6 +328,13 @@ def test_potential_scan_positivity_guard():
         diagnostics.potential_scan(prob, direction, np.linspace(0.0, 2.0, 5), 8)
 
 
+@pytest.mark.parametrize("s_grid", [[1.0, 1.0, 1.0], [0.0, 1.0, 0.0], [0.5]])
+def test_potential_scan_refuses_repeated_or_single_points(s_grid):
+    prob = unit_problem()
+    with pytest.raises(ValueError, match="distinct points"):
+        diagnostics.potential_scan(prob, model.PotentialSpec.constant(1.0, 1), s_grid, 8)
+
+
 def square_problem(potential, operator="laplacian"):
     op = model.OperatorSpec.preset_by_name(operator, 2)
     return model.validate_problem(op, model.DomainSpec("square"), potential)
