@@ -569,22 +569,11 @@ def swap_permutation(problem: ProblemSpec, basis: BasisSet) -> Optional[np.ndarr
 
 
 def _cholesky(m: np.ndarray, what: str) -> np.ndarray:
-    """Cholesky factor of each member of a stack; NotPositiveDefinite names ``what``."""
+    """Cholesky factor of a matrix or of each member of a stack; NotPositiveDefinite names ``what``."""
     try:
         return np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
-        flat = m.reshape((-1,) + m.shape[-2:])
-        bad = np.array([not _factors(x) for x in flat]).reshape(m.shape[:-2])
-        refuse(NotPositiveDefinite, bad, lambda i: f"{what} is not positive definite")
         raise NotPositiveDefinite(f"{what} is not positive definite") from None
-
-
-def _factors(m: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 def assemble_stack(
@@ -604,8 +593,9 @@ def assemble_stack(
     every member: the positivity of V at the nodes, the Legendre tail of
     q, the asymmetry, the parity and swap leaks, and the Cholesky factor of
     C on each class; A is judged by its Cholesky factor per whitening block
-    in ``whiten_stack``.  A failure names the first failing member
-    (``errors.refuse``).
+    in ``whiten_stack``.  A failed check refuses the whole stack; the
+    message of a check with per-member values is that of its first flagged
+    member (``errors.refuse``).
     """
     vmin = np.min(vvals, axis=-1)
     refuse(

@@ -31,6 +31,7 @@ from . import __version__, companion, counting, diagnostics, oracles
 from .assembly import POLYNOMIAL, TRIG, WhitenedSystem, assemble_system, build_basis, whiten
 from .errors import ComputationError
 from .model import PRESET_ORDERS, DomainSpec, OperatorSpec, PotentialSpec, validate_problem
+from .oracles import L_MAX_DISK, MIN_CONTRAST
 
 _CSV_CHUNK_ROWS = 1 << 14  # rows formatted per write: bounds the transient memory
 
@@ -149,11 +150,14 @@ _SCHEMA = {
         "refine_check": ("true", _BOOLEAN),
     },
     "oracle": {
-        "contrast": ("3.0", _FINITE),
+        "contrast": (
+            "3.0",
+            _value(float, f"a finite number >= {MIN_CONTRAST:g}", lambda v: MIN_CONTRAST <= v < math.inf),
+        ),
         "k_min": ("0.5", _POSITIVE),
         "k_max": ("20.0", _FINITE),
         "points_per_unit": ("2000", _int_at_least(1)),
-        "l_max": ("8", _int_at_least(0)),
+        "l_max": ("8", _value(int, f"an integer from 0 to {L_MAX_DISK}", lambda v: 0 <= v <= L_MAX_DISK)),
     },
     "convergence": {
         "n_list": ("16,24,32,48", _sizes(ascending=True)),
@@ -211,7 +215,7 @@ class RunConfig:
     def load(cls, path: str | None, overrides: list[str]) -> "RunConfig":
         values = {s: {k: default for k, (default, _) in keys.items()} for s, keys in _SCHEMA.items()}
         if path is not None:
-            parser = configparser.ConfigParser()
+            parser = configparser.ConfigParser(interpolation=None)
             read = parser.read(path)
             if not read:
                 raise UsageError(f"config file {path!r} not found")
@@ -233,7 +237,7 @@ class RunConfig:
         return cls(values)
 
     def resolved_text(self) -> str:
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)
         for section, keys in self.values.items():
             parser[section] = dict(keys)
         buf = io.StringIO()

@@ -367,13 +367,13 @@ class _Pencils:
         return whitened, raw
 
 
-def _cross_check(whitened, raw, tol: float) -> None:
+def _cross_check(whitened, raw) -> None:
     whitened, raw = np.asarray(whitened), np.asarray(raw)
     residual = np.abs(whitened - raw) / np.maximum(np.maximum(np.abs(whitened), np.abs(raw)), 1.0)
     refuse(
         CrossCheckFailed,
-        residual > tol,
-        lambda i: f"cyclicity cross-check residual {residual[i]:.3e} exceeds {tol:.1e}",
+        residual > _IDENTITY_TOL,
+        lambda i: f"cyclicity cross-check residual {residual[i]:.3e} exceeds {_IDENTITY_TOL:.1e}",
     )
 
 
@@ -405,23 +405,20 @@ def trace_functional(problem: ProblemSpec, size: int, family: str = POLYNOMIAL) 
         CrossCheckFailed: the two routes disagree beyond 1e-10 relative.
     """
     whitened, raw = trace_functional_routes(problem, size, family)
-    _cross_check(whitened, raw, _IDENTITY_TOL)
+    _cross_check(whitened, raw)
     return whitened
 
 
 def _scan_values(
-    problem: ProblemSpec,
-    direction: PotentialSpec,
-    s_grid: np.ndarray,
-    basis: BasisSet,
-    tol: float,
+    problem: ProblemSpec, direction: PotentialSpec, s_grid: np.ndarray, basis: BasisSet
 ) -> np.ndarray:
     """t(s) on ``s_grid`` in stacks of at most ``_SCAN_STACK_BYTES`` of N x N arrays.
 
-    Each stack runs every check of a single evaluation on every member, and
-    an error names the first failing s in grid order: when member i fails a
-    check, members before i passed it but may fail a later one, so they are
-    evaluated again on their own first.
+    Each stack runs every check of a single evaluation on every member.  A
+    stack that fails is run again one s at a time, in grid order: the first
+    s that fails on its own raises, its message ending "at family parameter
+    s=...", so an earlier s failing a later check is named before the one
+    flagged first.  If every s passes on its own, the stack's error stands.
     """
     family = PotentialSpec.affine(problem.potential, direction, 0.0)
     pencils = _Pencils.of(ProblemSpec(problem.operator, problem.domain, family), basis)
@@ -437,14 +434,14 @@ def _scan_values(
             floor, bad = np.min(values, axis=-1), ~strictly_positive(values)
             refuse(PotentialLeavesCone, bad, lambda i: f"potential floor {floor[i]:.3e}")
             whitened, raw = pencils.routes(nodes[0] + s[:, None] * nodes[1])
-            _cross_check(whitened, raw, tol)
+            _cross_check(whitened, raw)
             return whitened
         except ComputationError as exc:
-            if exc.member is None:
-                raise
-            if exc.member:
-                stack(s[: exc.member])
-            exc.args = (f"{exc} at family parameter s={s[exc.member]:g}",)
+            if s.size == 1:
+                exc.args = (f"{exc} at family parameter s={s[0]:g}",)
+            else:
+                for i in range(s.size):
+                    stack(s[i : i + 1])
             raise
 
     step = max(1, _SCAN_STACK_BYTES // (_MEMBER_ARRAYS * 8 * basis.gram.shape[0] ** 2))
@@ -458,7 +455,6 @@ def potential_scan(
     size: int,
     family: str = POLYNOMIAL,
     zero_tol: float = 1e-6,
-    cross_check_tol: float = _IDENTITY_TOL,
     refine_check: bool = False,
 ) -> ScanReport:
     """Scan the trace functional along the family V_0 + s * direction.
@@ -491,7 +487,7 @@ def potential_scan(
     base = PotentialSpec.affine(problem.potential, direction, 0.0)
     basis = build_basis(ProblemSpec(problem.operator, problem.domain, base), size, family)
     mid = 0.5 * (s[:-1] + s[1:]) if refine_check else s[:0]
-    values = _scan_values(problem, direction, np.concatenate([s, mid]), basis, cross_check_tol)
+    values = _scan_values(problem, direction, np.concatenate([s, mid]), basis)
     t = values[: s.size]
 
     dt = np.gradient(t, s)

@@ -9,13 +9,7 @@ import numpy as np
 
 
 class ComputationError(Exception):
-    """Base class for all domain errors raised by this package.
-
-    ``member`` is the index of the failing member when a kernel that works
-    on a stack of problems raised the error (``refuse``), else None.
-    """
-
-    member = None
+    """Base class for all domain errors raised by this package."""
 
     @property
     def code(self) -> str:
@@ -28,15 +22,13 @@ def refuse(error: type, bad, message) -> None:
     ``bad`` holds one flag per stack member, or is a single flag when the
     check ran on one problem; ``message(i)`` builds the text from the index
     ``i`` of that member into the check's per-member values (``()`` for a
-    single flag).  The raised error records the member's position.
+    single flag).  The error does not record which member failed; a caller
+    that must name it runs the members one at a time.
     """
     bad = np.asarray(bad)
     flagged = np.flatnonzero(bad)
     if flagged.size:
-        first = int(flagged[0])
-        exc = error(message(first if bad.ndim else ()))
-        exc.member = first
-        raise exc
+        raise error(message(int(flagged[0]) if bad.ndim else ()))
 
 
 # --- problem definition ---------------------------------------------------

@@ -55,7 +55,8 @@ _L_MAX = 60
 _X_MAX = 200.0
 _RESIDUAL_TOL = 1e-10
 DEFAULT_POINTS_PER_UNIT = 2000
-_MIN_CONTRAST = 1e-6
+MIN_CONTRAST = 1e-6  # below it the matching determinants degenerate
+L_MAX_DISK = 40  # highest angular mode of oracle_disk
 _SCAN_BLOCK = 2048  # grid points per table evaluation
 
 
@@ -269,11 +270,11 @@ def oracle_1d(
     """Real transmission wavenumbers on the unit interval for constant V.
 
     Raises:
-        DegenerateContrast: V below 1e-6 (the two wave families coincide).
+        DegenerateContrast: V below MIN_CONTRAST (the two wave families coincide).
         NoSignChange: nothing found although the caller demanded roots.
     """
-    if contrast < _MIN_CONTRAST:
-        raise DegenerateContrast(f"contrast {contrast:g} below {_MIN_CONTRAST:g}")
+    if contrast < MIN_CONTRAST:
+        raise DegenerateContrast(f"contrast {contrast:g} below {MIN_CONTRAST:g}")
     if k_lo <= 0 or k_hi <= k_lo:
         raise ValueError("need 0 < k_lo < k_hi")
     eta = math.sqrt(1.0 + contrast)
@@ -304,13 +305,13 @@ def oracle_disk(
     eta * k_hi.
 
     Raises:
-        RangeExceeded: mode index above 40 or argument beyond the evaluator.
-        DegenerateContrast: V below 1e-6.
+        RangeExceeded: mode index above L_MAX_DISK or argument beyond the evaluator.
+        DegenerateContrast: V below MIN_CONTRAST.
     """
-    if contrast < _MIN_CONTRAST:
-        raise DegenerateContrast(f"contrast {contrast:g} below {_MIN_CONTRAST:g}")
-    if l_max < 0 or l_max > 40:
-        raise RangeExceeded("mode index limit is 40")
+    if contrast < MIN_CONTRAST:
+        raise DegenerateContrast(f"contrast {contrast:g} below {MIN_CONTRAST:g}")
+    if l_max < 0 or l_max > L_MAX_DISK:
+        raise RangeExceeded(f"mode index limit is {L_MAX_DISK}")
     eta = math.sqrt(1.0 + contrast)
     if eta * k_hi > _X_MAX:
         raise RangeExceeded(f"eta * k_hi = {eta * k_hi:g} beyond the Bessel range")

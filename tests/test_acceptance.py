@@ -203,9 +203,7 @@ def test_c10_generic_existence_scan():
     )
     direction = model.PotentialSpec.constant(1.0, 1)
     s_grid = np.linspace(0.0, 2.0, 21)
-    scan = diagnostics.potential_scan(
-        prob, direction, s_grid, 16, refine_check=True, cross_check_tol=1e-10
-    )
+    scan = diagnostics.potential_scan(prob, direction, s_grid, 16, refine_check=True)
     ok = bool(np.all(scan.t_values > 0))
     ok &= scan.near_zeros.size == 0 and scan.sign_changes.shape[0] == 0
     ratio = scan.refined_max_increment / scan.max_increment

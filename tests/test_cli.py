@@ -192,6 +192,10 @@ def test_malformed_values_exit_2(tmp_path, capsys):
         ("oracle1d", "oracle.points_per_unit=0"),
         ("oracle-disk", "oracle.points_per_unit=-3"),
         ("oracle-disk", "oracle.l_max=-1"),
+        # the limits of the oracles themselves
+        ("oracle-disk", "oracle.l_max=41"),
+        ("oracle1d", "oracle.contrast=1e-9"),
+        ("oracle-disk", "oracle.contrast=-0.5"),
         ("convergence", "convergence.n_list="),
         ("convergence", "convergence.n_list=0,8"),
         # non-finite numbers: nan passes every comparison and inf overflows
@@ -642,6 +646,18 @@ def test_resolved_config_reproduces_run(tmp_path):
     out2 = tmp_path / "second"
     assert run(["solve", "-c", str(out1 / "config.resolved"), "--out", str(out2)]) == 0
     assert (out1 / "eigenvalues.csv").read_bytes() == (out2 / "eigenvalues.csv").read_bytes()
+
+
+def test_percent_in_a_value_is_kept_literally(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(["selftest", "--set", "output.dir=a%b"]) == 0
+    out = tmp_path / "a%b"
+    assert run(["solve", "--set", "basis.n=8", "--set", "output.dir=a%b"]) == 0
+    resolved = out / "config.resolved"
+    assert "dir = a%b" in resolved.read_text()
+    again = tmp_path / "again"
+    assert run(["solve", "-c", str(resolved), "--out", str(again)]) == 0
+    assert (again / "config.resolved").read_text() == resolved.read_text()
 
 
 def test_config_file_roundtrip(tmp_path):

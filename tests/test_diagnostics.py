@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import cached_system, dense_bw, dense_d, random_spd_pencil
-from tespect import assembly, companion, diagnostics, model
-from tespect.errors import CrossCheckFailed, PotentialLeavesCone
+from tespect import assembly, companion, densela, diagnostics, model
+from tespect.errors import CrossCheckFailed, NoConvergence, PotentialLeavesCone
 
 # frozen on the first verified run; deterministic for fixed seeds and sizes
 GOLDEN_TRACE_LAPLACIAN_V1_N32 = 0.1889682023758138
@@ -442,6 +442,42 @@ def test_stacked_scan_reports_earlier_s_of_a_later_check(monkeypatch):
     direction = model.PotentialSpec.constant(-1.0, 1)
     with pytest.raises(CrossCheckFailed, match=r"s=0\.5$"):
         diagnostics.potential_scan(prob, direction, np.linspace(0.0, 2.0, 9), 8)
+
+
+def fail_eigensolve_at(monkeypatch, v_values, stacked_only=False):
+    """Make densela.sym_eig fail a whole stack holding V at the first node in ``v_values``.
+
+    Like LAPACK, the failure names no member.  With ``stacked_only`` every
+    member passes on its own.
+    """
+    routes, sym_eig = diagnostics._Pencils.routes, densela.sym_eig
+    first_node = []
+
+    def tracked(self, vvals):
+        first_node[:] = [vvals[..., 0]]
+        return routes(self, vvals)
+
+    def failing(m):
+        if np.isin(first_node[0], v_values).any() and (first_node[0].size > 1 or not stacked_only):
+            raise NoConvergence("eigenvalues did not converge")
+        return sym_eig(m)
+
+    monkeypatch.setattr(diagnostics._Pencils, "routes", tracked)
+    monkeypatch.setattr(densela, "sym_eig", failing)
+
+
+def test_stacked_scan_names_the_s_of_an_error_raised_for_the_whole_stack(monkeypatch):
+    prob = unit_problem()  # V = 1 + s, every s in one stack
+    fail_eigensolve_at(monkeypatch, [1.75, 1.5])
+    with pytest.raises(NoConvergence, match=r"^eigenvalues did not converge at family parameter s=0\.5$"):
+        diagnostics.potential_scan(prob, prob.potential, np.linspace(0.0, 1.0, 5), 8)
+
+
+def test_stacked_scan_error_stands_when_every_s_passes_alone(monkeypatch):
+    prob = unit_problem()
+    fail_eigensolve_at(monkeypatch, [1.5], stacked_only=True)
+    with pytest.raises(NoConvergence, match=r"^eigenvalues did not converge$"):
+        diagnostics.potential_scan(prob, prob.potential, np.linspace(0.0, 1.0, 5), 8)
 
 
 def test_stacked_scan_memory_stays_within_budget(monkeypatch):

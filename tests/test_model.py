@@ -117,9 +117,8 @@ def test_potential_at_the_margin_is_refused_everywhere():
     basis = assembly.build_basis(prob, 8)
     vvals = np.full((2, basis.grid_points().shape[0]), margin)
     vvals[0] = 1.0
-    with pytest.raises(NonpositivePotential) as err:
+    with pytest.raises(NonpositivePotential, match="potential minimum 1.000e-10 "):
         assembly.assemble_stack(basis, vvals, assembly.parity_classes(prob, basis))
-    assert err.value.member == 1
     # the scan's cone check: V = 2 margin - s margin is the margin itself at s = 1
     base = model.ProblemSpec(op, dom, model.PotentialSpec.constant(2.0 * margin))
     with pytest.raises(PotentialLeavesCone, match="s=1"):
