@@ -349,23 +349,9 @@ def _cmd_assemble(cfg: RunConfig, out: OutputWriter) -> int:
     return 0
 
 
-def _solve_spectrum(cfg: RunConfig, wh: WhitenedSystem):
-    comp = companion.build_companion(wh)
-    spec = companion.extract_spectrum(
-        comp,
-        cluster_tol=cfg["solve.cluster_tol"],
-        mu_floor=cfg["solve.mu_floor"],
-    )
-    return comp, spec
-
-
-def _solve_eigenvalues(cfg: RunConfig, wh: WhitenedSystem) -> np.ndarray:
-    comp = companion.build_companion(wh)
-    return companion.extract_eigenvalues(comp, mu_floor=cfg["solve.mu_floor"])
-
-
 def _cmd_solve(cfg: RunConfig, out: OutputWriter) -> int:
-    comp, spec = _solve_spectrum(cfg, _build_pipeline(cfg))
+    comp = companion.build_companion(_build_pipeline(cfg))
+    spec = companion.extract_spectrum(comp, cluster_tol=cfg["solve.cluster_tol"], mu_floor=cfg["solve.mu_floor"])
     rows = [
         (
             i,
@@ -424,10 +410,7 @@ def _cmd_trace(cfg: RunConfig, out: OutputWriter) -> int:
 
 def _cmd_range(cfg: RunConfig, out: OutputWriter) -> int:
     wh = _build_pipeline(cfg)
-    comp = companion.build_companion(wh)
-    report = diagnostics.numerical_range(
-        comp, cfg["trace.samples"], seed=cfg["trace.seed"], p=wh.system.problem.p_min
-    )
+    report = diagnostics.numerical_range(wh, cfg["trace.samples"], seed=cfg["trace.seed"], p=wh.system.problem.p_min)
     samples_path = out.csv(
         "samples.csv", ["re_z", "im_z"], np.column_stack((report.samples.real, report.samples.imag))
     )
@@ -451,7 +434,7 @@ def _cmd_range(cfg: RunConfig, out: OutputWriter) -> int:
 
 def _cmd_count(cfg: RunConfig, out: OutputWriter) -> int:
     wh = _build_pipeline(cfg)
-    lams = _solve_eigenvalues(cfg, wh)
+    lams = companion.extract_eigenvalues(companion.build_companion(wh), mu_floor=cfg["solve.mu_floor"])
     radii = cfg["count.radii"] or counting.auto_radii(lams)
     report = counting.growth_profile(wh, radii, spectrum=lams)
     out.csv(
@@ -473,7 +456,6 @@ def _cmd_count(cfg: RunConfig, out: OutputWriter) -> int:
             "cross_counts": [int(c) for c in report.cross_counts],
             "jensen_bounds": [float(j) for j in report.jensen_bounds],
             "growth_exponent": report.growth_exponent,
-            "growth_ceiling": report.growth_ceiling,
             "resolved": [bool(b) for b in report.resolved],
         },
     )
@@ -553,7 +535,8 @@ def convergence_table(cfg: RunConfig) -> list[dict]:
     rows = []
     prev = None
     for n in cfg["convergence.n_list"]:
-        lams = _solve_eigenvalues(cfg, _build_pipeline(cfg, size=n))
+        comp = companion.build_companion(_build_pipeline(cfg, size=n))
+        lams = companion.extract_eigenvalues(comp, mu_floor=cfg["solve.mu_floor"])
         lam = first_real_eigenvalue(lams, cfg["convergence.real_tol"]).real
         rel = abs(lam - prev) / abs(lam) if prev is not None else float("nan")
         rows.append({"n": n, "lambda": lam, "rel_diff": rel})
@@ -589,7 +572,7 @@ def _cmd_selftest(cfg: RunConfig, out: OutputWriter) -> int:
         ("tr D^2 = 17/16", abs(diagnostics.trace_power(comp, 2) - 17.0 / 16.0) < 1e-12),
         (
             "trace identities hold",
-            max(diagnostics.trace_identity_check(wh, comp)) < 1e-12,
+            max(diagnostics.trace_identity_check(comp)) < 1e-12,
         ),
         (
             "f(2) = (1-2)(1-1/2)",

@@ -46,6 +46,7 @@ DEFAULT_CLUSTER_TOL = 1e-6
 DEFAULT_MU_FLOOR = 1e-12
 _RANK_TRUNCATION = 1e-8
 _RANK_GAP = 10.0
+_CHAIN_RESIDUAL_TOL = 1e-6
 _STATE_CHUNK = 1 << 20  # point values per batch of states: bounds the transient memory
 
 
@@ -377,17 +378,13 @@ def _nullity(svals: np.ndarray, threshold: float) -> int:
     return int(dropped.size)
 
 
-def jordan_chains(
-    comp: CompanionSystem,
-    cluster: Sequence[TransmissionEigenvalue],
-    residual_tol: float = 1e-6,
-) -> list[JordanChain]:
+def jordan_chains(comp: CompanionSystem, cluster: Sequence[TransmissionEigenvalue]) -> list[JordanChain]:
     """Chains of generalized states spanning one eigenvalue cluster.
 
     Each block holding members of the cluster gives its chains from its own
     D_b (``_block_chains``), a twin reusing its source's in its own slice, in
-    whitened N-coordinates; chains failing their residual check are
-    discarded rather than repaired.
+    whitened N-coordinates; a chain with a link residual at or above
+    ``_CHAIN_RESIDUAL_TOL`` is discarded rather than repaired.
     """
     if not cluster:
         raise EmptyChain("cluster must contain at least one eigenvalue")
@@ -402,7 +399,7 @@ def jordan_chains(
             us = np.zeros((len(heads), wh.size), dtype=complex)
             us[:, wh.blocks[b]] = heads
             residuals = tuple(float(r) for r in jordan_chain_residual(wh, lam, us))
-            if max(residuals) < residual_tol:
+            if max(residuals) < _CHAIN_RESIDUAL_TOL:
                 out.append(JordanChain(complex(lam), tuple(us), residuals))
     return out
 

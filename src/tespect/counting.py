@@ -23,7 +23,8 @@ and the growth profile fits log N(R) against log R over the radii the
 discretization actually resolves.
 
 Automatic radii sit in gaps of the computed spectrum (``auto_radii``), so
-they need no adjustment; a given radius too close to the spectrum fails.
+they need no adjustment; a given radius too close to the spectrum fails, and
+one so large that its contour matrices overflow is refused.
 Each contour grid is sized once from the computed spectrum (Ying & Katz,
 Numer. Math. 53 (1988) 143); f is still evaluated by determinants, on the
 upper half circle since f(conj z) = conj f(z), so a measured phase step of
@@ -43,7 +44,7 @@ import numpy as np
 from . import densela
 from .assembly import WhitenedSystem
 from .companion import build_companion, extract_eigenvalues
-from .errors import ContourNearZero, InsufficientResolvedRange, PhaseUnresolved
+from .errors import ContourNearZero, InsufficientResolvedRange, PhaseUnresolved, RangeExceeded
 from .util import wrap_angle
 
 _MIN_CONTOUR_POINTS = 256
@@ -52,7 +53,7 @@ _PROBE_BLOCK = 128  # probe angles per block: bounds the transient memory
 _DET_STACK_BYTES = 1 << 20  # matrix bytes per LU call: bounds the transient memory
 _PHASE_STEP_LIMIT = 0.5 * np.pi
 _SPECTRUM_CLEARANCE = 0.01
-GROWTH_CEILING = 2.0
+_AUTO_RADII = 5  # log-spaced target counts of ``auto_radii``
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,6 @@ class CountReport:
     max_log_det: np.ndarray
     cross_counts: np.ndarray  # computed eigenvalues inside each radius
     growth_exponent: float
-    growth_ceiling: float
     resolved: np.ndarray  # mask of radii inside the counting window
 
 
@@ -103,10 +103,6 @@ def fredholm_det(wh: WhitenedSystem, lam) -> densela.LogDet:
     return densela.LogDet(float(log_abs) if lam.ndim == 0 else log_abs, arg)
 
 
-def _computed_spectrum(wh: WhitenedSystem) -> np.ndarray:
-    return extract_eigenvalues(build_companion(wh))
-
-
 def _grid_size(radius: float, spectrum: np.ndarray) -> int:
     """Contour points on |lam| = radius, from the phase speed the spectrum predicts.
 
@@ -135,17 +131,31 @@ def _grid_size(radius: float, spectrum: np.ndarray) -> int:
     return points
 
 
+def _check_radius(wh: WhitenedSystem, radius: float) -> None:
+    """Refuse (``RangeExceeded``) a radius R whose contour matrices could overflow.
+
+    The entries of I - lam K + lam^2 diag(mu) on |lam| = R are at most
+    1 + R max mu (max|B_w| + R), and the LU may grow them N-fold.
+    """
+    radius = float(radius)  # a Python float overflows to inf without a warning
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    b = max(float(np.max(np.abs(bb), initial=0.0)) for bb in wh.b)
+    if not (1.0 + radius * float(np.max(wh.mu)) * (b + radius)) * wh.size < np.finfo(float).max:
+        raise RangeExceeded(f"|lam| = {radius:g} is too large: its contour matrices overflow")
+
+
 def _contour_scan(
     wh: WhitenedSystem, radius: float, spectrum: np.ndarray
 ) -> tuple[float, int, int]:
     """max log|f|, winding and grid size on the grid sized from the spectrum.
 
     Raises:
+        RangeExceeded: the contour matrices overflow (``_check_radius``).
         ContourNearZero: the contour is too close to the computed spectrum.
         PhaseUnresolved: a measured phase step reaches pi/2.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    _check_radius(wh, radius)
     points = _grid_size(radius, spectrum)
     # f(conj z) = conj f(z): evaluate theta in [0, pi], mirror the arguments
     det = fredholm_det(wh, radius * np.exp(2j * np.pi * np.arange(points // 2 + 1) / points))
@@ -163,21 +173,21 @@ def _contour_scan(
 
 def winding_count(wh: WhitenedSystem, radius: float) -> int:
     """Zeros of the determinant inside |lam| < radius via the argument principle."""
-    return _contour_scan(wh, radius, _computed_spectrum(wh))[1]
+    return _contour_scan(wh, radius, extract_eigenvalues(build_companion(wh)))[1]
 
 
 def jensen_bound(wh: WhitenedSystem, radius: float) -> float:
     """Contour-maximum bound on the zero count in the half-radius disk."""
-    return _contour_scan(wh, radius, _computed_spectrum(wh))[0] / np.log(2.0)
+    return _contour_scan(wh, radius, extract_eigenvalues(build_companion(wh)))[0] / np.log(2.0)
 
 
-def auto_radii(spectrum: np.ndarray, count: int = 5) -> list[float]:
+def auto_radii(spectrum: np.ndarray) -> list[float]:
     """Contour radii in gaps of the spectrum, at counts in the window [3, N/2].
 
     Over sorted moduli m, r_i = sqrt(m[i-1] m[i]) encloses i of them and is
-    usable when it clears m[i-1] by over 1% of itself.  Each of ``count``
-    log-spaced target counts takes the widest usable gap within 10% of it,
-    else the usable gap nearest in log count.
+    usable when it clears m[i-1] by over 1% of itself.  Each of
+    ``_AUTO_RADII`` log-spaced target counts takes the widest usable gap
+    within 10% of it, else the usable gap nearest in log count.
 
     Raises:
         InsufficientResolvedRange: no usable gap in the window.
@@ -191,7 +201,7 @@ def auto_radii(spectrum: np.ndarray, count: int = 5) -> list[float]:
     if counts.size == 0:
         raise InsufficientResolvedRange(f"no usable gap of the spectrum at counts in [3, {top:g}]")
     picks = set()
-    for target in np.geomspace(3.0, top, count):
+    for target in np.geomspace(3.0, top, _AUTO_RADII):
         near = np.flatnonzero(np.abs(counts - target) <= 0.1 * target)
         nearest = np.argmin(np.abs(np.log(counts / target)))
         picks.add(int(near[np.argmax(clearance[near])] if near.size else nearest))
@@ -206,16 +216,17 @@ def growth_profile(
     """Count zeros on a list of ascending radii and fit the growth law.
 
     The least-squares slope of log N(R) against log R uses only radii whose
-    count lies in [3, N/2], the window a size-N discretization resolves; the
-    theoretical ceiling of two is reported alongside.
+    count lies in [3, N/2], the window a size-N discretization resolves.
 
     Raises:
+        RangeExceeded: the largest radius overflows the contour matrices.
         InsufficientResolvedRange: fewer than 3 radii fall in the window.
     """
     radii = np.asarray(list(radii), dtype=float)
     if radii.size < 1 or np.any(np.diff(radii) <= 0):
         raise ValueError("radii must be ascending and nonempty")
-    spectrum = _computed_spectrum(wh) if spectrum is None else np.asarray(spectrum)
+    _check_radius(wh, radii[-1])  # the largest, before any determinant
+    spectrum = extract_eigenvalues(build_companion(wh)) if spectrum is None else np.asarray(spectrum)
 
     scans = [_contour_scan(wh, float(r), spectrum) for r in radii]
     max_logs, windings, grids = (np.array(column) for column in zip(*scans))
@@ -238,6 +249,5 @@ def growth_profile(
         max_log_det=max_logs,
         cross_counts=cross,
         growth_exponent=float(slope),
-        growth_ceiling=GROWTH_CEILING,
         resolved=resolved,
     )

@@ -65,10 +65,9 @@ RANGE_NOTE = (
 
 @dataclass(frozen=True)
 class SchattenProfile:
-    """Singular values of the stiffness inverse square root and their decay."""
+    """Decay of the singular values of the stiffness inverse square root."""
 
-    singular_values: np.ndarray
-    decay_exponent: float
+    decay_exponent: Optional[float]  # None below three singular values
     decay_theory: Optional[float]
 
 
@@ -138,22 +137,20 @@ def trace_power(comp: CompanionSystem, p: int) -> complex:
     Computed from the p-th power of each block D_b (``matrix_power``, by
     repeated squaring), whose traces sum to tr(D^p), a twin block counting
     its source's trace again; intended envelope is p <= 8.  When
-    the source problem is known and p is not above n/m, the trace criterion
-    hypothesis fails and a warning is emitted (the value is still returned).
+    the source problem is known and p is below its ``p_min``, the trace
+    criterion hypothesis fails and a warning is emitted (the value is still
+    returned).
     """
     if p < 1:
         raise ValueError("power must be a positive integer")
-    wh = comp.whitened
-    if wh.system.problem is not None:
-        prob = wh.system.problem
-        if p * prob.order <= prob.dimension:
-            warnings.warn(
-                f"p={p} does not exceed n/m={prob.dimension}/{prob.order}; "
-                "the trace criterion does not apply at this power",
-                stacklevel=2,
-            )
-
-    return complex(sum(wh.per_block(lambda b: np.trace(np.linalg.matrix_power(comp.blocks[b], p)))))
+    prob = comp.whitened.system.problem
+    if prob is not None and p < prob.p_min:
+        warnings.warn(
+            f"p={p} does not exceed n/m={prob.dimension}/{prob.order}; "
+            "the trace criterion does not apply at this power",
+            stacklevel=2,
+        )
+    return complex(sum(comp.whitened.per_block(lambda b: np.trace(np.linalg.matrix_power(comp.blocks[b], p)))))
 
 
 def _class_solves(a: np.ndarray, classes, *rhs: np.ndarray):
@@ -168,7 +165,7 @@ def _class_solves(a: np.ndarray, classes, *rhs: np.ndarray):
         yield np.linalg.solve(a[cut], np.concatenate([r[cut] for r in rhs], axis=-1))
 
 
-def trace_identity_check(wh: WhitenedSystem, comp: CompanionSystem) -> tuple[float, float]:
+def trace_identity_check(comp: CompanionSystem) -> tuple[float, float]:
     """Residuals of tr(D) and tr(D^2) against the raw route on the assembled matrices.
 
     With M = A^{-1} B on the assembled pencil A - lam B + lam^2 C,
@@ -187,7 +184,7 @@ def trace_identity_check(wh: WhitenedSystem, comp: CompanionSystem) -> tuple[flo
     larger magnitude (floored at one, so exact-zero cases stay
     well-defined).
     """
-    system = wh.system
+    system = comp.whitened.system
     tr_m = tr_raw = 0.0
     for idx, solved in zip(system.blocks, _class_solves(system.a, system.blocks, system.b, system.c)):
         m, a_inv_c = solved[:, : idx.size], solved[:, idx.size :]
@@ -205,16 +202,13 @@ def schatten_profile(wh: WhitenedSystem) -> SchattenProfile:
     """Decay profile of the singular values of the stiffness inverse root.
 
     S = diag(sqrt(mu)), so its singular values are sqrt(mu) sorted
-    descending.  Fits log s_j against log j over the middle third of indices;
-    the theoretical exponent -m/n is attached when problem metadata is present.
+    descending.  Fits log s_j against log j over the middle third of indices
+    (``loglog_slope``; no fit below three values); the theoretical exponent
+    -m/n is attached when problem metadata is present.
     """
-    svals = np.sort(np.sqrt(wh.mu))[::-1]
-    exponent = loglog_slope(svals)
-    theory = None
-    if wh.system.problem is not None:
-        prob = wh.system.problem
-        theory = -prob.order / prob.dimension
-    return SchattenProfile(svals, exponent, theory)
+    prob = wh.system.problem
+    theory = None if prob is None else -prob.order / prob.dimension
+    return SchattenProfile(loglog_slope(np.sort(np.sqrt(wh.mu))[::-1]), theory)
 
 
 def trace_report(
@@ -237,7 +231,6 @@ def trace_report(
     data = wh.per_block(block_data)
     svals_d = np.sort(np.concatenate([svals for svals, _ in data]))[::-1]
     radius = max(r for _, r in data)
-    profile = schatten_profile(wh)
     return TraceReport(
         p=int(p_list[0]),
         trace=powers[0][1],
@@ -245,8 +238,8 @@ def trace_report(
         schatten_1=float(np.sum(svals_d)),
         schatten_2=float(np.sqrt(np.sum(svals_d**2))),
         spectral_radius=radius,
-        profile=profile,
-        identity_residuals=trace_identity_check(wh, comp),
+        profile=schatten_profile(wh),
+        identity_residuals=trace_identity_check(comp),
     )
 
 
@@ -272,10 +265,8 @@ def _range_opening(wh: WhitenedSystem, ks: list) -> tuple[tuple, float]:
     return tuple(lam for lam, _ in floors), opening
 
 
-def numerical_range(
-    comp: CompanionSystem, sample_count: int, seed: int = 0, p: int = 1
-) -> RangeReport:
-    """Exact opening of the companion operator's numerical range, with samples.
+def numerical_range(wh: WhitenedSystem, sample_count: int, seed: int = 0, p: int = 1) -> RangeReport:
+    """Exact opening of the numerical range of the companion D of ``wh``, with samples.
 
     ``within_angle`` compares the exact opening (``_range_opening``) with
     pi/p.  The samples are statistics only: they draw unit-norm complex
@@ -305,7 +296,7 @@ def numerical_range(
     """
     if sample_count < 100:
         raise ValueError("need at least 100 samples")
-    wh, half = comp.whitened, (sample_count + 1) // 2
+    half = (sample_count + 1) // 2
     ks, root = wh.per_block(wh.k_block), np.sqrt(wh.mu)
     rng = np.random.default_rng(seed)
 
@@ -410,7 +401,7 @@ def trace_functional(problem: ProblemSpec, size: int, family: str = POLYNOMIAL) 
 
 
 def _scan_values(
-    problem: ProblemSpec, direction: PotentialSpec, s_grid: np.ndarray, basis: BasisSet
+    problem: ProblemSpec, direction: PotentialSpec, s_grid: np.ndarray, pencils: _Pencils
 ) -> np.ndarray:
     """t(s) on ``s_grid`` in stacks of at most ``_SCAN_STACK_BYTES`` of N x N arrays.
 
@@ -420,12 +411,10 @@ def _scan_values(
     s=...", so an earlier s failing a later check is named before the one
     flagged first.  If every s passes on its own, the stack's error stands.
     """
-    family = PotentialSpec.affine(problem.potential, direction, 0.0)
-    pencils = _Pencils.of(ProblemSpec(problem.operator, problem.domain, family), basis)
     # V_0 and d on the validation grid and at the quadrature nodes
     checks, nodes = (
         [_potential_values(pot, pts) for pot in (problem.potential, direction)]
-        for pts in (_validation_points(problem.dimension), basis.grid_points())
+        for pts in (_validation_points(problem.dimension), pencils.basis.grid_points())
     )
 
     def stack(s: np.ndarray) -> np.ndarray:
@@ -444,7 +433,7 @@ def _scan_values(
                     stack(s[i : i + 1])
             raise
 
-    step = max(1, _SCAN_STACK_BYTES // (_MEMBER_ARRAYS * 8 * basis.gram.shape[0] ** 2))
+    step = max(1, _SCAN_STACK_BYTES // (_MEMBER_ARRAYS * 8 * pencils.basis.gram.shape[0] ** 2))
     return np.concatenate([stack(s_grid[i : i + step]) for i in range(0, s_grid.size, step)])
 
 
@@ -484,10 +473,11 @@ def potential_scan(
     s = np.asarray(list(s_grid), dtype=float)
     if s.size < 2 or np.unique(s).size < s.size:
         raise ValueError("scan grid needs two or more distinct points")
-    base = PotentialSpec.affine(problem.potential, direction, 0.0)
-    basis = build_basis(ProblemSpec(problem.operator, problem.domain, base), size, family)
+    affine = PotentialSpec.affine(problem.potential, direction, 0.0)
+    base = ProblemSpec(problem.operator, problem.domain, affine)
+    pencils = _Pencils.of(base, build_basis(base, size, family))
     mid = 0.5 * (s[:-1] + s[1:]) if refine_check else s[:0]
-    values = _scan_values(problem, direction, np.concatenate([s, mid]), basis)
+    values = _scan_values(problem, direction, np.concatenate([s, mid]), pencils)
     t = values[: s.size]
 
     dt = np.gradient(t, s)

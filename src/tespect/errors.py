@@ -138,11 +138,7 @@ class PotentialLeavesCone(ComputationError):
 # --- oracles ----------------------------------------------------------------
 
 class RangeExceeded(ComputationError):
-    """Argument outside the validated range of the special-function code."""
-
-
-class NoSignChange(ComputationError):
-    """No root bracket was found although the caller demanded roots."""
+    """Argument outside the validated range of the special functions, or a contour radius that overflows."""
 
 
 class DegenerateContrast(ComputationError):

@@ -49,7 +49,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateContrast, NoSignChange, RangeExceeded
+from .errors import DegenerateContrast, RangeExceeded
 
 _L_MAX = 60
 _X_MAX = 200.0
@@ -265,20 +265,18 @@ def oracle_1d(
     k_lo: float,
     k_hi: float,
     points_per_unit: int = DEFAULT_POINTS_PER_UNIT,
-    require_roots: bool = False,
 ) -> list[OracleRoot]:
     """Real transmission wavenumbers on the unit interval for constant V.
 
     Raises:
         DegenerateContrast: V below MIN_CONTRAST (the two wave families coincide).
-        NoSignChange: nothing found although the caller demanded roots.
     """
     if contrast < MIN_CONTRAST:
         raise DegenerateContrast(f"contrast {contrast:g} below {MIN_CONTRAST:g}")
     if k_lo <= 0 or k_hi <= k_lo:
         raise ValueError("need 0 < k_lo < k_hi")
     eta = math.sqrt(1.0 + contrast)
-    roots = _scan_roots(
+    return _scan_roots(
         lambda k: interval_parity_determinants(k, eta),
         k_lo,
         k_hi,
@@ -286,9 +284,6 @@ def oracle_1d(
         [None, None],
         tau=0.5 * (1.0 + eta),
     )
-    if require_roots and not roots:
-        raise NoSignChange(f"no roots in ({k_lo:g}, {k_hi:g})")
-    return roots
 
 
 def oracle_disk(

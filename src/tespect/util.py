@@ -7,16 +7,17 @@ import math
 import numpy as np
 
 
-def loglog_slope(values: np.ndarray) -> float:
+def loglog_slope(values: np.ndarray) -> float | None:
     """Least-squares slope of log(values[j]) against log(j), j starting at 1.
 
     Only indices in [N/3, 2N/3] enter the fit, which keeps both the poorly
     resolved tail and the handful of lowest modes out of the regression.
+    Fewer than 3 values give no fit: None.
     """
     v = np.asarray(values, dtype=float)
     n = v.size
     if n < 3:
-        raise ValueError("need at least 3 values for a slope fit")
+        return None
     j = np.arange(1, n + 1, dtype=float)
     lo = max(int(math.floor(n / 3)), 1)
     hi = max(int(math.ceil(2 * n / 3)), lo + 2)

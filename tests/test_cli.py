@@ -169,6 +169,27 @@ def test_python_m_tespect_runs_selftest():
     assert "PASS" in proc.stdout and "FAIL" not in proc.stdout
 
 
+NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now fails
+import tespect
+from tespect.cli import run
+for argv in (["selftest"], ["solve", "--set", "basis.n=16"], ["count", "--set", "basis.n=24"]):
+    code = run([*argv, "--out", argv[0]])
+    assert code == 0, (argv, code)
+"""
+
+
+def test_runs_without_scipy(tmp_path):
+    # scipy is a test-only dependency: the package must import and run without it
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY], cwd=tmp_path, env=src_env(), capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "PASS" in proc.stdout and "FAIL" not in proc.stdout
+    assert (tmp_path / "solve" / "eigenvalues.csv").exists() and (tmp_path / "count" / "count.json").exists()
+
+
 def test_malformed_values_exit_2(tmp_path, capsys):
     # a usage error writes nothing, not even config.resolved
     out = tmp_path / "y"
@@ -351,6 +372,39 @@ def test_trace_report_fields(tmp_path):
         assert field in payload
 
 
+def test_trace_below_three_singular_values_writes_null(tmp_path):
+    # basis.n=2 on the interval: S has two singular values, too few for a decay fit
+    out = tmp_path / "tr"
+    assert run(["trace", "--out", str(out), "--set", "basis.n=2"]) == 0
+    payload = json.loads((out / "trace.json").read_text())
+    assert payload["decay_exponent"] is None and payload["decay_theory"] == -2.0
+
+
+TINY_COMMANDS = ("assemble", "solve", "trace", "range", "count", "scan")
+
+
+@pytest.mark.parametrize("size", [1, 2])
+@pytest.mark.parametrize("operator", ["laplacian", "bilaplacian"])
+@pytest.mark.parametrize("dimension, domain", [(1, "interval"), (2, "square")], ids=["1d", "2d"])
+@pytest.mark.parametrize("command", TINY_COMMANDS)
+@pytest.mark.filterwarnings("ignore:p=1 does not exceed")  # 2D -Laplacian, p = 1
+def test_tiny_bases_exit_cleanly(tmp_path, capsys, command, dimension, domain, operator, size):
+    # a basis too small for a diagnostic is a typed error (exit 1, one JSON
+    # record), never a traceback
+    settings = (
+        f"problem.dimension={dimension}",
+        f"problem.domain={domain}",
+        f"problem.operator={operator}",
+        f"basis.n={size}",
+        "trace.samples=100",
+    )
+    code = run([command, "--out", str(tmp_path / "o"), *(f"--set={s}" for s in settings)])
+    err = capsys.readouterr().err
+    assert code in (0, 1), err
+    if code == 1:
+        assert set(json.loads(err)) == {"error"}
+
+
 def test_range_report_fields(tmp_path):
     out = tmp_path / "rg"
     code = run(
@@ -379,7 +433,6 @@ def test_count_outputs(tmp_path):
         "config_hash",
         "cross_counts",
         "grid_sizes",
-        "growth_ceiling",
         "growth_exponent",
         "jensen_bounds",
         "radii",
@@ -399,6 +452,15 @@ def test_count_radius_on_the_spectrum_exits_1(tmp_path, capsys):
     assert run(["count", "--out", str(out), "--set", "basis.n=24", "--set", radii]) == 1
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["code"] == "ContourNearZero" and f"{modulus:g}" in error["message"]
+    assert not (out / "count.json").exists()
+
+
+def test_count_radius_that_overflows_exits_1(tmp_path, capsys):
+    # lambda^2 overflows in the contour matrices at |lambda| = 1e300
+    out = tmp_path / "ct"
+    assert run(["count", "--out", str(out), "--set", "basis.n=16", "--set", "count.radii=1e300"]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["code"] == "RangeExceeded" and "1e+300" in error["message"]
     assert not (out / "count.json").exists()
 
 

@@ -11,6 +11,7 @@ from tespect.errors import (
     InsufficientResolvedRange,
     NotPositiveDefinite,
     PhaseUnresolved,
+    RangeExceeded,
 )
 from tespect.util import wrap_angle
 
@@ -199,7 +200,7 @@ def test_winding_sizes_grid_near_zero(toy_whitened, monkeypatch):
     # spectrum predicts there needs more than the 256-point minimum
     calls = count_det_calls(monkeypatch)
     assert counting.winding_count(toy_whitened, 1.005) == 1
-    points = counting._grid_size(1.005, counting._computed_spectrum(toy_whitened))
+    points = counting._grid_size(1.005, companion.extract_eigenvalues(companion.build_companion(toy_whitened)))
     assert points > 256 and points % 8 == 0
     assert len(calls) == points // 2 + 1  # the upper half circle, theta = 0 and pi included
 
@@ -273,7 +274,6 @@ def test_growth_profile_synthetic_counts_and_slope():
     )
     assert report.growth_exponent == pytest.approx(ref_slope, abs=1e-10)
     assert abs(report.growth_exponent - 0.5) <= 0.1
-    assert report.growth_ceiling == 2.0
 
 
 def test_growth_profile_grids_sized_once(monkeypatch):
@@ -284,6 +284,17 @@ def test_growth_profile_grids_sized_once(monkeypatch):
     assert np.all(report.grid_sizes >= 256) and np.all(report.grid_sizes % 8 == 0)
     assert report.grid_sizes[-1] > 256  # 64.65 lies 1% off the double root at 64
     assert len(calls) == int(np.sum(report.grid_sizes // 2 + 1))
+
+
+def test_radius_that_overflows_is_refused_before_any_determinant(toy_whitened, monkeypatch):
+    # toy roots 1 and 4: lambda^2 mu overflows at 1e300 but not at 1e150
+    assert counting.winding_count(toy_whitened, 1e150) == 2
+    calls = count_det_calls(monkeypatch)
+    with pytest.raises(RangeExceeded, match="1e\\+300"):
+        counting.growth_profile(toy_whitened, [2.0, 3.0, 1e300])
+    with pytest.raises(RangeExceeded):
+        counting.winding_count(toy_whitened, 1e300)
+    assert calls == []
 
 
 def test_growth_profile_insufficient_range(toy_whitened):

@@ -76,7 +76,7 @@ def test_trace_power_nonempty_spectrum_consistency(helmholtz32):
 
 
 def test_trace_identities_toy(toy_whitened, toy_companion):
-    r1, r2 = diagnostics.trace_identity_check(toy_whitened, toy_companion)
+    r1, r2 = diagnostics.trace_identity_check(toy_companion)
     assert r1 < 1e-14 and r2 < 1e-14
 
 
@@ -87,7 +87,7 @@ def test_trace_identities_zero_b():
     d = dense_d(comp)
     assert np.trace(d) == 0.0
     assert np.trace(d @ d) == pytest.approx(-2.0 * n, abs=1e-12)
-    r1, r2 = diagnostics.trace_identity_check(wh, comp)
+    r1, r2 = diagnostics.trace_identity_check(comp)
     assert r1 == 0.0 and r2 < 1e-14
 
 
@@ -96,14 +96,14 @@ def test_trace_identities_random_systems():
     for _ in range(20):
         wh = random_spd_pencil(rng, 20)
         comp = companion.build_companion(wh)
-        r1, r2 = diagnostics.trace_identity_check(wh, comp)
+        r1, r2 = diagnostics.trace_identity_check(comp)
         assert r1 < 1e-10 and r2 < 1e-10
 
 
 def test_trace_identities_catch_perturbed_whitening(helmholtz32):
     _, _, _, wh = helmholtz32
     bad = dataclasses.replace(wh, b=tuple(bb + 1e-6 * np.eye(bb.shape[0]) for bb in wh.b))
-    r1, r2 = diagnostics.trace_identity_check(bad, companion.build_companion(bad))
+    r1, r2 = diagnostics.trace_identity_check(companion.build_companion(bad))
     assert min(r1, r2) > 1e-10
 
 
@@ -133,34 +133,39 @@ def test_schatten_profile_interval(helmholtz32):
     assert abs(profile.decay_exponent - (-2.0)) <= 0.15 * 2.0
 
 
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_schatten_profile_fits_from_three_values(size):
+    wh = assembly.WhitenedSystem.from_matrices(np.diag(np.arange(1.0, size + 1) ** 4), np.eye(size))
+    exponent = diagnostics.schatten_profile(wh).decay_exponent
+    assert (exponent is None) is (size < 3)
+
+
 # -- numerical range ----------------------------------------------------------------
 
 
-def test_numerical_range_toy(toy_companion):
-    report = diagnostics.numerical_range(toy_companion, 2000, seed=3, p=1)
+def test_numerical_range_toy(toy_whitened):
+    report = diagnostics.numerical_range(toy_whitened, 2000, seed=3, p=1)
     assert np.min(report.samples.real) >= -1e-10  # K = 1.25 > 0
     assert report.sector_opening <= np.pi + 1e-12
     assert report.within_angle  # opening pi fits in the p = 1 sector
 
 
-def test_numerical_range_conjugation_closed(toy_companion):
-    report = diagnostics.numerical_range(toy_companion, 500, seed=9)
+def test_numerical_range_conjugation_closed(toy_whitened):
+    report = diagnostics.numerical_range(toy_whitened, 500, seed=9)
     z = np.sort_complex(report.samples)
     assert np.allclose(z, np.sort_complex(report.samples.conj()), atol=1e-14)
 
 
 def test_numerical_range_detects_negative_axis():
     wh = assembly.WhitenedSystem.from_matrices(np.eye(4), -np.eye(4))
-    comp = companion.build_companion(wh)
-    report = diagnostics.numerical_range(comp, 2000, seed=1, p=1)
+    report = diagnostics.numerical_range(wh, 2000, seed=1, p=1)
     assert np.min(report.samples.real) < 0
     assert not report.within_angle
 
 
 def test_numerical_range_positive_semidefinite_b(helmholtz32):
     _, _, _, wh = cached_system(operator="laplacian", size=32, contrast=1.0)
-    comp = companion.build_companion(wh)
-    report = diagnostics.numerical_range(comp, 10000, seed=2025)
+    report = diagnostics.numerical_range(wh, 10000, seed=2025)
     assert float(np.min(report.samples.real)) >= -1e-10
 
 
@@ -172,7 +177,7 @@ def test_numerical_range_chunks_match_dense_form(dimension, size):
     assert len(wh.blocks) == {1: 2, 2: 6}[dimension]
     assert wh.twin_of.count(None) == {1: 2, 2: 5}[dimension]
     comp = companion.build_companion(wh)
-    report = diagnostics.numerical_range(comp, 10000, seed=2025)
+    report = diagnostics.numerical_range(wh, 10000, seed=2025)
     n, half = wh.size, 5000
     width = diagnostics._RANGE_DRAW_BYTES // (32 * n)
     assert width < half and half % width  # two or more chunks, the last one shorter
@@ -190,12 +195,11 @@ def test_numerical_range_memory_is_flat_in_the_count(count):
     # one chunk's draw of _RANGE_DRAW_BYTES, the products K_b (a_b; b_b) of
     # one block (2 n_b x w, at most two N x w arrays), the K_b and the samples
     wh = cached_system(dimension=2, size=8, contrast=3.0)[3]
-    comp = companion.build_companion(wh)
     width = diagnostics._RANGE_DRAW_BYTES // (32 * wh.size)
     bound = diagnostics._RANGE_DRAW_BYTES + 2 * wh.size * width * 8 + 8 * wh.size**2
     tracemalloc.start()
     try:
-        report = diagnostics.numerical_range(comp, count, seed=2025)
+        report = diagnostics.numerical_range(wh, count, seed=2025)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -210,7 +214,7 @@ def test_numerical_range_memory_is_flat_in_the_count(count):
 def test_numerical_range_exact_verdict(operator, dimension, size, verdict):
     problem, _, _, wh = cached_system(operator=operator, dimension=dimension, size=size, contrast=3.0)
     comp = companion.build_companion(wh)
-    report = diagnostics.numerical_range(comp, 1000, seed=4, p=problem.p_min)
+    report = diagnostics.numerical_range(wh, 1000, seed=4, p=problem.p_min)
     assert report.within_angle is verdict
     assert report.exact_opening == np.pi  # every K_b is positive definite here
     assert len(report.lambda_min_k) == len(wh.blocks) and min(report.lambda_min_k) > 0
@@ -226,21 +230,21 @@ def test_numerical_range_exact_verdict(operator, dimension, size, verdict):
 def test_numerical_range_indefinite_k_opens_full_plane():
     # K = diag(1, -1): W(D) reaches both half-planes, so no sector short of 2 pi holds it
     wh = assembly.WhitenedSystem.from_matrices(np.eye(2), np.diag([1.0, -1.0]))
-    report = diagnostics.numerical_range(companion.build_companion(wh), 500, seed=2, p=1)
+    report = diagnostics.numerical_range(wh, 500, seed=2, p=1)
     assert report.exact_opening == 2 * np.pi
     assert not report.within_angle
     assert sorted(report.lambda_min_k) == pytest.approx([-1.0])
 
 
-def test_numerical_range_deterministic(toy_companion):
-    a = diagnostics.numerical_range(toy_companion, 300, seed=5)
-    b = diagnostics.numerical_range(toy_companion, 300, seed=5)
+def test_numerical_range_deterministic(toy_whitened):
+    a = diagnostics.numerical_range(toy_whitened, 300, seed=5)
+    b = diagnostics.numerical_range(toy_whitened, 300, seed=5)
     assert np.array_equal(a.samples, b.samples)
 
 
-def test_numerical_range_needs_samples(toy_companion):
+def test_numerical_range_needs_samples(toy_whitened):
     with pytest.raises(ValueError):
-        diagnostics.numerical_range(toy_companion, 50)
+        diagnostics.numerical_range(toy_whitened, 50)
 
 
 # -- trace functional and scans ---------------------------------------------------------

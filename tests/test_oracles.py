@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tespect import oracles
-from tespect.errors import DegenerateContrast, NoSignChange, RangeExceeded
+from tespect.errors import DegenerateContrast, RangeExceeded
 
 J0_FIRST_ZERO = 2.404825558  # classical value, good to 1e-9
 
@@ -171,11 +171,6 @@ def test_oracle_interval_generic_contrast_sign_changes():
 def test_oracle_interval_degenerate_contrast():
     with pytest.raises(DegenerateContrast):
         oracles.oracle_1d(1e-7, 0.5, 5.0)
-
-
-def test_oracle_interval_demands_roots():
-    with pytest.raises(NoSignChange):
-        oracles.oracle_1d(3.0, 0.5, 1.0, require_roots=True)
 
 
 # -- disk determinant -----------------------------------------------------------------
