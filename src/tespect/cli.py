@@ -147,7 +147,6 @@ _SCHEMA = {
         "s_max": ("2.0", _FINITE),
         "s_count": ("21", _int_at_least(2)),
         "zero_tol": ("1e-6", _NON_NEGATIVE),
-        "refine_check": ("true", _BOOLEAN),
     },
     "oracle": {
         "contrast": (
@@ -439,13 +438,8 @@ def _cmd_count(cfg: RunConfig, out: OutputWriter) -> int:
     report = counting.growth_profile(wh, radii, spectrum=lams)
     out.csv(
         "count.csv",
-        ["radius", "winding", "jensen_bound", "max_log_f"],
-        (
-            (float(r), int(w), float(j), float(m))
-            for r, w, j, m in zip(
-                report.radii, report.windings, report.jensen_bounds, report.max_log_det
-            )
-        ),
+        ["radius", "winding", "jensen_bound"],
+        ((float(r), int(w), float(j)) for r, w, j in zip(report.radii, report.windings, report.jensen_bounds)),
     )
     out.json(
         "count.json",
@@ -467,11 +461,12 @@ def _cmd_scan(cfg: RunConfig, out: OutputWriter) -> int:
     report = diagnostics.potential_scan(
         problem,
         _potential_spec(cfg, "scan.direction"),
-        np.linspace(cfg["scan.s_min"], cfg["scan.s_max"], cfg["scan.s_count"]),
+        cfg["scan.s_min"],
+        cfg["scan.s_max"],
+        cfg["scan.s_count"],
         cfg["basis.n"],
         family=cfg["basis.family"],
         zero_tol=cfg["scan.zero_tol"],
-        refine_check=cfg["scan.refine_check"],
     )
     out.csv(
         "scan.csv",
@@ -488,8 +483,7 @@ def _cmd_scan(cfg: RunConfig, out: OutputWriter) -> int:
             "near_zeros": [float(s) for s in report.near_zeros],
             "sign_changes": [[float(a), float(b)] for a, b in report.sign_changes],
             "zero_tol": report.zero_tol,
-            "max_increment": report.max_increment,
-            "refined_max_increment": report.refined_max_increment,
+            "chebyshev_tail": report.chebyshev_tail,
         },
     )
     return 0

@@ -64,7 +64,6 @@ class CountReport:
     grid_sizes: np.ndarray
     windings: np.ndarray
     jensen_bounds: np.ndarray  # bound on the count in the half-radius disk
-    max_log_det: np.ndarray
     cross_counts: np.ndarray  # computed eigenvalues inside each radius
     growth_exponent: float
     resolved: np.ndarray  # mask of radii inside the counting window
@@ -190,10 +189,15 @@ def auto_radii(spectrum: np.ndarray) -> list[float]:
     within 10% of it, else the usable gap nearest in log count.
 
     Raises:
-        InsufficientResolvedRange: no usable gap in the window.
+        InsufficientResolvedRange: the window holds no count, or no usable gap.
     """
     moduli = np.sort(np.abs(spectrum))
     top = moduli.size / 4.0  # N/2 for a matrix of size N
+    if top < 3:
+        raise InsufficientResolvedRange(
+            f"the spectrum has too few eigenvalues for the counting window [3, N/2]: "
+            f"{moduli.size} eigenvalues, so N/2 = {top:g}"
+        )
     counts = np.arange(3, min(int(top), moduli.size - 1) + 1)
     clearance = 1.0 - np.sqrt(moduli[counts - 1] / moduli[counts])
     usable = clearance > _SPECTRUM_CLEARANCE
@@ -246,7 +250,6 @@ def growth_profile(
         grid_sizes=grids,
         windings=windings,
         jensen_bounds=max_logs / np.log(2.0),
-        max_log_det=max_logs,
         cross_counts=cross,
         growth_exponent=float(slope),
         resolved=resolved,

@@ -16,13 +16,14 @@ Three families of checks on an assembled system:
   = 4 MB of draws per chunk, so the sampler's memory does not grow with
   the sample count;
 * generic-existence scan -- the trace functional tr(B_q A_q^{-1}) along a
-  one-parameter potential family, with its cyclicity cross-check, derivative
-  estimates, zero diagnostics and grid-refinement continuity data.  The
-  family is evaluated in stacks over s through the kernels that evaluate
-  one problem (``assembly.assemble_stack``, ``assembly.whiten_stack`` and
-  the per-class raw route ``_class_solves``), at most ``_SCAN_STACK_BYTES``
-  = 32 MB of N x N arrays per stack; every check of one evaluation runs
-  for every s (``potential_scan``).
+  one-parameter potential family at Chebyshev-Lobatto points, with its
+  cyclicity cross-check, the derivatives and tail of its Chebyshev
+  interpolant, and zero diagnostics.  The family is evaluated in stacks
+  over s through the kernels that evaluate one problem
+  (``assembly.assemble_stack``, ``assembly.whiten_stack`` and the per-class
+  raw route ``_class_solves``), at most ``_SCAN_STACK_BYTES`` = 32 MB of
+  N x N arrays per stack; every check of one evaluation runs for every s
+  (``potential_scan``).
 """
 
 from __future__ import annotations
@@ -127,8 +128,7 @@ class ScanReport:
     near_zeros: np.ndarray  # s values where |t| < zero_tol * max|t|
     sign_changes: np.ndarray  # s pairs bracketing a sign change
     zero_tol: float
-    max_increment: float
-    refined_max_increment: Optional[float] = None
+    chebyshev_tail: float  # max(|c_(n-1)|, |c_(n-2)|) / max|c| of the interpolant's coefficients
 
 
 def trace_power(comp: CompanionSystem, p: int) -> complex:
@@ -440,61 +440,64 @@ def _scan_values(
 def potential_scan(
     problem: ProblemSpec,
     direction: PotentialSpec,
-    s_grid: Sequence[float],
+    s_min: float,
+    s_max: float,
+    count: int,
     size: int,
     family: str = POLYNOMIAL,
     zero_tol: float = 1e-6,
-    refine_check: bool = False,
 ) -> ScanReport:
     """Scan the trace functional along the family V_0 + s * direction.
 
-    Derivatives are centered finite differences (one-sided second order at
-    the ends).  ``refine_check=True`` additionally scans the midpoints of
-    ``s_grid`` and records the maximal increment on the grid refined by them
-    next to the coarse one, the continuity diagnostic.
+    t is evaluated once at the ``count`` Chebyshev-Lobatto points of
+    [s_min, s_max], s_k = ((1 - x_k) s_min + (1 + x_k) s_max) / 2 with
+    x_k = sin(pi (2k - n) / (2n)), n = count - 1: they run from s_min, both
+    ends are exact, and so is the middle for odd ``count``.  t is analytic
+    in s, so the degree-n Chebyshev interpolant of the samples, fitted on
+    the x_k, gives both derivatives, scaled by 2 / (s_max - s_min), and
+    ``chebyshev_tail``, the larger of |c_(n-1)| and |c_(n-2)| over max |c|:
+    near rounding when the samples resolve t, near one when they do not
+    (Trefethen, Approximation Theory and Approximation Practice, ch. 8).
 
-    The family is evaluated in stacks over s, coarse points first and then
-    midpoints, through the kernels that ``trace_functional`` runs on one
-    member (``assemble_stack``, ``whiten_stack`` and the per-class raw
-    route): the basis, the parity classes, the swap, the whitening blocks
-    and the Dirichlet form are built once, and a stack holds at most
-    ``_SCAN_STACK_BYTES`` (32 MB) of N x N arrays, all points in 1D and one
-    or a few in 2D.  For every s the checks are those of one evaluation:
-    the cone check on the validation grid, V > 0 at the quadrature nodes,
-    the Legendre tail warning, asymmetry, parity and swap leaks, the
-    Cholesky factor of C on each class and of A on each whitening block,
-    the mu cut, and the cyclicity cross-check.
+    The family is evaluated in stacks over s through the kernels that
+    ``trace_functional`` runs on one member (``assemble_stack``,
+    ``whiten_stack`` and the per-class raw route): the basis, the parity
+    classes, the swap, the whitening blocks and the Dirichlet form are
+    built once, and a stack holds at most ``_SCAN_STACK_BYTES`` (32 MB) of
+    N x N arrays, all points in 1D and one or a few in 2D.  For every s the
+    checks are those of one evaluation: the cone check on the validation
+    grid, V > 0 at the quadrature nodes, the Legendre tail warning,
+    asymmetry, parity and swap leaks, the Cholesky factor of C on each
+    class and of A on each whitening block, the mu cut, and the cyclicity
+    cross-check.
 
     Raises:
-        ValueError: fewer than two points in ``s_grid``, or a repeated one.
+        ValueError: ``count`` below two, or s_min == s_max.
         PotentialLeavesCone: the family loses positivity at some s.
         Any error of ``trace_functional``, naming the first failing s.
     """
-    s = np.asarray(list(s_grid), dtype=float)
-    if s.size < 2 or np.unique(s).size < s.size:
-        raise ValueError("scan grid needs two or more distinct points")
+    if count < 2 or s_min == s_max:
+        raise ValueError("a scan needs two or more points and s_min != s_max")
+    n = count - 1
+    x = np.sin(np.pi * (2 * np.arange(count) - n) / (2 * n))
+    s = 0.5 * ((1.0 - x) * s_min + (1.0 + x) * s_max)
     affine = PotentialSpec.affine(problem.potential, direction, 0.0)
     base = ProblemSpec(problem.operator, problem.domain, affine)
     pencils = _Pencils.of(base, build_basis(base, size, family))
-    mid = 0.5 * (s[:-1] + s[1:]) if refine_check else s[:0]
-    values = _scan_values(problem, direction, np.concatenate([s, mid]), pencils)
-    t = values[: s.size]
+    t = _scan_values(problem, direction, s, pencils)
 
-    dt = np.gradient(t, s)
-    d2t = np.gradient(dt, s)
+    cheb = np.polynomial.chebyshev
+    coef = cheb.chebfit(x, t, n)
+    dxds = 2.0 / (s_max - s_min)
+    dt = dxds * cheb.chebval(x, cheb.chebder(coef))
+    d2t = dxds**2 * cheb.chebval(x, cheb.chebder(coef, 2))
+    mags = np.abs(coef)
+    tail = float(np.max(mags[max(n - 2, 0) : n]) / max(np.max(mags), 1e-300))
 
     scale = max(float(np.max(np.abs(t))), 1e-300)
     near = s[np.abs(t) < zero_tol * scale]
     flips = np.nonzero(np.sign(t[:-1]) * np.sign(t[1:]) < 0)[0]
     sign_changes = np.column_stack([s[flips], s[flips + 1]]) if flips.size else np.empty((0, 2))
-
-    max_inc = float(np.max(np.abs(np.diff(t))))
-    refined_inc = None
-    if refine_check:
-        t_fine = np.empty(2 * s.size - 1)
-        t_fine[0::2] = t
-        t_fine[1::2] = values[s.size :]
-        refined_inc = float(np.max(np.abs(np.diff(t_fine))))
 
     return ScanReport(
         s_values=s,
@@ -504,6 +507,5 @@ def potential_scan(
         near_zeros=near,
         sign_changes=sign_changes,
         zero_tol=zero_tol,
-        max_increment=max_inc,
-        refined_max_increment=refined_inc,
+        chebyshev_tail=tail,
     )

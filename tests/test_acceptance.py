@@ -202,20 +202,21 @@ def test_c10_generic_existence_scan():
         model.PotentialSpec.constant(1.0, 1),
     )
     direction = model.PotentialSpec.constant(1.0, 1)
-    s_grid = np.linspace(0.0, 2.0, 21)
-    scan = diagnostics.potential_scan(prob, direction, s_grid, 16, refine_check=True)
+    scan = diagnostics.potential_scan(prob, direction, 0.0, 2.0, 21, 16)
     ok = bool(np.all(scan.t_values > 0))
     ok &= scan.near_zeros.size == 0 and scan.sign_changes.shape[0] == 0
-    ratio = scan.refined_max_increment / scan.max_increment
-    ok &= abs(ratio - 0.5) <= 0.1  # increments halve under 2x refinement
+    # V = 1 + s: t is proportional to 3 + s, a line the interpolant resolves
+    slope = scan.t_values / (3.0 + scan.s_values)
+    ok &= np.max(np.abs(scan.first_derivative - slope)) <= 1e-10 * np.max(slope)
+    ok &= scan.chebyshev_tail <= 1e-13
     worst = 0.0
-    for s in s_grid:
+    for s in scan.s_values:
         pot = model.PotentialSpec.affine(prob.potential, direction, float(s))
         prob_s = model.ProblemSpec(prob.operator, prob.domain, pot)
         white, raw = diagnostics.trace_functional_routes(prob_s, 16)
         worst = max(worst, abs(white - raw) / max(abs(white), abs(raw), 1.0))
     ok &= worst < 1e-10
-    report(10, f"family scan continuity, positivity, cyclicity {worst:.1e}", bool(ok))
+    report(10, f"family scan derivatives, positivity, cyclicity {worst:.1e}", bool(ok))
 
 
 def test_c11_square_self_convergence():

@@ -88,6 +88,7 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     out = tmp_path / "x"
     code = run(["solve", "--out", str(out), "--set", "basis.bogus=1"])
     assert code == 2
+    assert run(["scan", "--out", str(out), "--set", "scan.refine_check=false"]) == 2  # a removed key
     assert not out.exists()  # no partial outputs
     capsys.readouterr()
 
@@ -426,7 +427,7 @@ def test_count_outputs(tmp_path):
     payload = json.loads((out / "count.json").read_text())
     assert payload["windings"] == payload["cross_counts"]
     header, rows = read_csv(out / "count.csv")
-    assert header == ["radius", "winding", "jensen_bound", "max_log_f"]
+    assert header == ["radius", "winding", "jensen_bound"]
     assert len(rows) == len(payload["windings"])
     assert len(payload["grid_sizes"]) == len(payload["windings"])
     assert sorted(payload) == [
@@ -538,15 +539,14 @@ def test_scan_outputs(tmp_path):
             "basis.n=10",
             "--set",
             "scan.s_count=5",
-            "--set",
-            "scan.refine_check=false",
         ]
     )
     assert code == 0
     payload = json.loads((out / "scan.json").read_text())
-    for field in ("t_values", "near_zeros", "sign_changes"):
+    for field in ("t_values", "near_zeros", "sign_changes", "chebyshev_tail"):
         assert field in payload
     assert all(t > 0 for t in payload["t_values"])
+    assert len(payload["s_values"]) == 5 and payload["s_values"][2] == 1.0  # the middle Lobatto node
 
 
 def test_oracle_subcommands(tmp_path):
@@ -647,17 +647,19 @@ def test_convergence_bilaplacian_square_2d_defaults(tmp_path):
 
 @pytest.mark.slow
 def test_scan_square_2d_defaults(tmp_path):
-    # 41 points, as many as the defaults evaluate (21 and their 20
-    # midpoints), in many stacks at n=32; V = 3 + s is constant, so
-    # t(s) / (2 + V(s)) is constant
+    # 21 Lobatto points in many stacks at n=32; V = 3 + s is constant, so
+    # t(s) / (2 + V(s)) is constant and is the slope dt
     out = tmp_path / "sc2"
-    settings = ("problem.dimension=2", "problem.domain=square", "scan.s_count=41", "scan.refine_check=false")
+    settings = ("problem.dimension=2", "problem.domain=square")
     assert run(["scan", "--out", str(out), *(f"--set={s}" for s in settings)]) == 0
     payload = json.loads((out / "scan.json").read_text())
     s, t = np.array(payload["s_values"]), np.array(payload["t_values"])
-    assert s.size == 41 and np.all(np.isfinite(t))
+    assert s.size == 21 and np.all(np.isfinite(t))
     ratio = t / (5.0 + s)
     assert np.ptp(ratio) <= 1e-12 * np.max(ratio)
+    _, rows = read_csv(out / "scan.csv")
+    dt = np.array([float(r[2]) for r in rows])
+    assert np.max(np.abs(dt / ratio - 1.0)) <= 1e-10
 
 
 def peak_rss_kb(args):

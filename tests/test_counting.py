@@ -335,5 +335,14 @@ def test_radius_rule_resolves_the_default_potential():
 
 
 def test_radius_rule_without_a_usable_gap():
-    with pytest.raises(InsufficientResolvedRange):
+    with pytest.raises(InsufficientResolvedRange, match="no usable gap"):
         counting.auto_radii(np.full(40, 5.0))
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_radius_rule_on_a_spectrum_too_small_for_the_window(size):
+    # 1D: 2 n eigenvalues, so the window [3, n/2] is empty
+    _, _, _, wh = cached_system(operator="laplacian", size=size, contrast=3.0)
+    lams = companion.extract_eigenvalues(companion.build_companion(wh))
+    with pytest.raises(InsufficientResolvedRange, match="too few eigenvalues for the counting window"):
+        counting.auto_radii(lams)

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -277,21 +278,21 @@ def test_trace_functional_cross_check_guard(monkeypatch):
 def test_potential_scan_constant_direction_is_flat():
     prob = unit_problem(contrast=2.0)
     zero_dir = model.PotentialSpec.constant(0.0, 1)
-    report = diagnostics.potential_scan(prob, zero_dir, np.linspace(0, 1, 5), 10)
+    report = diagnostics.potential_scan(prob, zero_dir, 0.0, 1.0, 5, 10)
     assert np.max(np.abs(np.diff(report.t_values))) < 1e-12
 
 
 def test_potential_scan_unit_family(helmholtz32):
     prob = unit_problem()
     direction = model.PotentialSpec.constant(1.0, 1)
-    report = diagnostics.potential_scan(
-        prob, direction, np.linspace(0.0, 2.0, 11), 12, refine_check=True
-    )
+    report = diagnostics.potential_scan(prob, direction, 0.0, 2.0, 11, 12)
     assert np.all(report.t_values > 0)
     assert report.near_zeros.size == 0
     assert report.sign_changes.shape[0] == 0
-    ratio = report.refined_max_increment / report.max_increment
-    assert abs(ratio - 0.5) <= 0.1
+    # V = 1 + s: t is proportional to 3 + s, a line, resolved to rounding
+    slope = report.t_values / (3.0 + report.s_values)
+    assert np.max(np.abs(report.first_derivative - slope)) <= 1e-10 * np.max(slope)
+    assert report.chebyshev_tail <= 1e-13
 
 
 @pytest.mark.filterwarnings("ignore::tespect.errors.SmoothnessWarning")
@@ -300,12 +301,6 @@ def test_potential_scan_builds_one_basis(monkeypatch):
     # must equal the one each s would build
     prob = unit_problem()
     direction = model.PotentialSpec.grid([1.0, 0.5, 2.0, 1.0], 1)
-    s_grid = np.linspace(0.0, 1.0, 6)
-    family = [model.PotentialSpec.affine(prob.potential, direction, s) for s in s_grid]
-    expected = [
-        diagnostics.trace_functional(model.ProblemSpec(prob.operator, prob.domain, pot), 10)
-        for pot in family
-    ]
     calls = {"build_basis": 0, "assemble_stack": 0}
 
     def counted(name):
@@ -319,24 +314,26 @@ def test_potential_scan_builds_one_basis(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(diagnostics, name, counted(name))
-    report = diagnostics.potential_scan(prob, direction, s_grid, 10, refine_check=True)
-    # the coarse points and the midpoints fit in one stack
+    report = diagnostics.potential_scan(prob, direction, 0.0, 1.0, 6, 10)
+    # every point fits in one stack
     assert calls == {"build_basis": 1, "assemble_stack": 1}
-    assert report.t_values.tolist() == expected
+    monkeypatch.undo()
+    assert report.t_values.tolist() == per_s_values(prob, direction, report.s_values, 10).tolist()
 
 
 def test_potential_scan_positivity_guard():
     prob = unit_problem()
     direction = model.PotentialSpec.constant(-1.0, 1)
     with pytest.raises(PotentialLeavesCone, match="s="):
-        diagnostics.potential_scan(prob, direction, np.linspace(0.0, 2.0, 5), 8)
+        diagnostics.potential_scan(prob, direction, 0.0, 2.0, 5, 8)
 
 
-@pytest.mark.parametrize("s_grid", [[1.0, 1.0, 1.0], [0.0, 1.0, 0.0], [0.5]])
+# (s_min, s_max, count): an empty interval repeats every point
+@pytest.mark.parametrize("s_grid", [(1.0, 1.0, 3), (0.0, 0.0, 2), (0.5, 1.5, 1)])
 def test_potential_scan_refuses_repeated_or_single_points(s_grid):
     prob = unit_problem()
-    with pytest.raises(ValueError, match="distinct points"):
-        diagnostics.potential_scan(prob, model.PotentialSpec.constant(1.0, 1), s_grid, 8)
+    with pytest.raises(ValueError, match="two or more points and s_min != s_max"):
+        diagnostics.potential_scan(prob, model.PotentialSpec.constant(1.0, 1), *s_grid, 8)
 
 
 def square_problem(potential, operator="laplacian"):
@@ -352,16 +349,36 @@ def square_problem(potential, operator="laplacian"):
 def test_constant_family_trace_is_linear_in_v(operator, dimension, size):
     # for constant V, A = q L and B = (2q + 1) K with L, K free of q, so
     # t = tr(B A^{-1}) = (2 + V) tr(K L^{-1}); in 2D the stack carries a swap
-    # split and a twin
+    # split and a twin.  Along V = 1 + s, t is a line: its interpolant's
+    # slope is t / (3 + s), its curvature and tail vanish to rounding
     base = model.PotentialSpec.constant(1.0, dimension)
     if dimension == 1:
         prob = unit_problem(operator)
     else:
         prob = square_problem(base, operator)
-    s = np.linspace(0.0, 2.0, 9)
-    report = diagnostics.potential_scan(prob, base, s, size, refine_check=True)
-    ratio = report.t_values / (3.0 + s)
+    report = diagnostics.potential_scan(prob, base, 0.0, 2.0, 9, size)
+    t = report.t_values
+    ratio = t / (3.0 + report.s_values)
     assert np.ptp(ratio) <= 1e-13 * np.max(np.abs(ratio))
+    assert np.max(np.abs(report.first_derivative / ratio - 1.0)) <= 1e-10
+    assert np.max(np.abs(report.second_derivative)) <= 1e-8 * np.max(np.abs(t))
+    assert report.chebyshev_tail <= 1e-13
+
+
+def test_scan_derivatives_match_a_finer_scan():
+    # V = 3 + x + 2x^2 + s (x^3 - 1) is positive for s in [0, 2]; t is
+    # analytic in s, so 21 points resolve both derivatives to near rounding
+    base = model.PotentialSpec.polynomial([3.0, 1.0, 2.0], 1)
+    prob = model.validate_problem(model.OperatorSpec.laplacian(1), model.DomainSpec("interval"), base)
+    direction = model.PotentialSpec.polynomial([-1.0, 0.0, 0.0, 1.0], 1)
+    coarse, fine = (diagnostics.potential_scan(prob, direction, 0.0, 2.0, count, 32) for count in (21, 65))
+    cheb = np.polynomial.chebyshev
+    x_coarse, x_fine = (report.s_values - 1.0 for report in (coarse, fine))  # [0, 2] onto [-1, 1]
+    for column, tol in (("first_derivative", 1e-9), ("second_derivative", 1e-6)):
+        reference = cheb.chebval(x_coarse, cheb.chebfit(x_fine, getattr(fine, column), 64))
+        got = getattr(coarse, column)
+        assert np.max(np.abs(got - reference)) <= tol * np.max(np.abs(reference)), column
+    assert coarse.chebyshev_tail <= 1e-12
 
 
 def per_s_values(prob, direction, s_grid, size):
@@ -376,15 +393,14 @@ def per_s_values(prob, direction, s_grid, size):
 def test_stacked_scan_matches_per_s_on_kinked_grid_family():
     prob = unit_problem("bilaplacian", contrast=2.0)
     direction = model.PotentialSpec.grid([1.0, -0.5, 2.0, 0.25, 1.0], 1)
-    s_grid = np.linspace(0.0, 1.5, 7)
-    report = diagnostics.potential_scan(prob, direction, s_grid, 14)
-    expected = per_s_values(prob, direction, s_grid, 14)
+    report = diagnostics.potential_scan(prob, direction, 0.0, 1.5, 7, 14)
+    expected = per_s_values(prob, direction, report.s_values, 14)
     assert np.max(np.abs(report.t_values - expected) / np.abs(expected)) <= 1e-14
 
 
 def test_stacked_scan_matches_per_s_on_asymmetric_square_family(monkeypatch):
     # no reflection or swap symmetry: one class, one whitening block; three
-    # members per stack, so 9 + 8 points make six stacks
+    # members per stack, so 9 points make three stacks
     prob = square_problem(model.PotentialSpec.polynomial([[2.4, 0.3], [1.1, -0.2], [0.3, 0.0]], 2))
     direction = model.PotentialSpec.polynomial([[0.0, 0.5], [0.2, 0.0]], 2)
     size = 6
@@ -397,11 +413,10 @@ def test_stacked_scan_matches_per_s_on_asymmetric_square_family(monkeypatch):
         return inner(basis, vvals, *args, **kwargs)
 
     monkeypatch.setattr(diagnostics, "assemble_stack", counted)
-    s_grid = np.linspace(0.0, 2.0, 9)
-    report = diagnostics.potential_scan(prob, direction, s_grid, size, refine_check=True)
-    assert calls == [3, 3, 3, 3, 3, 2]
+    report = diagnostics.potential_scan(prob, direction, 0.0, 2.0, 9, size)
+    assert calls == [3, 3, 3]
     assert len(diagnostics.parity_classes(prob, diagnostics.build_basis(prob, size))) == 1
-    expected = per_s_values(prob, direction, s_grid, size)
+    expected = per_s_values(prob, direction, report.s_values, size)
     assert np.max(np.abs(report.t_values - expected) / np.abs(expected)) <= 1e-14
 
 
@@ -416,18 +431,25 @@ def gap_at(monkeypatch, v_values):
     monkeypatch.setattr(diagnostics._Pencils, "routes", gapped)
 
 
+def scan_nodes(s_min, s_max, count):
+    """The s values of a passing scan: the Chebyshev-Lobatto points of [s_min, s_max]."""
+    direction = model.PotentialSpec.constant(1.0, 1)
+    return diagnostics.potential_scan(unit_problem(), direction, s_min, s_max, count, 4).s_values
+
+
 def test_stacked_scan_cross_check_names_first_failing_s(monkeypatch):
     prob = unit_problem()  # V = 1 + s
-    gap_at(monkeypatch, [1.75, 1.25])
-    with pytest.raises(CrossCheckFailed, match=r"s=0\.25$"):
-        diagnostics.potential_scan(prob, prob.potential, np.linspace(0.0, 1.0, 5), 8)
+    s = scan_nodes(0.0, 1.0, 5)
+    gap_at(monkeypatch, [1.0 + s[3], 1.0 + s[1]])
+    with pytest.raises(CrossCheckFailed, match=re.escape(f"s={s[1]:g}") + "$"):
+        diagnostics.potential_scan(prob, prob.potential, 0.0, 1.0, 5, 8)
 
 
 def test_stacked_scan_cone_exit_names_first_failing_s():
     prob = unit_problem()
     direction = model.PotentialSpec.constant(-1.0, 1)  # V = 1 - s leaves the cone at s = 1
-    with pytest.raises(PotentialLeavesCone, match=r"s=1$"):
-        diagnostics.potential_scan(prob, direction, np.linspace(0.0, 2.0, 9), 8)
+    with pytest.raises(PotentialLeavesCone, match=r"s=1$"):  # the middle node
+        diagnostics.potential_scan(prob, direction, 0.0, 2.0, 9, 8)
 
 
 @pytest.mark.filterwarnings("ignore::tespect.errors.SmoothnessWarning")
@@ -435,17 +457,18 @@ def test_stacked_scan_cone_check_refuses_nan():
     prob = unit_problem()
     direction = model.PotentialSpec.grid([1.0, float("nan")], 1)
     with pytest.raises(PotentialLeavesCone, match=r"s=0$"):
-        diagnostics.potential_scan(prob, direction, np.linspace(0.0, 1.0, 5), 8)
+        diagnostics.potential_scan(prob, direction, 0.0, 1.0, 5, 8)
 
 
 def test_stacked_scan_reports_earlier_s_of_a_later_check(monkeypatch):
-    # in one stack the cone check flags s = 1 first; s = 0.5 passes it but
+    # in one stack the cone check flags s = 1 first; s[2] < 1 passes it but
     # fails the later cross-check, and comes first in grid order
     prob = unit_problem()
-    gap_at(monkeypatch, [0.5])
+    s = scan_nodes(0.0, 2.0, 9)
+    gap_at(monkeypatch, [1.0 - s[2]])
     direction = model.PotentialSpec.constant(-1.0, 1)
-    with pytest.raises(CrossCheckFailed, match=r"s=0\.5$"):
-        diagnostics.potential_scan(prob, direction, np.linspace(0.0, 2.0, 9), 8)
+    with pytest.raises(CrossCheckFailed, match=re.escape(f"s={s[2]:g}") + "$"):
+        diagnostics.potential_scan(prob, direction, 0.0, 2.0, 9, 8)
 
 
 def fail_eigensolve_at(monkeypatch, v_values, stacked_only=False):
@@ -472,16 +495,17 @@ def fail_eigensolve_at(monkeypatch, v_values, stacked_only=False):
 
 def test_stacked_scan_names_the_s_of_an_error_raised_for_the_whole_stack(monkeypatch):
     prob = unit_problem()  # V = 1 + s, every s in one stack
-    fail_eigensolve_at(monkeypatch, [1.75, 1.5])
+    s = scan_nodes(0.0, 1.0, 5)
+    fail_eigensolve_at(monkeypatch, [1.0 + s[3], 1.0 + s[2]])
     with pytest.raises(NoConvergence, match=r"^eigenvalues did not converge at family parameter s=0\.5$"):
-        diagnostics.potential_scan(prob, prob.potential, np.linspace(0.0, 1.0, 5), 8)
+        diagnostics.potential_scan(prob, prob.potential, 0.0, 1.0, 5, 8)
 
 
 def test_stacked_scan_error_stands_when_every_s_passes_alone(monkeypatch):
     prob = unit_problem()
-    fail_eigensolve_at(monkeypatch, [1.5], stacked_only=True)
+    fail_eigensolve_at(monkeypatch, [1.5], stacked_only=True)  # s = 0.5, the middle node
     with pytest.raises(NoConvergence, match=r"^eigenvalues did not converge$"):
-        diagnostics.potential_scan(prob, prob.potential, np.linspace(0.0, 1.0, 5), 8)
+        diagnostics.potential_scan(prob, prob.potential, 0.0, 1.0, 5, 8)
 
 
 def test_stacked_scan_memory_stays_within_budget(monkeypatch):
@@ -494,7 +518,7 @@ def test_stacked_scan_memory_stays_within_budget(monkeypatch):
     monkeypatch.setattr(diagnostics, "_SCAN_STACK_BYTES", budget)
     tracemalloc.start()
     try:
-        diagnostics.potential_scan(prob, direction, np.linspace(0.0, 1.0, 5), size, refine_check=True)
+        diagnostics.potential_scan(prob, direction, 0.0, 1.0, 5, size)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

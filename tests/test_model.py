@@ -122,7 +122,7 @@ def test_potential_at_the_margin_is_refused_everywhere():
     # the scan's cone check: V = 2 margin - s margin is the margin itself at s = 1
     base = model.ProblemSpec(op, dom, model.PotentialSpec.constant(2.0 * margin))
     with pytest.raises(PotentialLeavesCone, match="s=1"):
-        diagnostics.potential_scan(base, model.PotentialSpec.constant(-margin), [0.0, 1.0], 8)
+        diagnostics.potential_scan(base, model.PotentialSpec.constant(-margin), 0.0, 1.0, 2, 8)
 
 
 def test_unsupported_dimension():
