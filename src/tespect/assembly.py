@@ -96,11 +96,21 @@ def _knots(pot: PotentialSpec) -> list[np.ndarray]:
     return [np.linspace(0.0, 1.0, k) for k in shape]
 
 
+@cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes, weights and values-to-Legendre-coefficients map of the n-point rule, read-only."""
+    t, w = npleg.leggauss(n)
+    to_coeffs = (npleg.legvander(t, n - 1) * w[:, None] * (np.arange(n) + 0.5)).T
+    for array in (t, w, to_coeffs):
+        array.setflags(write=False)
+    return t, w, to_coeffs
+
+
 def _composite_gauss(pot: PotentialSpec, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre rule, ``nodes`` points on each cell between the kinks of V."""
     edges = np.sort(np.concatenate(_knots(pot)))
     edges = edges[np.diff(edges, prepend=-1.0) > _EDGE_TOL]
-    t, w = npleg.leggauss(nodes)
+    t, w, _ = _gauss_legendre(nodes)
     h = np.diff(edges)[:, None]
     return (edges[:-1, None] + h * (0.5 * (t + 1.0))).ravel(), (h * (0.5 * w)).ravel()
 
@@ -443,19 +453,10 @@ def _check_and_symmetrize(name: str, m: np.ndarray, basis: Optional[BasisSet] = 
     return out.swapaxes(-3, -2).reshape(out.shape[:lead] + (basis.size**2,) * 2)
 
 
-@cache
-def _legendre_analysis(n: int) -> np.ndarray:
-    """Map from values at n Gauss-Legendre nodes to Legendre coefficients."""
-    t, w = npleg.leggauss(n)
-    to_coeffs = (npleg.legvander(t, n - 1) * w[:, None] * (np.arange(n) + 0.5)).T
-    to_coeffs.setflags(write=False)
-    return to_coeffs
-
-
 def _warn_if_unresolved(qvals: np.ndarray, basis: BasisSet) -> None:
     """Warn, per stack member, if q = 1/V has Legendre coefficients past 3N/4 on an N-node cell."""
     n = basis.cell_nodes
-    to_coeffs = _legendre_analysis(n)
+    to_coeffs = _gauss_legendre(n)[2]
     lead = qvals.ndim - 1
     coef = qvals.reshape(qvals.shape[:-1] + (basis.nodes.size // n, n) * basis.dimension)
     node_axes = range(lead + 1, coef.ndim, 2)

@@ -28,12 +28,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, companion, counting, diagnostics, oracles
-from .assembly import POLYNOMIAL, TRIG, WhitenedSystem, assemble_system, build_basis, whiten
+from .assembly import WhitenedSystem, assemble_system, build_basis, whiten
+from .diagnostics import MIN_SCAN_POINTS
 from .errors import ComputationError
 from .model import PRESET_ORDERS, DomainSpec, OperatorSpec, PotentialSpec, validate_problem
 from .oracles import L_MAX_DISK, MIN_CONTRAST
 
 _CSV_CHUNK_ROWS = 1 << 14  # rows formatted per write: bounds the transient memory
+_REAL_TOL = 1e-6  # |Im lambda| <= _REAL_TOL max(1, |Re lambda|) counts as real in ``convergence``
+_CAUCHY_TOL = 1e-3  # the last relative change of ``convergence`` must fall below it
 
 
 class UsageError(Exception):
@@ -85,7 +88,6 @@ def _radii(raw: str) -> list[float] | None:
 
 _FINITE = _value(float, "a finite number", math.isfinite)
 _POSITIVE = _value(float, "a finite positive number", lambda v: 0 < v < math.inf)
-_NON_NEGATIVE = _value(float, "a finite non-negative number", lambda v: 0 <= v < math.inf)
 _TRUTH = dict.fromkeys(("true", "1", "yes", "on"), True) | dict.fromkeys(("false", "0", "no", "off"), False)
 _BOOLEAN = _value(lambda raw: _TRUTH[raw.lower()], "a boolean")
 
@@ -125,17 +127,13 @@ _SCHEMA = {
         "potential": ("constant:3.0", _potential),
     },
     "basis": {
-        "family": (POLYNOMIAL, _one_of(POLYNOMIAL, TRIG)),
         "n": ("32", _int_at_least(1)),
     },
     "solve": {
-        "cluster_tol": ("1e-6", _POSITIVE),
-        "mu_floor": ("1e-12", _NON_NEGATIVE),
         "want_states": ("false", _BOOLEAN),
     },
     "trace": {
         "p": ("1,2", _sizes(ascending=False)),
-        "samples": ("10000", _int_at_least(100)),
         "seed": ("2025", _int_at_least(0)),
     },
     "count": {
@@ -145,8 +143,7 @@ _SCHEMA = {
         "direction": ("constant:1.0", _potential),
         "s_min": ("0.0", _FINITE),
         "s_max": ("2.0", _FINITE),
-        "s_count": ("21", _int_at_least(2)),
-        "zero_tol": ("1e-6", _NON_NEGATIVE),
+        "s_count": ("21", _int_at_least(MIN_SCAN_POINTS)),
     },
     "oracle": {
         "contrast": (
@@ -160,8 +157,6 @@ _SCHEMA = {
     },
     "convergence": {
         "n_list": ("16,24,32,48", _sizes(ascending=True)),
-        "real_tol": ("1e-6", _NON_NEGATIVE),
-        "cauchy_tol": ("1e-3", _NON_NEGATIVE),
     },
     "output": {
         "dir": ("out", str),
@@ -260,8 +255,7 @@ def _build_problem(cfg: RunConfig):
 
 def _build_pipeline(cfg: RunConfig, size: int | None = None) -> WhitenedSystem:
     problem = _build_problem(cfg)
-    basis = build_basis(problem, size or cfg["basis.n"], cfg["basis.family"])
-    return whiten(assemble_system(problem, basis))
+    return whiten(assemble_system(problem, build_basis(problem, size or cfg["basis.n"])))
 
 
 class OutputWriter:
@@ -334,7 +328,6 @@ def _cmd_assemble(cfg: RunConfig, out: OutputWriter) -> int:
             "operator": problem.operator.preset,
             "order": problem.order,
             "dimension": problem.dimension,
-            "basis_family": basis.family,
             "basis_size_per_dim": basis.size,
             "matrix_size": system.size,
             "block_sizes": [blk.stop - blk.start for blk in wh.blocks],
@@ -350,7 +343,7 @@ def _cmd_assemble(cfg: RunConfig, out: OutputWriter) -> int:
 
 def _cmd_solve(cfg: RunConfig, out: OutputWriter) -> int:
     comp = companion.build_companion(_build_pipeline(cfg))
-    spec = companion.extract_spectrum(comp, cluster_tol=cfg["solve.cluster_tol"], mu_floor=cfg["solve.mu_floor"])
+    spec = companion.extract_spectrum(comp)
     rows = [
         (
             i,
@@ -409,7 +402,7 @@ def _cmd_trace(cfg: RunConfig, out: OutputWriter) -> int:
 
 def _cmd_range(cfg: RunConfig, out: OutputWriter) -> int:
     wh = _build_pipeline(cfg)
-    report = diagnostics.numerical_range(wh, cfg["trace.samples"], seed=cfg["trace.seed"], p=wh.system.problem.p_min)
+    report = diagnostics.numerical_range(wh, seed=cfg["trace.seed"], p=wh.system.problem.p_min)
     samples_path = out.csv(
         "samples.csv", ["re_z", "im_z"], np.column_stack((report.samples.real, report.samples.imag))
     )
@@ -433,7 +426,7 @@ def _cmd_range(cfg: RunConfig, out: OutputWriter) -> int:
 
 def _cmd_count(cfg: RunConfig, out: OutputWriter) -> int:
     wh = _build_pipeline(cfg)
-    lams = companion.extract_eigenvalues(companion.build_companion(wh), mu_floor=cfg["solve.mu_floor"])
+    lams = companion.extract_eigenvalues(companion.build_companion(wh))
     radii = cfg["count.radii"] or counting.auto_radii(lams)
     report = counting.growth_profile(wh, radii, spectrum=lams)
     out.csv(
@@ -465,8 +458,6 @@ def _cmd_scan(cfg: RunConfig, out: OutputWriter) -> int:
         cfg["scan.s_max"],
         cfg["scan.s_count"],
         cfg["basis.n"],
-        family=cfg["basis.family"],
-        zero_tol=cfg["scan.zero_tol"],
     )
     out.csv(
         "scan.csv",
@@ -482,7 +473,6 @@ def _cmd_scan(cfg: RunConfig, out: OutputWriter) -> int:
             "t_values": [float(t) for t in report.t_values],
             "near_zeros": [float(s) for s in report.near_zeros],
             "sign_changes": [[float(a), float(b)] for a, b in report.sign_changes],
-            "zero_tol": report.zero_tol,
             "chebyshev_tail": report.chebyshev_tail,
         },
     )
@@ -516,9 +506,9 @@ def _cmd_oracle_disk(cfg: RunConfig, out: OutputWriter) -> int:
     return 0
 
 
-def first_real_eigenvalue(lams: np.ndarray, real_tol: float) -> complex:
-    """Smallest positive real eigenvalue under the given imaginary tolerance."""
-    real = lams[(lams.real > 0) & (np.abs(lams.imag) <= real_tol * np.maximum(1.0, np.abs(lams.real)))]
+def first_real_eigenvalue(lams: np.ndarray) -> complex:
+    """Smallest positive eigenvalue that is real under ``_REAL_TOL``."""
+    real = lams[(lams.real > 0) & (np.abs(lams.imag) <= _REAL_TOL * np.maximum(1.0, np.abs(lams.real)))]
     if not real.size:
         raise ComputationError("no real eigenvalue found")
     return complex(real[np.argmin(real.real)])
@@ -530,13 +520,12 @@ def convergence_table(cfg: RunConfig) -> list[dict]:
     prev = None
     for n in cfg["convergence.n_list"]:
         comp = companion.build_companion(_build_pipeline(cfg, size=n))
-        lams = companion.extract_eigenvalues(comp, mu_floor=cfg["solve.mu_floor"])
-        lam = first_real_eigenvalue(lams, cfg["convergence.real_tol"]).real
+        lam = first_real_eigenvalue(companion.extract_eigenvalues(comp)).real
         rel = abs(lam - prev) / abs(lam) if prev is not None else float("nan")
         rows.append({"n": n, "lambda": lam, "rel_diff": rel})
         prev = lam
     tail = [r["rel_diff"] for r in rows[1:]]
-    cauchy = bool(tail) and tail[-1] < cfg["convergence.cauchy_tol"]
+    cauchy = bool(tail) and tail[-1] < _CAUCHY_TOL
     for r in rows:
         r["cauchy"] = cauchy
     return rows

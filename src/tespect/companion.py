@@ -42,7 +42,7 @@ from .errors import (
 )
 from .model import _potential_values
 
-DEFAULT_CLUSTER_TOL = 1e-6
+_CLUSTER_TOL = 1e-6  # relative distance in mu that links two eigenvalues into one cluster
 DEFAULT_MU_FLOOR = 1e-12
 _RANK_TRUNCATION = 1e-8
 _RANK_GAP = 10.0
@@ -168,20 +168,15 @@ def _cluster(mus: np.ndarray, tol: float) -> np.ndarray:
     return np.argsort(np.argsort(first))[inverse]
 
 
-def extract_spectrum(
-    comp: CompanionSystem,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    mu_floor: float = DEFAULT_MU_FLOOR,
-) -> list[TransmissionEigenvalue]:
+def extract_spectrum(comp: CompanionSystem, mu_floor: float = DEFAULT_MU_FLOOR) -> list[TransmissionEigenvalue]:
     """Eigenvalues of the companion matrix mapped to pencil roots.
 
-    Entries come back one per companion eigenvalue (so algebraic multiplicity
-    is preserved), sorted by |lambda|, clustered by relative distance in mu;
+    Entries come back one per companion eigenvalue with |mu| > mu_floor (so
+    algebraic multiplicity is preserved), sorted by |lambda|, clustered by
+    relative distance in mu under ``_CLUSTER_TOL`` = 1e-6 (``_cluster``);
     each carries the residual of the whitened pencil at its recovered first
     component.
     """
-    if cluster_tol <= 0:
-        raise ValueError("cluster_tol must be positive")
     spectra = comp.eigen_data()
     wh = comp.whitened
 
@@ -204,7 +199,7 @@ def extract_spectrum(
     mus, lams, residuals = mus[order], lams[order], residuals[order]
     blocks, columns = blocks[order], columns[order]
 
-    labels = _cluster(mus, cluster_tol)
+    labels = _cluster(mus, _CLUSTER_TOL)
     counts = np.bincount(labels)
     return [
         TransmissionEigenvalue(

@@ -180,6 +180,15 @@ def jensen_bound(wh: WhitenedSystem, radius: float) -> float:
     return _contour_scan(wh, radius, extract_eigenvalues(build_companion(wh)))[0] / np.log(2.0)
 
 
+def _window_top(size: float) -> float:
+    """Top N/2 of the counting window [3, N/2] of a size-N discretization; empty below N = 6."""
+    top = size / 2.0
+    if top < 3:
+        msg = f"too few eigenvalues for the counting window [3, N/2]: {2 * size:g} eigenvalues, so N/2 = {top:g}"
+        raise InsufficientResolvedRange(msg)
+    return top
+
+
 def auto_radii(spectrum: np.ndarray) -> list[float]:
     """Contour radii in gaps of the spectrum, at counts in the window [3, N/2].
 
@@ -192,12 +201,7 @@ def auto_radii(spectrum: np.ndarray) -> list[float]:
         InsufficientResolvedRange: the window holds no count, or no usable gap.
     """
     moduli = np.sort(np.abs(spectrum))
-    top = moduli.size / 4.0  # N/2 for a matrix of size N
-    if top < 3:
-        raise InsufficientResolvedRange(
-            f"the spectrum has too few eigenvalues for the counting window [3, N/2]: "
-            f"{moduli.size} eigenvalues, so N/2 = {top:g}"
-        )
+    top = _window_top(moduli.size / 2.0)  # 2N eigenvalues for a matrix of size N
     counts = np.arange(3, min(int(top), moduli.size - 1) + 1)
     clearance = 1.0 - np.sqrt(moduli[counts - 1] / moduli[counts])
     usable = clearance > _SPECTRUM_CLEARANCE
@@ -224,7 +228,7 @@ def growth_profile(
 
     Raises:
         RangeExceeded: the largest radius overflows the contour matrices.
-        InsufficientResolvedRange: fewer than 3 radii fall in the window.
+        InsufficientResolvedRange: the window is empty, or fewer than 3 radii fall in it.
     """
     radii = np.asarray(list(radii), dtype=float)
     if radii.size < 1 or np.any(np.diff(radii) <= 0):
@@ -236,7 +240,7 @@ def growth_profile(
     max_logs, windings, grids = (np.array(column) for column in zip(*scans))
     cross = np.array([int(np.sum(np.abs(spectrum) < r)) for r in radii])
 
-    window_hi = wh.size / 2.0
+    window_hi = _window_top(wh.size)
     resolved = (windings >= 3) & (windings <= window_hi)
     if int(np.count_nonzero(resolved)) < 3:
         raise InsufficientResolvedRange(

@@ -36,7 +36,6 @@ import numpy as np
 
 from . import densela
 from .assembly import (
-    POLYNOMIAL,
     BasisSet,
     WhitenedSystem,
     assemble_stack,
@@ -56,6 +55,9 @@ _IDENTITY_TOL = 1e-10
 _SCAN_STACK_BYTES = 1 << 25  # N x N array bytes per scan stack: bounds the transient memory
 _MEMBER_ARRAYS = 10  # N x N arrays one member holds at once, at most (9 measured for 2D, one class)
 _RANGE_DRAW_BYTES = 1 << 22  # bytes of one chunk of range samples' draws: bounds the transient memory
+_RANGE_SAMPLES = 10000  # samples that ``range`` reports
+_ZERO_TOL = 1e-6  # |t| below it times max|t| is a near zero of the scan
+MIN_SCAN_POINTS = 5  # fewest for a Chebyshev tail of degree 2 and up, past a line in s
 RANGE_NOTE = (
     "within_angle compares exact_opening, which follows from lambda_min_k and the "
     "closed-form supremum pi/2 of |arg| over the numerical range, with pi/p; "
@@ -125,9 +127,8 @@ class ScanReport:
     t_values: np.ndarray
     first_derivative: np.ndarray
     second_derivative: np.ndarray
-    near_zeros: np.ndarray  # s values where |t| < zero_tol * max|t|
+    near_zeros: np.ndarray  # s values where |t| < _ZERO_TOL * max|t|
     sign_changes: np.ndarray  # s pairs bracketing a sign change
-    zero_tol: float
     chebyshev_tail: float  # max(|c_(n-1)|, |c_(n-2)|) / max|c| of the interpolant's coefficients
 
 
@@ -265,7 +266,7 @@ def _range_opening(wh: WhitenedSystem, ks: list) -> tuple[tuple, float]:
     return tuple(lam for lam, _ in floors), opening
 
 
-def numerical_range(wh: WhitenedSystem, sample_count: int, seed: int = 0, p: int = 1) -> RangeReport:
+def numerical_range(wh: WhitenedSystem, sample_count: int = _RANGE_SAMPLES, seed: int = 0, p: int = 1) -> RangeReport:
     """Exact opening of the numerical range of the companion D of ``wh``, with samples.
 
     ``within_angle`` compares the exact opening (``_range_opening``) with
@@ -368,9 +369,7 @@ def _cross_check(whitened, raw) -> None:
     )
 
 
-def trace_functional_routes(
-    problem: ProblemSpec, size: int, family: str = POLYNOMIAL
-) -> tuple[float, float]:
+def trace_functional_routes(problem: ProblemSpec, size: int) -> tuple[float, float]:
     """Trace functional through the whitened and the raw route.
 
     Whitened: tr(B_w A_w^{-1}) = sum_i mu_i (B_w)_ii after the whitening
@@ -379,13 +378,13 @@ def trace_functional_routes(
     cyclicity of the trace.  Both values are returned so callers can assert
     the residual.  The scan's kernels on one member.
     """
-    basis = build_basis(problem, size, family)
+    basis = build_basis(problem, size)
     vvals = _potential_values(problem.potential, basis.grid_points())
     whitened, raw = _Pencils.of(problem, basis).routes(vvals)
     return float(whitened), float(raw)
 
 
-def trace_functional(problem: ProblemSpec, size: int, family: str = POLYNOMIAL) -> float:
+def trace_functional(problem: ProblemSpec, size: int) -> float:
     """Trace functional tr(B_q A_q^{-1}) at basis size ``size``.
 
     Evaluated through the whitened route; the raw route is computed alongside
@@ -395,7 +394,7 @@ def trace_functional(problem: ProblemSpec, size: int, family: str = POLYNOMIAL) 
     Raises:
         CrossCheckFailed: the two routes disagree beyond 1e-10 relative.
     """
-    whitened, raw = trace_functional_routes(problem, size, family)
+    whitened, raw = trace_functional_routes(problem, size)
     _cross_check(whitened, raw)
     return whitened
 
@@ -444,8 +443,6 @@ def potential_scan(
     s_max: float,
     count: int,
     size: int,
-    family: str = POLYNOMIAL,
-    zero_tol: float = 1e-6,
 ) -> ScanReport:
     """Scan the trace functional along the family V_0 + s * direction.
 
@@ -458,6 +455,8 @@ def potential_scan(
     ``chebyshev_tail``, the larger of |c_(n-1)| and |c_(n-2)| over max |c|:
     near rounding when the samples resolve t, near one when they do not
     (Trefethen, Approximation Theory and Approximation Practice, ch. 8).
+    Both are of degree 2 or more, past a line in s, from ``MIN_SCAN_POINTS``
+    = 5 points up.  ``near_zeros`` are the s where |t| < ``_ZERO_TOL`` max |t|.
 
     The family is evaluated in stacks over s through the kernels that
     ``trace_functional`` runs on one member (``assemble_stack``,
@@ -472,18 +471,18 @@ def potential_scan(
     cross-check.
 
     Raises:
-        ValueError: ``count`` below two, or s_min == s_max.
+        ValueError: ``count`` below ``MIN_SCAN_POINTS``, or s_min == s_max.
         PotentialLeavesCone: the family loses positivity at some s.
         Any error of ``trace_functional``, naming the first failing s.
     """
-    if count < 2 or s_min == s_max:
-        raise ValueError("a scan needs two or more points and s_min != s_max")
+    if count < MIN_SCAN_POINTS or s_min == s_max:
+        raise ValueError(f"a scan needs {MIN_SCAN_POINTS} or more points and s_min != s_max")
     n = count - 1
     x = np.sin(np.pi * (2 * np.arange(count) - n) / (2 * n))
     s = 0.5 * ((1.0 - x) * s_min + (1.0 + x) * s_max)
     affine = PotentialSpec.affine(problem.potential, direction, 0.0)
     base = ProblemSpec(problem.operator, problem.domain, affine)
-    pencils = _Pencils.of(base, build_basis(base, size, family))
+    pencils = _Pencils.of(base, build_basis(base, size))
     t = _scan_values(problem, direction, s, pencils)
 
     cheb = np.polynomial.chebyshev
@@ -492,10 +491,10 @@ def potential_scan(
     dt = dxds * cheb.chebval(x, cheb.chebder(coef))
     d2t = dxds**2 * cheb.chebval(x, cheb.chebder(coef, 2))
     mags = np.abs(coef)
-    tail = float(np.max(mags[max(n - 2, 0) : n]) / max(np.max(mags), 1e-300))
+    tail = float(np.max(mags[n - 2 : n]) / max(np.max(mags), 1e-300))
 
     scale = max(float(np.max(np.abs(t))), 1e-300)
-    near = s[np.abs(t) < zero_tol * scale]
+    near = s[np.abs(t) < _ZERO_TOL * scale]
     flips = np.nonzero(np.sign(t[:-1]) * np.sign(t[1:]) < 0)[0]
     sign_changes = np.column_stack([s[flips], s[flips + 1]]) if flips.size else np.empty((0, 2))
 
@@ -506,6 +505,5 @@ def potential_scan(
         second_derivative=d2t,
         near_zeros=near,
         sign_changes=sign_changes,
-        zero_tol=zero_tol,
         chebyshev_tail=tail,
     )

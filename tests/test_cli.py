@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -144,11 +145,32 @@ def test_bad_domain_or_dimension_exits_2(tmp_path, capsys, override, named):
     assert all(key in err for key in named)
 
 
-def test_unknown_basis_family_exits_2(tmp_path, capsys):
-    out = tmp_path / "f"
-    assert run(["solve", "--out", str(out), "--set", "basis.family=foo"]) == 2
-    assert run(["scan", "--out", str(out), "--set", "basis.family=foo"]) == 2
-    assert "basis.family" in capsys.readouterr().err
+# keys that every run held at one value, now constants where they are read
+RETIRED_KEYS = (
+    ("solve", "basis.family=clamped-trig"),
+    ("solve", "solve.cluster_tol=1e-6"),
+    ("count", "solve.mu_floor=1e-12"),
+    ("range", "trace.samples=10000"),
+    ("scan", "scan.zero_tol=1e-6"),
+    ("convergence", "convergence.real_tol=1e-6"),
+    ("convergence", "convergence.cauchy_tol=1e-3"),
+)
+
+
+@pytest.mark.parametrize("given", ["set", "file"])
+@pytest.mark.parametrize("command, setting", RETIRED_KEYS, ids=[s.split("=")[0] for _, s in RETIRED_KEYS])
+def test_retired_key_exits_2(tmp_path, capsys, given, command, setting):
+    key, value = setting.split("=")
+    out = tmp_path / "r"
+    if given == "set":
+        argv = ["--set", setting]
+    else:
+        section, name = key.split(".")
+        (tmp_path / "run.ini").write_text(f"[{section}]\n{name} = {value}\n")
+        argv = ["-c", str(tmp_path / "run.ini")]
+    assert run([command, "--out", str(out), "--set", "basis.n=8", *argv]) == 2
+    assert capsys.readouterr().err == f"usage error: unknown config key {key}\n"
+    assert not out.exists()
 
 
 def src_env():
@@ -201,12 +223,10 @@ def test_malformed_values_exit_2(tmp_path, capsys):
     assert not out.exists()
     # out-of-range values: a usage error naming the key, not a traceback
     for command, setting in (
-        ("range", "trace.samples=50"),
         ("range", "trace.seed=-1"),
         ("scan", "scan.s_count=1"),
         ("solve", "basis.n=0"),
         ("scan", "basis.n=-3"),
-        ("solve", "solve.cluster_tol=0"),
         ("trace", "trace.p=0"),
         ("trace", "trace.p="),
         ("oracle1d", "oracle.k_max=0.1"),
@@ -221,17 +241,10 @@ def test_malformed_values_exit_2(tmp_path, capsys):
         ("convergence", "convergence.n_list="),
         ("convergence", "convergence.n_list=0,8"),
         # non-finite numbers: nan passes every comparison and inf overflows
-        ("solve", "solve.mu_floor=nan"),
         ("oracle1d", "oracle.contrast=nan"),
         ("oracle1d", "oracle.k_max=inf"),
         ("scan", "scan.s_min=nan"),
         ("scan", "scan.s_max=inf"),
-        ("scan", "scan.zero_tol=-inf"),
-        # tolerances are non-negative
-        ("solve", "solve.mu_floor=-1"),
-        ("scan", "scan.zero_tol=-1"),
-        ("convergence", "convergence.real_tol=-1"),
-        ("convergence", "convergence.cauchy_tol=-1"),
         # a scan grid of one repeated point: the refusal names both ends
         ("scan", "scan.s_max=0.0"),
         ("scan", "scan.s_min=2.0"),
@@ -397,7 +410,6 @@ def test_tiny_bases_exit_cleanly(tmp_path, capsys, command, dimension, domain, o
         f"problem.domain={domain}",
         f"problem.operator={operator}",
         f"basis.n={size}",
-        "trace.samples=100",
     )
     code = run([command, "--out", str(tmp_path / "o"), *(f"--set={s}" for s in settings)])
     err = capsys.readouterr().err
@@ -408,15 +420,13 @@ def test_tiny_bases_exit_cleanly(tmp_path, capsys, command, dimension, domain, o
 
 def test_range_report_fields(tmp_path):
     out = tmp_path / "rg"
-    code = run(
-        ["range", "--out", str(out), "--set", "basis.n=10", "--set", "trace.samples=200"]
-    )
-    assert code == 0
+    assert run(["range", "--out", str(out), "--set", "basis.n=10"]) == 0
     payload = json.loads((out / "range.json").read_text())
     for field in ("samples_csv_path", "max_abs_arg", "sector_opening", "pi_over_p"):
         assert field in payload
     assert payload["exact_opening"] == pytest.approx(np.pi)
     assert payload["within_angle"] is True  # 1D -Laplacian: p = 1
+    assert payload["sample_count"] == 10000
     assert len(payload["lambda_min_k"]) == 2 and min(payload["lambda_min_k"]) > 0
     assert (out / payload["samples_csv_path"]).exists()
 
@@ -462,6 +472,17 @@ def test_count_radius_that_overflows_exits_1(tmp_path, capsys):
     assert run(["count", "--out", str(out), "--set", "basis.n=16", "--set", "count.radii=1e300"]) == 1
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["code"] == "RangeExceeded" and "1e+300" in error["message"]
+    assert not (out / "count.json").exists()
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_count_given_radii_on_a_basis_too_small_for_the_window_exits_1(tmp_path, capsys, size):
+    # 1D: N = n, so the window [3, N/2] is empty whatever the radii
+    out = tmp_path / "ct"
+    assert run(["count", "--out", str(out), "--set", f"basis.n={size}", "--set", "count.radii=1,2,3"]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["code"] == "InsufficientResolvedRange"
+    assert "too few eigenvalues for the counting window [3, N/2]" in error["message"]
     assert not (out / "count.json").exists()
 
 
@@ -547,6 +568,22 @@ def test_scan_outputs(tmp_path):
         assert field in payload
     assert all(t > 0 for t in payload["t_values"])
     assert len(payload["s_values"]) == 5 and payload["s_values"][2] == 1.0  # the middle Lobatto node
+
+
+@pytest.mark.parametrize("count", [2, 3, 4])
+def test_scan_with_fewer_than_five_points_exits_2(tmp_path, capsys, count):
+    out = tmp_path / "sc"
+    assert run(["scan", "--out", str(out), "--set", f"scan.s_count={count}"]) == 2
+    assert capsys.readouterr().err.startswith("usage error: scan.s_count must be an integer >= 5")
+    assert not out.exists()
+
+
+def test_scan_tail_at_five_points_reads_rounding(tmp_path):
+    # the default family V = 3 + s gives a t exactly linear in s, so the
+    # tail coefficients, of degree 2 and 3, are rounding
+    out = tmp_path / "sc"
+    assert run(["scan", "--out", str(out), "--set", "scan.s_count=5"]) == 0
+    assert json.loads((out / "scan.json").read_text())["chebyshev_tail"] <= 1e-13
 
 
 def test_oracle_subcommands(tmp_path):
@@ -697,6 +734,15 @@ def test_readme_lists_every_config_key_with_its_default():
     }
 
 
+def test_every_config_key_has_a_reader():
+    # a key is read as cfg["section.key"] by a command, or named in the cross-key rules
+    source = Path(cli.__file__).read_text()
+    read = set(re.findall(r'cfg\["(\w+\.\w+)"\]', source))
+    ruled = set(re.findall(r'"(\w+\.\w+)"', inspect.getsource(cli._check_rules)))
+    keys = {f"{section}.{key}" for section, keys in cli._SCHEMA.items() for key in keys}
+    assert keys - read - ruled == set()
+
+
 def test_readme_lists_every_command():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     listed = re.search(r"^Commands: (.*?)\.\s", readme, flags=re.MULTILINE | re.DOTALL).group(1)
@@ -733,4 +779,4 @@ def test_config_file_roundtrip(tmp_path):
     assert "n = 14" in resolved
     assert "potential = constant:2.0" in resolved
     # defaults are materialized too
-    assert "cluster_tol" in resolved and "mu_floor" in resolved
+    assert "want_states = false" in resolved and "s_count = 21" in resolved

@@ -328,11 +328,12 @@ def test_potential_scan_positivity_guard():
         diagnostics.potential_scan(prob, direction, 0.0, 2.0, 5, 8)
 
 
-# (s_min, s_max, count): an empty interval repeats every point
-@pytest.mark.parametrize("s_grid", [(1.0, 1.0, 3), (0.0, 0.0, 2), (0.5, 1.5, 1)])
+# (s_min, s_max, count): an empty interval repeats every point, and fewer
+# than five points leave a Chebyshev tail that includes the linear term
+@pytest.mark.parametrize("s_grid", [(1.0, 1.0, 5), (0.0, 0.0, 9), (0.5, 1.5, 4)])
 def test_potential_scan_refuses_repeated_or_single_points(s_grid):
     prob = unit_problem()
-    with pytest.raises(ValueError, match="two or more points and s_min != s_max"):
+    with pytest.raises(ValueError, match="5 or more points and s_min != s_max"):
         diagnostics.potential_scan(prob, model.PotentialSpec.constant(1.0, 1), *s_grid, 8)
 
 
