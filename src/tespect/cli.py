@@ -426,9 +426,9 @@ def _cmd_range(cfg: RunConfig, out: OutputWriter) -> int:
 
 def _cmd_count(cfg: RunConfig, out: OutputWriter) -> int:
     wh = _build_pipeline(cfg)
-    lams = companion.extract_eigenvalues(companion.build_companion(wh))
-    radii = cfg["count.radii"] or counting.auto_radii(lams)
-    report = counting.growth_profile(wh, radii, spectrum=lams)
+    spectra = companion.block_eigenvalues(companion.build_companion(wh))
+    radii = cfg["count.radii"] or counting.auto_radii(np.concatenate(spectra))
+    report = counting.growth_profile(wh, radii, spectra=spectra)
     out.csv(
         "count.csv",
         ["radius", "winding", "jensen_bound"],
@@ -438,9 +438,11 @@ def _cmd_count(cfg: RunConfig, out: OutputWriter) -> int:
         "count.json",
         {
             "radii": [float(r) for r in report.radii],
-            "grid_sizes": [int(g) for g in report.grid_sizes],
+            "grid_sizes": report.grid_sizes.tolist(),
             "windings": [int(w) for w in report.windings],
+            "block_windings": report.block_windings.tolist(),
             "cross_counts": [int(c) for c in report.cross_counts],
+            "block_cross_counts": report.block_cross_counts.tolist(),
             "jensen_bounds": [float(j) for j in report.jensen_bounds],
             "growth_exponent": report.growth_exponent,
             "resolved": [bool(b) for b in report.resolved],

@@ -215,17 +215,29 @@ def extract_spectrum(comp: CompanionSystem, mu_floor: float = DEFAULT_MU_FLOOR) 
     ]
 
 
+def block_eigenvalues(comp: CompanionSystem, mu_floor: float = DEFAULT_MU_FLOOR) -> list[np.ndarray]:
+    """The pencil roots of each symmetry block, without eigenvectors.
+
+    Entry b holds lambda = 1/mu for each eigenvalue mu of D_b with
+    |mu| > mu_floor, in LAPACK's order; one eigenvalue-only solve per block,
+    a twin's entry is its source's.  LAPACK's eigenvalue-only path may round
+    differently from the one with vectors.
+    """
+
+    def roots(b: int) -> np.ndarray:
+        mus = densela.nonsym_eig(comp.blocks[b]).eigenvalues
+        return 1.0 / mus[np.abs(mus) > mu_floor]
+
+    return comp.whitened.per_block(roots)
+
+
 def extract_eigenvalues(comp: CompanionSystem, mu_floor: float = DEFAULT_MU_FLOOR) -> np.ndarray:
     """The pencil roots of ``extract_spectrum``, without eigenvectors.
 
-    lambda = 1/mu for each eigenvalue mu of a block D_b with |mu| > mu_floor,
-    ordered as ``extract_spectrum`` orders them; one eigenvalue-only solve per
-    block, a twin repeating its source's.  LAPACK's eigenvalue-only path may
-    round differently from the one with vectors.
+    The roots of all blocks (``block_eigenvalues``), ordered as
+    ``extract_spectrum`` orders them.
     """
-    wh = comp.whitened
-    mus = np.concatenate(wh.per_block(lambda b: densela.nonsym_eig(comp.blocks[b]).eigenvalues))
-    lams = 1.0 / mus[np.abs(mus) > mu_floor]
+    lams = np.concatenate(block_eigenvalues(comp, mu_floor))
     return lams[np.lexsort((lams.imag, lams.real, np.abs(lams)))]
 
 

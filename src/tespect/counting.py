@@ -17,7 +17,8 @@ Because f grows like
 come from unwrapped contour phases, the disk-count bound from the standard
 contour-maximum inequality
 
-    N(R/2) <= (max_{|lam|=R} log|f| - log|f(0)|) / log 2,
+    N(R/2) <= (max_{|lam|=R} log|f| - log|f(0)|) / log 2
+           <= sum_b max_{|lam|=R} log|f_b| / log 2,
 
 and the growth profile fits log N(R) against log R over the radii the
 discretization actually resolves.
@@ -25,13 +26,16 @@ discretization actually resolves.
 Automatic radii sit in gaps of the computed spectrum (``auto_radii``), so
 they need no adjustment; a given radius too close to the spectrum fails, and
 one so large that its contour matrices overflow is refused.
-Each contour grid is sized once from the computed spectrum (Ying & Katz,
-Numer. Math. 53 (1988) 143); f is still evaluated by determinants, on the
-upper half circle since f(conj z) = conj f(z), so a measured phase step of
-pi/2 shows a zero the spectrum missed.  One call evaluates a whole grid:
-each symmetry block is factored for a stack of grid points per LU call, a
-stack holding at most ``_DET_STACK_BYTES`` of matrices, so small blocks
-share the per-call overhead and a large block still goes one at a time.
+Since f = prod_b f_b, the winding of f is the sum of the windings of the
+f_b, and the phase of f_b turns only with the roots of block b.  So each
+block winds on its own contour grid, sized once from its own computed roots
+(Ying & Katz, Numer. Math. 53 (1988) 143); a twin adds its source's winding
+and maximum.  f_b is still evaluated by determinants, on the upper half
+circle since f_b(conj z) = conj f_b(z), so a measured phase step of pi/2
+shows a zero the spectrum missed.  One call evaluates a whole grid: the
+block is factored for a stack of grid points per LU call, a stack holding
+at most ``_DET_STACK_BYTES`` of matrices, so small blocks share the
+per-call overhead and a large block still goes one at a time.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ import numpy as np
 
 from . import densela
 from .assembly import WhitenedSystem
-from .companion import build_companion, extract_eigenvalues
+from .companion import block_eigenvalues, build_companion
 from .errors import ContourNearZero, InsufficientResolvedRange, PhaseUnresolved, RangeExceeded
 from .util import wrap_angle
 
@@ -58,25 +62,34 @@ _AUTO_RADII = 5  # log-spaced target counts of ``auto_radii``
 
 @dataclass(frozen=True)
 class CountReport:
-    """Counting diagnostics over a list of radii plus the growth fit."""
+    """Counting diagnostics over a list of radii plus the growth fit.
+
+    The ``block_`` fields and ``grid_sizes`` hold one row per radius and one
+    column per symmetry block, in ``WhitenedSystem.blocks`` order, a twin's
+    column repeating its source's; ``windings`` and ``cross_counts`` are
+    the row sums of the ``block_`` fields.
+    """
 
     radii: np.ndarray
-    grid_sizes: np.ndarray
+    grid_sizes: np.ndarray  # points on each block's full circle
     windings: np.ndarray
+    block_windings: np.ndarray
     jensen_bounds: np.ndarray  # bound on the count in the half-radius disk
     cross_counts: np.ndarray  # computed eigenvalues inside each radius
+    block_cross_counts: np.ndarray
     growth_exponent: float
     resolved: np.ndarray  # mask of radii inside the counting window
 
 
-def fredholm_det(wh: WhitenedSystem, lam) -> densela.LogDet:
+def fredholm_det(wh: WhitenedSystem, lam, block: Optional[int] = None) -> densela.LogDet:
     """Log-scale determinant of I - lam K + lam^2 A^{-1}, at one lam or an array.
 
     The matrix vanishes off the symmetry blocks, so f is the product of one
-    determinant per block: log-magnitudes add, arguments add modulo 2 pi; a
-    twin block adds its source's again.  Each block is factored for a stack
-    of points per LU call, at most ``_DET_STACK_BYTES`` of matrices; an
-    array ``lam`` gives fields of its shape, a scalar gives floats.
+    determinant f_b per block: log-magnitudes add, arguments add modulo
+    2 pi; a twin block adds its source's again.  ``block`` = b gives f_b
+    alone.  Each block is factored for a stack of points per LU call, at
+    most ``_DET_STACK_BYTES`` of matrices; an array ``lam`` gives fields of
+    its shape, a scalar gives floats.
     """
     lam = np.asarray(lam, dtype=complex)
     z = lam.reshape(-1, 1, 1)
@@ -85,18 +98,20 @@ def fredholm_det(wh: WhitenedSystem, lam) -> densela.LogDet:
     z2 = (z.real**2 - z.imag**2) + 2j * (z.real * z.imag)
 
     def block_det(b: int) -> tuple[np.ndarray, np.ndarray]:
-        k, mu = wh.k_block(b), wh.mu[wh.blocks[b]]
-        eye, diag = np.eye(mu.size, dtype=complex), np.arange(mu.size)
-        step = max(1, _DET_STACK_BYTES // max(eye.nbytes, 1))
+        neg_k, mu = (-wh.k_block(b)).astype(complex), wh.mu[wh.blocks[b]]
+        diag = np.arange(mu.size)
+        step = max(1, _DET_STACK_BYTES // max(16 * mu.size**2, 1))
         log_abs, arg = np.empty(z.shape[0]), np.empty(z.shape[0])
         for part in (slice(i, i + step) for i in range(0, z.shape[0], step)):
-            stack = eye - z[part] * k
+            # one pass over the stack, then the diagonal: 1 + (-x) rounds as 1 - x
+            stack = z[part] * neg_k
+            stack[:, diag, diag] += 1.0
             stack[:, diag, diag] += z2[part, 0] * mu
             det = densela.complex_det(stack)
             log_abs[part], arg[part] = det.log_abs, det.arg
         return log_abs, arg
 
-    dets = wh.per_block(block_det)
+    dets = wh.per_block(block_det) if block is None else [block_det(block)]
     log_abs = sum((d[0] for d in dets), np.zeros(z.shape[0])).reshape(lam.shape)
     arg = wrap_angle(sum((d[1] for d in dets), np.zeros(z.shape[0])).reshape(lam.shape))
     return densela.LogDet(float(log_abs) if lam.ndim == 0 else log_abs, arg)
@@ -145,39 +160,48 @@ def _check_radius(wh: WhitenedSystem, radius: float) -> None:
 
 
 def _contour_scan(
-    wh: WhitenedSystem, radius: float, spectrum: np.ndarray
-) -> tuple[float, int, int]:
-    """max log|f|, winding and grid size on the grid sized from the spectrum.
+    wh: WhitenedSystem, radius: float, spectra: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per block: max log|f_b|, winding and grid size on |lam| = radius.
+
+    The phase of f_b turns only with the roots of block b, so each block's
+    grid is sized from its own roots ``spectra[b]``; a twin reuses its
+    source's scan.  Every grid is sized before any determinant.
 
     Raises:
         RangeExceeded: the contour matrices overflow (``_check_radius``).
-        ContourNearZero: the contour is too close to the computed spectrum.
-        PhaseUnresolved: a measured phase step reaches pi/2.
+        ContourNearZero: the contour is too close to a block's computed roots.
+        PhaseUnresolved: a measured phase step of some f_b reaches pi/2.
     """
     _check_radius(wh, radius)
-    points = _grid_size(radius, spectrum)
-    # f(conj z) = conj f(z): evaluate theta in [0, pi], mirror the arguments
-    det = fredholm_det(wh, radius * np.exp(2j * np.pi * np.arange(points // 2 + 1) / points))
-    args = np.concatenate([det.arg, -det.arg[-2:0:-1]])
-    steps = wrap_angle(np.diff(args, append=args[:1]))
-    worst = float(np.max(np.abs(steps)))
-    if worst >= _PHASE_STEP_LIMIT:
-        raise PhaseUnresolved(
-            f"phase step {worst:.3f} rad reaches pi/2 on {points} points of "
-            f"|lam| = {radius:g}: the computed spectrum misses a zero near it"
-        )
-    winding = int(round(float(np.sum(steps)) / (2.0 * np.pi)))
-    return float(np.max(det.log_abs)), winding, points
+    grids = wh.per_block(lambda b: _grid_size(radius, spectra[b]))
+
+    def scan(b: int) -> tuple[float, int]:
+        points = grids[b]
+        # f_b(conj z) = conj f_b(z): evaluate theta in [0, pi], mirror the arguments
+        det = fredholm_det(wh, radius * np.exp(2j * np.pi * np.arange(points // 2 + 1) / points), block=b)
+        args = np.concatenate([det.arg, -det.arg[-2:0:-1]])
+        steps = wrap_angle(np.diff(args, append=args[:1]))
+        worst = float(np.max(np.abs(steps)))
+        if worst >= _PHASE_STEP_LIMIT:
+            raise PhaseUnresolved(
+                f"phase step {worst:.3f} rad reaches pi/2 on {points} points of "
+                f"|lam| = {radius:g} in block {b}: the computed spectrum misses a zero near it"
+            )
+        return float(np.max(det.log_abs)), int(round(float(np.sum(steps)) / (2.0 * np.pi)))
+
+    max_logs, windings = zip(*wh.per_block(scan))
+    return np.array(max_logs), np.array(windings), np.array(grids)
 
 
 def winding_count(wh: WhitenedSystem, radius: float) -> int:
-    """Zeros of the determinant inside |lam| < radius via the argument principle."""
-    return _contour_scan(wh, radius, extract_eigenvalues(build_companion(wh)))[1]
+    """Zeros of the determinant inside |lam| < radius via the argument principle, summed over the blocks."""
+    return int(np.sum(_contour_scan(wh, radius, block_eigenvalues(build_companion(wh)))[1]))
 
 
 def jensen_bound(wh: WhitenedSystem, radius: float) -> float:
-    """Contour-maximum bound on the zero count in the half-radius disk."""
-    return _contour_scan(wh, radius, extract_eigenvalues(build_companion(wh)))[0] / np.log(2.0)
+    """Contour-maximum bound on the zero count in the half-radius disk: sum_b max log|f_b| / log 2."""
+    return float(np.sum(_contour_scan(wh, radius, block_eigenvalues(build_companion(wh)))[0])) / np.log(2.0)
 
 
 def _window_top(size: float) -> float:
@@ -219,12 +243,15 @@ def auto_radii(spectrum: np.ndarray) -> list[float]:
 def growth_profile(
     wh: WhitenedSystem,
     radii: Sequence[float],
-    spectrum: Optional[np.ndarray] = None,
+    spectra: Optional[Sequence[np.ndarray]] = None,
 ) -> CountReport:
     """Count zeros on a list of ascending radii and fit the growth law.
 
-    The least-squares slope of log N(R) against log R uses only radii whose
-    count lies in [3, N/2], the window a size-N discretization resolves.
+    ``spectra`` holds the computed roots of each block
+    (``companion.block_eigenvalues``, solved here when absent); they size
+    the contour grids and give the cross counts.  The least-squares slope
+    of log N(R) against log R uses only radii whose count lies in [3, N/2],
+    the window a size-N discretization resolves.
 
     Raises:
         RangeExceeded: the largest radius overflows the contour matrices.
@@ -234,13 +261,16 @@ def growth_profile(
     if radii.size < 1 or np.any(np.diff(radii) <= 0):
         raise ValueError("radii must be ascending and nonempty")
     _check_radius(wh, radii[-1])  # the largest, before any determinant
-    spectrum = extract_eigenvalues(build_companion(wh)) if spectrum is None else np.asarray(spectrum)
-
-    scans = [_contour_scan(wh, float(r), spectrum) for r in radii]
-    max_logs, windings, grids = (np.array(column) for column in zip(*scans))
-    cross = np.array([int(np.sum(np.abs(spectrum) < r)) for r in radii])
-
     window_hi = _window_top(wh.size)
+    spectra = block_eigenvalues(build_companion(wh)) if spectra is None else [np.asarray(s) for s in spectra]
+    if len(spectra) != len(wh.blocks):
+        raise ValueError(f"{len(spectra)} spectra for {len(wh.blocks)} blocks")
+
+    scans = [_contour_scan(wh, float(r), spectra) for r in radii]
+    max_logs, block_windings, grids = (np.array(column) for column in zip(*scans))
+    block_cross = np.array([[int(np.sum(np.abs(s) < r)) for s in spectra] for r in radii])
+    windings = block_windings.sum(axis=1)
+
     resolved = (windings >= 3) & (windings <= window_hi)
     if int(np.count_nonzero(resolved)) < 3:
         raise InsufficientResolvedRange(
@@ -253,8 +283,10 @@ def growth_profile(
         radii=radii,
         grid_sizes=grids,
         windings=windings,
-        jensen_bounds=max_logs / np.log(2.0),
-        cross_counts=cross,
+        block_windings=block_windings,
+        jensen_bounds=max_logs.sum(axis=1) / np.log(2.0),
+        cross_counts=block_cross.sum(axis=1),
+        block_cross_counts=block_cross,
         growth_exponent=float(slope),
         resolved=resolved,
     )

@@ -177,7 +177,7 @@ def test_c08_counting_and_growth():
     for r in radii:
         ok &= counting.winding_count(wh, r) == int(np.sum(moduli < r))
         ok &= counting.jensen_bound(wh, r) >= int(np.sum(moduli < r / 2.0))
-    profile = counting.growth_profile(wh, radii, spectrum=lams)
+    profile = counting.growth_profile(wh, radii)
     ok &= abs(profile.growth_exponent - 0.5) <= 0.15
     report(8, "winding counts, half-radius bound, growth fit", bool(ok))
 

@@ -439,8 +439,14 @@ def test_count_outputs(tmp_path):
     header, rows = read_csv(out / "count.csv")
     assert header == ["radius", "winding", "jensen_bound"]
     assert len(rows) == len(payload["windings"])
-    assert len(payload["grid_sizes"]) == len(payload["windings"])
+    # per radius, one entry per block: 1D constant V has the two parity blocks
+    for key in ("grid_sizes", "block_windings", "block_cross_counts"):
+        assert [len(row) for row in payload[key]] == [2] * len(payload["windings"])
+    assert [sum(row) for row in payload["block_windings"]] == payload["windings"]
+    assert payload["block_windings"] == payload["block_cross_counts"]
     assert sorted(payload) == [
+        "block_cross_counts",
+        "block_windings",
         "config_hash",
         "cross_counts",
         "grid_sizes",
@@ -502,6 +508,7 @@ def test_count_square_2d_defaults(tmp_path, operator):
     assert run(["count", "--out", str(out), *(f"--set={s}" for s in settings)]) == 0
     payload = json.loads((out / "count.json").read_text())
     assert payload["windings"] == payload["cross_counts"]
+    assert payload["block_windings"] == payload["block_cross_counts"]
     assert sum(payload["resolved"]) >= 3
 
 
@@ -544,7 +551,11 @@ def test_count_square_2d(tmp_path):
     assert run(["count", "--out", str(out), *(f"--set={s}" for s in settings)]) == 0
     payload = json.loads((out / "count.json").read_text())
     assert payload["windings"] == payload["cross_counts"]
-    assert all(g >= 256 and g % 8 == 0 for g in payload["grid_sizes"])
+    assert payload["block_windings"] == payload["block_cross_counts"]
+    # six blocks; the twin (block 3, of block 2) repeats its source's grid
+    for row in payload["grid_sizes"]:
+        assert len(row) == 6 and row[3] == row[2]
+        assert all(g >= 256 and g % 8 == 0 for g in row)
 
 
 def test_scan_outputs(tmp_path):

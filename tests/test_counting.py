@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import cached_system, dense_bw, random_spd_pencil
-from tespect import assembly, companion, counting, densela
+from tespect import assembly, companion, counting, densela, model
 from tespect.errors import (
     ContourNearZero,
     InsufficientResolvedRange,
@@ -144,6 +144,28 @@ def test_fredholm_det_memory_follows_the_blocks():
     assert peak < bound, f"peak {peak} B, bound {bound} B"
 
 
+@pytest.mark.parametrize("dimension,size", [(1, 24), (2, 8)])
+def test_stacked_det_matches_the_explicit_construction_bitwise(dimension, size):
+    # reference: each block's stack written out as eye - z K, then z^2 mu on
+    # the diagonal; f_b alone with block=b, f as the sum over the blocks
+    _, _, _, wh = cached_system(dimension=dimension, size=size, contrast=2.0)
+    lams = 30.0 * np.exp(1j * np.linspace(0.0, np.pi, 33))
+    z = lams.reshape(-1, 1, 1)
+    z2 = (z.real**2 - z.imag**2) + 2j * (z.real * z.imag)
+    log_abs, arg = np.zeros(lams.size), np.zeros(lams.size)
+    for b in range(len(wh.blocks)):
+        k, mu = wh.k_block(b), wh.mu[wh.blocks[b]]
+        stack = np.eye(mu.size, dtype=complex) - z * k
+        stack[:, np.arange(mu.size), np.arange(mu.size)] += z2[:, 0] * mu
+        ref = densela.complex_det(stack)
+        det = counting.fredholm_det(wh, lams, block=b)
+        assert np.array_equal(det.log_abs, ref.log_abs)
+        assert np.array_equal(det.arg, wrap_angle(ref.arg))
+        log_abs, arg = log_abs + ref.log_abs, arg + ref.arg
+    det = counting.fredholm_det(wh, lams)
+    assert np.array_equal(det.log_abs, log_abs) and np.array_equal(det.arg, wrap_angle(arg))
+
+
 def test_stacked_det_with_an_empty_block():
     eye = np.eye(2)
     system = assembly.GalerkinSystem(gram=eye, a=np.diag([4.0, 2.0]), b=eye, c=eye)
@@ -187,9 +209,9 @@ def count_det_calls(monkeypatch):
     calls = []
     det = counting.fredholm_det
 
-    def counted(wh, lam):
-        calls.extend(np.ravel(lam))  # one entry per evaluated point
-        return det(wh, lam)
+    def counted(wh, lam, block=None):
+        calls.extend([block] * np.size(lam))  # one entry per evaluated point: its block
+        return det(wh, lam, block)
 
     monkeypatch.setattr(counting, "fredholm_det", counted)
     return calls
@@ -200,9 +222,10 @@ def test_winding_sizes_grid_near_zero(toy_whitened, monkeypatch):
     # spectrum predicts there needs more than the 256-point minimum
     calls = count_det_calls(monkeypatch)
     assert counting.winding_count(toy_whitened, 1.005) == 1
-    points = counting._grid_size(1.005, companion.extract_eigenvalues(companion.build_companion(toy_whitened)))
+    (roots,) = companion.block_eigenvalues(companion.build_companion(toy_whitened))
+    points = counting._grid_size(1.005, roots)
     assert points > 256 and points % 8 == 0
-    assert len(calls) == points // 2 + 1  # the upper half circle, theta = 0 and pi included
+    assert calls == [0] * (points // 2 + 1)  # the upper half circle, theta = 0 and pi included
 
 
 def test_winding_contour_through_zero(toy_whitened, monkeypatch):
@@ -216,12 +239,14 @@ def test_winding_contour_through_zero(toy_whitened, monkeypatch):
 def test_winding_phase_unresolved(toy_whitened):
     # a spectrum without the zero at 1 sizes the minimum grid, which cannot
     # follow the phase of f past a zero 5e-5 outside it
-    with pytest.raises(PhaseUnresolved):
-        counting.growth_profile(toy_whitened, [1.00005, 2.0, 5.0], spectrum=[4.0])
+    wh = synthetic_double_root_system()  # N = 24: the window [3, 12] is not empty
+    (roots,) = companion.block_eigenvalues(companion.build_companion(wh))
+    with pytest.raises(PhaseUnresolved, match="in block 0"):
+        counting.growth_profile(wh, [1.00005, 6.25, 12.25, 20.25], spectra=[roots[np.abs(roots) > 2.0]])
     # 0.5% outside, 256 points still resolve it: the winding disagrees with
     # the spectrum instead
-    _, winding, points = counting._contour_scan(toy_whitened, 1.005, np.array([4.0]))
-    assert (winding, points) == (1, 256)
+    _, winding, points = counting._contour_scan(toy_whitened, 1.005, [np.array([4.0])])
+    assert (winding.tolist(), points.tolist()) == ([1], [256])
 
 
 def test_winding_matches_spectrum_split():
@@ -233,6 +258,49 @@ def test_winding_matches_spectrum_split():
     mid = np.sqrt(moduli[7] * moduli[8])  # radius splitting the spectrum
     inner = int(np.sum(np.abs(lams) < mid))
     assert counting.winding_count(wh, float(mid)) == inner
+
+
+def poly_square_system(size):
+    # V = 3 + 0.3 y + x + 0.2 x y: no reflection or swap leaves it invariant, one block
+    problem = model.validate_problem(
+        model.OperatorSpec.laplacian(2),
+        model.DomainSpec("square"),
+        model.PotentialSpec.polynomial([[3.0, 0.3], [1.0, 0.2]], 2),
+    )
+    basis = assembly.build_basis(problem, size, assembly.POLYNOMIAL)
+    return assembly.whiten(assembly.assemble_system(problem, basis))
+
+
+@pytest.mark.parametrize(
+    "build,blocks",
+    [
+        (lambda: cached_system(operator="bilaplacian", size=24, contrast=3.0)[3], 2),
+        (lambda: cached_system(dimension=2, size=8, contrast=3.0)[3], 6),
+        (lambda: poly_square_system(8), 1),
+    ],
+    ids=["1d-constant", "2d-constant", "2d-poly"],
+)
+def test_block_windings_match_block_cross_counts(build, blocks, monkeypatch):
+    wh = build()
+    assert len(wh.blocks) == blocks
+    spectra = companion.block_eigenvalues(companion.build_companion(wh))
+    radii = counting.auto_radii(np.concatenate(spectra))
+    calls = count_det_calls(monkeypatch)
+    report = counting.growth_profile(wh, radii, spectra=spectra)
+    assert report.block_windings.shape == report.grid_sizes.shape == (len(radii), blocks)
+    assert np.array_equal(report.block_windings, report.block_cross_counts)
+    assert np.array_equal(report.windings, report.block_windings.sum(axis=1))
+    assert np.array_equal(report.windings, report.cross_counts)
+    # each block winds once per radius on a grid sized from its own roots; a
+    # twin repeats its source's columns without a determinant
+    for b, source in enumerate(wh.twin_of):
+        if source is None:
+            assert report.grid_sizes[:, b].tolist() == [counting._grid_size(r, spectra[b]) for r in radii]
+            assert calls.count(b) == int(np.sum(report.grid_sizes[:, b] // 2 + 1))
+        else:
+            assert calls.count(b) == 0
+            assert np.array_equal(report.grid_sizes[:, b], report.grid_sizes[:, source])
+            assert np.array_equal(report.block_windings[:, b], report.block_windings[:, source])
 
 
 # -- half-radius bound -----------------------------------------------------------------
@@ -249,6 +317,22 @@ def test_jensen_bound_small_radius(toy_whitened):
     bound = counting.jensen_bound(toy_whitened, 1e-3)
     assert 0.0 <= bound < 0.01
     assert counting.winding_count(toy_whitened, 5e-4) == 0
+
+
+@pytest.mark.parametrize("dimension,size", [(1, 24), (2, 8)])
+def test_jensen_block_bound_covers_the_pointwise_bound(dimension, size):
+    # sum_b max log|f_b| against max log|f| on the common grid sized from
+    # every root, and against the count in the half-radius disk
+    _, _, _, wh = cached_system(dimension=dimension, size=size, contrast=3.0)
+    spectra = companion.block_eigenvalues(companion.build_companion(wh))
+    lams = np.concatenate(spectra)
+    for radius in counting.auto_radii(lams):
+        points = counting._grid_size(radius, lams)
+        common = counting.fredholm_det(wh, radius * np.exp(2j * np.pi * np.arange(points // 2 + 1) / points))
+        pointwise = float(np.max(common.log_abs)) / np.log(2.0)
+        bound = counting.jensen_bound(wh, radius)
+        assert bound >= pointwise
+        assert bound >= int(np.sum(np.abs(lams) < radius / 2.0))
 
 
 # -- growth profile ---------------------------------------------------------------------
@@ -281,9 +365,10 @@ def test_growth_profile_grids_sized_once(monkeypatch):
     calls = count_det_calls(monkeypatch)
     radii = [(j + 0.5) ** 2 for j in range(3, 8)] + [64.65]
     report = counting.growth_profile(wh, radii)
+    assert report.grid_sizes.shape == (len(radii), 1)  # one block
     assert np.all(report.grid_sizes >= 256) and np.all(report.grid_sizes % 8 == 0)
-    assert report.grid_sizes[-1] > 256  # 64.65 lies 1% off the double root at 64
-    assert len(calls) == int(np.sum(report.grid_sizes // 2 + 1))
+    assert report.grid_sizes[-1, 0] > 256  # 64.65 lies 1% off the double root at 64
+    assert calls == [0] * int(np.sum(report.grid_sizes // 2 + 1))
 
 
 def test_radius_that_overflows_is_refused_before_any_determinant(toy_whitened, monkeypatch):
@@ -294,6 +379,15 @@ def test_radius_that_overflows_is_refused_before_any_determinant(toy_whitened, m
         counting.growth_profile(toy_whitened, [2.0, 3.0, 1e300])
     with pytest.raises(RangeExceeded):
         counting.winding_count(toy_whitened, 1e300)
+    assert calls == []
+
+
+def test_growth_profile_checks_the_window_before_any_determinant(monkeypatch):
+    # 1D n = 4: the window [3, N/2] is empty, whatever the radii
+    _, _, _, wh = cached_system(operator="laplacian", size=4, contrast=3.0)
+    calls = count_det_calls(monkeypatch)
+    with pytest.raises(InsufficientResolvedRange, match="too few eigenvalues for the counting window"):
+        counting.growth_profile(wh, [5.0, 50.0, 500.0])
     assert calls == []
 
 
@@ -327,9 +421,8 @@ def test_radius_rule_clears_a_star_and_pairs():
 def test_radius_rule_resolves_the_default_potential():
     # 1D -Laplacian at V = 3: the 4 pi^2 and 16 pi^2 roots are stars
     _, _, _, wh = cached_system(operator="laplacian", size=24, contrast=3.0)
-    comp = companion.build_companion(wh)
-    lams = np.array([t.lam for t in companion.extract_spectrum(comp)])
-    report = counting.growth_profile(wh, counting.auto_radii(lams), spectrum=lams)
+    spectra = companion.block_eigenvalues(companion.build_companion(wh))
+    report = counting.growth_profile(wh, counting.auto_radii(np.concatenate(spectra)), spectra=spectra)
     assert np.count_nonzero(report.resolved) >= 3
     assert np.array_equal(report.windings, report.cross_counts)
 
