@@ -439,6 +439,7 @@ def _cmd_count(cfg: RunConfig, out: OutputWriter) -> int:
         {
             "radii": [float(r) for r in report.radii],
             "grid_sizes": report.grid_sizes.tolist(),
+            "max_phase_steps": report.max_phase_steps.tolist(),
             "windings": [int(w) for w in report.windings],
             "block_windings": report.block_windings.tolist(),
             "cross_counts": [int(c) for c in report.cross_counts],

@@ -28,14 +28,16 @@ they need no adjustment; a given radius too close to the spectrum fails, and
 one so large that its contour matrices overflow is refused.
 Since f = prod_b f_b, the winding of f is the sum of the windings of the
 f_b, and the phase of f_b turns only with the roots of block b.  So each
-block winds on its own contour grid, sized once from its own computed roots
-(Ying & Katz, Numer. Math. 53 (1988) 143); a twin adds its source's winding
-and maximum.  f_b is still evaluated by determinants, on the upper half
-circle since f_b(conj z) = conj f_b(z), so a measured phase step of pi/2
-shows a zero the spectrum missed.  One call evaluates a whole grid: the
-block is factored for a stack of grid points per LU call, a stack holding
-at most ``_DET_STACK_BYTES`` of matrices, so small blocks share the
-per-call overhead and a large block still goes one at a time.
+block winds on its own contour grid, sized from its own computed roots by
+the phase-speed rule of Ying & Katz (Numer. Math. 53 (1988) 143) alone
+(``_grid_size``); a twin adds its source's winding and maximum.  f_b is
+still evaluated by determinants, on the upper half circle since
+f_b(conj z) = conj f_b(z), so a zero the spectrum missed shows in the
+winding or in a refused phase step of pi/2.  max log|f_b| is taken over the
+grid points, theta = 0 and pi always among them.  One call evaluates a
+whole grid: the block is factored for a stack of grid points per LU call, a
+stack holding at most ``_DET_STACK_BYTES`` of matrices, so small blocks
+share the per-call overhead and a large block still goes one at a time.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .companion import block_eigenvalues, build_companion
 from .errors import ContourNearZero, InsufficientResolvedRange, PhaseUnresolved, RangeExceeded
 from .util import wrap_angle
 
-_MIN_CONTOUR_POINTS = 256
+_MIN_CONTOUR_POINTS = 16
 _MAX_CONTOUR_POINTS = 8192
 _PROBE_BLOCK = 128  # probe angles per block: bounds the transient memory
 _DET_STACK_BYTES = 1 << 20  # matrix bytes per LU call: bounds the transient memory
@@ -72,6 +74,7 @@ class CountReport:
 
     radii: np.ndarray
     grid_sizes: np.ndarray  # points on each block's full circle
+    max_phase_steps: np.ndarray  # largest measured phase step of each block, rad
     windings: np.ndarray
     block_windings: np.ndarray
     jensen_bounds: np.ndarray  # bound on the count in the half-radius disk
@@ -123,8 +126,12 @@ def _grid_size(radius: float, spectrum: np.ndarray) -> int:
     On z = R e^{i theta} the phase of prod(z - lam_i) turns at
     g(theta) = sum_i Re(z / (z - lam_i)).  g is probed at an angular spacing
     of at most gap/4, gap = min_i |R - |lam_i|| / R, and the grid is the
-    smallest multiple of 8 (theta = pi on the grid, conjugate-symmetric)
-    holding 256 points and 8 max|g|, so every predicted step is <= pi/4.
+    smallest multiple of 8 (theta = 0 and pi on the grid, conjugate-symmetric)
+    holding 8 max|g| points, at least 16, so every predicted step is <= pi/4.
+    No larger floor is needed to catch a zero the spectrum missed: it adds
+    less than pi to any single step, so the measured step either stays below
+    pi/2, and the winding counts the zero, or reaches pi/2 (or wraps, landing
+    above 3 pi/4) and is refused.  This holds at any grid size.
 
     Raises:
         ContourNearZero: 8/gap or the grid exceeds 8192 points.
@@ -176,7 +183,7 @@ def _contour_scan(
     _check_radius(wh, radius)
     grids = wh.per_block(lambda b: _grid_size(radius, spectra[b]))
 
-    def scan(b: int) -> tuple[float, int]:
+    def scan(b: int) -> tuple[float, int, float]:
         points = grids[b]
         # f_b(conj z) = conj f_b(z): evaluate theta in [0, pi], mirror the arguments
         det = fredholm_det(wh, radius * np.exp(2j * np.pi * np.arange(points // 2 + 1) / points), block=b)
@@ -188,10 +195,10 @@ def _contour_scan(
                 f"phase step {worst:.3f} rad reaches pi/2 on {points} points of "
                 f"|lam| = {radius:g} in block {b}: the computed spectrum misses a zero near it"
             )
-        return float(np.max(det.log_abs)), int(round(float(np.sum(steps)) / (2.0 * np.pi)))
+        return float(np.max(det.log_abs)), int(round(float(np.sum(steps)) / (2.0 * np.pi))), worst
 
-    max_logs, windings = zip(*wh.per_block(scan))
-    return np.array(max_logs), np.array(windings), np.array(grids)
+    max_logs, windings, worst = zip(*wh.per_block(scan))
+    return np.array(max_logs), np.array(windings), np.array(grids), np.array(worst)
 
 
 def winding_count(wh: WhitenedSystem, radius: float) -> int:
@@ -267,7 +274,7 @@ def growth_profile(
         raise ValueError(f"{len(spectra)} spectra for {len(wh.blocks)} blocks")
 
     scans = [_contour_scan(wh, float(r), spectra) for r in radii]
-    max_logs, block_windings, grids = (np.array(column) for column in zip(*scans))
+    max_logs, block_windings, grids, steps = (np.array(column) for column in zip(*scans))
     block_cross = np.array([[int(np.sum(np.abs(s) < r)) for s in spectra] for r in radii])
     windings = block_windings.sum(axis=1)
 
@@ -282,6 +289,7 @@ def growth_profile(
     return CountReport(
         radii=radii,
         grid_sizes=grids,
+        max_phase_steps=steps,
         windings=windings,
         block_windings=block_windings,
         jensen_bounds=max_logs.sum(axis=1) / np.log(2.0),

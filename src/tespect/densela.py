@@ -111,15 +111,19 @@ def complex_det(m: np.ndarray) -> LogDet:
 
     ``m`` is one matrix or a stack ``(..., n, n)``; the fields of a stack's
     result are arrays of its leading shape.  Singular input is not an
-    error: it returns log-magnitude -inf.
+    error: it returns log-magnitude -inf.  A non-finite entry raises
+    ``ValueError``, without a ``RuntimeWarning``.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError("expected a square matrix or a stack of them")
-    if not np.all(np.isfinite(m)):
+    # slogdet gives sign 0 and -inf when singular, sign 1 and 0 when 0 x 0; a
+    # non-finite entry gives a NaN sign, or sign 0 if a zero pivot ends the LU
+    # first, so only singular results need their entries scanned
+    with np.errstate(all="ignore"):
+        sign, log_abs = np.linalg.slogdet(m)
+    if not (np.all(np.isfinite(sign)) and np.all(np.isfinite(m[sign == 0]))):
         raise ValueError("matrix entries must be finite")
-    # slogdet gives sign 0 and -inf when singular, sign 1 and 0 when 0 x 0
-    sign, log_abs = np.linalg.slogdet(m)
     arg = np.where(sign == -1, np.pi, np.angle(sign))  # -1 - 0j has angle -pi
     if m.ndim == 2:
         return LogDet(float(log_abs), float(arg))

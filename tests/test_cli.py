@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tespect import __version__, cli
+from conftest import cached_system
+from tespect import __version__, cli, companion, counting
 from tespect.cli import OutputWriter, RunConfig, convergence_table, run
 
 
@@ -452,11 +453,23 @@ def test_count_outputs(tmp_path):
         "grid_sizes",
         "growth_exponent",
         "jensen_bounds",
+        "max_phase_steps",
         "radii",
         "resolved",
         "tool_version",
         "windings",
     ]
+
+
+def test_count_max_phase_steps(tmp_path):
+    # at the 1D -Laplacian defaults: the largest measured phase step of each
+    # block, per radius, in the shape of grid_sizes; accepted steps lie below pi/2
+    out = tmp_path / "ct"
+    assert run(["count", "--out", str(out)]) == 0
+    payload = json.loads((out / "count.json").read_text())
+    steps = np.array(payload["max_phase_steps"])
+    assert steps.shape == np.array(payload["grid_sizes"]).shape == (len(payload["radii"]), 2)
+    assert np.all((steps > 0) & (steps < np.pi / 2))
 
 
 def test_count_radius_on_the_spectrum_exits_1(tmp_path, capsys):
@@ -552,10 +565,14 @@ def test_count_square_2d(tmp_path):
     payload = json.loads((out / "count.json").read_text())
     assert payload["windings"] == payload["cross_counts"]
     assert payload["block_windings"] == payload["block_cross_counts"]
-    # six blocks; the twin (block 3, of block 2) repeats its source's grid
-    for row in payload["grid_sizes"]:
+    # six blocks, each grid sized by the phase rule from the block's own
+    # roots; the twin (block 3, of block 2) repeats its source's grid
+    _, _, _, wh = cached_system(dimension=2, size=12, contrast=3.0)
+    spectra = companion.block_eigenvalues(companion.build_companion(wh))
+    for radius, row in zip(payload["radii"], payload["grid_sizes"]):
         assert len(row) == 6 and row[3] == row[2]
-        assert all(g >= 256 and g % 8 == 0 for g in row)
+        assert all(g >= counting._MIN_CONTOUR_POINTS and g % 8 == 0 for g in row)
+        assert [row[b] for b in (0, 1, 2, 4, 5)] == [counting._grid_size(radius, spectra[b]) for b in (0, 1, 2, 4, 5)]
 
 
 def test_scan_outputs(tmp_path):

@@ -219,7 +219,7 @@ def count_det_calls(monkeypatch):
 
 def test_winding_sizes_grid_near_zero(toy_whitened, monkeypatch):
     # zero at lambda = 1 sits 0.5% inside the contour: the phase speed the
-    # spectrum predicts there needs more than the 256-point minimum
+    # spectrum predicts there needs more than 256 points
     calls = count_det_calls(monkeypatch)
     assert counting.winding_count(toy_whitened, 1.005) == 1
     (roots,) = companion.block_eigenvalues(companion.build_companion(toy_whitened))
@@ -243,10 +243,33 @@ def test_winding_phase_unresolved(toy_whitened):
     (roots,) = companion.block_eigenvalues(companion.build_companion(wh))
     with pytest.raises(PhaseUnresolved, match="in block 0"):
         counting.growth_profile(wh, [1.00005, 6.25, 12.25, 20.25], spectra=[roots[np.abs(roots) > 2.0]])
-    # 0.5% outside, 256 points still resolve it: the winding disagrees with
-    # the spectrum instead
-    _, winding, points = counting._contour_scan(toy_whitened, 1.005, [np.array([4.0])])
-    assert (winding.tolist(), points.tolist()) == ([1], [256])
+    # 0.5% outside, the rule's 16 points for the root at 4 alone still
+    # catch it: a measured step reaches pi/2
+    assert counting._grid_size(1.005, np.array([4.0])) == counting._MIN_CONTOUR_POINTS == 16
+    with pytest.raises(PhaseUnresolved, match="on 16 points"):
+        counting._contour_scan(toy_whitened, 1.005, [np.array([4.0])])
+
+
+def test_missed_zero_is_counted_or_refused_at_any_distance(bilaplacian24):
+    # drop a block's smallest real root from the spectrum that sizes its
+    # grid: every scan near it either refuses a step of pi/2 or returns the
+    # winding of the full spectrum, which counts the dropped root once it is inside
+    wh = bilaplacian24[3]
+    spectra = companion.block_eigenvalues(companion.build_companion(wh))
+    outcomes = []
+    for b, roots in enumerate(spectra):
+        k = min(np.flatnonzero(roots.imag == 0), key=lambda i: abs(roots[i]))
+        missing = [np.delete(s, k) if i == b else s for i, s in enumerate(spectra)]
+        for distance in (1e-4, 1e-3, 1e-2, 0.1, 0.5, -1e-4, -1e-3, -1e-2, -0.1, -0.5):
+            radius = abs(roots[k]) * (1.0 + distance)
+            try:
+                _, windings, _, _ = counting._contour_scan(wh, radius, missing)
+            except PhaseUnresolved:
+                outcomes.append("refused")
+                continue
+            assert windings[b] == int(np.sum(np.abs(roots) < radius)) == int(np.sum(np.abs(missing[b]) < radius)) + (distance > 0)
+            outcomes.append("counted" if distance > 0 else "outside")
+    assert {"refused", "counted", "outside"} <= set(outcomes)
 
 
 def test_winding_matches_spectrum_split():
@@ -366,9 +389,29 @@ def test_growth_profile_grids_sized_once(monkeypatch):
     radii = [(j + 0.5) ** 2 for j in range(3, 8)] + [64.65]
     report = counting.growth_profile(wh, radii)
     assert report.grid_sizes.shape == (len(radii), 1)  # one block
-    assert np.all(report.grid_sizes >= 256) and np.all(report.grid_sizes % 8 == 0)
-    assert report.grid_sizes[-1, 0] > 256  # 64.65 lies 1% off the double root at 64
+    (roots,) = companion.block_eigenvalues(companion.build_companion(wh))
+    assert report.grid_sizes[:, 0].tolist() == [counting._grid_size(r, roots) for r in radii]
+    assert np.all(report.grid_sizes >= counting._MIN_CONTOUR_POINTS) and np.all(report.grid_sizes % 8 == 0)
+    assert report.grid_sizes[-1, 0] == report.grid_sizes.max()  # 64.65 lies 1% off the double root at 64
     assert calls == [0] * int(np.sum(report.grid_sizes // 2 + 1))
+
+
+@pytest.mark.parametrize("operator,size", [("laplacian", 128), ("bilaplacian", 40)])
+def test_grid_holds_eight_points_per_unit_of_the_dense_phase_speed(operator, size):
+    # with no floor above it, the grid rests on the gap/4 probe alone:
+    # against g on angles 64 times finer, P >= 8 max|g| at every auto radius
+    _, _, _, wh = cached_system(operator=operator, size=size, contrast=3.0)
+    spectra = companion.block_eigenvalues(companion.build_companion(wh))
+    for radius in counting.auto_radii(np.concatenate(spectra)):
+        for roots in spectra:
+            points = counting._grid_size(radius, roots)
+            gap = np.min(np.abs(radius - np.abs(roots))) / radius
+            dense = 64 * int(np.ceil(8.0 * np.pi / gap))
+            peak = 0.0
+            for start in range(0, dense, 4096):
+                z = radius * np.exp(2j * np.pi * np.arange(start, min(start + 4096, dense)) / dense)[:, None]
+                peak = max(peak, float(np.max(np.abs(np.sum((z / (z - roots)).real, axis=1)))))
+            assert points >= 8.0 * peak
 
 
 def test_radius_that_overflows_is_refused_before_any_determinant(toy_whitened, monkeypatch):

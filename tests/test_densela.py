@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -262,3 +264,21 @@ def test_logdet_value_on_a_stack():
     assert value[1] == 0.0  # singular member
     assert value[3] == complex(np.inf, np.inf)  # overflow guard, element by element
     assert isinstance(densela.complex_det(stack[0]).value, complex)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+@pytest.mark.parametrize("where", [(0, 0), (3, 1), (1, 3)])
+def test_complex_det_refuses_a_nonfinite_entry_without_a_warning(value, where):
+    # slogdet gives a NaN sign for such an entry of a generic matrix, but
+    # sign 0 (a zero pivot ends the LU) for most of them in the identity,
+    # e.g. a NaN at (0, 0) or an inf below the diagonal: both are refused
+    rng = np.random.default_rng(23)
+    for m in (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)), np.eye(4, dtype=complex)):
+        m[where] = value
+        stack = np.stack([np.eye(4), m, np.ones((4, 4))])  # the last is singular
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in (m, stack, stack[:, None]):
+                with pytest.raises(ValueError, match="matrix entries must be finite"):
+                    densela.complex_det(bad)
+            assert densela.complex_det(stack[::2]).log_abs[1] == -np.inf  # finite and singular: no error
