@@ -46,7 +46,6 @@ from .diagnostics import (  # noqa: F401
     numerical_range,
     potential_scan,
     schatten_profile,
-    trace_functional,
     trace_identity_check,
     trace_power,
 )

@@ -380,15 +380,17 @@ def _cmd_solve(cfg: RunConfig, out: OutputWriter) -> int:
 def _cmd_trace(cfg: RunConfig, out: OutputWriter) -> int:
     comp = companion.build_companion(_build_pipeline(cfg))
     report = diagnostics.trace_report(comp, cfg["trace.p"])
+    head_p, head = report.powers[0]
     out.json(
         "trace.json",
         {
-            "p": report.p,
-            "trace_re": report.trace.real,
-            "trace_im": report.trace.imag,
+            "p": head_p,
+            "trace_re": head.real,
+            "trace_im": head.imag,
             "powers": [
                 {"p": p, "trace_re": t.real, "trace_im": t.imag} for p, t in report.powers
             ],
+            "p_min": comp.whitened.system.problem.p_min,
             "schatten_1": report.schatten_1,
             "schatten_2": report.schatten_2,
             "spectral_radius": report.spectral_radius,
@@ -523,7 +525,7 @@ def convergence_table(cfg: RunConfig) -> list[dict]:
     prev = None
     for n in cfg["convergence.n_list"]:
         comp = companion.build_companion(_build_pipeline(cfg, size=n))
-        lam = first_real_eigenvalue(companion.extract_eigenvalues(comp)).real
+        lam = first_real_eigenvalue(np.concatenate(companion.block_eigenvalues(comp))).real
         rel = abs(lam - prev) / abs(lam) if prev is not None else float("nan")
         rows.append({"n": n, "lambda": lam, "rel_diff": rel})
         prev = lam

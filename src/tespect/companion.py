@@ -46,7 +46,7 @@ _CLUSTER_TOL = 1e-6  # relative distance in mu that links two eigenvalues into o
 DEFAULT_MU_FLOOR = 1e-12
 _RANK_TRUNCATION = 1e-8
 _RANK_GAP = 10.0
-_CHAIN_RESIDUAL_TOL = 1e-6
+_CHAIN_RESIDUAL_TOL = 1e-6  # on the scale of qep_residual (``jordan_chain_residual``)
 _STATE_CHUNK = 1 << 20  # point values per batch of states: bounds the transient memory
 
 
@@ -231,16 +231,6 @@ def block_eigenvalues(comp: CompanionSystem, mu_floor: float = DEFAULT_MU_FLOOR)
     return comp.whitened.per_block(roots)
 
 
-def extract_eigenvalues(comp: CompanionSystem, mu_floor: float = DEFAULT_MU_FLOOR) -> np.ndarray:
-    """The pencil roots of ``extract_spectrum``, without eigenvectors.
-
-    The roots of all blocks (``block_eigenvalues``), ordered as
-    ``extract_spectrum`` orders them.
-    """
-    lams = np.concatenate(block_eigenvalues(comp, mu_floor))
-    return lams[np.lexsort((lams.imag, lams.real, np.abs(lams)))]
-
-
 def _pencil_residuals(wh: WhitenedSystem, b: int, lam: np.ndarray, u0: np.ndarray) -> np.ndarray:
     """Relative residuals of the whitened pencil at columns u0 of block b, each at its lam."""
     res_vec = (1.0 / wh.mu[wh.blocks[b]])[:, None] * u0 - (wh.b[b] @ u0) * lam + u0 * lam**2
@@ -359,8 +349,9 @@ def jordan_chain_residual(
     """Residuals of the chained pencil equations, one per chain link.
 
     For vectors u_0, ..., u_k the j-th residual is
-    ||(A - lam B + lam^2) u_j + (-B + 2 lam) u_{j-1} + u_{j-2}|| / max_i ||u_i||
-    with the convention u_{-1} = u_{-2} = 0.  B_w is applied block by block.
+    ||(A - lam B + lam^2) u_j + (-B + 2 lam) u_{j-1} + u_{j-2}|| / ((1 + |lam| + |lam|^2) max_i ||u_i||)
+    with u_{-1} = u_{-2} = 0, so a one-link chain's residual is its eigenpair's
+    ``qep_residual``.  B_w is applied block by block.
     """
     if len(chain) == 0:
         raise EmptyChain("chain must contain at least one vector")
@@ -370,7 +361,8 @@ def jordan_chain_residual(
     um1, ubm1 = (np.vstack([np.zeros_like(x[:1]), x[:-1]]) for x in (u, ub))
     um2 = np.vstack([np.zeros_like(u[:2]), u[:-2]])
     r = u / wh.mu - lam * ub + lam**2 * u + (-ubm1 + 2.0 * lam * um1) + um2
-    return np.linalg.norm(r, axis=1) / max(float(np.max(np.linalg.norm(u, axis=1))), 1e-300)
+    scale = (1.0 + abs(lam) + abs(lam) ** 2) * max(float(np.max(np.linalg.norm(u, axis=1))), 1e-300)
+    return np.linalg.norm(r, axis=1) / scale
 
 
 def _nullity(svals: np.ndarray, threshold: float) -> int:

@@ -3,8 +3,10 @@
 Three families of checks on an assembled system:
 
 * trace criterion -- nonvanishing of tr(D^p) for an integer p above the
-  Schatten threshold certifies a nonempty spectrum; the two closed-form
-  trace identities for tr(D) and tr(D^2) are verified as residuals;
+  Schatten threshold n/m (``trace.json`` records the smallest, ``p_min``)
+  certifies a nonempty spectrum.  ``trace_power`` is the one route: the sum
+  over blocks of sum(D_b^floor(p/2) o (D_b^ceil(p/2))^T).  The closed-form
+  identities check the tr(D) and tr(D^2) it gives, which ``trace.json`` prints;
 * completeness angle -- whether the numerical range W(D) lies in a closed
   sector of opening pi/p, decided exactly: the Hermitian part of D is
   diag(K, 0), so W(D) lies in the closed right half-plane exactly when every
@@ -28,7 +30,6 @@ Three families of checks on an assembled system:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -78,9 +79,7 @@ class SchattenProfile:
 class TraceReport:
     """Trace and Schatten diagnostics of a companion system."""
 
-    p: int
-    trace: complex
-    powers: tuple  # ((p, trace), ...) for every requested power
+    powers: tuple  # ((p, trace), ...) for every requested power, the first one headline
     schatten_1: float
     schatten_2: float
     spectral_radius: float
@@ -133,25 +132,33 @@ class ScanReport:
 
 
 def trace_power(comp: CompanionSystem, p: int) -> complex:
-    """Trace of the p-th power of the companion matrix.
+    """Trace of the p-th power of the companion matrix, by the split-power block rule.
 
-    Computed from the p-th power of each block D_b (``matrix_power``, by
-    repeated squaring), whose traces sum to tr(D^p), a twin block counting
-    its source's trace again; intended envelope is p <= 8.  When
-    the source problem is known and p is below its ``p_min``, the trace
-    criterion hypothesis fails and a warning is emitted (the value is still
-    returned).
+    The sum over symmetry blocks of tr(D_b^p), a twin counting its source's
+    value again: tr D_b for p = 1, else sum(X o Y^T), as tr(XY) is, with
+    X = D_b^floor(p/2) and Y = D_b^ceil(p/2) = X or X D_b.  So p = 2 forms no
+    product, and every p one fewer than D_b^p by repeated squaring.  Whether
+    the criterion applies at p (p >= ``ProblemSpec.p_min``) is the caller's.
     """
     if p < 1:
         raise ValueError("power must be a positive integer")
-    prob = comp.whitened.system.problem
-    if prob is not None and p < prob.p_min:
-        warnings.warn(
-            f"p={p} does not exceed n/m={prob.dimension}/{prob.order}; "
-            "the trace criterion does not apply at this power",
-            stacklevel=2,
-        )
-    return complex(sum(comp.whitened.per_block(lambda b: np.trace(np.linalg.matrix_power(comp.blocks[b], p)))))
+
+    def block_trace(b: int) -> float:
+        d = comp.blocks[b]
+        if p == 1:
+            return np.trace(d)
+        low = _power(d, p // 2)
+        return np.sum(low * (low if p % 2 == 0 else low @ d).T)
+
+    return complex(sum(comp.whitened.per_block(block_trace)))
+
+
+def _power(d: np.ndarray, k: int) -> np.ndarray:
+    """d^k for k >= 1, by repeated squaring."""
+    if k == 1:
+        return d
+    half = _power(d, k // 2)
+    return half @ half if k % 2 == 0 else half @ half @ d
 
 
 def _class_solves(a: np.ndarray, classes, *rhs: np.ndarray):
@@ -167,23 +174,23 @@ def _class_solves(a: np.ndarray, classes, *rhs: np.ndarray):
 
 
 def trace_identity_check(comp: CompanionSystem) -> tuple[float, float]:
-    """Residuals of tr(D) and tr(D^2) against the raw route on the assembled matrices.
+    """Residuals of the printed tr(D) and tr(D^2) against the raw route on the assembled matrices.
 
     With M = A^{-1} B on the assembled pencil A - lam B + lam^2 C,
 
     tr(D)   = tr(M) and
     tr(D^2) = sum(M o M^T) - 2 tr(A^{-1} C),
 
-    both invariant under the whitening congruence.  The companion side sums
-    tr D_b and sum(D_b o D_b^T) over the blocks, a twin counting again.  A,
-    B and C are exact zeros between parity classes by construction, so M
-    and A^{-1} C are block diagonal over them and the raw side sums the
-    same traces class by class (``_class_solves``: one solve per class with
-    the class's B and C as right-hand sides).  It never touches mu, B_w,
-    the swap split or the twins, so a fault in the whitening, in the split,
-    in a twin or in a D_b shows here.  Each residual is relative to the
-    larger magnitude (floored at one, so exact-zero cases stay
-    well-defined).
+    both invariant under the whitening congruence.  The companion side is
+    ``trace_power(comp, 1)`` and ``trace_power(comp, 2)``, the values that
+    ``trace_report`` reports.  A, B and C are exact zeros between parity
+    classes by construction, so M and A^{-1} C are block diagonal over them
+    and the raw side sums the same traces class by class (``_class_solves``:
+    one solve per class with the class's B and C as right-hand sides).  It
+    never touches mu, B_w, the swap split or the twins, so a fault in the
+    whitening, in the split, in a twin or in a D_b shows here.  Each residual
+    is relative to the larger magnitude (floored at one, so exact-zero cases
+    stay well-defined).
     """
     system = comp.whitened.system
     tr_m = tr_raw = 0.0
@@ -191,12 +198,8 @@ def trace_identity_check(comp: CompanionSystem) -> tuple[float, float]:
         m, a_inv_c = solved[:, : idx.size], solved[:, idx.size :]
         tr_m += float(np.trace(m))
         tr_raw += float(np.sum(m * m.T) - 2.0 * np.trace(a_inv_c))
-    tr_d = float(sum(np.trace(d) for d in comp.blocks))
-    r1 = abs(tr_d - tr_m) / max(abs(tr_d), abs(tr_m), 1.0)
-
-    tr_d2 = float(sum(np.sum(d * d.T) for d in comp.blocks))
-    r2 = abs(tr_d2 - tr_raw) / max(abs(tr_d2), abs(tr_raw), 1.0)
-    return r1, r2
+    pairs = ((trace_power(comp, 1).real, tr_m), (trace_power(comp, 2).real, tr_raw))
+    return tuple(abs(d - raw) / max(abs(d), abs(raw), 1.0) for d, raw in pairs)
 
 
 def schatten_profile(wh: WhitenedSystem) -> SchattenProfile:
@@ -233,8 +236,6 @@ def trace_report(
     svals_d = np.sort(np.concatenate([svals for svals, _ in data]))[::-1]
     radius = max(r for _, r in data)
     return TraceReport(
-        p=int(p_list[0]),
-        trace=powers[0][1],
         powers=powers,
         schatten_1=float(np.sum(svals_d)),
         schatten_2=float(np.sqrt(np.sum(svals_d**2))),
@@ -369,36 +370,6 @@ def _cross_check(whitened, raw) -> None:
     )
 
 
-def trace_functional_routes(problem: ProblemSpec, size: int) -> tuple[float, float]:
-    """Trace functional through the whitened and the raw route.
-
-    Whitened: tr(B_w A_w^{-1}) = sum_i mu_i (B_w)_ii after the whitening
-    congruence.  Raw: the same trace evaluated directly on the assembled
-    matrices, sum over parity classes c of tr(A_cc^{-1} B_cc), equal by
-    cyclicity of the trace.  Both values are returned so callers can assert
-    the residual.  The scan's kernels on one member.
-    """
-    basis = build_basis(problem, size)
-    vvals = _potential_values(problem.potential, basis.grid_points())
-    whitened, raw = _Pencils.of(problem, basis).routes(vvals)
-    return float(whitened), float(raw)
-
-
-def trace_functional(problem: ProblemSpec, size: int) -> float:
-    """Trace functional tr(B_q A_q^{-1}) at basis size ``size``.
-
-    Evaluated through the whitened route; the raw route is computed alongside
-    as a built-in cyclicity cross-check.  Both routes resolve the small
-    stiffness eigenvalues to full relative accuracy and agree to rounding.
-
-    Raises:
-        CrossCheckFailed: the two routes disagree beyond 1e-10 relative.
-    """
-    whitened, raw = trace_functional_routes(problem, size)
-    _cross_check(whitened, raw)
-    return whitened
-
-
 def _scan_values(
     problem: ProblemSpec, direction: PotentialSpec, s_grid: np.ndarray, pencils: _Pencils
 ) -> np.ndarray:
@@ -459,8 +430,8 @@ def potential_scan(
     = 5 points up.  ``near_zeros`` are the s where |t| < ``_ZERO_TOL`` max |t|.
 
     The family is evaluated in stacks over s through the kernels that
-    ``trace_functional`` runs on one member (``assemble_stack``,
-    ``whiten_stack`` and the per-class raw route): the basis, the parity
+    evaluate one problem (``assemble_stack``, ``whiten_stack`` and the
+    per-class raw route ``_class_solves``): the basis, the parity
     classes, the swap, the whitening blocks and the Dirichlet form are
     built once, and a stack holds at most ``_SCAN_STACK_BYTES`` (32 MB) of
     N x N arrays, all points in 1D and one or a few in 2D.  For every s the
@@ -473,7 +444,7 @@ def potential_scan(
     Raises:
         ValueError: ``count`` below ``MIN_SCAN_POINTS``, or s_min == s_max.
         PotentialLeavesCone: the family loses positivity at some s.
-        Any error of ``trace_functional``, naming the first failing s.
+        Any error of ``assemble_stack``, ``whiten_stack`` or ``_cross_check``, naming the first failing s.
     """
     if count < MIN_SCAN_POINTS or s_min == s_max:
         raise ValueError(f"a scan needs {MIN_SCAN_POINTS} or more points and s_min != s_max")

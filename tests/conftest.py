@@ -103,6 +103,18 @@ def dense_d(comp):
     return np.block(halves)
 
 
+def pencil_companion(problem, size):
+    """The companion system of one pencil: ``assemble_system``, ``whiten``, ``build_companion``."""
+    system = assembly.assemble_system(problem, assembly.build_basis(problem, size))
+    return companion.build_companion(assembly.whiten(system))
+
+
+def sorted_roots(comp, mu_floor=companion.DEFAULT_MU_FLOOR):
+    """The roots of all blocks (``block_eigenvalues``), ordered as ``extract_spectrum`` orders them."""
+    lams = np.concatenate(companion.block_eigenvalues(comp, mu_floor))
+    return lams[np.lexsort((lams.imag, lams.real, np.abs(lams)))]
+
+
 def companion_eigenvalues(comp):
     """Eigenvalues of D: those of each block D_b in block order, twins included."""
     return np.concatenate([spec.eigenvalues for spec in comp.eigen_data()])

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from conftest import cached_system
 from tespect import __version__, cli, companion, counting
 from tespect.cli import OutputWriter, RunConfig, convergence_table, run
+from tespect.errors import ComputationError
 
 
 def read_csv(path):
@@ -387,6 +389,34 @@ def test_trace_report_fields(tmp_path):
         assert field in payload
 
 
+def test_trace_records_p_min(tmp_path):
+    # 2D -Laplacian: the headline p = 1 does not exceed n/m = 1, which
+    # trace.json records as p_min = 2, with no warning
+    out = tmp_path / "tr"
+    settings = ("problem.dimension=2", "problem.domain=square", "basis.n=8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["trace", "--out", str(out), *(f"--set={s}" for s in settings)]) == 0
+    payload = json.loads((out / "trace.json").read_text())
+    assert (payload["p"], payload["p_min"]) == (1, 2)
+    assert [row["p"] for row in payload["powers"]] == [1, 2]
+
+
+@pytest.mark.parametrize("operator", ["laplacian", "bilaplacian"])
+def test_trace_on_the_square_writes_nothing_to_stderr(tmp_path, operator):
+    # a library warning that reaches the command line shows on stderr, which
+    # an in-process run does not see: pytest captures warnings apart from it
+    settings = ("problem.dimension=2", "problem.domain=square", f"problem.operator={operator}", "basis.n=8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "tespect", "trace", "--out", str(tmp_path / "tr"), *(f"--set={s}" for s in settings)],
+        env=src_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+
+
 def test_trace_below_three_singular_values_writes_null(tmp_path):
     # basis.n=2 on the interval: S has two singular values, too few for a decay fit
     out = tmp_path / "tr"
@@ -402,7 +432,6 @@ TINY_COMMANDS = ("assemble", "solve", "trace", "range", "count", "scan")
 @pytest.mark.parametrize("operator", ["laplacian", "bilaplacian"])
 @pytest.mark.parametrize("dimension, domain", [(1, "interval"), (2, "square")], ids=["1d", "2d"])
 @pytest.mark.parametrize("command", TINY_COMMANDS)
-@pytest.mark.filterwarnings("ignore:p=1 does not exceed")  # 2D -Laplacian, p = 1
 def test_tiny_bases_exit_cleanly(tmp_path, capsys, command, dimension, domain, operator, size):
     # a basis too small for a diagnostic is a typed error (exit 1, one JSON
     # record), never a traceback
@@ -492,6 +521,19 @@ def test_count_radius_that_overflows_exits_1(tmp_path, capsys):
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["code"] == "RangeExceeded" and "1e+300" in error["message"]
     assert not (out / "count.json").exists()
+
+
+def test_count_given_radii_below_the_window_exit_1(tmp_path, capsys):
+    # at the 1D defaults no eigenvalue lies inside radius 2, so no count
+    # reaches the window's floor of 3
+    out = tmp_path / "ct"
+    assert run(["count", "--out", str(out), "--set", "count.radii=1,2"]) == 1
+    records = capsys.readouterr().err.strip().splitlines()
+    assert len(records) == 1
+    error = json.loads(records[0])["error"]
+    assert error["code"] == "InsufficientResolvedRange"
+    assert error["message"].startswith("only 0 radii have counts in [3, ")
+    assert [p.name for p in out.iterdir()] == ["config.resolved"]
 
 
 @pytest.mark.parametrize("size", [1, 2])
@@ -656,6 +698,12 @@ def test_convergence_constant_list():
     )
     rows = convergence_table(cfg)
     assert all(r["rel_diff"] == 0.0 for r in rows[1:])
+
+
+def test_first_real_eigenvalue_refuses_a_spectrum_without_one():
+    assert cli.first_real_eigenvalue(np.array([3.0 + 0.0j, 1.0 + 1.0j, 2.0 + 0.0j])) == 2.0
+    with pytest.raises(ComputationError, match="no real eigenvalue found"):
+        cli.first_real_eigenvalue(np.array([1.0 + 1.0j, 2.0 - 1.0j]))
 
 
 def test_convergence_decreasing_toward_oracle(tmp_path):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import cached_system, companion_eigenvalues, dense_bw, dense_d, random_spd_pencil
+from conftest import cached_system, companion_eigenvalues, dense_bw, dense_d, random_spd_pencil, sorted_roots
 from tespect import assembly, companion, densela, oracles
 from tespect.errors import (
     DegenerateState,
@@ -321,6 +321,20 @@ def test_chain_residual_matches_pencil_residual(toy_companion):
     u0 = s @ data.eigenvectors[: toy_companion.whitened.size, t.column]
     rho = companion.jordan_chain_residual(toy_companion.whitened, t.lam, [u0])
     assert rho[0] < 1e-12
+    # a one-link chain is scaled as the eigenpair residual: off an
+    # eigenvector, above rounding, the two agree
+    rng = np.random.default_rng(3)
+    wh = cached_system(dimension=2, size=6, contrast=3.0)[3]
+    comp = companion.build_companion(wh)
+    for t in companion.extract_spectrum(comp)[::7]:
+        blk = wh.blocks[t.block]
+        head = comp.eigen_data()[t.block].eigenvectors[: blk.stop - blk.start, t.column]
+        u_blk = np.sqrt(wh.mu[blk]) * head + 1e-6 * rng.standard_normal(head.size)
+        u0 = np.zeros(wh.size, dtype=complex)
+        u0[blk] = u_blk
+        rho = companion.jordan_chain_residual(wh, t.lam, [u0])
+        pencil = companion._pencil_residuals(wh, t.block, np.array([t.lam]), u_blk[:, None])
+        assert rho[0] == pytest.approx(pencil[0], rel=1e-8)
 
 
 def test_no_length_two_chain_for_simple_spectrum(toy_whitened):
@@ -458,13 +472,13 @@ def test_trig_basis_finds_oracle_eigenvalue():
 def test_extract_spectrum_mu_floor(toy_companion):
     spec = companion.extract_spectrum(toy_companion, mu_floor=0.5)
     assert [t.lam for t in spec] == [1.0 + 0.0j]
-    assert companion.extract_eigenvalues(toy_companion, mu_floor=0.5).tolist() == [1.0 + 0.0j]
+    assert sorted_roots(toy_companion, mu_floor=0.5).tolist() == [1.0 + 0.0j]
 
 
 @pytest.mark.parametrize("dimension, size", [(1, 32), (2, 6)], ids=["1d-n32", "2d-n6"])
 def test_extract_eigenvalues_match_extract_spectrum(dimension, size):
     comp = companion.build_companion(cached_system(dimension=dimension, size=size, contrast=3.0)[3])
-    lams = companion.extract_eigenvalues(comp)
+    lams = sorted_roots(comp)
     full = np.array([t.lam for t in companion.extract_spectrum(comp)])
     assert lams.shape == full.shape
     # the eigenvalue-only solve rounds on its own, and at a defective star

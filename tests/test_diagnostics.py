@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import cached_system, dense_bw, dense_d, random_spd_pencil
+from conftest import cached_system, companion_eigenvalues, dense_bw, dense_d, pencil_companion, random_spd_pencil
 from tespect import assembly, companion, densela, diagnostics, model
 from tespect.errors import CrossCheckFailed, NoConvergence, PotentialLeavesCone
 
@@ -31,15 +31,20 @@ def test_trace_power_toy(toy_companion):
     assert diagnostics.trace_power(toy_companion, 2) == pytest.approx(1.0625, abs=1e-14)
 
 
-def test_trace_power_matches_eigenvalue_power_sums(helmholtz32):
-    _, _, _, wh = helmholtz32
-    comp = companion.build_companion(wh)
-    mus = np.array([t.mu for t in companion.extract_spectrum(comp)])
-    t1 = diagnostics.trace_power(comp, 1)
-    assert abs(t1 - mus.sum()) <= 1e-8 * abs(t1)
-    for p in (2, 3):
-        tp = diagnostics.trace_power(comp, p)
-        assert abs(tp - np.sum(mus**p)) <= 1e-7 * max(abs(tp), 1e-300)
+def test_trace_power_matches_eigenvalue_power_sums():
+    # 1D, and 2D with a swap split: block 3 is the twin of block 2
+    for dimension, size in ((1, 32), (2, 6)):
+        wh = cached_system(dimension=dimension, size=size, contrast=3.0)[3]
+        assert dimension == 1 or wh.twin_of[3] == 2
+        comp = companion.build_companion(wh)
+        # the split-power rule forms no product at p = 2
+        assert diagnostics.trace_power(comp, 2) == sum(np.sum(d * d.T) for d in comp.blocks)
+        mus = companion_eigenvalues(comp)
+        t1 = diagnostics.trace_power(comp, 1)
+        assert abs(t1 - mus.sum()) <= 1e-8 * abs(t1)
+        for p in (2, 3, 4):
+            tp = diagnostics.trace_power(comp, p)
+            assert abs(tp - np.sum(mus**p)) <= 1e-7 * max(abs(tp), 1e-300)
 
 
 def test_trace_power_golden_value():
@@ -54,16 +59,7 @@ def test_trace_power_matches_high_precision_reference():
     _, _, _, wh = cached_system(operator="laplacian", size=32, contrast=1.0)
     comp = companion.build_companion(wh)
     value = diagnostics.trace_power(comp, 1)
-    assert value.real == pytest.approx(REFERENCE_TRACE_LAPLACIAN_V1_N32, rel=1e-10)
-
-
-def test_trace_power_warns_below_threshold():
-    _, _, _, wh = cached_system(
-        operator="laplacian", dimension=2, size=8, contrast=1.0
-    )
-    comp = companion.build_companion(wh)
-    with pytest.warns(UserWarning, match="criterion"):
-        diagnostics.trace_power(comp, 1)  # p = 1 does not exceed n/m = 1
+    assert value.real == pytest.approx(REFERENCE_TRACE_LAPLACIAN_V1_N32, rel=1e-13)
 
 
 def test_trace_power_nonempty_spectrum_consistency(helmholtz32):
@@ -253,26 +249,14 @@ def test_numerical_range_needs_samples(toy_whitened):
 
 def test_trace_functional_positive_at_unit_potential():
     for operator in ("laplacian", "bilaplacian"):
-        value = diagnostics.trace_functional(unit_problem(operator), 16)
-        assert value > 0
-
-
-def test_trace_functional_matches_high_precision_reference():
-    value = diagnostics.trace_functional(unit_problem(), 32)
-    assert value == pytest.approx(REFERENCE_TRACE_LAPLACIAN_V1_N32, rel=1e-13)
+        value = diagnostics.trace_power(pencil_companion(unit_problem(operator), 16), 1)
+        assert value.real > 0 and value.imag == 0.0
 
 
 def test_trace_functional_scalar_identity(toy_whitened):
     # scalar system: tr(B A^{-1}) = 5/4 through the whitened matrices directly
     value = float(np.trace(np.linalg.solve(np.diag(1.0 / toy_whitened.mu), dense_bw(toy_whitened))))
     assert value == pytest.approx(1.25, abs=1e-14)
-
-
-def test_trace_functional_cross_check_guard(monkeypatch):
-    # the two routes agree to rounding, often bitwise, so the gap is injected
-    monkeypatch.setattr(diagnostics, "trace_functional_routes", lambda *a: (1.0, 1.0 + 1e-6))
-    with pytest.raises(CrossCheckFailed):
-        diagnostics.trace_functional(unit_problem(), 16)
 
 
 def test_potential_scan_constant_direction_is_flat():
@@ -318,7 +302,12 @@ def test_potential_scan_builds_one_basis(monkeypatch):
     # every point fits in one stack
     assert calls == {"build_basis": 1, "assemble_stack": 1}
     monkeypatch.undo()
-    assert report.t_values.tolist() == per_s_values(prob, direction, report.s_values, 10).tolist()
+    # the scan's kernels on one s at a time, each on the basis built for it
+    for s, t in zip(report.s_values, report.t_values):
+        prob_s = model.ProblemSpec(prob.operator, prob.domain, model.PotentialSpec.affine(prob.potential, direction, s))
+        basis = diagnostics.build_basis(prob_s, 10)
+        vvals = model._potential_values(prob_s.potential, basis.grid_points())
+        assert diagnostics._Pencils.of(prob_s, basis).routes(vvals)[0] == t
 
 
 def test_potential_scan_positivity_guard():
@@ -385,7 +374,7 @@ def test_scan_derivatives_match_a_finer_scan():
 def per_s_values(prob, direction, s_grid, size):
     family = [model.PotentialSpec.affine(prob.potential, direction, s) for s in s_grid]
     return np.array([
-        diagnostics.trace_functional(model.ProblemSpec(prob.operator, prob.domain, pot), size)
+        diagnostics.trace_power(pencil_companion(model.ProblemSpec(prob.operator, prob.domain, pot), size), 1).real
         for pot in family
     ])
 
