@@ -253,6 +253,14 @@ def test_trace_functional_positive_at_unit_potential():
         assert value.real > 0 and value.imag == 0.0
 
 
+def test_trace_functional_matches_high_precision_reference():
+    # the functional tr(A^{-1} B) of the validated unit problem, built straight from
+    # its ProblemSpec, against the 40-digit reference
+    value = diagnostics.trace_power(pencil_companion(unit_problem(), 32), 1)
+    assert value.imag == 0.0
+    assert value.real == pytest.approx(REFERENCE_TRACE_LAPLACIAN_V1_N32, rel=1e-13)
+
+
 def test_trace_functional_scalar_identity(toy_whitened):
     # scalar system: tr(B A^{-1}) = 5/4 through the whitened matrices directly
     value = float(np.trace(np.linalg.solve(np.diag(1.0 / toy_whitened.mu), dense_bw(toy_whitened))))
