@@ -21,20 +21,17 @@ row-major in the construction order.
 All integrals use one composite Gauss-Legendre rule with a cell between each
 pair of consecutive kinks of V, exact by construction (see ``quadrature_rule``).
 
-Both families have parity (-1)^j under x -> 1 - x and both presets commute
-with that reflection, so along every axis where V is reflection-invariant the
-pencil couples only indices of equal parity (Bossavit, CMAME 56 (1986) 167):
-1, 2 or 4 parity classes, stored on the system as ``blocks``, between which
-A, B and C vanish in exact arithmetic and are stored as exact zeros.  On the
-square the presets also commute with the diagonal swap x <-> y; when V does
-too, the system stores A, B and C averaged over the swap, so they are exactly
-invariant under it, and records its basis permutation as ``swap``.
-``whiten`` then refines the classes by the swap (``whitening_blocks``): a
-class the swap maps onto itself splits into a swap-even and a swap-odd half,
-and of two classes it exchanges, the second is a twin of the first, with the
-same mu and B_w.  It reduces each block that is not a twin by one Cholesky
-factor and one symmetric eigensolve, to coordinates where the mass is the
-identity and the stiffness is diagonal.
+Both families have parity (-1)^j under x -> 1 - x, so each symmetry of the
+square (of the interval in 1D) acts on the basis as a signed permutation,
+and both presets commute with it.  ``Symmetry`` reads the stabilizer H of V
+and splits the pencil by it (Bossavit, CMAME 56 (1986) 167): H's flips and
+180-degree rotation fix 1, 2 or 4 classes, between which A, B and C are
+exact zeros, and H's signed swap g splits each class it maps onto itself
+in halves and makes the second of two classes it exchanges a twin of the
+first, with the same mu and B_w; a class on which g^2 = -1 (rot90 in C4)
+stays whole.  ``whiten`` reduces each block that is not a twin by one
+Cholesky factor and one symmetric eigensolve, to coordinates where the
+mass is the identity and the stiffness is diagonal.
 
 The numeric steps act on the last two axes with an optional leading stack
 axis: ``assemble_stack`` forms and checks A, B, C for V given at the
@@ -65,7 +62,7 @@ from .errors import (
     QuadratureWarning,
     refuse,
 )
-from .model import PotentialSpec, ProblemSpec, _potential_values, strictly_positive
+from .model import SYMMETRIES, PotentialSpec, ProblemSpec, _potential_values, strictly_positive
 
 _ASYM_TOL = 1e-8
 _GRAM_FLOOR = 1e-12
@@ -324,11 +321,8 @@ def _factor_form(e1: np.ndarray, e2: np.ndarray, w: np.ndarray) -> np.ndarray:
 class GalerkinSystem:
     """Assembled pencil matrices in basis coordinates.
 
-    ``blocks`` are the parity classes, ascending basis indices each; A, B
-    and C are exactly zero between two classes.  None means one class, as
-    for a synthetic system.  ``swap`` is the basis permutation of the
-    diagonal swap x <-> y when A, B and C are exactly invariant under it,
-    else None; it maps every class onto a class.
+    A, B and C are exactly zero between two classes of ``symmetry`` and exactly
+    invariant under its signed swap; None means one class, as for a synthetic system.
     """
 
     gram: np.ndarray
@@ -337,12 +331,11 @@ class GalerkinSystem:
     c: np.ndarray
     problem: Optional[ProblemSpec] = None
     basis: Optional[BasisSet] = None
-    blocks: Optional[tuple[np.ndarray, ...]] = None
-    swap: Optional[np.ndarray] = None
+    symmetry: Optional[Symmetry] = None
 
     def __post_init__(self):
-        if self.blocks is None:
-            self.blocks = (np.arange(self.size),)
+        if self.symmetry is None:
+            self.symmetry = Symmetry((np.arange(self.size),))
 
     @property
     def size(self) -> int:
@@ -354,8 +347,8 @@ class WhitenedSystem:
     """Pencil in mass-orthonormal coordinates with a diagonal stiffness.
 
     Whitened coordinates run block by block: ``blocks`` holds one slice per
-    symmetry block (``whitening_blocks``), in its order.  ``twin_of[i]`` is
-    the index of the earlier block that block i is a swap image of, or None:
+    symmetry block (``Symmetry.blocks``), in its order.  ``twin_of[i]`` is
+    the index of the earlier block that block i is an image of, or None:
     a twin has the source's mu bitwise and shares its B_w array, so every
     per-block result of the source serves it too (``per_block``).  ``mu``
     holds the eigenvalues of C relative to A, descending within each block:
@@ -538,35 +531,12 @@ def _raw_forms(basis: BasisSet, qvals: np.ndarray, dirichlet=None):
     yield "C", _form(basis, ident, ident, 1.0 + qvals)
 
 
-def parity_classes(problem: ProblemSpec, basis: BasisSet) -> tuple[np.ndarray, ...]:
-    """Basis indices grouped by parity along the axes where V is reflection-invariant.
-
-    A 1D factor j has parity (-1)^j in both families; a 2D index is
-    i * size + j with x-factor i and y-factor j.  Gives 1, 2 or 4 classes,
-    each ascending, in the order of their parity key.
-    """
-    parity = np.arange(basis.size) % 2
-    keys = [
-        parity if problem.potential.reflection_invariant(axis) else np.zeros_like(parity)
-        for axis in range(problem.dimension)
-    ]
-    key = keys[0] if problem.dimension == 1 else (2 * keys[0][:, None] + keys[1]).ravel()
-    return tuple(np.flatnonzero(key == k) for k in np.unique(key))
-
-
 def _reuse_twins(twin_of: Sequence[Optional[int]], fn) -> list:
     """``fn(i)`` for each i with ``twin_of[i]`` None; a twin reuses its source's value."""
     out: list = []
     for i, source in enumerate(twin_of):
         out.append(fn(i) if source is None else out[source])
     return out
-
-
-def swap_permutation(problem: ProblemSpec, basis: BasisSet) -> Optional[np.ndarray]:
-    """Basis permutation of the diagonal swap x <-> y when V on the square is invariant under it."""
-    if problem.dimension != 2 or not problem.potential.swap_invariant():
-        return None
-    return np.arange(basis.size**2).reshape(basis.size, basis.size).T.ravel()
 
 
 def _cholesky(m: np.ndarray, what: str) -> np.ndarray:
@@ -580,23 +550,20 @@ def _cholesky(m: np.ndarray, what: str) -> np.ndarray:
 def assemble_stack(
     basis: BasisSet,
     vvals: np.ndarray,
-    classes: tuple[np.ndarray, ...],
-    swap: Optional[np.ndarray] = None,
+    symmetry: Symmetry,
     dirichlet: Optional[np.ndarray] = None,
 ) -> dict[str, np.ndarray]:
     """Checked A, B, C of one pencil, or of a stack of pencils on one basis.
 
     ``vvals`` holds V at ``basis.grid_points()`` on its last axis, after an
-    optional leading stack axis that the matrices then share.  ``classes``
-    and ``swap`` are ``parity_classes`` and ``swap_permutation`` of the
-    problem, which an affine family shares for every s; ``dirichlet`` is
-    ``dirichlet_form``, built here when not given.  Every check runs on
-    every member: the positivity of V at the nodes, the Legendre tail of
-    q, the asymmetry, the parity and swap leaks, and the Cholesky factor of
-    C on each class; A is judged by its Cholesky factor per whitening block
-    in ``whiten_stack``.  A failed check refuses the whole stack; the
-    message of a check with per-member values is that of its first flagged
-    member (``errors.refuse``).
+    optional leading stack axis that the matrices then share.  ``symmetry``
+    is ``Symmetry.of`` the problem, which an affine family shares for every
+    s; ``dirichlet`` is ``dirichlet_form``, built here when not given.
+    Every check runs on every member: V > 0 at the nodes, the Legendre tail
+    of q, the asymmetry, the leaks between classes and under the signed
+    swap, and the Cholesky factor of C on each class; A is judged per
+    whitening block in ``whiten_stack``.  A failed check refuses the whole
+    stack, with the message of its first flagged member (``errors.refuse``).
     """
     vmin = np.min(vvals, axis=-1)
     refuse(
@@ -610,6 +577,7 @@ def assemble_stack(
         name: _check_and_symmetrize(name, mat, basis)
         for name, mat in _raw_forms(basis, qvals, dirichlet)
     }
+    classes = symmetry.classes
     if len(classes) > 1:
         label = np.empty(out["A"].shape[-1], dtype=int)
         for cls, idx in enumerate(classes):
@@ -620,22 +588,25 @@ def assemble_stack(
             refuse(
                 ParityViolation,
                 leak > _ASYM_TOL,
-                lambda i: f"matrix {name} couples parity classes at {leak[i]:.3e} of its norm, "
+                lambda i: f"matrix {name} couples symmetry classes at {leak[i]:.3e} of its norm, "
                 f"above {_ASYM_TOL:.0e}",
             )
             mat *= ~coupled
-    if swap is not None:
+    if symmetry.g is not None:
+        sign = symmetry.sign.reshape(basis.size, basis.size)
         for name, mat in out.items():
             scale = np.maximum(_frobenius(mat, lead), 1e-300)
-            m4, image = _pair_swapped(mat, basis.size)  # image[I, J] = M[swap(I), swap(J)]
-            mean = m4 + image
-            mean *= 0.5  # the swap average (M + P M P^T) / 2
-            m4 -= mean  # (M - P M P^T) / 2
+            m4, image = _pair_swapped(mat, basis.size)  # image[I, J] = M[pi(I), pi(J)]
+            mean = image * sign[:, :, None, None]
+            mean *= sign  # s(I) s(J) M[pi(I), pi(J)], the image P^T M P under g
+            mean += m4
+            mean *= 0.5  # the average (M + P^T M P) / 2
+            m4 -= mean  # (M - P^T M P) / 2
             leak = 2.0 * _frobenius(mat, lead) / scale
             refuse(
                 ParityViolation,
                 leak > _ASYM_TOL,
-                lambda i: f"matrix {name} changes under the swap x <-> y by {leak[i]:.3e} of "
+                lambda i: f"matrix {name} changes under {symmetry.g} by {leak[i]:.3e} of "
                 f"its norm, above {_ASYM_TOL:.0e}",
             )
             out[name] = mean.reshape(mat.shape)
@@ -645,29 +616,27 @@ def assemble_stack(
 
 
 def assemble_system(problem: ProblemSpec, basis: BasisSet) -> GalerkinSystem:
-    """Assemble A, B, C once, on the composite rule of ``basis``.
+    """Assemble A, B, C once, on the composite rule of ``basis``: ``assemble_stack`` on one member.
 
     The rule is exact for q = 1/V resolved on each cell; a QuadratureWarning
     reports a q whose Legendre tail says otherwise (V near zero, say).  The
     Gram matrix is the basis's own, checked by ``build_basis``.  Entries
-    coupling two parity classes (``parity_classes``) vanish in exact
-    arithmetic and are set to zero.  On the square, for a swap-invariant V,
-    each matrix M is replaced by its swap average (M + P M P^T) / 2, which
-    moves it by at most the checked leak.  This is ``assemble_stack`` on
-    one member.
+    between two classes of the problem's ``Symmetry`` vanish in exact
+    arithmetic and are set to zero; given a signed swap P, each matrix M
+    becomes (M + P^T M P) / 2, which moves it by at most the checked leak.
 
     Raises:
         AsymmetryExceeded: pre-symmetrization asymmetry above 1e-8.
-        ParityViolation: the dropped entries, or the swap leak
-            ||M - P M P^T|| / ||M||, exceed 1e-8.
-        NotPositiveDefinite: C fails factorization on a parity class.  A is
+        ParityViolation: the dropped entries, or the leak
+            ||M - P^T M P|| / ||M||, exceed 1e-8.
+        NotPositiveDefinite: C fails factorization on a class.  A is
             judged by ``whiten``, whose Cholesky factor per whitening block
             refuses it as "stiffness".
         NonpositivePotential: V not strictly positive at a quadrature node.
     """
-    classes, swap = parity_classes(problem, basis), swap_permutation(problem, basis)
+    symmetry = Symmetry.of(problem, basis)
     vvals = _potential_values(problem.potential, basis.grid_points())
-    out = assemble_stack(basis, vvals, classes, swap)
+    out = assemble_stack(basis, vvals, symmetry)
     return GalerkinSystem(
         gram=basis.gram,
         a=out["A"],
@@ -675,8 +644,7 @@ def assemble_system(problem: ProblemSpec, basis: BasisSet) -> GalerkinSystem:
         c=out["C"],
         problem=problem,
         basis=basis,
-        blocks=classes,
-        swap=swap,
+        symmetry=symmetry,
     )
 
 
@@ -685,21 +653,21 @@ class _Block:
     """Orthonormal columns of one whitening block, in basis coordinates.
 
     Column c is e_{p_c} where ``q`` is None or q_c = p_c, else
-    (e_{p_c} + sign e_{q_c}) / sqrt(2).  A twin lists in ``p`` the swap
-    images of its source's rows.
+    (e_{p_c} + sign_c e_{q_c}) / sqrt(2).  A twin lists in ``p`` the images
+    pi(I) of its source's rows I.
     """
 
     p: np.ndarray
     q: Optional[np.ndarray] = None
-    sign: float = 1.0
+    sign: Optional[np.ndarray] = None
     twin_of: Optional[int] = None
 
     def gather(self, m: np.ndarray) -> np.ndarray:
-        """The sub-pencil matrix W^T M W of a swap-invariant M (or of each member of a stack).
+        """The sub-pencil matrix W^T M W of a g-invariant M (or of each member of a stack).
 
-        With q = swap(p) and M exactly invariant, the four terms of W^T M W
-        pair up: W^T M W = s s^T o (M[p, p] + sign M[p, q]), with s = 1/sqrt(2)
-        on the swap-fixed members (q_c = p_c) and 1 elsewhere.
+        With q = pi(p) and M exactly invariant, the four terms of W^T M W
+        pair up: W^T M W = s s^T o (M[p, p] + M[p, q] diag(sign)), with
+        s = 1/sqrt(2) on the g-fixed members (q_c = p_c) and 1 elsewhere.
         """
         if self.q is None and self.p.size == m.shape[-1]:
             return m  # the whole pencil in one block: p is every index, ascending
@@ -716,39 +684,71 @@ class _Block:
             return
         pair = self.p != self.q
         x[self.p, cols] = np.where(pair, np.sqrt(0.5), 1.0)[:, None] * xb
-        x[self.q[pair], cols] = self.sign * x[self.p[pair], cols]
+        x[self.q[pair], cols] = self.sign[pair, None] * x[self.p[pair], cols]
 
 
-def whitening_blocks(classes: tuple[np.ndarray, ...], swap: Optional[np.ndarray]) -> list[_Block]:
-    """The parity classes, refined by the diagonal swap if there is one.
+@dataclass(frozen=True)
+class Symmetry:
+    """The symmetry blocks of the pencil, from the stabilizer H of V (``PotentialSpec.stabilizer``).
 
-    A class the swap maps onto itself splits into a swap-even half, columns
-    (e_I + e_swap(I)) / sqrt(2) for I < swap(I) and e_I for I = swap(I), and
-    a swap-odd half, (e_I - e_swap(I)) / sqrt(2) for I < swap(I); on the
-    square I < swap(I) means x-factor below y-factor.  Of two classes the
-    swap exchanges, the first stays a block of plain indices and the second
-    becomes its twin.  Empty halves are left out.
+    Each g = (swap, f_x, f_y) in H, named in ``names``, maps e_I, I = (i, j),
+    to s(I) e_pi(I), s(I) = (-1)^(f_x i + f_y j) and pi the swap if set.
+    H's diagonal elements fix the ``classes``: the ascending basis indices
+    of equal sign under each, ordered by those signs (rot180 alone gives
+    the (i + j)-parity classes).  ``g`` names H's signed swap, the plain
+    swap if H has it, else None; ``perm`` and ``sign`` are its pi and s.
     """
-    if swap is None:
-        return [_Block(idx) for idx in classes]
-    out: list[_Block] = []
-    sources: dict[int, int] = {}  # smallest index of a class's image -> the class's block
-    for idx in classes:
-        image = swap[idx]
-        if idx.size and int(idx[0]) in sources:
-            source = sources[int(idx[0])]
-            rows = swap[out[source].p]
-            if not np.array_equal(np.sort(rows), idx):
-                raise ValueError("the swap does not map the parity classes onto each other")
-            out.append(_Block(rows, twin_of=source))
-        elif np.array_equal(np.sort(image), idx):
-            for sign, half in ((1.0, idx <= image), (-1.0, idx < image)):
-                if np.any(half):
-                    out.append(_Block(idx[half], image[half], sign))
-        else:
-            sources[int(image.min())] = len(out)
-            out.append(_Block(idx))
-    return out
+
+    classes: tuple[np.ndarray, ...]
+    names: tuple[str, ...] = ("identity",)
+    g: Optional[str] = None
+    perm: Optional[np.ndarray] = None
+    sign: Optional[np.ndarray] = None
+
+    @classmethod
+    def of(cls, problem: ProblemSpec, basis: BasisSet) -> "Symmetry":
+        names, d, n = problem.potential.stabilizer(), problem.dimension, basis.size
+        factors = np.indices((n,) * d).reshape(d, -1)  # the 1D factor index per axis
+        sign = {g: 1.0 - 2.0 * (np.dot(SYMMETRIES[g][1 : d + 1], factors) % 2) for g in names}
+        diagonal = [g for g in names if not SYMMETRIES[g][0]][::-1]
+        key = sum((2**k * (sign[g] < 0) for k, g in enumerate(diagonal)), np.zeros(n**d, int))
+        classes = tuple(np.flatnonzero(key == k) for k in np.unique(key))
+        g = next((g for g in names if SYMMETRIES[g][0]), None)
+        swap = () if g is None else (g, np.arange(n * n).reshape(n, n).T.ravel(), sign[g])
+        return cls(classes, names, *swap)
+
+    @cached_property
+    def blocks(self) -> list[_Block]:
+        """The whitening blocks: the classes, split and paired by g.
+
+        A class g maps onto itself with g^2 = 1 splits into halves +-1:
+        columns (e_I +- s(I) e_pi(I)) / sqrt(2) for I < pi(I), e_I for I = pi(I)
+        and s(I) = +-1, empty halves left out.  Of two classes g exchanges
+        (only in D4, where g is the plain swap) the second becomes the first's
+        twin.  A class with g^2 = -1 (rot90's (i + j)-odd class in C4, of
+        complex type, with double eigenvalues) stays whole.
+        """
+        if self.g is None:
+            return [_Block(idx) for idx in self.classes]
+        out: list[_Block] = []
+        sources: dict[int, int] = {}  # smallest index of a class's image -> the class's block
+        for idx in self.classes:
+            image, sign = self.perm[idx], self.sign[idx]
+            source = sources.get(int(idx[0]))
+            if source is not None:
+                rows = out[source].p
+                if not np.array_equal(np.sort(self.perm[rows]), idx):
+                    raise ValueError(f"{self.g} does not map the classes onto each other")
+                out.append(_Block(self.perm[rows], twin_of=source))
+            elif np.array_equal(np.sort(image), idx) and np.all(sign == self.sign[image]):  # g^2 = 1
+                for half_sign in (1.0, -1.0):
+                    half = (idx < image) | ((idx == image) & (sign == half_sign))
+                    if np.any(half):
+                        out.append(_Block(idx[half], image[half], half_sign * sign[half]))
+            else:  # a class that g maps elsewhere, or onto itself with g^2 = -1
+                sources[int(image.min())] = len(out)
+                out.append(_Block(idx))
+        return out
 
 
 def whiten_stack(
@@ -756,7 +756,7 @@ def whiten_stack(
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The block whitening of one pencil, or of each member of a stack.
 
-    For each block (``whitening_blocks``) that is not a twin, with W its
+    For each block (``Symmetry.blocks``) that is not a twin, with W its
     columns and L = chol(W^T A W), the eigendecomposition
     M = L^{-1} (W^T C W) L^{-T} = Q diag(mu) Q^T gives X_b = L^{-T} Q
     diag(mu)^{-1/2} in the block's coordinates and B_w,b = X_b^T (W^T B W) X_b,
@@ -807,10 +807,10 @@ def whiten(system: GalerkinSystem) -> WhitenedSystem:
     """Diagonalize the stiffness in mass-orthonormal coordinates, block by block.
 
     ``whiten_stack`` on one member: one congruence per symmetry block
-    (``whitening_blocks``) that is not a twin, taken on the inverse side,
+    (``Symmetry.blocks``) that is not a twin, taken on the inverse side,
     X_b = W L^{-T} Q diag(mu)^{-1/2}, so that X^T C X = I and
     X^T A X = diag(1/mu).  A twin copies its source's mu, shares its B_w
-    array, and its rows of X are the source's under the swap.  The small
+    array, and its rows of X are the source's under g.  The small
     stiffness eigenvalues 1/mu are the largest mu, which the symmetric
     eigensolver resolves to full relative accuracy.  Tiny positive mu are
     the stiffest modes and are kept: they only feed the top of the
@@ -824,7 +824,7 @@ def whiten(system: GalerkinSystem) -> WhitenedSystem:
             factor, no mu is positive, or some mu < -tau (C is not positive
             definite on the span).
     """
-    blocks = whitening_blocks(system.blocks, system.swap)
+    blocks = system.symmetry.blocks
     parts = whiten_stack(blocks, system.a, system.b, system.c)
     kept = [int(np.count_nonzero(mu > 0)) for mu, _, _ in parts]  # mu descends: a prefix
     stops = np.cumsum(kept)
@@ -832,7 +832,7 @@ def whiten(system: GalerkinSystem) -> WhitenedSystem:
     mu = np.concatenate([m[:k] for (m, _, _), k in zip(parts, kept)])
     x = np.zeros((system.size, mu.size))
     for blk, (_, xb, _), cols, k in zip(blocks, parts, slices, kept):
-        blk.scatter(x, cols, xb[:, :k])  # a twin's p lists the swap images of its source's rows
+        blk.scatter(x, cols, xb[:, :k])  # a twin's p lists the images of its source's rows
     twin_of = tuple(blk.twin_of for blk in blocks)
     bw = _reuse_twins(twin_of, lambda i: np.ascontiguousarray(parts[i][2][: kept[i], : kept[i]]))
     return WhitenedSystem(

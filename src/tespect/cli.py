@@ -332,6 +332,7 @@ def _cmd_assemble(cfg: RunConfig, out: OutputWriter) -> int:
             "matrix_size": system.size,
             "block_sizes": [blk.stop - blk.start for blk in wh.blocks],
             "block_copies": list(wh.twin_of),
+            "symmetries": list(system.symmetry.names),
             "deflated": wh.deflated,
             "trace_class": problem.trace_class,
             "hilbert_schmidt": problem.hilbert_schmidt,

@@ -8,12 +8,10 @@ whose zeros are exactly the pencil roots and which satisfies f(0) = 1.
 The matrix vanishes off the symmetry blocks of the whitened system, so f is
 a product of one determinant per block b, of I - lam K_b + lam^2 diag(mu_b)
 with K_b from the stored block of B_w (``WhitenedSystem.k_block``); no N x N
-matrix is formed.  For a reflection-invariant V a block is half the size on
-the interval and a quarter on the square, and on the square a
-swap-invariant V splits two of those quarters into halves again and makes
-the other two twins, equal matrices whose determinant is factored once.
-Because f grows like
-|lam|^(2N), every magnitude here is carried in log scale.  Winding numbers
+matrix is formed.  The blocks are those of the stabilizer of V
+(``assembly.Symmetry``); a twin's matrix equals its source's, and its
+determinant is factored once.  Because f grows like |lam|^(2N), every
+magnitude here is carried in log scale.  Winding numbers
 come from unwrapped contour phases, the disk-count bound from the standard
 contour-maximum inequality
 

@@ -38,14 +38,12 @@ import numpy as np
 from . import densela
 from .assembly import (
     BasisSet,
+    Symmetry,
     WhitenedSystem,
     assemble_stack,
     build_basis,
     dirichlet_form,
-    parity_classes,
-    swap_permutation,
     whiten_stack,
-    whitening_blocks,
 )
 from .companion import CompanionSystem
 from .errors import ComputationError, CrossCheckFailed, PotentialLeavesCone, refuse
@@ -161,16 +159,16 @@ def _power(d: np.ndarray, k: int) -> np.ndarray:
     return half @ half if k % 2 == 0 else half @ half @ d
 
 
-def _class_solves(a: np.ndarray, classes, *rhs: np.ndarray):
-    """Yield A_cc^{-1} [R_cc ...] for each parity class c, the raw route.
+def _class_solves(a: np.ndarray, symmetry: Symmetry, *rhs: np.ndarray):
+    """Yield (c, A_cc^{-1} [R_cc ...]) for each class c of ``symmetry``, the raw route.
 
     A and every R couple no two classes, so A^{-1} R is block diagonal and
     these are its diagonal blocks, the columns of the R in turn.  Acts on
     the last two axes, so on one pencil or on each member of a stack.
     """
-    for idx in classes:
+    for idx in symmetry.classes:
         cut = (Ellipsis, idx[:, None], idx)
-        yield np.linalg.solve(a[cut], np.concatenate([r[cut] for r in rhs], axis=-1))
+        yield idx, np.linalg.solve(a[cut], np.concatenate([r[cut] for r in rhs], axis=-1))
 
 
 def trace_identity_check(comp: CompanionSystem) -> tuple[float, float]:
@@ -183,18 +181,17 @@ def trace_identity_check(comp: CompanionSystem) -> tuple[float, float]:
 
     both invariant under the whitening congruence.  The companion side is
     ``trace_power(comp, 1)`` and ``trace_power(comp, 2)``, the values that
-    ``trace_report`` reports.  A, B and C are exact zeros between parity
-    classes by construction, so M and A^{-1} C are block diagonal over them
-    and the raw side sums the same traces class by class (``_class_solves``:
-    one solve per class with the class's B and C as right-hand sides).  It
-    never touches mu, B_w, the swap split or the twins, so a fault in the
-    whitening, in the split, in a twin or in a D_b shows here.  Each residual
-    is relative to the larger magnitude (floored at one, so exact-zero cases
-    stay well-defined).
+    ``trace_report`` reports.  A, B and C are exact zeros between the
+    classes of the system's ``Symmetry``, so M and A^{-1} C are block
+    diagonal over them and the raw side sums the same traces class by class
+    (``_class_solves``, the class's B and C as right-hand sides).  It never
+    touches mu, B_w, the split by the signed swap or the twins, so a fault
+    in any of them or in a D_b shows here.  Each residual is relative to the
+    larger magnitude (floored at one, so exact-zero cases stay well-defined).
     """
     system = comp.whitened.system
     tr_m = tr_raw = 0.0
-    for idx, solved in zip(system.blocks, _class_solves(system.a, system.blocks, system.b, system.c)):
+    for idx, solved in _class_solves(system.a, system.symmetry, system.b, system.c):
         m, a_inv_c = solved[:, : idx.size], solved[:, idx.size :]
         tr_m += float(np.trace(m))
         tr_raw += float(np.sum(m * m.T) - 2.0 * np.trace(a_inv_c))
@@ -327,22 +324,19 @@ def numerical_range(wh: WhitenedSystem, sample_count: int = _RANGE_SAMPLES, seed
 class _Pencils:
     """What the pencils of one basis share across a family of potentials.
 
-    The parity classes, the swap and so the whitening blocks follow from the
-    representation of V, and for an affine family V_0 + s d from both of
-    its parts, never from s; the Dirichlet form does not involve V at all.
-    So one instance serves every member of a scan.
+    The ``Symmetry`` follows from the stabilizer of V, for an affine family
+    V_0 + s d the elements both parts have, never from s; the Dirichlet
+    form does not involve V at all.  So one instance serves every member of
+    a scan.
     """
 
     basis: BasisSet
-    classes: tuple
-    swap: Optional[np.ndarray]
-    blocks: list  # whitening_blocks(classes, swap)
+    symmetry: Symmetry
     dirichlet: np.ndarray
 
     @classmethod
     def of(cls, problem: ProblemSpec, basis: BasisSet) -> "_Pencils":
-        classes, swap = parity_classes(problem, basis), swap_permutation(problem, basis)
-        return cls(basis, classes, swap, whitening_blocks(classes, swap), dirichlet_form(basis))
+        return cls(basis, Symmetry.of(problem, basis), dirichlet_form(basis))
 
     def routes(self, vvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Whitened and raw trace functional for V at the quadrature points, per stack member.
@@ -351,12 +345,12 @@ class _Pencils:
         stiffness A is factored once per whitening block, for its positivity
         check and for the whitening; the mass C keeps its per-class check.
         """
-        mats = assemble_stack(self.basis, vvals, self.classes, self.swap, self.dirichlet)
-        parts = whiten_stack(self.blocks, mats["A"], mats["B"], mats["C"])
+        mats = assemble_stack(self.basis, vvals, self.symmetry, self.dirichlet)
+        parts = whiten_stack(self.symmetry.blocks, mats["A"], mats["B"], mats["C"])
         mu = np.concatenate([m for m, _, _ in parts], axis=-1)
         diag = np.concatenate([np.diagonal(bb, axis1=-2, axis2=-1) for _, _, bb in parts], axis=-1)
         whitened = (mu[..., None, :] @ diag[..., :, None])[..., 0, 0]  # one BLAS dot per member
-        raw = sum(np.trace(m, axis1=-2, axis2=-1) for m in _class_solves(mats["A"], self.classes, mats["B"]))
+        raw = sum(np.trace(m, axis1=-2, axis2=-1) for _, m in _class_solves(mats["A"], self.symmetry, mats["B"]))
         return whitened, raw
 
 
@@ -431,15 +425,15 @@ def potential_scan(
 
     The family is evaluated in stacks over s through the kernels that
     evaluate one problem (``assemble_stack``, ``whiten_stack`` and the
-    per-class raw route ``_class_solves``): the basis, the parity
-    classes, the swap, the whitening blocks and the Dirichlet form are
-    built once, and a stack holds at most ``_SCAN_STACK_BYTES`` (32 MB) of
-    N x N arrays, all points in 1D and one or a few in 2D.  For every s the
-    checks are those of one evaluation: the cone check on the validation
-    grid, V > 0 at the quadrature nodes, the Legendre tail warning,
-    asymmetry, parity and swap leaks, the Cholesky factor of C on each
-    class and of A on each whitening block, the mu cut, and the cyclicity
-    cross-check.
+    per-class raw route ``_class_solves``): the basis, the ``Symmetry`` of
+    the family and the Dirichlet form are built once, and a stack holds at
+    most ``_SCAN_STACK_BYTES`` (32 MB) of N x N arrays, all points in 1D
+    and one or a few in 2D.  For every s the checks are those of one
+    evaluation: the cone check on the validation grid, V > 0 at the
+    quadrature nodes, the Legendre tail warning, asymmetry, the leaks
+    between classes and under the signed swap, the Cholesky factor of C on
+    each class and of A on each whitening block, the mu cut, and the
+    cyclicity cross-check.
 
     Raises:
         ValueError: ``count`` below ``MIN_SCAN_POINTS``, or s_min == s_max.

@@ -78,8 +78,8 @@ class NotPositiveDefinite(ComputationError):
 class ParityViolation(ComputationError):
     """A claimed symmetry of V does not hold for the assembled pencil.
 
-    Entries coupling two reflection-parity classes are too large to drop, or
-    a matrix changes under the diagonal swap by too much to average it out.
+    Entries coupling two symmetry classes are too large to drop, or a matrix
+    changes under the signed swap by too much to average it out.
     """
 
 

@@ -11,6 +11,7 @@ construction, and assembly reads only their order.  The reciprocal
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -27,6 +28,12 @@ from .errors import (
 PRESET_ORDERS = {"laplacian": 2, "bilaplacian": 4}
 _POSITIVITY_MARGIN = 1e-10
 _DOMAIN_SLACK = 1e-12
+_EPS = float(np.finfo(float).eps)
+# the symmetries T of the square as (swap, flip_x, flip_y): x <-> y, then x -> 1 - x, y -> 1 - y, if set
+SYMMETRIES = {
+    "identity": (0, 0, 0), "flip_x": (0, 1, 0), "flip_y": (0, 0, 1), "rot180": (0, 1, 1),
+    "swap": (1, 0, 0), "antiswap": (1, 1, 1), "rot90": (1, 1, 0), "rot270": (1, 0, 1),
+}
 
 
 @dataclass(frozen=True)
@@ -136,35 +143,35 @@ class PotentialSpec:
             raise DimensionMismatch("base and direction dimensions differ")
         return cls("affine", (base, direction, float(scale)), base.dimension)
 
-    def reflection_invariant(self, axis: int) -> bool:
-        """Whether V is exactly invariant under x_axis -> 1 - x_axis.
+    def stabilizer(self) -> tuple[str, ...]:
+        """Names of the g in ``SYMMETRIES`` with V o T_g = V, in its order; in 1D of identity and flip_x.
 
         Read from the representation, never sampled: a grid when its samples
-        equal their flip along ``axis``; a polynomial (a constant among them)
-        only when no coefficient depends on that coordinate; an affine family
-        when both of its parts are.
+        equal their exact flips and transpose; a polynomial when its
+        coefficients, binomially shifted for each flip (x -> 1 - x) and
+        transposed after padding to square, equal themselves within the
+        shift's rounding; an affine family, the elements both parts have.
         """
+        candidates = SYMMETRIES if self.dimension == 2 else {g: SYMMETRIES[g] for g in ("identity", "flip_x")}
+        return tuple(name for name, g in candidates.items() if self._fixed_by(*g))
+
+    def _fixed_by(self, swap: int, *flips: int) -> bool:
         if self.kind == "affine":
-            base, direction, _ = self.data
-            return base.reflection_invariant(axis) and direction.reflection_invariant(axis)
-        if self.kind == "grid":
-            return bool(np.array_equal(self.data, np.flip(self.data, axis)))
-        return not np.any(np.take(self.data, np.arange(1, self.data.shape[axis]), axis=axis))
-
-    def swap_invariant(self) -> bool:
-        """Whether V on the square is exactly invariant under the swap x <-> y.
-
-        Read from the representation, never sampled: a polynomial (a
-        constant among them) when its coefficient matrix is square and equals
-        its transpose; a grid when it equals its transpose; an affine family
-        when both of its parts are.  A 1D potential has no swap.
-        """
-        if self.dimension != 2:
+            return all(part._fixed_by(swap, *flips) for part in self.data[:2])
+        c, poly = self.data, self.kind == "polynomial"
+        if poly and c.shape[0] != c.shape[-1]:  # zero coefficients up to a square
+            c = np.pad(c, [(0, max(c.shape) - n) for n in c.shape])
+        if swap and c.shape[0] != c.shape[-1]:
             return False
-        if self.kind == "affine":
-            base, direction, _ = self.data
-            return base.swap_invariant() and direction.swap_invariant()
-        return bool(np.array_equal(self.data, self.data.T))
+        image, bound = c, np.abs(c)
+        for axis in np.flatnonzero(flips[: self.dimension]):
+            n = c.shape[axis]  # (1 - x)^i = sum_k m[k, i] x^k, or a grid's flip
+            m = np.array([[(-1.0) ** k * math.comb(i, k) for i in range(n)] for k in range(n)]) if poly else np.eye(n)[::-1]
+            image, bound = (f @ a if axis == 0 else a @ f.T for f, a in ((m, image), (abs(m), bound)))
+        if swap:
+            image, bound = image.T, bound.T
+        rounding = 4 * max(c.shape) * _EPS if poly and any(flips) else 0.0
+        return bool(np.all(np.abs(image - c) <= rounding * bound))
 
 
 @dataclass(frozen=True)

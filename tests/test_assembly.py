@@ -357,7 +357,7 @@ def test_whiten_stack_masks_a_cut_that_differs_between_members():
     a = np.stack([np.eye(2), np.eye(2)])
     b = np.stack([[[2.0, 0.5], [0.5, 3.0]]] * 2)
     c = np.stack([np.diag([1.0, 0.5]), np.diag([1.0, -1e-17])])
-    blocks = assembly.whitening_blocks((np.arange(2),), None)
+    blocks = assembly.Symmetry((np.arange(2),)).blocks
     ((mu, xb, bw),) = assembly.whiten_stack(blocks, a, b, c)
     for i, kept in enumerate((2, 1)):
         wh = assembly.whiten(assembly.GalerkinSystem(gram=np.eye(2), a=a[i], b=b[i], c=c[i]))
@@ -374,7 +374,7 @@ def test_assemble_stack_refuses_a_nan_node_in_its_member():
     vvals = np.full((3, basis.grid_points().shape[-1]), 2.0)
     vvals[1, 5] = np.nan
     with pytest.raises(NonpositivePotential, match="potential minimum nan"):
-        assembly.assemble_stack(basis, vvals, assembly.parity_classes(prob, basis))
+        assembly.assemble_stack(basis, vvals, assembly.Symmetry.of(prob, basis))
 
 
 def test_stacked_cholesky_refuses_a_failing_member():
@@ -505,16 +505,16 @@ def test_parity_of_constant_potential():
     twins = {1: (None, None), 2: (None, None, None, 2, None, None)}
     for dimension, count in ((1, 2), (2, 4)):
         pot = model.PotentialSpec.constant(3.0, dimension)
-        assert all(pot.reflection_invariant(axis) for axis in range(dimension))
         system = parity_system(pot)
-        assert len(system.blocks) == count
-        assert sorted(np.concatenate(system.blocks)) == list(range(system.size))
+        assert system.symmetry.names == pot.stabilizer()
+        assert len(system.symmetry.classes) == count
+        assert sorted(np.concatenate(system.symmetry.classes)) == list(range(system.size))
         assert assembly.whiten(system).twin_of == twins[dimension]
 
 
 def test_parity_of_grid_potentials_1d():
-    assert len(parity_system(grid([2.0, 1.0, 3.0, 1.0, 2.0], 1)).blocks) == 2
-    assert len(parity_system(grid([2.0, 1.0, 3.0, 2.5, 2.0], 1)).blocks) == 1
+    assert len(parity_system(grid([2.0, 1.0, 3.0, 1.0, 2.0], 1)).symmetry.classes) == 2
+    assert len(parity_system(grid([2.0, 1.0, 3.0, 2.5, 2.0], 1)).symmetry.classes) == 1
 
 
 def test_parity_of_grid_potentials_2d():
@@ -522,42 +522,44 @@ def test_parity_of_grid_potentials_2d():
     both = np.array([[2.0, 1.0, 2.0], [3.0, 2.0, 3.0], [2.0, 1.0, 2.0]])
     asym = np.array([[2.0, 1.0, 1.5], [3.0, 2.0, 2.5], [2.2, 1.0, 1.5]])
     pot = grid(sym_x, 2)
-    assert pot.reflection_invariant(0) and not pot.reflection_invariant(1)
+    assert pot.stabilizer() == ("identity", "flip_x")
     system = parity_system(pot)
     # classes by x-parity: the x-factor of index I is I // size
-    assert [sorted({int(i) // 6 % 2 for i in blk}) for blk in system.blocks] == [[0], [1]]
-    assert len(parity_system(grid(both, 2)).blocks) == 4
-    assert len(parity_system(grid(asym, 2)).blocks) == 1
+    assert [sorted({int(i) // 6 % 2 for i in blk}) for blk in system.symmetry.classes] == [[0], [1]]
+    assert len(parity_system(grid(both, 2)).symmetry.classes) == 4
+    assert len(parity_system(grid(asym, 2)).symmetry.classes) == 1
 
 
 def test_parity_of_polynomial_constant_in_one_axis():
     pot = model.PotentialSpec.polynomial([[2.0, 0.5, -0.3]], 2)  # 2 + 0.5 y - 0.3 y^2
-    assert pot.reflection_invariant(0) and not pot.reflection_invariant(1)
+    assert pot.stabilizer() == ("identity", "flip_x")
     system = parity_system(pot)
-    assert [len(blk) for blk in system.blocks] == [18, 18]
-    assert not model.PotentialSpec.polynomial([2.0, 1.0, -1.0], 1).reflection_invariant(0)
+    assert [len(blk) for blk in system.symmetry.classes] == [18, 18]
+    # 2 + x - x^2 = 2 + (1 - x) - (1 - x)^2 is reflection-invariant: two classes
+    system = parity_system(model.PotentialSpec.polynomial([2.0, 1.0, -1.0], 1))
+    assert [len(blk) for blk in system.symmetry.classes] == [3, 3]
 
 
 def test_parity_of_asymmetric_benchmark_polynomial():
     # V = sum c_ij x^i y^j with c10, c20 > 0, the form of the square-2d benchmark
     coeffs = [[2.4, 0.3], [1.1, -0.2], [0.3, 0.0]]
     system = parity_system(model.PotentialSpec.polynomial(coeffs, 2))
-    assert len(system.blocks) == 1
+    assert len(system.symmetry.classes) == 1
 
 
 def test_parity_of_affine_potential():
     base = model.PotentialSpec.constant(2.0, 1)
     sym = model.PotentialSpec.affine(base, grid([1.0, 0.0, 1.0], 1), 0.5)
     asym = model.PotentialSpec.affine(base, model.PotentialSpec.polynomial([0.0, 1.0], 1), 0.5)
-    assert sym.reflection_invariant(0) and not asym.reflection_invariant(0)
-    assert len(parity_system(sym).blocks) == 2
-    assert len(parity_system(asym).blocks) == 1
+    assert sym.stabilizer() == ("identity", "flip_x") and asym.stabilizer() == ("identity",)
+    assert len(parity_system(sym).symmetry.classes) == 2
+    assert len(parity_system(asym).symmetry.classes) == 1
 
 
 def test_parity_blocks_decouple_exactly():
     system = parity_system(model.PotentialSpec.constant(3.0, 2))
     label = np.empty(system.size, dtype=int)
-    for cls, idx in enumerate(system.blocks):
+    for cls, idx in enumerate(system.symmetry.classes):
         label[idx] = cls
     coupled = label[:, None] != label[None, :]
     for mat in (system.a, system.b, system.c):
@@ -565,8 +567,8 @@ def test_parity_blocks_decouple_exactly():
 
 
 def test_claimed_parity_of_asymmetric_potential_is_refused(monkeypatch):
-    monkeypatch.setattr(model.PotentialSpec, "reflection_invariant", lambda self, axis: True)
-    with pytest.raises(ParityViolation):
+    monkeypatch.setattr(model.PotentialSpec, "stabilizer", lambda self: ("identity", "flip_x"))
+    with pytest.raises(ParityViolation, match="couples symmetry classes"):
         parity_system(model.PotentialSpec.polynomial([2.0, 1.0], 1))
 
 
@@ -583,11 +585,11 @@ def test_no_swap_split_without_swap_symmetry():
     transposed_differs = grid([[2.0, 1.0, 2.0], [3.0, 2.0, 3.0], [2.0, 1.0, 2.0]], 2)
     non_square = model.PotentialSpec.polynomial([[2.0, 0.5, 0.5]], 2)  # 2 + y / 2 + y^2 / 2
     for pot in (benchmark, transposed_differs, non_square):
-        assert not pot.swap_invariant()
+        assert not any(model.SYMMETRIES[g][0] for g in pot.stabilizer())
         system = parity_system(pot)
-        assert system.swap is None
+        assert system.symmetry.g is None
         wh = assembly.whiten(system)
-        assert len(wh.blocks) == len(system.blocks) and set(wh.twin_of) == {None}
+        assert len(wh.blocks) == len(system.symmetry.classes) and set(wh.twin_of) == {None}
 
 
 @pytest.mark.parametrize("dimension,size", [(1, 12), (2, 8)])
@@ -604,27 +606,37 @@ def test_swap_split_of_polynomial_without_reflection_symmetry():
     # V = 2 + x + y: no reflection, so one parity class, split in swap halves
     pot = model.PotentialSpec.polynomial([[2.0, 1.0], [1.0, 0.0]], 2)
     system = parity_system(pot)
-    assert len(system.blocks) == 1 and system.swap is not None
+    assert len(system.symmetry.classes) == 1 and system.symmetry.g == "swap"
     wh = assembly.whiten(system)
     assert [blk.stop - blk.start for blk in wh.blocks] == [21, 15]
     assert_whitening_congruence(system, wh)
 
 
 def test_claimed_swap_of_asymmetric_potential_is_refused(monkeypatch):
-    monkeypatch.setattr(model.PotentialSpec, "swap_invariant", lambda self: True)
+    monkeypatch.setattr(model.PotentialSpec, "stabilizer", lambda self: ("identity", "swap"))
     with pytest.raises(ParityViolation, match="swap"):
         parity_system(model.PotentialSpec.polynomial([[2.0, 1.0], [0.0, 0.0]], 2))
 
 
+def test_claimed_rot90_of_potential_without_it_is_refused(monkeypatch):
+    # 2 + (x - 1/2)(y - 1/2) has rot180, so its classes decouple, but not rot90
+    pot = model.PotentialSpec.polynomial([[2.25, -0.5], [-0.5, 1.0]], 2)
+    assert "rot180" in pot.stabilizer() and "rot90" not in pot.stabilizer()
+    monkeypatch.setattr(model.PotentialSpec, "stabilizer", lambda self: ("identity", "rot180", "rot90", "rot270"))
+    with pytest.raises(ParityViolation, match="rot90"):
+        parity_system(pot)
+
+
 def without_swap(system):
-    return dataclasses.replace(system, swap=None)
+    return dataclasses.replace(system, symmetry=assembly.Symmetry(system.symmetry.classes))
 
 
 @pytest.mark.parametrize("size", [8, 12])
 @pytest.mark.parametrize("operator", ["laplacian", "bilaplacian"])
 def test_swap_split_matches_parity_split(operator, size):
     _, _, system, wh = cached_system(operator=operator, dimension=2, size=size, contrast=3.0)
-    assert np.array_equal(system.a, system.a[np.ix_(system.swap, system.swap)])
+    swap = system.symmetry.perm
+    assert system.symmetry.g == "swap" and np.array_equal(system.a, system.a[np.ix_(swap, swap)])
     # X^T B X multiplies the pairs (e_I +- e_swap(I)) / sqrt(2) out in another
     # order than B_w: at the bilaplacian's n=12 the two differ by 2e-14 of |B_w|
     assert_whitening_congruence(system, wh, b_tol=1e-13)
@@ -633,7 +645,7 @@ def test_swap_split_matches_parity_split(operator, size):
     assert wh.twin_of[3] == 2 and wh.b[3] is wh.b[2]
     bw = dense_bw(wh)
     assert np.array_equal(wh.mu[eo], wh.mu[oe]) and np.array_equal(bw[eo, eo], bw[oe, oe])
-    assert np.array_equal(wh.to_basis[system.swap][:, oe], wh.to_basis[:, eo])
+    assert np.array_equal(wh.to_basis[swap][:, oe], wh.to_basis[:, eo])
     pairs = companion.pencil_eigenvalues(wh)
     sizes = np.cumsum([2 * (blk.stop - blk.start) for blk in wh.blocks])
     per_block = np.split(pairs, sizes[:-1])
@@ -643,6 +655,116 @@ def test_swap_split_matches_parity_split(operator, size):
     assert comp.blocks[3] is comp.blocks[2] and eigen[3] is eigen[2]
     assert np.array_equal(eigen[2].eigenvalues, eigen[3].eigenvalues)
     assert match_multisets(spectrum(system), spectrum(without_swap(system))) < 1e-11
+
+
+# -- the stabilizer in D4 -------------------------------------------------------------
+
+# subgroups of D4 that a drawn polynomial is averaged over, by their elements
+SUBGROUPS = {
+    "trivial": ("identity",),
+    "flip_x": ("identity", "flip_x"),
+    "swap": ("identity", "swap"),
+    "diagonals": ("identity", "rot180", "swap", "antiswap"),
+    "C4": ("identity", "rot180", "rot90", "rot270"),
+    "D4": tuple(model.SYMMETRIES),
+}
+
+
+def centred_image(a, g):
+    """Coefficients of p o T_g for p = sum a[k, l] u^k v^l, u = x - 1/2, v = y - 1/2.
+
+    T_g is the swap (if set), then the flips of ``model.SYMMETRIES``; in
+    (u, v) each flip negates a coordinate, so the monomials only change sign
+    (and are transposed by the swap): exact arithmetic.
+    """
+    swap, fx, fy = model.SYMMETRIES[g]
+    k, l = np.indices(a.shape)
+    signed = (-1.0) ** (fx * k + fy * l) * a
+    return signed.T if swap else signed
+
+
+def in_xy(a):
+    """The coefficients c[i, j] of x^i y^j of sum a[k, l] (x - 1/2)^k (y - 1/2)^l, exactly for dyadic a."""
+    out = np.zeros(a.shape)
+    for (k, l), coef in np.ndenumerate(a):
+        u, v = (np.polynomial.polynomial.polypow([-0.5, 1.0], e) for e in (k, l))
+        out[: k + 1, : l + 1] += coef * np.outer(u, v)
+    return out
+
+
+def drawn_potential(seed, group):
+    """A polynomial invariant under the subgroup ``group``, with dyadic coefficients, V >= 1.
+
+    Of degree <= 3, but for C4: every C4-invariant polynomial of degree <= 3
+    is D4-invariant, so C4 adds uv(u^2 - v^2).
+    """
+    rng = np.random.default_rng(seed)
+    k, l = np.indices((5, 5))
+    a = np.where(k + l <= 3, rng.integers(-4, 5, (5, 5)) / 4.0, 0.0)
+    a = sum(centred_image(a, g) for g in SUBGROUPS[group]) / len(SUBGROUPS[group])
+    if group == "C4":
+        a[3, 1], a[1, 3] = 0.5, -0.5
+    a[0, 0] = 1.0 + np.abs(a).sum() - abs(a[0, 0])  # |u^k v^l| <= 1 on the square
+    return a
+
+
+@pytest.mark.parametrize("operator", ["laplacian", "bilaplacian"])
+@pytest.mark.parametrize("group", list(SUBGROUPS))
+def test_symmetry_of_v_maps_spectrum_and_blocks(operator, group):
+    # V o T_g is the same problem seen through g: the pencil is P^T M P, so
+    # the spectrum agrees and the stabilizer is conjugate, with the same
+    # block sizes; V itself is read with the group it was drawn for
+    a = drawn_potential(31 + len(group), group)
+    results = []
+    for g in model.SYMMETRIES:
+        pot = model.PotentialSpec.polynomial(in_xy(centred_image(a, g)), 2)
+        prob = model.validate_problem(model.OperatorSpec.preset_by_name(operator, 2), model.DomainSpec("square"), pot)
+        wh = assembly.whiten(assembly.assemble_system(prob, assembly.build_basis(prob, 8)))
+        lams = [t.lam for t in companion.extract_spectrum(companion.build_companion(wh))]
+        results.append((len(prob.potential.stabilizer()), sorted(b.stop - b.start for b in wh.blocks), lams))
+        if g == "identity":
+            assert prob.potential.stabilizer() == SUBGROUPS[group]
+    order, sizes, lams = results[0]
+    for image_order, image_sizes, image_lams in results[1:]:
+        assert (image_order, image_sizes) == (order, sizes)
+        assert match_multisets(image_lams, lams) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "coeffs, sizes, twins",
+    [
+        ([[1.0, 1.0, -1.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], [6, 3, 9, 9, 6, 3], [3]),  # D4
+        ([[2.25, -0.5], [-0.5, 1.0]], [12, 6, 9, 9], []),  # 2 + (x - 1/2)(y - 1/2)
+        ([[2.0, 1.0], [-1.0, 0.0]], [21, 15], []),  # 2 + x - y: the antiswap alone
+    ],
+)
+def test_blocks_of_the_full_stabilizer(coeffs, sizes, twins):
+    system = parity_system(model.PotentialSpec.polynomial(coeffs, 2))
+    wh = assembly.whiten(system)
+    assert [blk.stop - blk.start for blk in wh.blocks] == sizes
+    assert [i for i, source in enumerate(wh.twin_of) if source is not None] == twins
+    assert_whitening_congruence(system, wh, b_tol=1e-13)
+    assert match_multisets(spectrum(system), spectrum(without_swap(system))) < 1e-10
+
+
+def test_rot90_keeps_its_complex_class_whole():
+    # 2 + uv(u^2 - v^2) has the rotations alone (C4): rot90 splits the
+    # (i + j)-even class in halves, and on the (i + j)-odd class, where
+    # rot90^2 = -1, the class stays whole with every eigenvalue double
+    a = np.zeros((4, 4))
+    a[0, 0], a[3, 1], a[1, 3] = 2.0, 1.0, -1.0
+    pot = model.PotentialSpec.polynomial(in_xy(a), 2)
+    assert pot.stabilizer() == SUBGROUPS["C4"]
+    system = parity_system(pot, size=8)
+    assert system.symmetry.g == "rot90"
+    wh = assembly.whiten(system)
+    assert [blk.stop - blk.start for blk in wh.blocks] == [16, 16, 32]
+    assert_whitening_congruence(system, wh, b_tol=1e-13)
+    lams = np.array([t.lam for t in companion.extract_spectrum(companion.build_companion(wh)) if t.block == 2])
+    gaps = np.abs(lams[:, None] - lams)
+    np.fill_diagonal(gaps, np.inf)
+    assert lams.size == 64 and np.max(np.min(gaps, axis=1) / np.abs(lams)) < 1e-8
+    assert match_multisets(spectrum(system), spectrum(without_swap(system))) < 1e-10
 
 
 @pytest.mark.parametrize(
@@ -656,6 +778,6 @@ def test_blocked_spectrum_matches_one_block(operator, dimension, size):
     _, _, system, _ = cached_system(
         operator=operator, dimension=dimension, size=size, contrast=2.0
     )
-    assert len(system.blocks) == 2**dimension
-    one_block = dataclasses.replace(system, blocks=(np.arange(system.size),), swap=None)
+    assert len(system.symmetry.classes) == 2**dimension
+    one_block = dataclasses.replace(system, symmetry=assembly.Symmetry((np.arange(system.size),)))
     assert match_multisets(spectrum(system), spectrum(one_block)) < 1e-10

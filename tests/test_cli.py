@@ -578,6 +578,20 @@ def test_assemble_outputs_square_swap_blocks(tmp_path):
     assert meta["deflated"] == 0
 
 
+def test_assemble_lists_the_stabilizer_of_v(tmp_path):
+    square = ("problem.dimension=2", "problem.domain=square", "basis.n=6")
+    benchmark = "problem.potential=poly:2.4,0.3;1.1,-0.2;0.3,0.0"  # the square-2d form, no symmetry
+    symmetries = {}
+    for name, settings in (("constant", square), ("benchmark", (*square, benchmark))):
+        out = tmp_path / name
+        assert run(["assemble", "--out", str(out), *(f"--set={s}" for s in settings)]) == 0
+        symmetries[name] = json.loads((out / "system.json").read_text())["symmetries"]
+    assert symmetries == {
+        "constant": ["identity", "flip_x", "flip_y", "rot180", "swap", "antiswap", "rot90", "rot270"],
+        "benchmark": ["identity"],
+    }
+
+
 def lowest_eigenvalues(out, count):
     columns, rows = read_csv(out / "eigenvalues.csv")
     lams = np.array([complex(float(r[1]), float(r[2])) for r in rows])

@@ -65,7 +65,7 @@ WHITENED_BLOCKS = {1: 2, 2: 6}
 def test_blocked_det_matches_one_block(dimension, size):
     _, _, system, wh = cached_system(dimension=dimension, size=size, contrast=2.0)
     assert len(wh.blocks) == WHITENED_BLOCKS[dimension]
-    one_block = dataclasses.replace(system, blocks=(np.arange(system.size),), swap=None)
+    one_block = dataclasses.replace(system, symmetry=assembly.Symmetry((np.arange(system.size),)))
     whole = assembly.whiten(one_block)
     assert len(whole.blocks) == 1
     for lam in (3.0 + 2.0j, -10.0 + 5.0j, 20.0 - 1.0j, 0.5j):
@@ -78,7 +78,7 @@ def test_blocked_det_matches_one_block(dimension, size):
 def test_swap_split_det_matches_unsplit(operator, size):
     _, _, system, wh = cached_system(operator=operator, dimension=2, size=size, contrast=3.0)
     assert wh.twin_of.count(None) == 5
-    whole = assembly.whiten(dataclasses.replace(system, blocks=(np.arange(system.size),), swap=None))
+    whole = assembly.whiten(dataclasses.replace(system, symmetry=assembly.Symmetry((np.arange(system.size),))))
     lams = np.array([3.0 + 2.0j, -10.0 + 5.0j, 20.0 - 1.0j, 0.5j, 150.0 * np.exp(0.3j)])
     split, one = counting.fredholm_det(wh, lams), counting.fredholm_det(whole, lams)
     assert np.max(np.abs(split.log_abs - one.log_abs)) < 1e-10
@@ -169,7 +169,7 @@ def test_stacked_det_matches_the_explicit_construction_bitwise(dimension, size):
 def test_stacked_det_with_an_empty_block():
     eye = np.eye(2)
     system = assembly.GalerkinSystem(gram=eye, a=np.diag([4.0, 2.0]), b=eye, c=eye)
-    padded = dataclasses.replace(system, blocks=(np.arange(2), np.array([], dtype=int)))
+    padded = dataclasses.replace(system, symmetry=assembly.Symmetry((np.arange(2), np.array([], dtype=int))))
     lams = np.array([1.0 + 1.0j, -3.0])
     one, split = (counting.fredholm_det(assembly.whiten(s), lams) for s in (system, padded))
     assert np.array_equal(one.log_abs, split.log_abs) and np.array_equal(one.arg, split.arg)
@@ -185,7 +185,7 @@ def test_whiten_positivity_is_global_across_blocks(mass, kept):
     # refuses the split pencil exactly as the whole one, a mu in
     # [-eps max(mu), 0] is deflated from both, and no ratio of mu is refused
     system = assembly.GalerkinSystem(gram=np.eye(2), a=np.eye(2), b=np.eye(2), c=np.diag(mass))
-    split = dataclasses.replace(system, blocks=(np.array([0]), np.array([1])))
+    split = dataclasses.replace(system, symmetry=assembly.Symmetry((np.array([0]), np.array([1]))))
     for candidate in (system, split):
         if kept is None:
             with pytest.raises(NotPositiveDefinite):

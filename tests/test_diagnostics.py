@@ -413,7 +413,22 @@ def test_stacked_scan_matches_per_s_on_asymmetric_square_family(monkeypatch):
     monkeypatch.setattr(diagnostics, "assemble_stack", counted)
     report = diagnostics.potential_scan(prob, direction, 0.0, 2.0, 9, size)
     assert calls == [3, 3, 3]
-    assert len(diagnostics.parity_classes(prob, diagnostics.build_basis(prob, size))) == 1
+    assert diagnostics.Symmetry.of(prob, diagnostics.build_basis(prob, size)).names == ("identity",)
+    expected = per_s_values(prob, direction, report.s_values, size)
+    assert np.max(np.abs(report.t_values - expected) / np.abs(expected)) <= 1e-14
+
+
+def test_stacked_scan_of_d4_family_along_a_swap_direction():
+    # V_0 = 1 + x(1 - x) + y(1 - y) has all of D4, the direction x + y only
+    # the swap: the family keeps the elements both have
+    prob = square_problem(model.PotentialSpec.polynomial([[1.0, 1.0, -1.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], 2))
+    direction = model.PotentialSpec.polynomial([[0.0, 1.0], [1.0, 0.0]], 2)
+    size = 6
+    family = model.ProblemSpec(prob.operator, prob.domain, model.PotentialSpec.affine(prob.potential, direction, 0.0))
+    pencils = diagnostics._Pencils.of(family, diagnostics.build_basis(family, size))
+    assert len(prob.potential.stabilizer()) == 8 and pencils.symmetry.names == ("identity", "swap")
+    assert [blk.p.size for blk in pencils.symmetry.blocks] == [21, 15]
+    report = diagnostics.potential_scan(prob, direction, 0.0, 1.0, 7, size)
     expected = per_s_values(prob, direction, report.s_values, size)
     assert np.max(np.abs(report.t_values - expected) / np.abs(expected)) <= 1e-14
 

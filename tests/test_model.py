@@ -99,8 +99,7 @@ def test_constant_is_the_degree_0_polynomial(dimension, value):
             model.validate_problem(op, dom, const)
         return
     for pot in (const, poly):
-        assert all(pot.reflection_invariant(axis) for axis in range(dimension))
-        assert pot.swap_invariant() == (dimension == 2)
+        assert pot.stabilizer() == (tuple(model.SYMMETRIES) if dimension == 2 else ("identity", "flip_x"))
         knots = assembly._knots(pot)  # the ends only: one composite cell
         assert len(knots) == 1 and np.array_equal(knots[0], [0.0, 1.0])
 
@@ -118,7 +117,7 @@ def test_potential_at_the_margin_is_refused_everywhere():
     vvals = np.full((2, basis.grid_points().shape[0]), margin)
     vvals[0] = 1.0
     with pytest.raises(NonpositivePotential, match="potential minimum 1.000e-10 "):
-        assembly.assemble_stack(basis, vvals, assembly.parity_classes(prob, basis))
+        assembly.assemble_stack(basis, vvals, assembly.Symmetry.of(prob, basis))
     # the scan's cone check: V = 2 margin - s margin is the margin itself at s = 1 only
     base = model.ProblemSpec(op, dom, model.PotentialSpec.constant(2.0 * margin))
     with pytest.raises(PotentialLeavesCone, match="s=1$"):
@@ -191,6 +190,9 @@ def test_affine_potential():
 
 
 def test_swap_invariant_is_read_from_the_representation():
+    def swap_invariant(pot):
+        return "swap" in pot.stabilizer()
+
     const = model.PotentialSpec.constant(2.0, 2)
     sym_poly = model.PotentialSpec.polynomial([[2.0, 1.0], [1.0, 0.5]], 2)
     asym_poly = model.PotentialSpec.polynomial([[2.0, 1.0], [0.0, 0.5]], 2)
@@ -199,11 +201,48 @@ def test_swap_invariant_is_read_from_the_representation():
         sym_grid = model.PotentialSpec.grid([[1.0, 2.0], [2.0, 3.0]], 2)
     with pytest.warns(SmoothnessWarning):
         asym_grid = model.PotentialSpec.grid([[1.0, 2.0], [2.5, 3.0]], 2)
-    assert const.swap_invariant() and sym_poly.swap_invariant() and sym_grid.swap_invariant()
-    assert not (asym_poly.swap_invariant() or non_square.swap_invariant())
-    assert not asym_grid.swap_invariant()
-    assert model.PotentialSpec.affine(const, sym_grid, 0.5).swap_invariant()
-    assert not model.PotentialSpec.affine(const, asym_poly, 0.5).swap_invariant()
-    assert not model.PotentialSpec.affine(asym_grid, const, 0.5).swap_invariant()
+    assert swap_invariant(const) and swap_invariant(sym_poly) and swap_invariant(sym_grid)
+    assert not (swap_invariant(asym_poly) or swap_invariant(non_square))
+    assert not swap_invariant(asym_grid)
+    assert swap_invariant(model.PotentialSpec.affine(const, sym_grid, 0.5))
+    assert not swap_invariant(model.PotentialSpec.affine(const, asym_poly, 0.5))
+    assert not swap_invariant(model.PotentialSpec.affine(asym_grid, const, 0.5))
     # a 1D potential has no second axis to swap with
-    assert not model.PotentialSpec.constant(2.0, 1).swap_invariant()
+    assert not swap_invariant(model.PotentialSpec.constant(2.0, 1))
+
+
+def centred_polynomial(terms):
+    """Coefficients c[i, j] of 2 + sum a (x - 1/2)^k (y - 1/2)^l over terms (a, k, l)."""
+    out = np.zeros((4, 4))
+    out[0, 0] = 2.0
+    for a, k, l in terms:
+        u, v = (np.polynomial.polynomial.polypow([-0.5, 1.0], e) for e in (k, l))
+        out[: k + 1, : l + 1] += a * np.outer(u, v)
+    return out
+
+
+@pytest.mark.parametrize(
+    "terms, stabilizer",
+    [
+        ([(-1.0, 2, 0), (-1.0, 0, 2)], model.SYMMETRIES),  # 1 + x(1 - x) + y(1 - y), shifted
+        ([(1.0, 1, 1)], ("identity", "rot180", "swap", "antiswap")),
+        ([(1.0, 3, 1), (-1.0, 1, 3)], ("identity", "rot180", "rot90", "rot270")),
+        ([(1.0, 1, 0), (0.5, 0, 1)], ("identity",)),
+        ([(1.0, 2, 1), (0.5, 0, 2)], ("identity", "flip_x")),
+        ([(1.0, 1, 0), (-1.0, 0, 1)], ("identity", "antiswap")),
+    ],
+)
+def test_stabilizer_is_read_from_the_representation(terms, stabilizer):
+    # the polynomials are stored in x and y, so each flip is a binomial shift
+    assert model.PotentialSpec.polynomial(centred_polynomial(terms), 2).stabilizer() == tuple(stabilizer)
+
+
+def test_stabilizer_of_the_interval_and_of_an_affine_family():
+    assert model.PotentialSpec.polynomial([1.0, 1.0, -1.0]).stabilizer() == ("identity", "flip_x")
+    assert model.PotentialSpec.polynomial([1.0, 1.0, -0.5]).stabilizer() == ("identity",)
+    d4 = model.PotentialSpec.polynomial([[1.0, 1.0, -1.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], 2)
+    uv = model.PotentialSpec.polynomial(centred_polynomial([(1.0, 1, 1)]), 2)
+    assert model.PotentialSpec.affine(d4, uv, 0.0).stabilizer() == uv.stabilizer()
+    with pytest.warns(SmoothnessWarning):
+        grid = model.PotentialSpec.grid([[1.0, 2.0, 1.0], [2.0, 3.0, 2.0], [2.0, 3.0, 2.0], [1.0, 2.0, 1.0]], 2)
+    assert grid.stabilizer() == ("identity", "flip_x", "flip_y", "rot180")
