@@ -62,13 +62,12 @@ from .errors import (
     QuadratureWarning,
     refuse,
 )
-from .model import SYMMETRIES, PotentialSpec, ProblemSpec, _potential_values, strictly_positive
+from .model import _EPS, SYMMETRIES, PotentialSpec, ProblemSpec, _potential_values, strictly_positive
 
 _ASYM_TOL = 1e-8
 _GRAM_FLOOR = 1e-12
 _EDGE_TOL = 1e-12
 _TAIL_TOL = 1e-10
-_EPS = float(np.finfo(float).eps)
 
 POLYNOMIAL = "clamped-polynomial"
 TRIG = "clamped-trig"
@@ -129,7 +128,7 @@ class BasisSet:
     weights: np.ndarray
     cell_nodes: int  # Gauss points per cell of that rule
     norms: np.ndarray = field(repr=False)  # per-function 1D scale factors
-    gram: np.ndarray = field(repr=False)
+    gram: np.ndarray = field(init=False, repr=False)  # set by ``build_basis``
 
     # -- 1D factor evaluation -------------------------------------------------
 
@@ -295,7 +294,6 @@ def build_basis(
         weights=weights,
         cell_nodes=nodes_count,
         norms=np.ones(size),
-        gram=np.empty(0),
     )
     raw = basis.deriv1d(0, nodes)
     gram1d = _factor_form(raw, raw, weights)
@@ -325,7 +323,6 @@ class GalerkinSystem:
     invariant under its signed swap; None means one class, as for a synthetic system.
     """
 
-    gram: np.ndarray
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
@@ -389,7 +386,7 @@ class WhitenedSystem:
         a = np.atleast_2d(np.asarray(a, dtype=float))
         b = np.atleast_2d(np.asarray(b, dtype=float))
         eye = np.eye(a.shape[0])
-        return whiten(GalerkinSystem(gram=eye, a=a, b=b, c=eye))
+        return whiten(GalerkinSystem(a=a, b=b, c=eye))
 
     def k_block(self, i: int) -> np.ndarray:
         """K_i = S_i B_w,i S_i, S_i = diag(sqrt(mu_i)), as an elementwise scaling."""
@@ -638,7 +635,6 @@ def assemble_system(problem: ProblemSpec, basis: BasisSet) -> GalerkinSystem:
     vvals = _potential_values(problem.potential, basis.grid_points())
     out = assemble_stack(basis, vvals, symmetry)
     return GalerkinSystem(
-        gram=basis.gram,
         a=out["A"],
         b=out["B"],
         c=out["C"],

@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__, companion, counting, diagnostics, oracles
 from .assembly import WhitenedSystem, assemble_system, build_basis, whiten
 from .diagnostics import MIN_SCAN_POINTS
-from .errors import ComputationError
+from .errors import ComputationError, InsufficientResolvedRange
 from .model import PRESET_ORDERS, DomainSpec, OperatorSpec, PotentialSpec, validate_problem
 from .oracles import L_MAX_DISK, MIN_CONTRAST
 
@@ -320,7 +320,7 @@ def _cmd_assemble(cfg: RunConfig, out: OutputWriter) -> int:
     wh = _build_pipeline(cfg)
     system = wh.system
     problem, basis = system.problem, system.basis
-    for name, mat in (("G", system.gram), ("A", system.a), ("B", system.b), ("C", system.c)):
+    for name, mat in (("G", basis.gram), ("A", system.a), ("B", system.b), ("C", system.c)):
         out.csv(f"{name}.csv", [f"c{j}" for j in range(mat.shape[1])], mat)
     out.json(
         "system.json",
@@ -395,8 +395,8 @@ def _cmd_trace(cfg: RunConfig, out: OutputWriter) -> int:
             "schatten_1": report.schatten_1,
             "schatten_2": report.schatten_2,
             "spectral_radius": report.spectral_radius,
-            "decay_exponent": report.profile.decay_exponent,
-            "decay_theory": report.profile.decay_theory,
+            "decay_exponent": report.decay_exponent,
+            "decay_theory": report.decay_theory,
             "identity_residuals": list(report.identity_residuals),
         },
     )
@@ -513,10 +513,10 @@ def _cmd_oracle_disk(cfg: RunConfig, out: OutputWriter) -> int:
 
 
 def first_real_eigenvalue(lams: np.ndarray) -> complex:
-    """Smallest positive eigenvalue that is real under ``_REAL_TOL``."""
+    """Smallest positive eigenvalue that is real under ``_REAL_TOL``; refused if there is none."""
     real = lams[(lams.real > 0) & (np.abs(lams.imag) <= _REAL_TOL * np.maximum(1.0, np.abs(lams.real)))]
     if not real.size:
-        raise ComputationError("no real eigenvalue found")
+        raise InsufficientResolvedRange("no real eigenvalue found")
     return complex(real[np.argmin(real.real)])
 
 
@@ -622,9 +622,6 @@ def run(argv) -> int:
     writer = OutputWriter(cfg, args.out)
     try:
         return _COMMANDS[args.command](cfg, writer)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
     except ComputationError as exc:
         writer.prepare()
         record = {"error": {"code": exc.code, "message": str(exc)}}

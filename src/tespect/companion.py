@@ -331,10 +331,10 @@ def recover_states(
             weak[k, rows] = basis.dual_moments(values, terms) - basis.weighted_moments(values * weight, zero)
             norm_h[k, rows] = np.sqrt(np.abs(np.sum(wq * np.abs(values) ** 2, axis=1)))
 
-    w_coef = np.linalg.solve(sys_.gram, moments.T).T
+    w_coef = np.linalg.solve(basis.gram, moments.T).T
     v_coef = w_coef - u
     # ||L_G^{-1} r|| = ||G^{-1/2} r||, the dual norm, for G = L_G L_G^T
-    chol_g = np.linalg.cholesky(sys_.gram)
+    chol_g = np.linalg.cholesky(basis.gram)
     dual = np.linalg.norm(np.linalg.solve(chol_g, weak.reshape(2 * m, size).T), axis=0)
     r_v, r_w = dual.reshape(2, m) / ((1.0 + np.abs(lams)) * np.maximum(norm_h, 1e-300))
     return [

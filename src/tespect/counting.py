@@ -166,8 +166,8 @@ def _check_radius(wh: WhitenedSystem, radius: float) -> None:
 
 def _contour_scan(
     wh: WhitenedSystem, radius: float, spectra: Sequence[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per block: max log|f_b|, winding and grid size on |lam| = radius.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per block: max log|f_b|, winding, grid size and largest |phase step| on |lam| = radius.
 
     The phase of f_b turns only with the roots of block b, so each block's
     grid is sized from its own roots ``spectra[b]``; a twin reuses its

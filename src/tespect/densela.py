@@ -2,9 +2,9 @@
 
 Thin, contract-enforcing wrappers over numpy's LAPACK: symmetric
 eigendecomposition, the dense nonsymmetric eigensolver (balancing +
-Hessenberg reduction + shifted QR, as LAPACK does it), log-scale complex
-determinants, and singular values.  Everything here is deterministic for
-fixed input on a fixed build.
+Hessenberg reduction + shifted QR, as LAPACK does it) and log-scale
+complex determinants.  Everything here is deterministic for fixed input on
+a fixed build.
 """
 
 from __future__ import annotations
@@ -128,8 +128,3 @@ def complex_det(m: np.ndarray) -> LogDet:
     if m.ndim == 2:
         return LogDet(float(log_abs), float(arg))
     return LogDet(log_abs, arg)
-
-
-def singular_values(m: np.ndarray) -> np.ndarray:
-    """Singular values, descending, from LAPACK's SVD (no Gram matrix)."""
-    return np.linalg.svd(np.asarray(m), compute_uv=False)

@@ -66,14 +66,6 @@ RANGE_NOTE = (
 
 
 @dataclass(frozen=True)
-class SchattenProfile:
-    """Decay of the singular values of the stiffness inverse square root."""
-
-    decay_exponent: Optional[float]  # None below three singular values
-    decay_theory: Optional[float]
-
-
-@dataclass(frozen=True)
 class TraceReport:
     """Trace and Schatten diagnostics of a companion system."""
 
@@ -81,7 +73,8 @@ class TraceReport:
     schatten_1: float
     schatten_2: float
     spectral_radius: float
-    profile: SchattenProfile
+    decay_exponent: Optional[float]  # fitted decay of the singular values of S, None below three
+    decay_theory: Optional[float]  # -m/n, None without problem metadata
     identity_residuals: tuple  # (tr D, tr D^2) identity residuals
 
 
@@ -199,17 +192,15 @@ def trace_identity_check(comp: CompanionSystem) -> tuple[float, float]:
     return tuple(abs(d - raw) / max(abs(d), abs(raw), 1.0) for d, raw in pairs)
 
 
-def schatten_profile(wh: WhitenedSystem) -> SchattenProfile:
-    """Decay profile of the singular values of the stiffness inverse root.
+def schatten_profile(wh: WhitenedSystem) -> Optional[float]:
+    """Fitted decay exponent of the singular values of the stiffness inverse root.
 
     S = diag(sqrt(mu)), so its singular values are sqrt(mu) sorted
     descending.  Fits log s_j against log j over the middle third of indices
-    (``loglog_slope``; no fit below three values); the theoretical exponent
-    -m/n is attached when problem metadata is present.
+    (``loglog_slope``) and returns the slope, or None below three values.
+    The theory it is compared with is -m/n (``TraceReport.decay_theory``).
     """
-    prob = wh.system.problem
-    theory = None if prob is None else -prob.order / prob.dimension
-    return SchattenProfile(loglog_slope(np.sort(np.sqrt(wh.mu))[::-1]), theory)
+    return loglog_slope(np.sort(np.sqrt(wh.mu))[::-1])
 
 
 def trace_report(
@@ -221,13 +212,13 @@ def trace_report(
     D_b, one SVD and one eigensolve each, a twin reusing its source's; the
     trace identities from the assembled A, B, C.
     """
-    wh = comp.whitened
+    wh, prob = comp.whitened, comp.whitened.system.problem
     powers = tuple((int(p), trace_power(comp, int(p))) for p in p_list)
 
     def block_data(b: int) -> tuple[np.ndarray, float]:
         block = comp.blocks[b]
         moduli = np.abs(densela.nonsym_eig(block).eigenvalues)
-        return densela.singular_values(block), float(np.max(moduli, initial=0.0))
+        return np.linalg.svd(block, compute_uv=False), float(np.max(moduli, initial=0.0))
 
     data = wh.per_block(block_data)
     svals_d = np.sort(np.concatenate([svals for svals, _ in data]))[::-1]
@@ -237,7 +228,8 @@ def trace_report(
         schatten_1=float(np.sum(svals_d)),
         schatten_2=float(np.sqrt(np.sum(svals_d**2))),
         spectral_radius=radius,
-        profile=schatten_profile(wh),
+        decay_exponent=schatten_profile(wh),
+        decay_theory=None if prob is None else -prob.order / prob.dimension,
         identity_residuals=trace_identity_check(comp),
     )
 

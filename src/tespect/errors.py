@@ -126,7 +126,11 @@ class PhaseUnresolved(ComputationError):
 
 
 class InsufficientResolvedRange(ComputationError):
-    """Too few radii fall in the discretization-resolved counting window."""
+    """The discretization resolves too little of the spectrum for the request.
+
+    Too few radii fall in the discretization-resolved counting window, or
+    the discretization resolves no real eigenvalue to track.
+    """
 
 
 # --- scans ------------------------------------------------------------------

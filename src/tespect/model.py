@@ -57,16 +57,6 @@ class OperatorSpec:
         return PRESET_ORDERS[self.preset]
 
     @classmethod
-    def laplacian(cls, dimension: int) -> "OperatorSpec":
-        """Negative Laplacian; symbol |xi|^2."""
-        return cls("laplacian", dimension)
-
-    @classmethod
-    def bilaplacian(cls, dimension: int) -> "OperatorSpec":
-        """Squared Laplacian; symbol |xi|^4."""
-        return cls("bilaplacian", dimension)
-
-    @classmethod
     def preset_by_name(cls, name: str, dimension: int) -> "OperatorSpec":
         return cls(name, dimension)
 

@@ -49,7 +49,7 @@ def test_unit_basis_matches_exact_integrals():
     assert gram_raw == Fraction(1, 630)
 
     prob = model.validate_problem(
-        model.OperatorSpec.laplacian(1),
+        model.OperatorSpec("laplacian", 1),
         model.DomainSpec("interval"),
         model.PotentialSpec.constant(1.0, 1),
     )
@@ -62,7 +62,7 @@ def test_unit_basis_matches_exact_integrals():
     a_exact = 630 * poly_int01(poly_mul(w2, w2))  # int (phi'')^2
     b_exact = 3 * 630 * poly_int01(poly_mul(w1, w1))  # 3 int (phi')^2
     assert a_exact == 504 and b_exact == 36
-    assert system.gram[0, 0] == pytest.approx(1.0, abs=1e-13)
+    assert basis.gram[0, 0] == pytest.approx(1.0, abs=1e-13)
     assert system.a[0, 0] == pytest.approx(504.0, rel=1e-12)
     assert system.b[0, 0] == pytest.approx(36.0, rel=1e-12)
     assert system.c[0, 0] == pytest.approx(2.0, rel=1e-13)
@@ -73,7 +73,7 @@ def test_unit_basis_matches_exact_integrals():
 
 def test_trig_family_clamps_value_and_slope():
     prob = model.validate_problem(
-        model.OperatorSpec.laplacian(1),
+        model.OperatorSpec("laplacian", 1),
         model.DomainSpec("interval"),
         model.PotentialSpec.constant(1.0, 1),
     )
@@ -86,7 +86,7 @@ def test_trig_family_clamps_value_and_slope():
 
 def test_polynomial_family_clamps_through_order_m_minus_1():
     prob = model.validate_problem(
-        model.OperatorSpec.bilaplacian(1),
+        model.OperatorSpec("bilaplacian", 1),
         model.DomainSpec("interval"),
         model.PotentialSpec.constant(1.0, 1),
     )
@@ -141,16 +141,13 @@ def test_scaled_stiffness_condition_bounded_by_potential_ratio(operator, size):
 
 @pytest.mark.parametrize("operator", ["laplacian", "bilaplacian"])
 def test_square_pipeline_at_default_size(operator):
-    _, basis, system, wh = cached_system(
-        operator=operator, dimension=2, size=32, contrast=3.0
-    )
-    assert system.gram is basis.gram
+    *_, wh = cached_system(operator=operator, dimension=2, size=32, contrast=3.0)
     assert wh.size == 32 * 32
 
 
 def test_trig_rejected_for_fourth_order():
     prob = model.validate_problem(
-        model.OperatorSpec.bilaplacian(1),
+        model.OperatorSpec("bilaplacian", 1),
         model.DomainSpec("interval"),
         model.PotentialSpec.constant(1.0, 1),
     )
@@ -160,7 +157,7 @@ def test_trig_rejected_for_fourth_order():
 
 def test_quadrature_underflow():
     prob = model.validate_problem(
-        model.OperatorSpec.laplacian(1),
+        model.OperatorSpec("laplacian", 1),
         model.DomainSpec("interval"),
         model.PotentialSpec.constant(1.0, 1),
     )
@@ -176,12 +173,12 @@ def test_constant_unit_potential_collapse():
     e1 = basis.deriv1d(1, basis.nodes)
     dirichlet = (e1 * basis.weights[None, :]) @ e1.T
     assert np.max(np.abs(system.b - 3.0 * dirichlet)) < 1e-11 * np.max(np.abs(system.b))
-    assert np.max(np.abs(system.c - 2.0 * system.gram)) < 1e-13
+    assert np.max(np.abs(system.c - 2.0 * basis.gram)) < 1e-13
 
 
 def test_contrast_three_mass_scaling():
-    _, _, system, _ = cached_system(operator="laplacian", size=32, contrast=3.0)
-    assert np.max(np.abs(system.c - (4.0 / 3.0) * system.gram)) < 1e-13
+    _, basis, system, _ = cached_system(operator="laplacian", size=32, contrast=3.0)
+    assert np.max(np.abs(system.c - (4.0 / 3.0) * basis.gram)) < 1e-13
 
 
 def assert_rule_matches_refined(prob, size, factor, family=assembly.POLYNOMIAL):
@@ -193,14 +190,13 @@ def assert_rule_matches_refined(prob, size, factor, family=assembly.POLYNOMIAL):
         warnings.simplefilter("error", QuadratureWarning)
         system = assembly.assemble_system(prob, basis)
     ref = assembly.assemble_system(prob, fine)
-    for key in ("gram", "a", "b", "c"):
-        scale = np.max(np.abs(getattr(ref, key)))
-        assert np.max(np.abs(getattr(system, key) - getattr(ref, key))) < 1e-12 * scale
+    for mine, theirs in ((basis.gram, fine.gram), (system.a, ref.a), (system.b, ref.b), (system.c, ref.c)):
+        assert np.max(np.abs(mine - theirs)) < 1e-12 * np.max(np.abs(theirs))
 
 
 def test_quadrature_exactness_under_doubling():
     # polynomial potential, polynomial basis: doubling the rule is a no-op
-    op = model.OperatorSpec.laplacian(1)
+    op = model.OperatorSpec("laplacian", 1)
     pot = model.PotentialSpec.polynomial([1.0, 1.0], 1)  # V = 1 + x
     prob = model.validate_problem(op, model.DomainSpec("interval"), pot)
     assert_rule_matches_refined(prob, 10, 2)
@@ -209,7 +205,7 @@ def test_quadrature_exactness_under_doubling():
 def test_grid_potential_rule_is_exact_1d():
     with pytest.warns(SmoothnessWarning):
         pot = model.PotentialSpec.grid([2.0, 1.0, 3.0, 2.5, 2.0], 1)
-    op = model.OperatorSpec.laplacian(1)
+    op = model.OperatorSpec("laplacian", 1)
     prob = model.validate_problem(op, model.DomainSpec("interval"), pot)
     assert_rule_matches_refined(prob, 8, 4)
 
@@ -217,20 +213,20 @@ def test_grid_potential_rule_is_exact_1d():
 def test_grid_potential_rule_is_exact_2d():
     with pytest.warns(SmoothnessWarning):
         pot = model.PotentialSpec.grid([[2.0, 1.0, 3.0], [1.5, 2.5, 2.0], [3.0, 1.2, 2.2]], 2)
-    op = model.OperatorSpec.laplacian(2)
+    op = model.OperatorSpec("laplacian", 2)
     prob = model.validate_problem(op, model.DomainSpec("square"), pot)
     assert_rule_matches_refined(prob, 8, 4)
 
 
 def test_trig_rule_matches_doubled_rule():
-    op = model.OperatorSpec.laplacian(1)
+    op = model.OperatorSpec("laplacian", 1)
     pot = model.PotentialSpec.constant(3.0, 1)
     prob = model.validate_problem(op, model.DomainSpec("interval"), pot)
     assert_rule_matches_refined(prob, 16, 2, assembly.TRIG)
 
 
 def test_unresolved_potential_warns():
-    op = model.OperatorSpec.laplacian(1)
+    op = model.OperatorSpec("laplacian", 1)
     pot = model.PotentialSpec.polynomial([0.25 + 1e-6, -1.0, 1.0], 1)  # (x - 1/2)^2 + 1e-6
     prob = model.validate_problem(op, model.DomainSpec("interval"), pot)
     with pytest.warns(QuadratureWarning):
@@ -244,7 +240,7 @@ def test_asymmetry_guard():
 
 
 def test_raw_assembly_asymmetry_is_rounding_level():
-    op = model.OperatorSpec.laplacian(1)
+    op = model.OperatorSpec("laplacian", 1)
     pot = model.PotentialSpec.polynomial([1.0, 0.5], 1)
     prob = model.validate_problem(op, model.DomainSpec("interval"), pot)
     basis = assembly.build_basis(prob, 16)
@@ -276,7 +272,7 @@ def assert_whitening_congruence(system, wh, b_tol=1e-14):
 def test_whiten_scalar_mass():
     a = np.array([[3.0, 1.0], [1.0, 2.0]])
     b = np.array([[1.0, 0.5], [0.5, 1.0]])
-    system = assembly.GalerkinSystem(gram=np.eye(2), a=a, b=b, c=2.0 * np.eye(2))
+    system = assembly.GalerkinSystem(a=a, b=b, c=2.0 * np.eye(2))
     wh = assembly.whiten(system)
     assert np.allclose(1.0 / wh.mu, np.linalg.eigvalsh(a) / 2.0, rtol=1e-14, atol=0)
     assert_whitening_congruence(system, wh)
@@ -292,9 +288,7 @@ def test_whiten_congruence_identities(n):
         return 0.5 * (m + m.T)
 
     b = rng.standard_normal((n, n))
-    system = assembly.GalerkinSystem(
-        gram=np.eye(n), a=spd(1.0, 1e4), b=0.5 * (b + b.T), c=spd(0.5, 3.0)
-    )
+    system = assembly.GalerkinSystem(a=spd(1.0, 1e4), b=0.5 * (b + b.T), c=spd(0.5, 3.0))
     wh = assembly.whiten(system)
     assert np.all(np.diff(wh.mu) <= 0)
     assert_whitening_congruence(system, wh)
@@ -302,7 +296,6 @@ def test_whiten_congruence_identities(n):
 
 def test_whiten_unit_toy():
     system = assembly.GalerkinSystem(
-        gram=np.array([[1.0]]),
         a=np.array([[504.0]]),
         b=np.array([[36.0]]),
         c=np.array([[2.0]]),
@@ -317,12 +310,10 @@ def test_whiten_random_spd_inputs():
     n = 12
     for _ in range(5):
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        gram = (q * rng.uniform(0.5, 2.0, n)) @ q.T
         a = (q * rng.uniform(1.0, 9.0, n)) @ q.T
         b = rng.standard_normal((n, n))
         c = (q * rng.uniform(0.5, 3.0, n)) @ q.T
         system = assembly.GalerkinSystem(
-            gram=0.5 * (gram + gram.T),
             a=0.5 * (a + a.T),
             b=0.5 * (b + b.T),
             c=0.5 * (c + c.T),
@@ -332,7 +323,6 @@ def test_whiten_random_spd_inputs():
 
 def test_whiten_rejects_indefinite_mass():
     system = assembly.GalerkinSystem(
-        gram=np.eye(2),
         a=np.eye(2),
         b=np.eye(2),
         c=np.diag([1.0, -1.0]),
@@ -343,9 +333,7 @@ def test_whiten_rejects_indefinite_mass():
 
 def test_whiten_accepts_tiny_mass_to_stiffness_ratio():
     # mu = (1, 1e20): the stiffest mode is kept, not refused by a ratio floor
-    system = assembly.GalerkinSystem(
-        gram=np.eye(2), a=np.diag([1.0, 1e-20]), b=np.eye(2), c=np.eye(2)
-    )
+    system = assembly.GalerkinSystem(a=np.diag([1.0, 1e-20]), b=np.eye(2), c=np.eye(2))
     wh = assembly.whiten(system)
     assert np.array_equal(wh.mu, [1e20, 1.0])
     assert_whitening_congruence(system, wh)
@@ -360,7 +348,7 @@ def test_whiten_stack_masks_a_cut_that_differs_between_members():
     blocks = assembly.Symmetry((np.arange(2),)).blocks
     ((mu, xb, bw),) = assembly.whiten_stack(blocks, a, b, c)
     for i, kept in enumerate((2, 1)):
-        wh = assembly.whiten(assembly.GalerkinSystem(gram=np.eye(2), a=a[i], b=b[i], c=c[i]))
+        wh = assembly.whiten(assembly.GalerkinSystem(a=a[i], b=b[i], c=c[i]))
         assert wh.size == kept
         assert np.array_equal(mu[i, :kept], wh.mu) and np.array_equal(bw[i, :kept, :kept], wh.b[0])
         assert not np.any(xb[i, :, kept:]) and not np.any(bw[i, kept:]) and not np.any(bw[i, :, kept:])
@@ -368,7 +356,7 @@ def test_whiten_stack_masks_a_cut_that_differs_between_members():
 
 def test_assemble_stack_refuses_a_nan_node_in_its_member():
     prob = model.validate_problem(
-        model.OperatorSpec.laplacian(1), model.DomainSpec("interval"), model.PotentialSpec.constant(2.0, 1)
+        model.OperatorSpec("laplacian", 1), model.DomainSpec("interval"), model.PotentialSpec.constant(2.0, 1)
     )
     basis = assembly.build_basis(prob, 8)
     vvals = np.full((3, basis.grid_points().shape[-1]), 2.0)
@@ -437,7 +425,7 @@ def test_square_assembly_matches_kron_factor_oracle():
 
     assert np.max(np.abs(system.a - a_ref)) < 1e-12 * np.max(np.abs(a_ref))
     assert np.max(np.abs(system.b - b_ref)) < 1e-12 * np.max(np.abs(b_ref))
-    assert np.max(np.abs(system.gram - g_ref)) < 1e-13
+    assert np.max(np.abs(basis.gram - g_ref)) < 1e-13
     assert np.max(np.abs(system.c - 2.0 * g_ref)) < 1e-13
 
 
@@ -472,7 +460,7 @@ def test_grid_potential_assembles_with_warnings():
     with pytest.warns(SmoothnessWarning):
         pot = model.PotentialSpec.grid([2.0, 1.0, 3.0, 2.5, 2.0], 1)
     prob = model.validate_problem(
-        model.OperatorSpec.laplacian(1), model.DomainSpec("interval"), pot
+        model.OperatorSpec("laplacian", 1), model.DomainSpec("interval"), pot
     )
     basis = assembly.build_basis(prob, 8)
     system = assembly.assemble_system(prob, basis)
@@ -490,7 +478,7 @@ def grid(values, dimension):
 def parity_system(potential, size=6):
     dimension = potential.dimension
     prob = model.validate_problem(
-        model.OperatorSpec.laplacian(dimension),
+        model.OperatorSpec("laplacian", dimension),
         model.DomainSpec("interval" if dimension == 1 else "square"),
         potential,
     )

@@ -216,6 +216,28 @@ def test_runs_without_scipy(tmp_path):
     assert (tmp_path / "solve" / "eigenvalues.csv").exists() and (tmp_path / "count" / "count.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["-c", "missing.ini"], "config file 'missing.ini' not found"),
+        (["-c", "unknown.ini"], "unknown config section [nosuch]"),
+        (["--set", "nodot"], "override 'nodot' is not section.key=value"),
+        (
+            ["--set", "problem.potential=3.0"],
+            "problem.potential needs a kind prefix: constant, poly or grid (given '3.0')",
+        ),
+    ],
+    ids=["missing-file", "unknown-section", "no-dot", "no-kind-prefix"],
+)
+def test_config_refusals_exit_2(tmp_path, capsys, monkeypatch, argv, message):
+    # refused while the config loads: one usage line and nothing written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "unknown.ini").write_text("[nosuch]\nx = 1\n")
+    assert run(["solve", "--out", "o", *argv]) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["unknown.ini"]
+
+
 def test_malformed_values_exit_2(tmp_path, capsys):
     # a usage error writes nothing, not even config.resolved
     out = tmp_path / "y"
@@ -417,7 +439,35 @@ def test_trace_on_the_square_writes_nothing_to_stderr(tmp_path, operator):
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
 
 
-def test_trace_below_three_singular_values_writes_null(tmp_path):
+EVERY_COMMAND = """
+import sys
+from tespect.cli import _COMMANDS, run
+square = ["problem.dimension=2", "problem.domain=square", "basis.n=8", "convergence.n_list=6,8"]
+failed = []
+for command in _COMMANDS:
+    for operator in ("laplacian", "bilaplacian"):
+        for settings in ([], square):
+            argv = [command, "--out", f"{command}-{operator}-{len(settings)}"]
+            argv += [f"--set={s}" for s in [f"problem.operator={operator}", *settings]]
+            code = run(argv)
+            if code:
+                failed.append((argv, code))
+print(failed)
+sys.exit(1 if failed else 0)
+"""
+
+
+def test_every_command_writes_nothing_to_stderr(tmp_path):
+    # all subcommands, both presets, 1D at the defaults and 2D at n = 8, in
+    # one process: a warning or a usage line that reaches stderr shows here
+    assert len(cli._COMMANDS) == 10
+    proc = subprocess.run(
+        [sys.executable, "-c", EVERY_COMMAND], cwd=tmp_path, env=src_env(), capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0 and proc.stderr == "", (proc.stdout[-2000:], proc.stderr)
+
+
+def test_trace_too_small_for_a_decay_fit_writes_null(tmp_path):
     # basis.n=2 on the interval: S has two singular values, too few for a decay fit
     out = tmp_path / "tr"
     assert run(["trace", "--out", str(out), "--set", "basis.n=2"]) == 0
@@ -712,6 +762,17 @@ def test_convergence_constant_list():
     )
     rows = convergence_table(cfg)
     assert all(r["rel_diff"] == 0.0 for r in rows[1:])
+
+
+def test_convergence_without_a_real_eigenvalue_exits_1(tmp_path, capsys):
+    # at n = 2 the 1D defaults resolve no real eigenvalue: a typed refusal
+    out = tmp_path / "cv"
+    assert run(["convergence", "--out", str(out), "--set", "convergence.n_list=2"]) == 1
+    records = capsys.readouterr().err.strip().splitlines()
+    assert len(records) == 1
+    error = json.loads(records[0])["error"]
+    assert error == {"code": "InsufficientResolvedRange", "message": "no real eigenvalue found"}
+    assert [p.name for p in out.iterdir()] == ["config.resolved"]
 
 
 def test_first_real_eigenvalue_refuses_a_spectrum_without_one():

@@ -281,8 +281,8 @@ def reference_state(comp, t):
     u_pts = basis.point_values(u, zero)
     w_pts = (1.0 / vvals) * (basis.apply_terms(u, terms) - lam * u_pts) / lam
     v_pts = w_pts - u_pts
-    w = np.linalg.solve(wh.system.gram, basis.weighted_moments(w_pts, zero))
-    chol_g = np.linalg.cholesky(wh.system.gram)
+    w = np.linalg.solve(basis.gram, basis.weighted_moments(w_pts, zero))
+    chol_g = np.linalg.cholesky(basis.gram)
 
     def dual_residual(values, weight):
         rvec = basis.dual_moments(values, terms) - basis.weighted_moments(values * weight, zero)

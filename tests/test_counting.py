@@ -168,7 +168,7 @@ def test_stacked_det_matches_the_explicit_construction_bitwise(dimension, size):
 
 def test_stacked_det_with_an_empty_block():
     eye = np.eye(2)
-    system = assembly.GalerkinSystem(gram=eye, a=np.diag([4.0, 2.0]), b=eye, c=eye)
+    system = assembly.GalerkinSystem(a=np.diag([4.0, 2.0]), b=eye, c=eye)
     padded = dataclasses.replace(system, symmetry=assembly.Symmetry((np.arange(2), np.array([], dtype=int))))
     lams = np.array([1.0 + 1.0j, -3.0])
     one, split = (counting.fredholm_det(assembly.whiten(s), lams) for s in (system, padded))
@@ -184,7 +184,7 @@ def test_whiten_positivity_is_global_across_blocks(mass, kept):
     # each block alone holds one mu; a mu below -eps max(mu) in either block
     # refuses the split pencil exactly as the whole one, a mu in
     # [-eps max(mu), 0] is deflated from both, and no ratio of mu is refused
-    system = assembly.GalerkinSystem(gram=np.eye(2), a=np.eye(2), b=np.eye(2), c=np.diag(mass))
+    system = assembly.GalerkinSystem(a=np.eye(2), b=np.eye(2), c=np.diag(mass))
     split = dataclasses.replace(system, symmetry=assembly.Symmetry((np.array([0]), np.array([1]))))
     for candidate in (system, split):
         if kept is None:
@@ -250,6 +250,13 @@ def test_winding_phase_unresolved(toy_whitened):
         counting._contour_scan(toy_whitened, 1.005, [np.array([4.0])])
 
 
+def test_grid_size_refuses_a_grid_above_the_largest():
+    # 2000 roots 0.5% inside the contour: the speed of the phase, not the
+    # gap, asks for more points than the largest grid
+    with pytest.raises(ContourNearZero, match="needs 3200000 contour points"):
+        counting._grid_size(1.0, np.full(2000, 0.995))
+
+
 def test_missed_zero_is_counted_or_refused_at_any_distance(bilaplacian24):
     # drop a block's smallest real root from the spectrum that sizes its
     # grid: every scan near it either refuses a step of pi/2 or returns the
@@ -286,7 +293,7 @@ def test_winding_matches_spectrum_split():
 def poly_square_system(size):
     # V = 3 + 0.3 y + x + 0.2 x y: no reflection or swap leaves it invariant, one block
     problem = model.validate_problem(
-        model.OperatorSpec.laplacian(2),
+        model.OperatorSpec("laplacian", 2),
         model.DomainSpec("square"),
         model.PotentialSpec.polynomial([[3.0, 0.3], [1.0, 0.2]], 2),
     )

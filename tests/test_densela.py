@@ -216,36 +216,6 @@ def test_complex_det_stack_contract_edges():
         densela.complex_det(np.stack([np.eye(2), np.full((2, 2), np.inf)]))
 
 
-# -- singular values -------------------------------------------------------------------
-
-
-def test_singular_values_diagonal():
-    assert np.allclose(densela.singular_values(np.diag([3.0, -4.0])), [4.0, 3.0], atol=1e-12)
-
-
-def test_singular_values_orthogonal():
-    rng = np.random.default_rng(31)
-    q = rand_orthogonal(rng, 6)
-    assert np.allclose(densela.singular_values(q), 1.0, atol=1e-10)
-
-
-def test_singular_values_frobenius_identity():
-    rng = np.random.default_rng(32)
-    m = rng.standard_normal((15, 15))
-    sv = densela.singular_values(m)
-    assert np.sum(sv**2) == pytest.approx(np.linalg.norm(m) ** 2, rel=1e-10)
-    assert np.all(np.diff(sv) <= 1e-12)
-
-
-def test_singular_values_keep_small_values_relative():
-    # a Gram matrix squares the grading: sigma = 1e-6 would sit at 1e-12 of
-    # the largest eigenvalue and lose about five digits
-    rng = np.random.default_rng(33)
-    sigma = np.logspace(0.0, -6.0, 6)
-    m = rand_orthogonal(rng, 6) @ np.diag(sigma) @ rand_orthogonal(rng, 6).T
-    assert np.max(np.abs(densela.singular_values(m) / sigma - 1.0)) <= 1e-8
-
-
 def test_logdet_overflow_guard():
     huge = densela.LogDet(800.0, 0.3)
     assert np.isinf(huge.value.real)

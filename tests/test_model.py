@@ -16,7 +16,7 @@ from tespect.errors import (
 
 def test_validate_laplacian_interval():
     prob = model.validate_problem(
-        model.OperatorSpec.laplacian(1),
+        model.OperatorSpec("laplacian", 1),
         model.DomainSpec("interval"),
         model.PotentialSpec.constant(3.0, 1),
     )
@@ -27,7 +27,7 @@ def test_validate_laplacian_interval():
 
 def test_validate_bilaplacian_square():
     prob = model.validate_problem(
-        model.OperatorSpec.bilaplacian(2),
+        model.OperatorSpec("bilaplacian", 2),
         model.DomainSpec("square"),
         model.PotentialSpec.constant(1.0, 2),
     )
@@ -37,7 +37,7 @@ def test_validate_bilaplacian_square():
 
 def test_validate_laplacian_square_flags():
     prob = model.validate_problem(
-        model.OperatorSpec.laplacian(2),
+        model.OperatorSpec("laplacian", 2),
         model.DomainSpec("square"),
         model.PotentialSpec.constant(1.0, 2),
     )
@@ -48,9 +48,9 @@ def test_validate_laplacian_square_flags():
 
 def test_operator_is_a_preset_pair():
     op = model.OperatorSpec.preset_by_name("bilaplacian", 2)
-    assert op == model.OperatorSpec("bilaplacian", 2) == model.OperatorSpec.bilaplacian(2)
+    assert op == model.OperatorSpec("bilaplacian", 2)
     assert (op.preset, op.order, op.dimension) == ("bilaplacian", 4, 2)
-    assert model.OperatorSpec.laplacian(1).order == 2
+    assert model.OperatorSpec("laplacian", 1).order == 2
 
 
 def test_operator_rejects_anything_but_a_preset():
@@ -67,7 +67,7 @@ def test_nonpositive_potential():
     pot = model.PotentialSpec.polynomial([1.0, -1.0], 1)  # 1 - x, zero at x = 1
     with pytest.raises(NonpositivePotential):
         model.validate_problem(
-            model.OperatorSpec.laplacian(1), model.DomainSpec("interval"), pot
+            model.OperatorSpec("laplacian", 1), model.DomainSpec("interval"), pot
         )
 
 
@@ -77,7 +77,7 @@ def test_nan_potential_is_refused(kind, values):
     # a NaN never compares below the margin, so positivity is asked, not its negation
     pot = getattr(model.PotentialSpec, kind)(values, 1)
     with pytest.raises(NonpositivePotential):
-        model.validate_problem(model.OperatorSpec.laplacian(1), model.DomainSpec("interval"), pot)
+        model.validate_problem(model.OperatorSpec("laplacian", 1), model.DomainSpec("interval"), pot)
 
 
 @pytest.mark.parametrize("dimension", [1, 2])
@@ -88,7 +88,7 @@ def test_constant_is_the_degree_0_polynomial(dimension, value):
     assert const.kind == "polynomial" and const.data.shape == (1,) * dimension
     # V at the quadrature and the validation points is bitwise a filled array
     size = 6 if dimension == 2 else 12
-    op, dom = model.OperatorSpec.laplacian(dimension), model.DomainSpec(("interval", "square")[dimension - 1])
+    op, dom = model.OperatorSpec("laplacian", dimension), model.DomainSpec(("interval", "square")[dimension - 1])
     basis = assembly.build_basis(model.ProblemSpec(op, dom, poly), size)
     for pts in (basis.grid_points(), model._validation_points(dimension)):
         filled = np.full(pts.shape[0], value)
@@ -107,7 +107,7 @@ def test_constant_is_the_degree_0_polynomial(dimension, value):
 def test_potential_at_the_margin_is_refused_everywhere():
     # V == the positivity margin fails the one rule in all three places it is asked
     margin = model._POSITIVITY_MARGIN
-    op, dom = model.OperatorSpec.laplacian(1), model.DomainSpec("interval")
+    op, dom = model.OperatorSpec("laplacian", 1), model.DomainSpec("interval")
     assert not model.strictly_positive(np.array([margin]))
     assert model.strictly_positive(np.array([np.nextafter(margin, 1.0)]))
     with pytest.raises(NonpositivePotential):
@@ -126,13 +126,13 @@ def test_potential_at_the_margin_is_refused_everywhere():
 
 def test_unsupported_dimension():
     with pytest.raises(UnsupportedDimension):
-        model.OperatorSpec.laplacian(3)
+        model.OperatorSpec("laplacian", 3)
 
 
 def test_dimension_consistency():
     with pytest.raises(DimensionMismatch):
         model.validate_problem(
-            model.OperatorSpec.laplacian(1),
+            model.OperatorSpec("laplacian", 1),
             model.DomainSpec("square"),
             model.PotentialSpec.constant(1.0, 1),
         )
@@ -140,7 +140,7 @@ def test_dimension_consistency():
 
 def test_validation_is_deterministic():
     args = (
-        model.OperatorSpec.laplacian(2),
+        model.OperatorSpec("laplacian", 2),
         model.DomainSpec("square"),
         model.PotentialSpec.constant(2.0, 2),
     )
