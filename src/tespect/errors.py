@@ -126,11 +126,7 @@ class PhaseUnresolved(ComputationError):
 
 
 class InsufficientResolvedRange(ComputationError):
-    """The discretization resolves too little of the spectrum for the request.
-
-    Too few radii fall in the discretization-resolved counting window, or
-    the discretization resolves no real eigenvalue to track.
-    """
+    """The discretization resolves too few radii of the counting window, or no real eigenvalue."""
 
 
 # --- scans ------------------------------------------------------------------
