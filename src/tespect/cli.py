@@ -621,12 +621,16 @@ def run(argv) -> int:
 
     writer = OutputWriter(cfg, args.out)
     try:
-        return _COMMANDS[args.command](cfg, writer)
-    except ComputationError as exc:
-        writer.prepare()
-        record = {"error": {"code": exc.code, "message": str(exc)}}
-        print(json.dumps(record), file=sys.stderr)
-        return 1
+        try:
+            return _COMMANDS[args.command](cfg, writer)
+        except ComputationError as exc:
+            writer.prepare()
+            record = {"error": {"code": exc.code, "message": str(exc)}}
+            print(json.dumps(record), file=sys.stderr)
+            return 1
+    except OSError as exc:  # the commands read no file: only the writer raises it
+        print(f"usage error: cannot write output to {writer.dir}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

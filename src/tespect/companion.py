@@ -43,7 +43,6 @@ from .errors import (
 from .model import _potential_values
 
 _CLUSTER_TOL = 1e-6  # relative distance in mu that links two eigenvalues into one cluster
-DEFAULT_MU_FLOOR = 1e-12
 _RANK_TRUNCATION = 1e-8
 _RANK_GAP = 10.0
 _CHAIN_RESIDUAL_TOL = 1e-6  # on the scale of qep_residual (``jordan_chain_residual``)
@@ -168,27 +167,27 @@ def _cluster(mus: np.ndarray, tol: float) -> np.ndarray:
     return np.argsort(np.argsort(first))[inverse]
 
 
-def extract_spectrum(comp: CompanionSystem, mu_floor: float = DEFAULT_MU_FLOOR) -> list[TransmissionEigenvalue]:
+def extract_spectrum(comp: CompanionSystem) -> list[TransmissionEigenvalue]:
     """Eigenvalues of the companion matrix mapped to pencil roots.
 
-    Entries come back one per companion eigenvalue with |mu| > mu_floor (so
-    algebraic multiplicity is preserved), sorted by |lambda|, clustered by
-    relative distance in mu under ``_CLUSTER_TOL`` = 1e-6 (``_cluster``);
-    each carries the residual of the whitened pencil at its recovered first
-    component.
+    Entries come back one per eigenvalue of every block D_b, a twin's
+    included, so 2 ``wh.size`` in all and algebraic multiplicity is
+    preserved: after ``whiten``'s deflation det D_b = prod mu_b > 0, so no
+    mu is zero and every root 1/mu exists.  They are sorted by |lambda| and
+    clustered by relative distance in mu under ``_CLUSTER_TOL`` = 1e-6
+    (``_cluster``); each carries the residual of the whitened pencil at its
+    recovered first component, which says how good the root is.
     """
     spectra = comp.eigen_data()
     wh = comp.whitened
 
     # each eigenvector head lives in its block's coordinates: form the pencil
-    # residual there, with B_w,b; a twin's kept columns match its source's
+    # residual there, with B_w,b; a twin's columns match its source's
     def block_part(b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        blk, spec = wh.blocks[b], spectra[b]
-        cols = np.flatnonzero(np.abs(spec.eigenvalues) > mu_floor)
-        mu = spec.eigenvalues[cols]
-        # take() keeps u0 in C order; the column norms round by memory order
-        u0 = np.sqrt(wh.mu[blk])[:, None] * spec.eigenvectors[: blk.stop - blk.start].take(cols, axis=1)
-        return cols, mu, _pencil_residuals(wh, b, 1.0 / mu, u0)
+        blk, mu = wh.blocks[b], spectra[b].eigenvalues
+        # u0 in C order: the column norms round by memory order
+        u0 = np.sqrt(wh.mu[blk])[:, None] * np.ascontiguousarray(spectra[b].eigenvectors[: blk.stop - blk.start])
+        return np.arange(mu.size), mu, _pencil_residuals(wh, b, 1.0 / mu, u0)
 
     parts = wh.per_block(block_part)
     columns, mus, residuals = (np.concatenate(part) for part in zip(*parts))
@@ -215,20 +214,15 @@ def extract_spectrum(comp: CompanionSystem, mu_floor: float = DEFAULT_MU_FLOOR) 
     ]
 
 
-def block_eigenvalues(comp: CompanionSystem, mu_floor: float = DEFAULT_MU_FLOOR) -> list[np.ndarray]:
+def block_eigenvalues(comp: CompanionSystem) -> list[np.ndarray]:
     """The pencil roots of each symmetry block, without eigenvectors.
 
-    Entry b holds lambda = 1/mu for each eigenvalue mu of D_b with
-    |mu| > mu_floor, in LAPACK's order; one eigenvalue-only solve per block,
-    a twin's entry is its source's.  LAPACK's eigenvalue-only path may round
+    Entry b holds lambda = 1/mu for every eigenvalue mu of D_b, 2 n_b of
+    them, in LAPACK's order; one eigenvalue-only solve per block, a twin's
+    entry is its source's.  LAPACK's eigenvalue-only path may round
     differently from the one with vectors.
     """
-
-    def roots(b: int) -> np.ndarray:
-        mus = densela.nonsym_eig(comp.blocks[b]).eigenvalues
-        return 1.0 / mus[np.abs(mus) > mu_floor]
-
-    return comp.whitened.per_block(roots)
+    return comp.whitened.per_block(lambda b: 1.0 / densela.nonsym_eig(comp.blocks[b]).eigenvalues)
 
 
 def _pencil_residuals(wh: WhitenedSystem, b: int, lam: np.ndarray, u0: np.ndarray) -> np.ndarray:
@@ -278,8 +272,8 @@ def recover_states(
     """
     wh = comp.whitened
     mus = np.array([t.mu for t in spec], dtype=complex)
-    if np.any(np.abs(mus) < DEFAULT_MU_FLOOR):
-        raise ZeroEigenvalue(f"companion eigenvalue {mus[np.argmin(np.abs(mus))]} below the floor")
+    if np.any(mus == 0):
+        raise ZeroEigenvalue("companion eigenvalue 0 has no reciprocal")
     lams = 1.0 / mus
     blocks = np.array([t.block for t in spec], dtype=int)
     u = np.empty((mus.size, wh.to_basis.shape[0]), dtype=complex)

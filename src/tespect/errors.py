@@ -92,7 +92,7 @@ class NoConvergence(ComputationError):
 # --- companion / spectra ---------------------------------------------------
 
 class ZeroEigenvalue(ComputationError):
-    """Companion eigenvalue below the floor; no reciprocal is defined."""
+    """Companion eigenvalue exactly zero; it has no reciprocal."""
 
 
 class DegenerateState(ComputationError):
@@ -138,7 +138,7 @@ class PotentialLeavesCone(ComputationError):
 # --- oracles ----------------------------------------------------------------
 
 class RangeExceeded(ComputationError):
-    """Argument outside the validated range of the special functions, or a contour radius that overflows."""
+    """Argument outside a validated range: the special functions', an oracle k-grid's size, a contour radius."""
 
 
 class DegenerateContrast(ComputationError):

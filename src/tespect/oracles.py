@@ -58,6 +58,7 @@ DEFAULT_POINTS_PER_UNIT = 2000
 MIN_CONTRAST = 1e-6  # below it the matching determinants degenerate
 L_MAX_DISK = 40  # highest angular mode of oracle_disk
 _SCAN_BLOCK = 2048  # grid points per table evaluation
+_SCAN_VALUES = 1 << 25  # rows x grid points one scan may hold (256 MB of doubles)
 
 
 @dataclass(frozen=True)
@@ -218,6 +219,8 @@ def _scan_roots(
     """Roots of every row of ``table`` (row i belongs to mode ``modes[i]``);
     every row is an entire function of exponential type at most ``tau``."""
     count = max(int(math.ceil((k_hi - k_lo) * points_per_unit)), 8) + 1
+    if len(modes) * count > _SCAN_VALUES:
+        raise RangeExceeded(f"a k-grid of {count} points for {len(modes)} rows exceeds {_SCAN_VALUES} values")
     ks = np.linspace(k_lo, k_hi, count)
     vals = np.empty((len(modes), count))
     for lo in range(0, count, _SCAN_BLOCK):
@@ -270,6 +273,7 @@ def oracle_1d(
 
     Raises:
         DegenerateContrast: V below MIN_CONTRAST (the two wave families coincide).
+        RangeExceeded: a k-grid of more than ``_SCAN_VALUES`` values.
     """
     if contrast < MIN_CONTRAST:
         raise DegenerateContrast(f"contrast {contrast:g} below {MIN_CONTRAST:g}")
@@ -300,7 +304,8 @@ def oracle_disk(
     eta * k_hi.
 
     Raises:
-        RangeExceeded: mode index above L_MAX_DISK or argument beyond the evaluator.
+        RangeExceeded: mode index above L_MAX_DISK, argument beyond the
+            evaluator, or a k-grid of more than ``_SCAN_VALUES`` values.
         DegenerateContrast: V below MIN_CONTRAST.
     """
     if contrast < MIN_CONTRAST:

@@ -109,9 +109,9 @@ def pencil_companion(problem, size):
     return companion.build_companion(assembly.whiten(system))
 
 
-def sorted_roots(comp, mu_floor=companion.DEFAULT_MU_FLOOR):
+def sorted_roots(comp):
     """The roots of all blocks (``block_eigenvalues``), ordered as ``extract_spectrum`` orders them."""
-    lams = np.concatenate(companion.block_eigenvalues(comp, mu_floor))
+    lams = np.concatenate(companion.block_eigenvalues(comp))
     return lams[np.lexsort((lams.imag, lams.real, np.abs(lams)))]
 
 

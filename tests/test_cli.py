@@ -226,11 +226,14 @@ def test_runs_without_scipy(tmp_path):
             ["--set", "problem.potential=3.0"],
             "problem.potential needs a kind prefix: constant, poly or grid (given '3.0')",
         ),
+        (["--out", "unknown.ini", "--set", "basis.n=8"], "cannot write output to unknown.ini: File exists"),
+        (["--out", "unknown.ini/sub", "--set", "basis.n=8"], "cannot write output to unknown.ini/sub: Not a directory"),
     ],
-    ids=["missing-file", "unknown-section", "no-dot", "no-kind-prefix"],
+    ids=["missing-file", "unknown-section", "no-dot", "no-kind-prefix", "out-is-a-file", "out-under-a-file"],
 )
 def test_config_refusals_exit_2(tmp_path, capsys, monkeypatch, argv, message):
-    # refused while the config loads: one usage line and nothing written
+    # refused while the config loads, or where the output directory cannot
+    # be made: one usage line and nothing written
     monkeypatch.chdir(tmp_path)
     (tmp_path / "unknown.ini").write_text("[nosuch]\nx = 1\n")
     assert run(["solve", "--out", "o", *argv]) == 2
@@ -440,7 +443,9 @@ def test_trace_on_the_square_writes_nothing_to_stderr(tmp_path, operator):
 
 
 EVERY_COMMAND = """
+import json
 import sys
+from pathlib import Path
 from tespect.cli import _COMMANDS, run
 square = ["problem.dimension=2", "problem.domain=square", "basis.n=8", "convergence.n_list=6,8"]
 failed = []
@@ -452,6 +457,14 @@ for command in _COMMANDS:
             code = run(argv)
             if code:
                 failed.append((argv, code))
+# solve writes every eigenvalue of D: 2 per whitened coordinate
+for operator in ("laplacian", "bilaplacian"):
+    for settings in ([], square):
+        run_id = f"{operator}-{len(settings)}"
+        meta = json.loads(Path(f"assemble-{run_id}/system.json").read_text())
+        rows = len(Path(f"solve-{run_id}/eigenvalues.csv").read_text().splitlines()) - 2
+        if rows != 2 * (meta["matrix_size"] - meta["deflated"]):
+            failed.append((run_id, rows, meta["matrix_size"], meta["deflated"]))
 print(failed)
 sys.exit(1 if failed else 0)
 """
@@ -459,7 +472,8 @@ sys.exit(1 if failed else 0)
 
 def test_every_command_writes_nothing_to_stderr(tmp_path):
     # all subcommands, both presets, 1D at the defaults and 2D at n = 8, in
-    # one process: a warning or a usage line that reaches stderr shows here
+    # one process: a warning or a usage line that reaches stderr shows here,
+    # and so does a solve whose row count is not 2 (matrix_size - deflated)
     assert len(cli._COMMANDS) == 10
     proc = subprocess.run(
         [sys.executable, "-c", EVERY_COMMAND], cwd=tmp_path, env=src_env(), capture_output=True, text=True, timeout=300
@@ -650,18 +664,19 @@ def lowest_eigenvalues(out, count):
 
 def test_bilaplacian_solve_deflates_rounding_negative_mu(tmp_path):
     # at n=256 rounding leaves some mu of the stiffest modes just below zero;
-    # they are dropped, and the lowest eigenvalues match n=128
-    lams = {}
+    # they are dropped, the lowest eigenvalues match n=128, and every
+    # eigenvalue of D is written, 2 per whitened coordinate
+    lams, meta = {}, {}
     for n in (128, 256):
-        out = tmp_path / f"bl{n}"
-        settings = ("problem.operator=bilaplacian", f"basis.n={n}")
-        assert run(["solve", "--out", str(out), *(f"--set={s}" for s in settings)]) == 0
-        lams[n] = lowest_eigenvalues(out, 8)
+        settings = [f"--set={s}" for s in ("problem.operator=bilaplacian", f"basis.n={n}")]
+        assert run(["solve", "--out", str(tmp_path / f"bl{n}"), *settings]) == 0
+        assert run(["assemble", "--out", str(tmp_path / f"asm{n}"), *settings]) == 0
+        lams[n] = lowest_eigenvalues(tmp_path / f"bl{n}", 8)
+        meta[n] = json.loads((tmp_path / f"asm{n}" / "system.json").read_text())
+        _, rows = read_csv(tmp_path / f"bl{n}" / "eigenvalues.csv")
+        assert len(rows) == 2 * (meta[n]["matrix_size"] - meta[n]["deflated"])
     assert np.max(np.abs(lams[256] - lams[128]) / np.abs(lams[128])) < 1e-10
-    out = tmp_path / "asm256"
-    settings = ("problem.operator=bilaplacian", "basis.n=256")
-    assert run(["assemble", "--out", str(out), *(f"--set={s}" for s in settings)]) == 0
-    assert json.loads((out / "system.json").read_text())["deflated"] > 0
+    assert meta[256]["deflated"] > 0
 
 
 def test_count_square_2d(tmp_path):

@@ -235,9 +235,22 @@ def test_recover_state_interval_problem(helmholtz48):
     assert np.array_equal(state.v, state.w - state.u)
 
 
+def test_recover_state_at_the_smallest_mu():
+    # 1D bilaplacian at n=128: the root of smallest |mu| (|lambda| ~ 1e13) is
+    # reported and its state recovers like any other
+    comp = companion.build_companion(cached_system(operator="bilaplacian", size=128, contrast=3.0)[3])
+    spec = companion.extract_spectrum(comp)
+    assert len(spec) == 2 * comp.whitened.size
+    smallest = min(spec, key=lambda t: abs(t.mu))
+    assert abs(smallest.mu) < 1e-12
+    (state,) = companion.recover_states(comp, [smallest])
+    assert np.all(np.isfinite(state.u)) and state.r_pencil <= 1e-10
+
+
 def test_recover_state_zero_eigenvalue(toy_companion):
-    entry = dataclasses.replace(companion.extract_spectrum(toy_companion)[0], mu=1e-15)
-    with pytest.raises(ZeroEigenvalue):
+    # only an exact zero has no reciprocal: |mu| = 1e-15 is a real root of D_b at 1D bilaplacian n=256
+    entry = dataclasses.replace(companion.extract_spectrum(toy_companion)[0], mu=0.0)
+    with pytest.raises(ZeroEigenvalue, match="has no reciprocal"):
         companion.recover_states(toy_companion, [entry])
 
 
@@ -467,12 +480,6 @@ def test_trig_basis_finds_oracle_eigenvalue():
     target = 4.0 * np.pi**2
     best = min(spec, key=lambda t: abs(t.lam - target))
     assert abs(best.lam - target) / target < 1e-4
-
-
-def test_extract_spectrum_mu_floor(toy_companion):
-    spec = companion.extract_spectrum(toy_companion, mu_floor=0.5)
-    assert [t.lam for t in spec] == [1.0 + 0.0j]
-    assert sorted_roots(toy_companion, mu_floor=0.5).tolist() == [1.0 + 0.0j]
 
 
 @pytest.mark.parametrize("dimension, size", [(1, 32), (2, 6)], ids=["1d-n32", "2d-n6"])

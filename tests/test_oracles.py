@@ -277,3 +277,18 @@ def test_oracle_disk_range_guards():
         oracles.oracle_disk(3.0, 41, 1.0, 5.0)
     with pytest.raises(RangeExceeded):
         oracles.oracle_disk(3.0, 2, 1.0, 150.0)  # eta * k_hi beyond the evaluator
+
+
+@pytest.mark.parametrize(
+    "scan",
+    [
+        lambda: oracles.oracle_1d(3.0, 0.5, 1e6),
+        lambda: oracles.oracle_1d(3.0, 0.5, 20.0, 100_000_000),
+        lambda: oracles.oracle_disk(3.0, 8, 0.5, 20.0, 100_000_000),
+    ],
+    ids=["1d-k_max", "1d-points_per_unit", "disk-points_per_unit"],
+)
+def test_oracle_grid_too_large_to_hold(scan):
+    # about 2e9 grid points, 15 GiB of values or more: refused before any is allocated
+    with pytest.raises(RangeExceeded, match=r"k-grid of \d+ points"):
+        scan()
