@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
+import functools
 import hashlib
 import io
 import itertools
@@ -258,27 +260,28 @@ def _build_pipeline(cfg: RunConfig, size: int | None = None) -> WhitenedSystem:
     return whiten(assemble_system(problem, build_basis(problem, size or cfg["basis.n"])))
 
 
+def _plain(value):
+    """``json``'s hook for what it cannot write: a numpy array or scalar as Python values."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 class OutputWriter:
     """Writes artifacts under the output directory with version headers.
 
-    The directory and ``config.resolved`` are made with the first artifact
-    (``prepare``), so a run refused before it writes anything leaves nothing.
+    The constructor makes the directory and ``config.resolved``, so a
+    command whose outputs cannot be written is refused before it computes.
     """
 
-    def __init__(self, cfg: RunConfig, out_dir: str | None):
-        self.cfg = cfg
-        self.dir = Path(out_dir or cfg["output.dir"])
+    def __init__(self, cfg: RunConfig, out_dir: str | Path):
+        self.dir = Path(out_dir)
         self.digest = cfg.digest()
-        self.prepared = False
+        self.dir.mkdir(parents=True, exist_ok=True)
+        (self.dir / "config.resolved").write_text(self.header() + "\n" + cfg.resolved_text())
 
     def header(self) -> str:
         return f"# te-spect {__version__} config={self.digest}"
-
-    def prepare(self):
-        if not self.prepared:
-            self.dir.mkdir(parents=True, exist_ok=True)
-            (self.dir / "config.resolved").write_text(self.header() + "\n" + self.cfg.resolved_text())
-            self.prepared = True
 
     def csv(self, name: str, columns: list[str], rows) -> Path:
         """Write a table given as a 2D float array or as an iterable of rows.
@@ -293,7 +296,6 @@ class OutputWriter:
         else:
             it = iter(rows)
             chunks = iter(lambda: list(itertools.islice(it, _CSV_CHUNK_ROWS)), [])
-        self.prepare()
         path = self.dir / name
         with path.open("w") as f:
             f.write(f"{self.header()}\n{','.join(columns)}\n")
@@ -305,11 +307,11 @@ class OutputWriter:
         return path
 
     def json(self, name: str, payload: dict) -> Path:
-        self.prepare()
+        """Write a record; numpy arrays and scalars in it are written as Python values."""
         path = self.dir / name
         record = {"tool_version": __version__, "config_hash": self.digest}
         record.update(payload)
-        path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+        path.write_text(json.dumps(record, indent=2, sort_keys=True, default=_plain) + "\n")
         return path
 
 
@@ -331,8 +333,8 @@ def _cmd_assemble(cfg: RunConfig, out: OutputWriter) -> int:
             "basis_size_per_dim": basis.size,
             "matrix_size": system.size,
             "block_sizes": [blk.stop - blk.start for blk in wh.blocks],
-            "block_copies": list(wh.twin_of),
-            "symmetries": list(system.symmetry.names),
+            "block_copies": wh.twin_of,
+            "symmetries": system.symmetry.names,
             "deflated": wh.deflated,
             "trace_class": problem.trace_class,
             "hilbert_schmidt": problem.hilbert_schmidt,
@@ -345,23 +347,13 @@ def _cmd_assemble(cfg: RunConfig, out: OutputWriter) -> int:
 def _cmd_solve(cfg: RunConfig, out: OutputWriter) -> int:
     comp = companion.build_companion(_build_pipeline(cfg))
     spec = companion.extract_spectrum(comp)
-    rows = [
-        (
-            i,
-            float(t.lam.real),
-            float(t.lam.imag),
-            float(t.mu.real),
-            float(t.mu.imag),
-            float(t.qep_residual),
-            t.cluster_id,
-            t.multiplicity,
-        )
-        for i, t in enumerate(spec)
-    ]
     out.csv(
         "eigenvalues.csv",
         ["index", "re_lambda", "im_lambda", "re_mu", "im_mu", "qep_residual", "cluster_id", "multiplicity"],
-        rows,
+        (
+            (i, t.lam.real, t.lam.imag, t.mu.real, t.mu.imag, t.qep_residual, t.cluster_id, t.multiplicity)
+            for i, t in enumerate(spec)
+        ),
     )
     if cfg["solve.want_states"]:
         states = [
@@ -397,7 +389,7 @@ def _cmd_trace(cfg: RunConfig, out: OutputWriter) -> int:
             "spectral_radius": report.spectral_radius,
             "decay_exponent": report.decay_exponent,
             "decay_theory": report.decay_theory,
-            "identity_residuals": list(report.identity_residuals),
+            "identity_residuals": report.identity_residuals,
         },
     )
     return 0
@@ -415,7 +407,7 @@ def _cmd_range(cfg: RunConfig, out: OutputWriter) -> int:
             "samples_csv_path": samples_path.name,
             "max_abs_arg": report.max_abs_arg,
             "sector_opening": report.sector_opening,
-            "lambda_min_k": list(report.lambda_min_k),
+            "lambda_min_k": report.lambda_min_k,
             "exact_opening": report.exact_opening,
             "pi_over_p": report.pi_over_p,
             "within_angle": report.within_angle,
@@ -432,26 +424,9 @@ def _cmd_count(cfg: RunConfig, out: OutputWriter) -> int:
     spectra = companion.block_eigenvalues(companion.build_companion(wh))
     radii = cfg["count.radii"] or counting.auto_radii(np.concatenate(spectra))
     report = counting.growth_profile(wh, radii, spectra=spectra)
-    out.csv(
-        "count.csv",
-        ["radius", "winding", "jensen_bound"],
-        ((float(r), int(w), float(j)) for r, w, j in zip(report.radii, report.windings, report.jensen_bounds)),
-    )
-    out.json(
-        "count.json",
-        {
-            "radii": [float(r) for r in report.radii],
-            "grid_sizes": report.grid_sizes.tolist(),
-            "max_phase_steps": report.max_phase_steps.tolist(),
-            "windings": [int(w) for w in report.windings],
-            "block_windings": report.block_windings.tolist(),
-            "cross_counts": [int(c) for c in report.cross_counts],
-            "block_cross_counts": report.block_cross_counts.tolist(),
-            "jensen_bounds": [float(j) for j in report.jensen_bounds],
-            "growth_exponent": report.growth_exponent,
-            "resolved": [bool(b) for b in report.resolved],
-        },
-    )
+    columns = (report.radii, report.windings, report.jensen_bounds)
+    out.csv("count.csv", ["radius", "winding", "jensen_bound"], zip(*columns))
+    out.json("count.json", dataclasses.asdict(report))
     return 0
 
 
@@ -475,40 +450,28 @@ def _cmd_scan(cfg: RunConfig, out: OutputWriter) -> int:
     out.json(
         "scan.json",
         {
-            "s_values": [float(s) for s in report.s_values],
-            "t_values": [float(t) for t in report.t_values],
-            "near_zeros": [float(s) for s in report.near_zeros],
-            "sign_changes": [[float(a), float(b)] for a, b in report.sign_changes],
+            "s_values": report.s_values,
+            "t_values": report.t_values,
+            "near_zeros": report.near_zeros,
+            "sign_changes": report.sign_changes,
             "chebyshev_tail": report.chebyshev_tail,
         },
     )
     return 0
 
 
-def _oracle_rows(roots):
-    return (
-        ((-1 if r.l is None else r.l), float(r.k), float(r.lam), float(r.residual))
-        for r in roots
+def _cmd_oracle(cfg: RunConfig, out: OutputWriter, disk: bool = False) -> int:
+    """Roots of the interval's matching determinant, or of the disk's modes up to ``oracle.l_max``."""
+    span = (cfg["oracle.k_min"], cfg["oracle.k_max"], cfg["oracle.points_per_unit"])
+    if disk:
+        roots = oracles.oracle_disk(cfg["oracle.contrast"], cfg["oracle.l_max"], *span)
+    else:
+        roots = oracles.oracle_1d(cfg["oracle.contrast"], *span)
+    out.csv(
+        "roots.csv",
+        ["l", "k", "lambda", "residual"],
+        ((-1 if r.l is None else r.l, r.k, r.lam, r.residual) for r in roots),
     )
-
-
-def _cmd_oracle1d(cfg: RunConfig, out: OutputWriter) -> int:
-    roots = oracles.oracle_1d(
-        cfg["oracle.contrast"], cfg["oracle.k_min"], cfg["oracle.k_max"], cfg["oracle.points_per_unit"]
-    )
-    out.csv("roots.csv", ["l", "k", "lambda", "residual"], _oracle_rows(roots))
-    return 0
-
-
-def _cmd_oracle_disk(cfg: RunConfig, out: OutputWriter) -> int:
-    roots = oracles.oracle_disk(
-        cfg["oracle.contrast"],
-        cfg["oracle.l_max"],
-        cfg["oracle.k_min"],
-        cfg["oracle.k_max"],
-        cfg["oracle.points_per_unit"],
-    )
-    out.csv("roots.csv", ["l", "k", "lambda", "residual"], _oracle_rows(roots))
     return 0
 
 
@@ -542,7 +505,7 @@ def _cmd_convergence(cfg: RunConfig, out: OutputWriter) -> int:
     out.csv(
         "convergence.csv",
         ["n", "lambda", "rel_diff", "cauchy"],
-        ((r["n"], float(r["lambda"]), float(r["rel_diff"]), r["cauchy"]) for r in rows),
+        ((r["n"], r["lambda"], r["rel_diff"], r["cauchy"]) for r in rows),
     )
     return 0
 
@@ -584,8 +547,8 @@ _COMMANDS = {
     "range": _cmd_range,
     "count": _cmd_count,
     "scan": _cmd_scan,
-    "oracle1d": _cmd_oracle1d,
-    "oracle-disk": _cmd_oracle_disk,
+    "oracle1d": _cmd_oracle,
+    "oracle-disk": functools.partial(_cmd_oracle, disk=True),
     "convergence": _cmd_convergence,
     "selftest": _cmd_selftest,
 }
@@ -619,17 +582,15 @@ def run(argv) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 
-    writer = OutputWriter(cfg, args.out)
+    out_dir = Path(args.out or cfg["output.dir"])
     try:
-        try:
-            return _COMMANDS[args.command](cfg, writer)
-        except ComputationError as exc:
-            writer.prepare()
-            record = {"error": {"code": exc.code, "message": str(exc)}}
-            print(json.dumps(record), file=sys.stderr)
-            return 1
+        writer = None if args.command == "selftest" else OutputWriter(cfg, out_dir)
+        return _COMMANDS[args.command](cfg, writer)
+    except ComputationError as exc:
+        print(json.dumps({"error": {"code": exc.code, "message": str(exc)}}), file=sys.stderr)
+        return 1
     except OSError as exc:  # the commands read no file: only the writer raises it
-        print(f"usage error: cannot write output to {writer.dir}: {exc.strerror or exc}", file=sys.stderr)
+        print(f"usage error: cannot write output to {out_dir}: {exc.strerror or exc}", file=sys.stderr)
         return 2
 
 

@@ -98,13 +98,6 @@ class PotentialSpec:
     def __post_init__(self):
         if self.kind not in ("polynomial", "grid", "affine"):
             raise ValueError(f"unknown potential representation {self.kind!r}")
-        if self.kind == "grid":
-            warnings.warn(
-                "grid potentials are only piecewise linear; smoothness "
-                "assumptions behind the method are not met",
-                SmoothnessWarning,
-                stacklevel=2,
-            )
 
     @classmethod
     def constant(cls, value: float, dimension: int = 1) -> "PotentialSpec":
@@ -125,6 +118,12 @@ class PotentialSpec:
             raise DimensionMismatch("grid rank must equal the domain dimension")
         if arr.shape[0] < 2 or (dimension == 2 and arr.shape[1] < 2):
             raise ValueError("grid potential needs at least two samples per axis")
+        warnings.warn(
+            "grid potentials are only piecewise linear; smoothness "
+            "assumptions behind the method are not met",
+            SmoothnessWarning,
+            stacklevel=2,
+        )
         return cls("grid", arr, dimension)
 
     @classmethod

@@ -200,14 +200,6 @@ def _proxy_points(tau: float, h: float) -> int:
     return m
 
 
-def _chebyshev_sum(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_n coef[n] T_n(x), column by column, by Clenshaw's recurrence."""
-    b1 = b2 = np.zeros_like(x)
-    for c in coef[:0:-1]:
-        b1, b2 = c + 2.0 * x * b1 - b2, b1
-    return coef[0] + x * b1 - b2
-
-
 def _scan_roots(
     table: Callable[[np.ndarray], np.ndarray],
     k_lo: float,
@@ -235,7 +227,7 @@ def _scan_roots(
     nodes = np.cos(np.pi * np.arange(m) / (m - 1))
     samples = table(mid[:, None] + half[:, None] * nodes)[row, np.arange(row.size)]
     coef = np.linalg.solve(np.polynomial.chebyshev.chebvander(nodes, m - 1), samples.T)
-    k_star = _bisect(lambda k: _chebyshev_sum(coef, (k - mid) / half), lo, hi)
+    k_star = _bisect(lambda k: np.polynomial.chebyshev.chebval((k - mid) / half, coef, tensor=False), lo, hi)
 
     # a candidate's residual is its own row; a merge compares max |row| over the mode
     at_root = np.abs(table(k_star))

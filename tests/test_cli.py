@@ -25,10 +25,11 @@ def read_csv(path):
     return header, rows
 
 
-def test_selftest_passes(capsys):
-    assert run(["selftest"]) == 0
+def test_selftest_passes(tmp_path, capsys):
+    assert run(["selftest", "--out", str(tmp_path / "new")]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out and "PASS" in out
+    assert list(tmp_path.iterdir()) == []  # it writes no file, so it makes no directory
 
 
 def test_solve_writes_eigenvalues(tmp_path):
@@ -378,6 +379,89 @@ def test_csv_writer_is_byte_exact(tmp_path, monkeypatch):
                         assert (math.isnan(back) and math.isnan(v)) or (
                             back == v and math.copysign(1.0, back) == math.copysign(1.0, v)
                         )
+
+
+def test_json_writer_is_byte_exact(tmp_path):
+    # numpy arrays and scalars give the bytes of the same payload in plain Python
+    writer = OutputWriter(RunConfig.load(None, []), str(tmp_path))
+    columns = {
+        "float": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1],
+        "int": [0, -7, 2**62],
+        "bool": [True, False, True],
+    }
+    numpy_payload, plain_payload = {}, {}
+    for name, values in columns.items():
+        array = np.array(values)
+        assert all(isinstance(v, np.generic) for v in array)
+        numpy_payload[name] = {
+            "scalars": list(array),
+            "tuple": tuple(array),
+            "1d": array,
+            "2d": np.stack((array, array[::-1])),
+            "empty": array[:0],
+            "empty_2d": array[:0].reshape(0, 2),
+        }
+        plain_payload[name] = {
+            "scalars": values,
+            "tuple": tuple(values),
+            "1d": values,
+            "2d": [values, values[::-1]],
+            "empty": [],
+            "empty_2d": [],
+        }
+    path = writer.json("numpy.json", numpy_payload)
+    expected = {"tool_version": __version__, "config_hash": writer.digest, **plain_payload}
+    assert path.read_bytes() == (json.dumps(expected, indent=2, sort_keys=True) + "\n").encode()
+    # what has no JSON value is still refused
+    for value in (np.complex128(1.0 + 2.0j), np.array([1.0j]), {1.0}):
+        with pytest.raises(TypeError):
+            writer.json("refused.json", {"value": value})
+    assert not (tmp_path / "refused.json").exists()
+
+
+REPORT_KEYS = {
+    ("assemble", "system.json"): [
+        "basis_size_per_dim", "block_copies", "block_sizes", "deflated", "dimension", "hilbert_schmidt",
+        "matrix_size", "operator", "order", "p_min", "symmetries", "trace_class",
+    ],
+    ("trace", "trace.json"): [
+        "decay_exponent", "decay_theory", "identity_residuals", "p", "p_min", "powers", "schatten_1",
+        "schatten_2", "spectral_radius", "trace_im", "trace_re",
+    ],
+    ("range", "range.json"): [
+        "exact_opening", "lambda_min_k", "max_abs_arg", "note", "pi_over_p", "sample_count",
+        "samples_csv_path", "sector_opening", "seed", "within_angle",
+    ],
+    ("count", "count.json"): [
+        "block_cross_counts", "block_windings", "cross_counts", "grid_sizes", "growth_exponent",
+        "jensen_bounds", "max_phase_steps", "radii", "resolved", "windings",
+    ],
+    ("scan", "scan.json"): ["chebyshev_tail", "near_zeros", "s_values", "sign_changes", "t_values"],
+}
+
+
+@pytest.mark.parametrize("command, name", REPORT_KEYS, ids=[c for c, _ in REPORT_KEYS])
+def test_report_keys_at_the_1d_defaults(tmp_path, command, name):
+    # a renamed report field must not silently rename a key of the record
+    assert run([command, "--out", str(tmp_path)]) == 0
+    record = json.loads((tmp_path / name).read_text())
+    assert sorted(record) == sorted(["config_hash", "tool_version", *REPORT_KEYS[command, name]])
+
+
+@pytest.mark.parametrize("command", [c for c in cli._COMMANDS if c != "selftest"])
+def test_unwritable_out_is_refused_before_computing(tmp_path, capsys, monkeypatch, command):
+    def computes(*args, **kwargs):
+        raise AssertionError("computed before the output directory was made")
+
+    for name in ("_build_pipeline", "_build_problem"):
+        monkeypatch.setattr(cli, name, computes)
+    for name in ("oracle_1d", "oracle_disk"):
+        monkeypatch.setattr(cli.oracles, name, computes)
+    target = tmp_path / "file"
+    target.write_text("")
+    assert run([command, "--out", str(target)]) == 2
+    assert capsys.readouterr().err == f"usage error: cannot write output to {target}: File exists\n"
+    assert target.read_text() == ""
 
 
 def test_assemble_outputs(tmp_path):

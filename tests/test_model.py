@@ -176,6 +176,13 @@ def test_eval_potential_grid_2d_bilinear():
     assert model.eval_potential(pot, [0.0, 1.0]) == pytest.approx(2.0, abs=1e-15)
 
 
+def test_smoothness_warning_names_the_caller():
+    # not the __init__ that dataclass generates, which reads as "<string>"
+    with pytest.warns(SmoothnessWarning) as record:
+        model.PotentialSpec.grid([1.0, 2.0], 1)
+    assert [w.filename for w in record] == [__file__]
+
+
 def test_eval_potential_out_of_domain():
     pot = model.PotentialSpec.constant(1.0, 1)
     with pytest.raises(OutOfDomain):
