@@ -15,7 +15,6 @@ from .model import (  # noqa: F401
     OperatorSpec,
     PotentialSpec,
     ProblemSpec,
-    eval_potential,
     validate_problem,
 )
 from .assembly import (  # noqa: F401
@@ -59,8 +58,7 @@ from .counting import (  # noqa: F401
 )
 from .oracles import (  # noqa: F401
     OracleRoot,
-    bessel_j,
-    bessel_j_derivative,
+    bessel_row,
     oracle_1d,
     oracle_disk,
 )

@@ -62,7 +62,7 @@ from .errors import (
     QuadratureWarning,
     refuse,
 )
-from .model import _EPS, SYMMETRIES, PotentialSpec, ProblemSpec, _potential_values, strictly_positive
+from .model import SYMMETRIES, PotentialSpec, ProblemSpec, strictly_positive
 
 _ASYM_TOL = 1e-8
 _GRAM_FLOOR = 1e-12
@@ -84,14 +84,6 @@ def quadrature_rule(size: int, order: int, family: str) -> int:
     return nodes + 8 if family == TRIG else nodes
 
 
-def _knots(pot: PotentialSpec) -> list[np.ndarray]:
-    """Kinks of V on [0, 1] per axis and part: grid knots, else just the ends."""
-    if pot.kind == "affine":
-        return _knots(pot.data[0]) + _knots(pot.data[1])
-    shape = pot.data.shape if pot.kind == "grid" else (2,)
-    return [np.linspace(0.0, 1.0, k) for k in shape]
-
-
 @cache
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nodes, weights and values-to-Legendre-coefficients map of the n-point rule, read-only."""
@@ -104,7 +96,7 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _composite_gauss(pot: PotentialSpec, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre rule, ``nodes`` points on each cell between the kinks of V."""
-    edges = np.sort(np.concatenate(_knots(pot)))
+    edges = np.sort(np.concatenate(pot.knots()))
     edges = edges[np.diff(edges, prepend=-1.0) > _EDGE_TOL]
     t, w, _ = _gauss_legendre(nodes)
     h = np.diff(edges)[:, None]
@@ -632,7 +624,7 @@ def assemble_system(problem: ProblemSpec, basis: BasisSet) -> GalerkinSystem:
         NonpositivePotential: V not strictly positive at a quadrature node.
     """
     symmetry = Symmetry.of(problem, basis)
-    vvals = _potential_values(problem.potential, basis.grid_points())
+    vvals = problem.potential.values(basis.grid_points())
     out = assemble_stack(basis, vvals, symmetry)
     return GalerkinSystem(
         a=out["A"],
@@ -781,7 +773,7 @@ def whiten_stack(
     sized = [mu for _, mu, _ in factors if mu.shape[-1]]
     top = np.max([mu[..., 0] for mu in sized], axis=0) if sized else np.zeros(a.shape[:-2])
     low = np.min([mu[..., -1] for mu in sized], axis=0) if sized else np.zeros(a.shape[:-2])
-    tau = _EPS * top
+    tau = np.finfo(float).eps * top
     refuse(
         NotPositiveDefinite,
         (top <= 0) | (low < -tau),

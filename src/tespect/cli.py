@@ -70,11 +70,11 @@ def _int_at_least(least: int):
 
 
 def _sizes(ascending: bool):
-    """A nonempty comma list of positive integers, ascending if asked."""
+    """A nonempty comma list of positive integers, strictly ascending if asked."""
     return _value(
         lambda raw: [int(tok) for tok in raw.split(",") if tok.strip()],
-        f"{'an ascending' if ascending else 'a'} comma list of positive integers",
-        lambda v: v and min(v) >= 1 and (not ascending or v == sorted(v)),
+        f"{'a strictly ascending' if ascending else 'a'} comma list of positive integers",
+        lambda v: v and min(v) >= 1 and (not ascending or all(a < b for a, b in zip(v, v[1:]))),
     )
 
 
@@ -240,9 +240,6 @@ class RunConfig:
         parser.write(buf)
         return buf.getvalue()
 
-    def digest(self) -> str:
-        return hashlib.sha256(self.resolved_text().encode()).hexdigest()[:12]
-
 
 def _potential_spec(cfg: RunConfig, name: str) -> PotentialSpec:
     kind, data = cfg[name]
@@ -276,9 +273,10 @@ class OutputWriter:
 
     def __init__(self, cfg: RunConfig, out_dir: str | Path):
         self.dir = Path(out_dir)
-        self.digest = cfg.digest()
+        resolved = cfg.resolved_text()
+        self.digest = hashlib.sha256(resolved.encode()).hexdigest()[:12]
         self.dir.mkdir(parents=True, exist_ok=True)
-        (self.dir / "config.resolved").write_text(self.header() + "\n" + cfg.resolved_text())
+        (self.dir / "config.resolved").write_text(self.header() + "\n" + resolved)
 
     def header(self) -> str:
         return f"# te-spect {__version__} config={self.digest}"

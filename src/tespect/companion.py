@@ -40,7 +40,6 @@ from .errors import (
     RankAmbiguous,
     ZeroEigenvalue,
 )
-from .model import _potential_values
 
 _CLUSTER_TOL = 1e-6  # relative distance in mu that links two eigenvalues into one cluster
 _RANK_TRUNCATION = 1e-8
@@ -305,7 +304,7 @@ def recover_states(
     basis, problem = sys_.basis, sys_.problem
     zero = (0,) * problem.dimension
     wq = basis.grid_weights()
-    vvals = _potential_values(problem.potential, basis.grid_points())
+    vvals = problem.potential.values(basis.grid_points())
     terms = p0_terms(problem.order, problem.dimension)
 
     # moments of w against the basis, and the weak residuals of v and of w

@@ -47,7 +47,7 @@ from .assembly import (
 )
 from .companion import CompanionSystem
 from .errors import ComputationError, CrossCheckFailed, PotentialLeavesCone, refuse
-from .model import PotentialSpec, ProblemSpec, _potential_values, _validation_points, strictly_positive
+from .model import PotentialSpec, ProblemSpec, strictly_positive, validation_points
 from .util import loglog_slope
 
 _IDENTITY_TOL = 1e-10
@@ -369,8 +369,8 @@ def _scan_values(
     """
     # V_0 and d on the validation grid and at the quadrature nodes
     checks, nodes = (
-        [_potential_values(pot, pts) for pot in (problem.potential, direction)]
-        for pts in (_validation_points(problem.dimension), pencils.basis.grid_points())
+        [pot.values(pts) for pot in (problem.potential, direction)]
+        for pts in (validation_points(problem.dimension), pencils.basis.grid_points())
     )
 
     def stack(s: np.ndarray) -> np.ndarray:

@@ -45,10 +45,6 @@ class DimensionMismatch(ComputationError):
     """Vector length does not match the operator's spatial dimension."""
 
 
-class OutOfDomain(ComputationError):
-    """Evaluation point lies outside the closed domain."""
-
-
 class SmoothnessWarning(UserWarning):
     """Potential data is rougher than the theory behind the method assumes."""
 

@@ -17,17 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NonpositivePotential,
-    OutOfDomain,
-    SmoothnessWarning,
-    UnsupportedDimension,
-)
+from .errors import DimensionMismatch, NonpositivePotential, SmoothnessWarning, UnsupportedDimension
 
 PRESET_ORDERS = {"laplacian": 2, "bilaplacian": 4}
 _POSITIVITY_MARGIN = 1e-10
-_DOMAIN_SLACK = 1e-12
 _EPS = float(np.finfo(float).eps)
 # the symmetries T of the square as (swap, flip_x, flip_y): x <-> y, then x -> 1 - x, y -> 1 - y, if set
 SYMMETRIES = {
@@ -78,7 +71,7 @@ class DomainSpec:
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Potential V with pointwise evaluation and q = 1/V accessor.
+    """Potential V, evaluated at points by ``values`` with its kinks named by ``knots``.
 
     Representations:
       * ``polynomial`` -- 1D: coefficient array c[k] of sum c_k x^k;
@@ -131,6 +124,29 @@ class PotentialSpec:
         if base.dimension != direction.dimension:
             raise DimensionMismatch("base and direction dimensions differ")
         return cls("affine", (base, direction, float(scale)), base.dimension)
+
+    def values(self, flat: np.ndarray) -> np.ndarray:
+        """V at points of the closed domain, ``flat`` of shape (P,) in 1D or (P, 2) in 2D."""
+        if self.kind == "affine":
+            base, direction, scale = self.data
+            return base.values(flat) + scale * direction.values(flat)
+        if self.dimension == 1:
+            xs = flat.reshape(-1)
+            if self.kind == "polynomial":
+                return np.polynomial.polynomial.polyval(xs, self.data)
+            knots = np.linspace(0.0, 1.0, self.data.shape[0])
+            return np.interp(xs, knots, self.data)
+        xs, ys = flat[:, 0], flat[:, 1]
+        if self.kind == "polynomial":
+            return np.polynomial.polynomial.polyval2d(xs, ys, self.data)
+        return _bilinear(self.data, xs, ys)
+
+    def knots(self) -> list[np.ndarray]:
+        """Kinks of V on [0, 1] per axis and part: grid knots, else just the ends."""
+        if self.kind == "affine":
+            return self.data[0].knots() + self.data[1].knots()
+        shape = self.data.shape if self.kind == "grid" else (2,)
+        return [np.linspace(0.0, 1.0, k) for k in shape]
 
     def stabilizer(self) -> tuple[str, ...]:
         """Names of the g in ``SYMMETRIES`` with V o T_g = V, in its order; in 1D of identity and flip_x.
@@ -195,41 +211,6 @@ class ProblemSpec:
         return self.operator.dimension
 
 
-def eval_potential(pot: PotentialSpec, x) -> float:
-    """Evaluate V at a point (or an array of points) of the closed domain."""
-    pts = np.atleast_1d(np.asarray(x, dtype=float))
-    scalar = (pts.ndim == 1 and pot.dimension == 1 and pts.size == 1) or (
-        pts.ndim == 1 and pot.dimension == 2 and pts.size == 2
-    )
-    if pot.dimension == 1:
-        flat = pts.reshape(-1)
-    else:
-        flat = pts.reshape(-1, 2)
-    if np.any(flat < -_DOMAIN_SLACK) or np.any(flat > 1.0 + _DOMAIN_SLACK):
-        raise OutOfDomain("point outside the closed unit domain")
-    vals = _potential_values(pot, flat)
-    if scalar:
-        return float(vals.reshape(-1)[0])
-    return vals
-
-
-def _potential_values(pot: PotentialSpec, flat: np.ndarray) -> np.ndarray:
-    """Vectorized V on points already known to be inside the domain."""
-    if pot.kind == "affine":
-        base, direction, scale = pot.data
-        return _potential_values(base, flat) + scale * _potential_values(direction, flat)
-    if pot.dimension == 1:
-        xs = flat.reshape(-1)
-        if pot.kind == "polynomial":
-            return np.polynomial.polynomial.polyval(xs, pot.data)
-        knots = np.linspace(0.0, 1.0, pot.data.shape[0])
-        return np.interp(xs, knots, pot.data)
-    xs, ys = flat[:, 0], flat[:, 1]
-    if pot.kind == "polynomial":
-        return np.polynomial.polynomial.polyval2d(xs, ys, pot.data)
-    return _bilinear(pot.data, xs, ys)
-
-
 def _bilinear(values: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     nx, ny = values.shape
     fx = np.clip(xs, 0.0, 1.0) * (nx - 1)
@@ -255,7 +236,8 @@ def strictly_positive(values: np.ndarray) -> np.ndarray:
     return np.all(values > _POSITIVITY_MARGIN, axis=-1)
 
 
-def _validation_points(dimension: int) -> np.ndarray:
+def validation_points(dimension: int) -> np.ndarray:
+    """The fixed grid on which V's strict positivity is checked: 1025 points, or 65 x 65."""
     if dimension == 1:
         return np.linspace(0.0, 1.0, 1025)
     g = np.linspace(0.0, 1.0, 65)
@@ -284,7 +266,7 @@ def validate_problem(op: OperatorSpec, dom: DomainSpec, pot: PotentialSpec) -> P
             f"potential dimension {pot.dimension} != operator dimension {op.dimension}"
         )
 
-    values = _potential_values(pot, _validation_points(op.dimension))
+    values = pot.values(validation_points(op.dimension))
     if not strictly_positive(values):
         raise NonpositivePotential(
             f"potential minimum {np.min(values):.3e} is below the strict-positivity margin"

@@ -126,16 +126,6 @@ def _derivative_rows(rows: np.ndarray) -> np.ndarray:
     return deriv
 
 
-def bessel_j(l: int, x: float) -> float:
-    """Bessel function of the first kind, integer order."""
-    return float(bessel_row(l, x)[l])
-
-
-def bessel_j_derivative(l: int, x: float) -> float:
-    """dJ_l/dx via J_l' = (J_{l-1} - J_{l+1}) / 2, with J_0' = -J_1."""
-    return float(_derivative_rows(bessel_row(l + 1, x))[l])
-
-
 # -- matching determinants ------------------------------------------------------
 
 

@@ -244,7 +244,7 @@ def test_raw_assembly_asymmetry_is_rounding_level():
     pot = model.PotentialSpec.polynomial([1.0, 0.5], 1)
     prob = model.validate_problem(op, model.DomainSpec("interval"), pot)
     basis = assembly.build_basis(prob, 16)
-    qvals = 1.0 / model.eval_potential(pot, basis.grid_points())
+    qvals = 1.0 / pot.values(basis.grid_points())
     for _, mat in assembly._raw_forms(basis, qvals):
         scale = max(np.linalg.norm(mat), 1e-300)
         assert np.linalg.norm(mat - mat.T) / scale < 1e-10

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import math
@@ -229,8 +230,20 @@ def test_runs_without_scipy(tmp_path):
         ),
         (["--out", "unknown.ini", "--set", "basis.n=8"], "cannot write output to unknown.ini: File exists"),
         (["--out", "unknown.ini/sub", "--set", "basis.n=8"], "cannot write output to unknown.ini/sub: Not a directory"),
+        (
+            ["--set", "convergence.n_list=16,16"],
+            "convergence.n_list must be a strictly ascending comma list of positive integers (given '16,16')",
+        ),
     ],
-    ids=["missing-file", "unknown-section", "no-dot", "no-kind-prefix", "out-is-a-file", "out-under-a-file"],
+    ids=[
+        "missing-file",
+        "unknown-section",
+        "no-dot",
+        "no-kind-prefix",
+        "out-is-a-file",
+        "out-under-a-file",
+        "repeated-size",
+    ],
 )
 def test_config_refusals_exit_2(tmp_path, capsys, monkeypatch, argv, message):
     # refused while the config loads, or where the output directory cannot
@@ -379,6 +392,18 @@ def test_csv_writer_is_byte_exact(tmp_path, monkeypatch):
                         assert (math.isnan(back) and math.isnan(v)) or (
                             back == v and math.copysign(1.0, back) == math.copysign(1.0, v)
                         )
+
+
+def test_config_hash_is_the_digest_of_config_resolved(tmp_path):
+    # every header of a run names sha256(body of config.resolved)[:12]
+    out = tmp_path / "run"
+    assert run(["count", "--out", str(out), "--set", "basis.n=24", "--set", "problem.potential=poly:3,1"]) == 0
+    header, body = (out / "config.resolved").read_text().split("\n", 1)
+    digest = hashlib.sha256(body.encode()).hexdigest()[:12]
+    assert "poly:3,1" in body
+    assert header == f"# te-spect {__version__} config={digest}"
+    assert (out / "count.csv").read_text().split("\n", 1)[0] == header
+    assert json.loads((out / "count.json").read_text())["config_hash"] == digest
 
 
 def test_json_writer_is_byte_exact(tmp_path):
@@ -856,11 +881,9 @@ def test_oracle_subcommands_at_defaults(tmp_path):
 
 
 def test_convergence_constant_list():
-    cfg = RunConfig.load(
-        None, ["convergence.n_list=16,16,16", "basis.n=16", "problem.potential=constant:3.0"]
-    )
-    rows = convergence_table(cfg)
-    assert all(r["rel_diff"] == 0.0 for r in rows[1:])
+    # the same size gives the same rows, bitwise (json writes each float's repr)
+    cfg = RunConfig.load(None, ["convergence.n_list=16", "basis.n=16", "problem.potential=constant:3.0"])
+    assert json.dumps(convergence_table(cfg)) == json.dumps(convergence_table(cfg))
 
 
 def test_convergence_without_a_real_eigenvalue_exits_1(tmp_path, capsys):

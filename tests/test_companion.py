@@ -14,7 +14,6 @@ from tespect.errors import (
     RankAmbiguous,
     ZeroEigenvalue,
 )
-from tespect.model import _potential_values
 from tespect.util import match_multisets
 
 
@@ -289,7 +288,7 @@ def reference_state(comp, t):
 
     basis, problem = wh.system.basis, wh.system.problem
     zero = (0,) * problem.dimension
-    vvals = _potential_values(problem.potential, basis.grid_points())
+    vvals = problem.potential.values(basis.grid_points())
     terms = assembly.p0_terms(problem.order, problem.dimension)
     u_pts = basis.point_values(u, zero)
     w_pts = (1.0 / vvals) * (basis.apply_terms(u, terms) - lam * u_pts) / lam

@@ -313,7 +313,7 @@ def test_potential_scan_builds_one_basis(monkeypatch):
     for s, t in zip(report.s_values, report.t_values):
         prob_s = model.ProblemSpec(prob.operator, prob.domain, model.PotentialSpec.affine(prob.potential, direction, s))
         basis = diagnostics.build_basis(prob_s, 10)
-        vvals = model._potential_values(prob_s.potential, basis.grid_points())
+        vvals = prob_s.potential.values(basis.grid_points())
         assert diagnostics._Pencils.of(prob_s, basis).routes(vvals)[0] == t
 
 

@@ -7,7 +7,6 @@ from tespect import assembly, diagnostics, model
 from tespect.errors import (
     DimensionMismatch,
     NonpositivePotential,
-    OutOfDomain,
     PotentialLeavesCone,
     SmoothnessWarning,
     UnsupportedDimension,
@@ -90,18 +89,32 @@ def test_constant_is_the_degree_0_polynomial(dimension, value):
     size = 6 if dimension == 2 else 12
     op, dom = model.OperatorSpec("laplacian", dimension), model.DomainSpec(("interval", "square")[dimension - 1])
     basis = assembly.build_basis(model.ProblemSpec(op, dom, poly), size)
-    for pts in (basis.grid_points(), model._validation_points(dimension)):
+    for pts in (basis.grid_points(), model.validation_points(dimension)):
         filled = np.full(pts.shape[0], value)
         for pot in (const, poly):
-            assert model._potential_values(pot, pts).tobytes() == filled.tobytes()
+            assert pot.values(pts).tobytes() == filled.tobytes()
     if math.isnan(value):
         with pytest.raises(NonpositivePotential):  # refused where it is given
             model.validate_problem(op, dom, const)
         return
     for pot in (const, poly):
         assert pot.stabilizer() == (tuple(model.SYMMETRIES) if dimension == 2 else ("identity", "flip_x"))
-        knots = assembly._knots(pot)  # the ends only: one composite cell
+        knots = pot.knots()  # the ends only: one composite cell
         assert len(knots) == 1 and np.array_equal(knots[0], [0.0, 1.0])
+
+
+def test_knots_name_every_kink():
+    # a grid's sample knots, one array per axis; an affine family's of both parts
+    with pytest.warns(SmoothnessWarning):
+        line = model.PotentialSpec.grid([1.0, 3.0, 2.0, 4.0], 1)
+        square = model.PotentialSpec.grid(np.ones((3, 5)), 2)
+    ends = [0.0, 1.0]
+    assert [k.tolist() for k in line.knots()] == [np.linspace(0.0, 1.0, 4).tolist()]
+    assert [k.tolist() for k in square.knots()] == [[0.0, 0.5, 1.0], np.linspace(0.0, 1.0, 5).tolist()]
+    family = model.PotentialSpec.affine(model.PotentialSpec.polynomial([2.0, 1.0]), line, 0.5)
+    assert [k.tolist() for k in family.knots()] == [ends, np.linspace(0.0, 1.0, 4).tolist()]
+    nested = model.PotentialSpec.affine(square, model.PotentialSpec.constant(1.0, 2), -1.0)
+    assert [k.tolist() for k in nested.knots()] == [k.tolist() for k in square.knots()] + [ends]
 
 
 def test_potential_at_the_margin_is_refused_everywhere():
@@ -155,25 +168,24 @@ def test_validation_is_deterministic():
 
 def test_eval_potential_constant():
     pot = model.PotentialSpec.constant(3.0, 1)
-    assert model.eval_potential(pot, 0.5) == 3.0
+    assert pot.values(np.array([0.5])).tolist() == [3.0]
 
 
 def test_eval_potential_polynomial():
     pot = model.PotentialSpec.polynomial([1.0, 0.0, 1.0], 1)  # 1 + x^2
-    assert model.eval_potential(pot, 1.0) == pytest.approx(2.0, abs=1e-15)
+    assert pot.values(np.array([1.0]))[0] == pytest.approx(2.0, abs=1e-15)
 
 
 def test_eval_potential_grid_interpolates():
     with pytest.warns(SmoothnessWarning):
         pot = model.PotentialSpec.grid([1.0, 2.0], 1)
-    assert model.eval_potential(pot, 0.25) == pytest.approx(1.25, abs=1e-15)
+    assert pot.values(np.array([0.25]))[0] == pytest.approx(1.25, abs=1e-15)
 
 
 def test_eval_potential_grid_2d_bilinear():
     with pytest.warns(SmoothnessWarning):
         pot = model.PotentialSpec.grid([[1.0, 2.0], [3.0, 4.0]], 2)
-    assert model.eval_potential(pot, [0.5, 0.5]) == pytest.approx(2.5, abs=1e-15)
-    assert model.eval_potential(pot, [0.0, 1.0]) == pytest.approx(2.0, abs=1e-15)
+    assert pot.values(np.array([[0.5, 0.5], [0.0, 1.0]])) == pytest.approx([2.5, 2.0], abs=1e-15)
 
 
 def test_smoothness_warning_names_the_caller():
@@ -183,17 +195,11 @@ def test_smoothness_warning_names_the_caller():
     assert [w.filename for w in record] == [__file__]
 
 
-def test_eval_potential_out_of_domain():
-    pot = model.PotentialSpec.constant(1.0, 1)
-    with pytest.raises(OutOfDomain):
-        model.eval_potential(pot, 1.5)
-
-
 def test_affine_potential():
     base = model.PotentialSpec.constant(1.0, 1)
     direction = model.PotentialSpec.polynomial([0.0, 1.0], 1)  # x
     pot = model.PotentialSpec.affine(base, direction, 2.0)
-    assert model.eval_potential(pot, 0.5) == pytest.approx(2.0, abs=1e-15)
+    assert pot.values(np.array([0.5]))[0] == pytest.approx(2.0, abs=1e-15)
 
 
 def test_swap_invariant_is_read_from_the_representation():
