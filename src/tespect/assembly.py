@@ -11,9 +11,8 @@ Dirichlet form (grad.grad respectively lap.lap).  Basis functions vanish at
 the boundary together with derivatives through order m-1, so no boundary
 terms appear when moving P onto the test function.
 
-Two families are provided: clamped Jacobi functions (x(1-x))^m P_j^{(m,m)}(2x-1)
-and a telescoped sine basis for the second-order case.  The m-th derivative of
-the former is a Legendre polynomial (DLMF 18.9.16; Shen 1994), so their 1D
+The basis is the clamped Jacobi family (x(1-x))^m P_j^{(m,m)}(2x-1), whose
+m-th derivatives are Legendre polynomials (DLMF 18.9.16; Shen 1994), so its 1D
 stiffness is a q-weighted Legendre mass, scaled-conditioned by max V / min V.
 Two-dimensional problems use tensor products on the unit square, flattened
 row-major in the construction order.
@@ -21,7 +20,7 @@ row-major in the construction order.
 All integrals use one composite Gauss-Legendre rule with a cell between each
 pair of consecutive kinks of V, exact by construction (see ``quadrature_rule``).
 
-Both families have parity (-1)^j under x -> 1 - x, so each symmetry of the
+The family has parity (-1)^j under x -> 1 - x, so each symmetry of the
 square (of the interval in 1D) acts on the basis as a signed permutation,
 and both presets commute with it.  ``Symmetry`` reads the stabilizer H of V
 and splits the pencil by it (Bossavit, CMAME 56 (1986) 167): H's flips and
@@ -54,7 +53,6 @@ from numpy.polynomial import legendre as npleg
 from . import densela
 from .errors import (
     AsymmetryExceeded,
-    BasisOrderMismatch,
     NonpositivePotential,
     NotPositiveDefinite,
     ParityViolation,
@@ -63,25 +61,22 @@ from .errors import (
     refuse,
 )
 from .model import SYMMETRIES, PotentialSpec, ProblemSpec, strictly_positive
+from .util import unit_scale
 
 _ASYM_TOL = 1e-8
 _GRAM_FLOOR = 1e-12
 _EDGE_TOL = 1e-12
 _TAIL_TOL = 1e-10
 
-POLYNOMIAL = "clamped-polynomial"
-TRIG = "clamped-trig"
 
-
-def quadrature_rule(size: int, order: int, family: str) -> int:
+def quadrature_rule(size: int, order: int) -> int:
     """Default Gauss-Legendre node count per cell.
 
     N = 2 size + 2 order + 8 nodes are exact through degree 4 size + 4 order
-    + 15, which leaves 2 size + 17 >= 3N/4 degrees for q beyond a polynomial
-    basis product; the trig family's sines take 8 more to reach 1e-13.
+    + 15, which leaves 2 size + 17 >= 3N/4 degrees for q beyond a basis
+    product.
     """
-    nodes = max(2 * size + 2 * order + 8, 32)
-    return nodes + 8 if family == TRIG else nodes
+    return max(2 * size + 2 * order + 8, 32)
 
 
 @cache
@@ -112,7 +107,6 @@ class BasisSet:
     discrete L2 norm, which the Gram diagonal reflects.
     """
 
-    family: str
     order: int
     dimension: int
     size: int
@@ -126,12 +120,7 @@ class BasisSet:
 
     def deriv1d(self, k: int, x: np.ndarray) -> np.ndarray:
         """k-th derivatives of the normalized 1D factor functions, (N, len(x))."""
-        x = np.asarray(x, dtype=float)
-        if self.family == POLYNOMIAL:
-            raw = _poly_deriv(self.order, self.size, k, x)
-        else:
-            raw = _trig_deriv(self.size, k, x)
-        return raw * self.norms[:, None]
+        return _poly_deriv(self.order, self.size, k, np.asarray(x, dtype=float)) * self.norms[:, None]
 
     # -- multi-dimensional helpers ---------------------------------------------
 
@@ -200,18 +189,6 @@ def _poly_deriv(order: int, size: int, k: int, x: np.ndarray) -> np.ndarray:
     return (-1) ** k * rising[:, None] * (x * (1.0 - x)) ** a * np.array(p[k : k + size])
 
 
-def _trig_deriv(size: int, k: int, x: np.ndarray) -> np.ndarray:
-    """Derivatives of sin(j pi x) - (j/(j+2)) sin((j+2) pi x), unnormalized."""
-    j = np.arange(1, size + 1, dtype=float)[:, None]
-    a = j * np.pi
-    b = (j + 2.0) * np.pi
-    rho = j / (j + 2.0)
-    phase = 0.5 * np.pi * k
-    return (a**k) * np.sin(a * x[None, :] + phase) - rho * (b**k) * np.sin(
-        b * x[None, :] + phase
-    )
-
-
 # -- operator term tables ------------------------------------------------------
 
 
@@ -240,45 +217,29 @@ def dirichlet_factors(order: int, dimension: int):
 # -- construction ---------------------------------------------------------------
 
 
-def build_basis(
-    problem: ProblemSpec,
-    size: int,
-    family: str = POLYNOMIAL,
-    quadrature_nodes: int = 0,
-) -> BasisSet:
+def build_basis(problem: ProblemSpec, size: int, quadrature_nodes: int = 0) -> BasisSet:
     """Construct the clamped basis, its quadrature rule and its Gram matrix.
 
-    ``size`` is the per-dimension count of 1D factors, for the polynomial
-    family (x(1-x))^m P_j^{(m,m)}(2x-1), j < size, m the operator order.  The
+    ``size`` is the per-dimension count of 1D factors
+    (x(1-x))^m P_j^{(m,m)}(2x-1), j < size, m the operator order.  The
     1D rule, used on both axes, has a cell between each pair of consecutive
     kinks of V and ``quadrature_nodes`` Gauss points per cell; 0 keeps
     ``quadrature_rule``.  The Gram floor is checked on the 1D factor's
     eigenvalues, whose pairwise products are those of the 2D Gram matrix.
 
     Raises:
-        BasisOrderMismatch: trig family requested for a fourth-order operator.
         QuadratureUnderflow: override too small for the basis polynomial degree.
         NotPositiveDefinite: Gram matrix fails its positivity floor.
     """
     if size < 1:
         raise ValueError("basis size must be at least 1")
     m, n = problem.order, problem.dimension
-    if family == TRIG and m != 2:
-        raise BasisOrderMismatch("clamped-trig realizes only second-order clamping")
-    if family not in (POLYNOMIAL, TRIG):
-        raise ValueError(f"unknown basis family {family!r}")
-
-    nodes_count = quadrature_nodes or quadrature_rule(size, m, family)
-    if family == POLYNOMIAL:
-        required = size + 2 * m + 1
-        if nodes_count < required:
-            raise QuadratureUnderflow(
-                f"{nodes_count} nodes cannot integrate degree {2 * (size - 1 + 2 * m)}"
-            )
+    nodes_count = quadrature_nodes or quadrature_rule(size, m)
+    if nodes_count < size + 2 * m + 1:
+        raise QuadratureUnderflow(f"{nodes_count} nodes cannot integrate degree {2 * (size - 1 + 2 * m)}")
     nodes, weights = _composite_gauss(problem.potential, nodes_count)
 
     basis = BasisSet(
-        family=family,
         order=m,
         dimension=n,
         size=size,
@@ -423,7 +384,7 @@ def _check_and_symmetrize(name: str, m: np.ndarray, basis: Optional[BasisSet] = 
     asym = _frobenius(out, lead) / np.maximum(_frobenius(m, lead), 1e-300)
     refuse(
         AsymmetryExceeded,
-        asym > _ASYM_TOL,
+        ~(asym <= _ASYM_TOL),
         lambda i: f"matrix {name} asymmetry {asym[i]:.3e} exceeds {_ASYM_TOL:.0e}; "
         "quadrature is inconsistent",
     )
@@ -562,10 +523,12 @@ def assemble_stack(
     )
     lead, qvals = vvals.ndim - 1, 1.0 / vvals
     _warn_if_unresolved(qvals, basis)
-    out = {
-        name: _check_and_symmetrize(name, mat, basis)
-        for name, mat in _raw_forms(basis, qvals, dirichlet)
-    }
+    # each member is scaled by ``unit_scale`` until it is returned: no check's norm over- or underflows
+    scales, out = {}, {}
+    for name, mat in _raw_forms(basis, qvals, dirichlet):
+        scales[name] = unit_scale(mat, (-2, -1))
+        mat *= scales[name]
+        out[name] = _check_and_symmetrize(name, mat, basis)
     classes = symmetry.classes
     if len(classes) > 1:
         label = np.empty(out["A"].shape[-1], dtype=int)
@@ -576,7 +539,7 @@ def assemble_stack(
             leak = _frobenius(mat * coupled, lead) / np.maximum(_frobenius(mat, lead), 1e-300)
             refuse(
                 ParityViolation,
-                leak > _ASYM_TOL,
+                ~(leak <= _ASYM_TOL),
                 lambda i: f"matrix {name} couples symmetry classes at {leak[i]:.3e} of its norm, "
                 f"above {_ASYM_TOL:.0e}",
             )
@@ -594,11 +557,13 @@ def assemble_stack(
             leak = 2.0 * _frobenius(mat, lead) / scale
             refuse(
                 ParityViolation,
-                leak > _ASYM_TOL,
+                ~(leak <= _ASYM_TOL),
                 lambda i: f"matrix {name} changes under {symmetry.g} by {leak[i]:.3e} of "
                 f"its norm, above {_ASYM_TOL:.0e}",
             )
             out[name] = mean.reshape(mat.shape)
+    for name, mat in out.items():
+        mat /= scales[name]
     for idx in classes:
         _cholesky(out["C"][..., idx[:, None], idx], "matrix C")
     return out

@@ -40,6 +40,7 @@ from .errors import (
     RankAmbiguous,
     ZeroEigenvalue,
 )
+from .util import unit_scale
 
 _CLUSTER_TOL = 1e-6  # relative distance in mu that links two eigenvalues into one cluster
 _RANK_TRUNCATION = 1e-8
@@ -282,8 +283,9 @@ def recover_states(
         at = np.flatnonzero(blocks == b)
         y = comp.eigen_data()[b].eigenvectors[:, [spec[i].column for i in at]]
         y_norm = np.maximum(np.linalg.norm(y, axis=0), 1e-300)
-        dresid = np.linalg.norm(d @ y - y * mus[at], axis=0)
-        if np.any(dresid > check_tol * max(float(np.linalg.norm(d)), 1e-300) * y_norm):
+        scale = unit_scale(d)  # exact, and keeps the squares of D_b's entries in range
+        dresid = np.linalg.norm(scale * (d @ y) - y * (scale * mus[at]), axis=0)
+        if not np.all(dresid <= check_tol * max(float(np.linalg.norm(scale * d)), 1e-300) * y_norm):
             raise ValueError("supplied vector is not an eigenvector of its companion block")
         y1 = y[: blk.stop - blk.start]
         if np.any(np.linalg.norm(y1, axis=0) < 1e-12 * y_norm):

@@ -49,7 +49,7 @@ from . import densela
 from .assembly import WhitenedSystem
 from .companion import block_eigenvalues, build_companion
 from .errors import ContourNearZero, InsufficientResolvedRange, PhaseUnresolved, RangeExceeded
-from .util import wrap_angle
+from .util import unit_scale, wrap_angle
 
 _MIN_CONTOUR_POINTS = 16
 _MAX_CONTOUR_POINTS = 8192
@@ -242,7 +242,8 @@ def auto_radii(spectrum: np.ndarray) -> list[float]:
         near = np.flatnonzero(np.abs(counts - target) <= 0.1 * target)
         nearest = np.argmin(np.abs(np.log(counts / target)))
         picks.add(int(near[np.argmax(clearance[near])] if near.size else nearest))
-    return [float(np.sqrt(moduli[i - 1] * moduli[i])) for i in counts[sorted(picks)]]
+    top, scale = counts[sorted(picks)], unit_scale(moduli, ())  # exact: no product of scaled moduli underflows
+    return [float(r) for r in np.sqrt((moduli[top - 1] * scale[top]) * (moduli[top] * scale[top])) / scale[top]]
 
 
 def growth_profile(

@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import AsymmetryExceeded, NoConvergence
+from .util import unit_scale
 
 _SYM_TOL = 1e-10
 
@@ -63,15 +64,20 @@ class LogDet:
 
 
 def _check_symmetric(s: np.ndarray, tol: float = _SYM_TOL) -> np.ndarray:
+    """(S + S^T) / 2 after checking S is finite and ||S - S^T|| / ||S|| on S scaled by ``unit_scale``."""
     s = np.asarray(s, dtype=float)
     if s.ndim < 2 or s.shape[-2] != s.shape[-1]:
         raise ValueError("expected a square matrix or a stack of them")
+    if not np.all(np.isfinite(s)):
+        raise ValueError("matrix entries must be finite")
+    scale = unit_scale(s, (-2, -1))
+    s = s * scale
     st = np.swapaxes(s, -1, -2)
-    scale = np.maximum(np.linalg.norm(s, axis=(-2, -1)), 1e-300)
-    asym = np.max(np.linalg.norm(s - st, axis=(-2, -1)) / scale, initial=0.0)
-    if asym > tol:
+    norm = np.maximum(np.linalg.norm(s, axis=(-2, -1)), 1e-300)
+    asym = np.max(np.linalg.norm(s - st, axis=(-2, -1)) / norm, initial=0.0)
+    if not asym <= tol:
         raise AsymmetryExceeded(f"matrix asymmetry {asym:.3e} exceeds {tol:.1e}")
-    return 0.5 * (s + st)
+    return (s + st) * (0.5 / scale)
 
 
 def sym_eig(s: np.ndarray) -> SymEig:

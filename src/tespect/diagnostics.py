@@ -46,9 +46,9 @@ from .assembly import (
     whiten_stack,
 )
 from .companion import CompanionSystem
-from .errors import ComputationError, CrossCheckFailed, PotentialLeavesCone, refuse
+from .errors import ComputationError, CrossCheckFailed, PotentialLeavesCone, RangeExceeded, refuse
 from .model import PotentialSpec, ProblemSpec, strictly_positive, validation_points
-from .util import loglog_slope
+from .util import loglog_slope, unit_scale
 
 _IDENTITY_TOL = 1e-10
 _SCAN_STACK_BYTES = 1 << 25  # N x N array bytes per scan stack: bounds the transient memory
@@ -210,28 +210,32 @@ def trace_report(
 
     Singular values and the spectral radius come from the diagonal blocks
     D_b, one SVD and one eigensolve each, a twin reusing its source's; the
-    trace identities from the assembled A, B, C.
+    trace identities from the assembled A, B, C.  RangeExceeded refuses a
+    trace, norm or residual beyond the double range.
     """
     wh, prob = comp.whitened, comp.whitened.system.problem
-    powers = tuple((int(p), trace_power(comp, int(p))) for p in p_list)
 
     def block_data(b: int) -> tuple[np.ndarray, float]:
         block = comp.blocks[b]
         moduli = np.abs(densela.nonsym_eig(block).eigenvalues)
         return np.linalg.svd(block, compute_uv=False), float(np.max(moduli, initial=0.0))
 
-    data = wh.per_block(block_data)
-    svals_d = np.sort(np.concatenate([svals for svals, _ in data]))[::-1]
-    radius = max(r for _, r in data)
-    return TraceReport(
-        powers=powers,
-        schatten_1=float(np.sum(svals_d)),
-        schatten_2=float(np.sqrt(np.sum(svals_d**2))),
-        spectral_radius=radius,
-        decay_exponent=schatten_profile(wh),
-        decay_theory=None if prob is None else -prob.order / prob.dimension,
-        identity_residuals=trace_identity_check(comp),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        powers = tuple((int(p), trace_power(comp, int(p))) for p in p_list)
+        data = wh.per_block(block_data)
+        svals_d = np.sort(np.concatenate([svals for svals, _ in data]))[::-1]
+        report = TraceReport(
+            powers=powers,
+            schatten_1=float(np.sum(svals_d)),
+            schatten_2=float(np.sqrt(np.sum(svals_d**2))),
+            spectral_radius=max(r for _, r in data),
+            decay_exponent=schatten_profile(wh),
+            decay_theory=None if prob is None else -prob.order / prob.dimension,
+            identity_residuals=trace_identity_check(comp),
+        )
+    if not np.all(np.isfinite([t for _, t in powers] + [report.schatten_2, *report.identity_residuals])):
+        raise RangeExceeded("a trace or norm of D is beyond the double range")
+    return report
 
 
 def _range_opening(wh: WhitenedSystem, ks: list) -> tuple[tuple, float]:
@@ -348,10 +352,12 @@ class _Pencils:
 
 def _cross_check(whitened, raw) -> None:
     whitened, raw = np.asarray(whitened), np.asarray(raw)
-    residual = np.abs(whitened - raw) / np.maximum(np.maximum(np.abs(whitened), np.abs(raw)), 1.0)
+    peak = np.maximum(np.maximum(np.abs(whitened), np.abs(raw)), 1.0)
+    scale = unit_scale(peak, ())  # exact, and keeps the difference of the routes finite
+    residual = np.abs(whitened * scale - raw * scale) / (peak * scale)
     refuse(
         CrossCheckFailed,
-        residual > _IDENTITY_TOL,
+        ~(residual <= _IDENTITY_TOL),
         lambda i: f"cyclicity cross-check residual {residual[i]:.3e} exceeds {_IDENTITY_TOL:.1e}",
     )
 

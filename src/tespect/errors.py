@@ -55,10 +55,6 @@ class QuadratureWarning(UserWarning):
 
 # --- assembly -------------------------------------------------------------
 
-class BasisOrderMismatch(ComputationError):
-    """Basis family cannot realize the clamping order the operator needs."""
-
-
 class QuadratureUnderflow(ComputationError):
     """Requested quadrature rule cannot integrate the basis degree exactly."""
 
@@ -134,7 +130,7 @@ class PotentialLeavesCone(ComputationError):
 # --- oracles ----------------------------------------------------------------
 
 class RangeExceeded(ComputationError):
-    """Argument outside a validated range: the special functions', an oracle k-grid's size, a contour radius."""
+    """Argument or result out of a validated range: special functions', an oracle k-grid, a contour radius, a trace."""
 
 
 class DegenerateContrast(ComputationError):

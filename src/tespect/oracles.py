@@ -29,8 +29,9 @@ interpolants are bisected.  m is the smallest count with
 (tau h)^m / (2^(m-2) m!) <= eps, which bounds the interpolation error by
 eps * M (Bernstein's inequality |f^(m)| <= M tau^m, and the Lobatto node
 polynomial is at most 2^(2-m) on [-1, 1]); m = 6 at the disk's 200 points per
-unit for eta = 2.  Every refined root is then checked on the true table: a
-candidate whose own row exceeds 1e-10 there is dropped.
+unit for eta = 2.  A grid with tau h >= 1 is refused.  Every refined root is
+then checked on the true table: a candidate whose own row exceeds
+max(1e-10, tau M w) there is dropped, w the width at which bisection stops.
 
 Candidates from different rows of one mode in the same or adjacent grid cells
 are one root, and the candidate with the smaller max |row| over that mode's
@@ -162,6 +163,11 @@ def disk_determinant(k: float | np.ndarray, eta: float, l: int) -> float | np.nd
 # -- root location ---------------------------------------------------------------
 
 
+def _stop_width(k):
+    """The bracket width below which ``_bisect`` stops at k."""
+    return np.maximum(1e-13, 8.0 * np.finfo(float).eps * np.abs(k))
+
+
 def _bisect(fn: Callable, lo, hi):
     """Bisect every bracket [lo, hi] of fn at once; scalars give a scalar."""
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
@@ -169,7 +175,7 @@ def _bisect(fn: Callable, lo, hi):
     active = np.ones(lo.shape, dtype=bool)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        active &= hi - lo >= np.maximum(1e-13, 8.0 * np.finfo(float).eps * np.abs(mid))
+        active &= hi - lo >= _stop_width(mid)
         if not active.any():
             break
         fm = fn(mid)
@@ -197,12 +203,16 @@ def _scan_roots(
     points_per_unit: int,
     modes: Sequence[Optional[int]],
     tau: float,
+    bound: float,
 ) -> list[OracleRoot]:
-    """Roots of every row of ``table`` (row i belongs to mode ``modes[i]``);
-    every row is an entire function of exponential type at most ``tau``."""
+    """Roots of every row of ``table`` (row i belongs to mode ``modes[i]``); every row is an
+    entire function of exponential type at most ``tau``, bounded by ``bound`` on the real line."""
     count = max(int(math.ceil((k_hi - k_lo) * points_per_unit)), 8) + 1
     if len(modes) * count > _SCAN_VALUES:
         raise RangeExceeded(f"a k-grid of {count} points for {len(modes)} rows exceeds {_SCAN_VALUES} values")
+    half_cell = 0.5 * (k_hi - k_lo) / (count - 1)
+    if tau * half_cell >= 1.0:  # a cell of 2 / tau or more spans most of a zero spacing pi / tau
+        raise RangeExceeded(f"oracle.points_per_unit {points_per_unit} too coarse: tau h = {tau * half_cell:.3g} >= 1")
     ks = np.linspace(k_lo, k_hi, count)
     vals = np.empty((len(modes), count))
     for lo in range(0, count, _SCAN_BLOCK):
@@ -213,7 +223,7 @@ def _scan_roots(
     # each bracket's row, interpolated at m Lobatto points, is bisected as a polynomial
     lo, hi = ks[cell], ks[cell + 1]
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    m = _proxy_points(tau, 0.5 * (k_hi - k_lo) / (count - 1))
+    m = _proxy_points(tau, half_cell)
     nodes = np.cos(np.pi * np.arange(m) / (m - 1))
     samples = table(mid[:, None] + half[:, None] * nodes)[row, np.arange(row.size)]
     coef = np.linalg.solve(np.polynomial.chebyshev.chebvander(nodes, m - 1), samples.T)
@@ -234,11 +244,13 @@ def _scan_roots(
         else:
             clusters.append([i])
 
+    # a row's slope is at most tau * bound: bisection alone leaves up to half this at a root
+    accept = np.maximum(_RESIDUAL_TOL, tau * bound * _stop_width(k_star))
     roots: list[OracleRoot] = []
     for members in clusters:
         i = min(members, key=lambda j: worst[j])
         k = float(k_star[i])
-        if res[i] < _RESIDUAL_TOL and k > 0:
+        if res[i] <= accept[i] and k > 0:
             bracket = (float(ks[cell[i]]), float(ks[cell[i] + 1]))
             roots.append(OracleRoot(k, k**2, modes[row[i]], float(res[i]), bracket))
     roots.sort(key=lambda r: (r.k, r.l or 0))
@@ -255,7 +267,7 @@ def oracle_1d(
 
     Raises:
         DegenerateContrast: V below MIN_CONTRAST (the two wave families coincide).
-        RangeExceeded: a k-grid of more than ``_SCAN_VALUES`` values.
+        RangeExceeded: a k-grid of more than ``_SCAN_VALUES`` values or with tau h >= 1.
     """
     if contrast < MIN_CONTRAST:
         raise DegenerateContrast(f"contrast {contrast:g} below {MIN_CONTRAST:g}")
@@ -269,6 +281,7 @@ def oracle_1d(
         points_per_unit,
         [None, None],
         tau=0.5 * (1.0 + eta),
+        bound=1.0 + eta,
     )
 
 
@@ -287,7 +300,7 @@ def oracle_disk(
 
     Raises:
         RangeExceeded: mode index above L_MAX_DISK, argument beyond the
-            evaluator, or a k-grid of more than ``_SCAN_VALUES`` values.
+            evaluator, a k-grid of more than ``_SCAN_VALUES`` values or with tau h >= 1.
         DegenerateContrast: V below MIN_CONTRAST.
     """
     if contrast < MIN_CONTRAST:
@@ -306,4 +319,5 @@ def oracle_disk(
         points_per_unit,
         range(l_max + 1),
         tau=1.0 + eta,
+        bound=1.0 + eta,
     )

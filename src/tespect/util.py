@@ -28,6 +28,15 @@ def loglog_slope(values: np.ndarray) -> float | None:
     return float(slope)
 
 
+def unit_scale(x: np.ndarray, axes=None) -> np.ndarray:
+    """Powers of two taking max |x| over ``axes`` into [0.5, 1), as size-1 axes; 1 for a 0, inf or NaN peak.
+
+    Exact: scaled norms neither overflow nor underflow, and keep the unscaled ratios bitwise in the normal range.
+    """
+    peak = np.maximum(np.max(x, axes, keepdims=True, initial=0.0), -np.min(x, axes, keepdims=True, initial=0.0))
+    return np.ldexp(1.0, np.minimum(-np.frexp(peak)[1], 1023))
+
+
 def wrap_angle(theta: np.ndarray | float):
     """Wrap angles into (-pi, pi]."""
     wrapped = np.mod(np.asarray(theta) + np.pi, 2.0 * np.pi) - np.pi

@@ -15,13 +15,12 @@ def build_system(
     dimension: int = 1,
     size: int = 32,
     contrast: float = 3.0,
-    family: str = assembly.POLYNOMIAL,
 ):
     op = model.OperatorSpec.preset_by_name(operator, dimension)
     dom = model.DomainSpec("interval" if dimension == 1 else "square")
     pot = model.PotentialSpec.constant(contrast, dimension)
     problem = model.validate_problem(op, dom, pot)
-    basis = assembly.build_basis(problem, size, family)
+    basis = assembly.build_basis(problem, size)
     system = assembly.assemble_system(problem, basis)
     return problem, basis, system, assembly.whiten(system)
 
@@ -36,6 +35,24 @@ def cached_system(**kwargs):
             warnings.simplefilter("ignore")
             _CACHE[key] = build_system(**kwargs)
     return _CACHE[key]
+
+
+def cross_size_decay(operator: str, dimension: int, sizes=(8, 12, 16, 20, 24)) -> float:
+    """Decay exponent alpha of the singular values sqrt(mu) of S, estimated across basis sizes.
+
+    With sqrt(mu_j) ~ j^-alpha, sigma(N) = sum sqrt(mu) over N = n^d values
+    grows per unit of ln N like N^(1 - alpha).  Over consecutive sizes, g_k
+    is that growth and l_k the mid ln N of step k, so
+    alpha = 1 - ln(g_last / g_first) / (l_last - l_first).  Each sigma is
+    dominated by its resolved head, unlike a fit over one size's spectrum,
+    whose unresolved tail sets the slope in 2D.
+    """
+    log_n, sigma = np.empty(len(sizes)), np.empty(len(sizes))
+    for i, n in enumerate(sizes):
+        wh = cached_system(operator=operator, dimension=dimension, size=n, contrast=3.0)[3]
+        log_n[i], sigma[i] = np.log(wh.mu.size), np.sum(np.sqrt(wh.mu))
+    growth, mid = np.diff(sigma) / np.diff(log_n), 0.5 * (log_n[1:] + log_n[:-1])
+    return float(1.0 - np.log(growth[-1] / growth[0]) / (mid[-1] - mid[0]))
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,14 @@ import time
 
 import numpy as np
 
-from conftest import cached_system, companion_eigenvalues, dense_d, pencil_companion, random_spd_pencil
+from conftest import (
+    cached_system,
+    companion_eigenvalues,
+    cross_size_decay,
+    dense_d,
+    pencil_companion,
+    random_spd_pencil,
+)
 from tespect import (
     assembly,
     companion,
@@ -148,19 +155,12 @@ def test_c06_resolvent_block_formula():
 def test_c07_schatten_decay():
     start = time.perf_counter()
     ok = True
-    for operator, size, dimension, family, theory, tol in (
-        ("laplacian", 32, 1, assembly.POLYNOMIAL, -2.0, 0.15),
-        ("bilaplacian", 24, 1, assembly.POLYNOMIAL, -4.0, 0.15),
-        ("laplacian", 20, 2, assembly.TRIG, -1.0, 0.20),
-    ):
-        _, _, _, wh = cached_system(
-            operator=operator,
-            dimension=dimension,
-            size=size,
-            contrast=3.0,
-            family=family,
-        )
-        ok &= abs(diagnostics.schatten_profile(wh) - theory) <= tol * abs(theory)
+    for operator, size, theory in (("laplacian", 32, -2.0), ("bilaplacian", 24, -4.0)):
+        _, _, _, wh = cached_system(operator=operator, size=size, contrast=3.0)
+        ok &= abs(diagnostics.schatten_profile(wh) - theory) <= 0.15 * abs(theory)
+    # in 2D a fit over one size's spectrum reads its unresolved tail, so the
+    # exponent -alpha is estimated across sizes; theory -m/n = -1.0, within 20%
+    ok &= abs(cross_size_decay("laplacian", 2) - 1.0) <= 0.20
     elapsed = time.perf_counter() - start
     ok &= elapsed < 120.0
     report(7, f"singular-value decay exponents ({elapsed:.2f}s)", bool(ok))

@@ -6,11 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import build_system, cached_system, dense_bw
+from conftest import build_system, cached_system, cross_size_decay, dense_bw
 from tespect import assembly, companion, model
 from tespect.errors import (
     AsymmetryExceeded,
-    BasisOrderMismatch,
     NonpositivePotential,
     NotPositiveDefinite,
     ParityViolation,
@@ -69,19 +68,6 @@ def test_unit_basis_matches_exact_integrals():
 
 
 # -- clamping -------------------------------------------------------------------
-
-
-def test_trig_family_clamps_value_and_slope():
-    prob = model.validate_problem(
-        model.OperatorSpec("laplacian", 1),
-        model.DomainSpec("interval"),
-        model.PotentialSpec.constant(1.0, 1),
-    )
-    basis = assembly.build_basis(prob, 2, assembly.TRIG)
-    ends = np.array([0.0, 1.0])
-    for order in (0, 1):
-        vals = basis.deriv1d(order, ends)
-        assert np.max(np.abs(vals)) < 1e-10
 
 
 def test_polynomial_family_clamps_through_order_m_minus_1():
@@ -145,16 +131,6 @@ def test_square_pipeline_at_default_size(operator):
     assert wh.size == 32 * 32
 
 
-def test_trig_rejected_for_fourth_order():
-    prob = model.validate_problem(
-        model.OperatorSpec("bilaplacian", 1),
-        model.DomainSpec("interval"),
-        model.PotentialSpec.constant(1.0, 1),
-    )
-    with pytest.raises(BasisOrderMismatch):
-        assembly.build_basis(prob, 8, assembly.TRIG)
-
-
 def test_quadrature_underflow():
     prob = model.validate_problem(
         model.OperatorSpec("laplacian", 1),
@@ -181,10 +157,10 @@ def test_contrast_three_mass_scaling():
     assert np.max(np.abs(system.c - (4.0 / 3.0) * basis.gram)) < 1e-13
 
 
-def assert_rule_matches_refined(prob, size, factor, family=assembly.POLYNOMIAL):
+def assert_rule_matches_refined(prob, size, factor):
     """The default rule agrees to 1e-12 with ``factor`` x its nodes per cell."""
-    basis = assembly.build_basis(prob, size, family)
-    fine = assembly.build_basis(prob, size, family, quadrature_nodes=factor * basis.cell_nodes)
+    basis = assembly.build_basis(prob, size)
+    fine = assembly.build_basis(prob, size, quadrature_nodes=factor * basis.cell_nodes)
     assert fine.nodes.size == factor * basis.nodes.size  # same cells
     with warnings.catch_warnings():
         warnings.simplefilter("error", QuadratureWarning)
@@ -216,13 +192,6 @@ def test_grid_potential_rule_is_exact_2d():
     op = model.OperatorSpec("laplacian", 2)
     prob = model.validate_problem(op, model.DomainSpec("square"), pot)
     assert_rule_matches_refined(prob, 8, 4)
-
-
-def test_trig_rule_matches_doubled_rule():
-    op = model.OperatorSpec("laplacian", 1)
-    pot = model.PotentialSpec.constant(3.0, 1)
-    prob = model.validate_problem(op, model.DomainSpec("interval"), pot)
-    assert_rule_matches_refined(prob, 16, 2, assembly.TRIG)
 
 
 def test_unresolved_potential_warns():
@@ -376,19 +345,19 @@ def test_stacked_cholesky_refuses_a_failing_member():
 
 
 @pytest.mark.parametrize(
-    "operator,size,dimension,family",
+    "operator,size,dimension",
     [
-        ("laplacian", 32, 1, assembly.POLYNOMIAL),
-        ("bilaplacian", 24, 1, assembly.POLYNOMIAL),
-        ("laplacian", 20, 2, assembly.TRIG),
+        pytest.param("laplacian", 32, 1, id="laplacian-32-1-clamped-polynomial"),
+        pytest.param("bilaplacian", 24, 1, id="bilaplacian-24-1-clamped-polynomial"),
+        pytest.param("laplacian", 24, 2, id="laplacian-24-2-clamped-polynomial"),
     ],
 )
-def test_whitened_stiffness_growth(operator, size, dimension, family):
-    prob, _, _, wh = cached_system(
-        operator=operator, dimension=dimension, size=size, contrast=3.0, family=family
-    )
-    eigs = np.linalg.eigvalsh(np.diag(1.0 / wh.mu))
-    slope = loglog_slope(eigs)
+def test_whitened_stiffness_growth(operator, size, dimension):
+    prob, _, _, wh = cached_system(operator=operator, dimension=dimension, size=size, contrast=3.0)
+    if dimension == 1:
+        slope = loglog_slope(np.linalg.eigvalsh(np.diag(1.0 / wh.mu)))
+    else:  # 1/mu grows like j^(2 alpha); a fit at one size reads its unresolved tail
+        slope = 2.0 * cross_size_decay(operator, dimension)  # sizes 8 ... 24
     expected = 2.0 * prob.order / prob.dimension
     assert abs(slope - expected) <= 0.15 * expected
 
@@ -602,8 +571,10 @@ def test_swap_split_of_polynomial_without_reflection_symmetry():
 
 def test_claimed_swap_of_asymmetric_potential_is_refused(monkeypatch):
     monkeypatch.setattr(model.PotentialSpec, "stabilizer", lambda self: ("identity", "swap"))
-    with pytest.raises(ParityViolation, match="swap"):
-        parity_system(model.PotentialSpec.polynomial([[2.0, 1.0], [0.0, 0.0]], 2))
+    # at V of 1e300 only A shows the asymmetry, and the squares of its entries underflow
+    for scale in (1.0, 1e300):
+        with pytest.raises(ParityViolation, match="matrix A changes under swap"):
+            parity_system(model.PotentialSpec.polynomial([[2.0 * scale, scale], [0.0, 0.0]], 2))
 
 
 def test_claimed_rot90_of_potential_without_it_is_refused(monkeypatch):

@@ -590,6 +590,60 @@ def test_every_command_writes_nothing_to_stderr(tmp_path):
     assert proc.returncode == 0 and proc.stderr == "", (proc.stdout[-2000:], proc.stderr)
 
 
+EXTREME_POTENTIAL = """
+import contextlib
+import io
+import json
+import sys
+import traceback
+import warnings
+from tespect.cli import _COMMANDS, run
+warnings.simplefilter("always")
+
+
+def typed_record(lines):
+    try:
+        return len(lines) == 1 and isinstance(json.loads(lines[0])["error"]["code"], str)
+    except (ValueError, KeyError, TypeError):
+        return False
+
+
+failed = []
+for command in _COMMANDS:
+    for operator in ("laplacian", "bilaplacian"):
+        argv = [command, "--out", f"{command}-{operator}", f"--set=problem.operator={operator}"]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                code = run([*argv, "--set=problem.potential=constant:1e300"])
+            except Exception:
+                code = traceback.format_exc()
+        lines = err.getvalue().splitlines()
+        if not ((code == 0 and not lines) or (code == 1 and typed_record(lines))):
+            failed.append((command, operator, code, err.getvalue()[-300:]))
+print(failed)
+sys.exit(1 if failed else 0)
+"""
+
+
+def test_every_command_at_an_extreme_potential_ends_cleanly(tmp_path):
+    # at V = 1e300 the squares of matrix entries leave the double range both
+    # ways, and tr D^2 overflows: every subcommand of both presets in 1D,
+    # each warning shown, exits 0 with empty stderr or 1 with one JSON record
+    argv = [sys.executable, "-c", EXTREME_POTENTIAL]
+    proc = subprocess.run(argv, cwd=tmp_path, env=src_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0 and proc.stderr == "", (proc.stdout[-3000:], proc.stderr)
+
+
+@pytest.mark.parametrize("contrast", ["1e8", "1e20"])
+def test_oracle1d_refuses_a_grid_too_coarse_for_its_rows(tmp_path, capsys, contrast):
+    # the rows have exponential type tau = (1 + eta) / 2; at the default 2000
+    # points per unit a cell spans most of a zero spacing from contrast 6.4e7
+    assert run(["oracle1d", "--out", str(tmp_path / "o"), "--set", f"oracle.contrast={contrast}"]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["code"] == "RangeExceeded" and error["message"].startswith("oracle.points_per_unit 2000 too coarse")
+
+
 def test_trace_too_small_for_a_decay_fit_writes_null(tmp_path):
     # basis.n=2 on the interval: S has two singular values, too few for a decay fit
     out = tmp_path / "tr"

@@ -297,7 +297,7 @@ def poly_square_system(size):
         model.DomainSpec("square"),
         model.PotentialSpec.polynomial([[3.0, 0.3], [1.0, 0.2]], 2),
     )
-    basis = assembly.build_basis(problem, size, assembly.POLYNOMIAL)
+    basis = assembly.build_basis(problem, size)
     return assembly.whiten(assembly.assemble_system(problem, basis))
 
 
@@ -475,6 +475,12 @@ def test_radius_rule_resolves_the_default_potential():
     report = counting.growth_profile(wh, counting.auto_radii(np.concatenate(spectra)), spectra=spectra)
     assert np.count_nonzero(report.resolved) >= 3
     assert np.array_equal(report.windings, report.cross_counts)
+
+
+def test_radius_rule_at_moduli_whose_products_underflow():
+    # scaled by 2^-1000, about 1e-301, the moduli multiply to 0, yet every radius scales exactly
+    radii = counting.auto_radii(star_spectrum())
+    assert counting.auto_radii(star_spectrum() * 2.0**-1000) == [r * 2.0**-1000 for r in radii]
 
 
 def test_radius_rule_without_a_usable_gap():

@@ -40,8 +40,15 @@ def test_sym_eig_residuals(n):
 
 
 def test_sym_eig_rejects_asymmetric():
-    with pytest.raises(AsymmetryExceeded):
-        densela.sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    # at 1e300 the squares of the entries overflow, at 1e-300 they underflow
+    for scale in (1.0, 1e300, 1e-300):
+        with pytest.raises(AsymmetryExceeded):
+            densela.sym_eig(scale * np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+def test_sym_eig_rejects_nonfinite():
+    with pytest.raises(ValueError, match="finite"):
+        densela.sym_eig(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
 # -- SPD roots from the whitening congruence --------------------------------------

@@ -449,6 +449,12 @@ def scan_nodes(s_min, s_max, count):
     return diagnostics.potential_scan(unit_problem(), direction, s_min, s_max, count, 4).s_values
 
 
+def test_cross_check_refuses_a_non_finite_route():
+    # a NaN residual compares false with any bound, so the check asks for residual <= tol
+    with pytest.raises(CrossCheckFailed):
+        diagnostics._cross_check(np.array([0.3, np.nan]), np.array([0.3, 0.3]))
+
+
 def test_stacked_scan_cross_check_names_first_failing_s(monkeypatch):
     prob = unit_problem()  # V = 1 + s
     s = scan_nodes(0.0, 1.0, 5)

@@ -167,6 +167,20 @@ def test_oracle_interval_generic_contrast_sign_changes():
         assert flo * fhi < 0  # verified bracket
 
 
+@pytest.mark.parametrize("contrast, count", [(1e4, 615), (1e5, 1957)])
+def test_oracle_interval_keeps_every_root_at_large_contrast(contrast, count):
+    # count: the sign changes of e and o on a 4,000,001-point grid of [0.5, 20].
+    # The rows grow like eta and their slopes like eta^2, so the residual
+    # bisection leaves at a root passes 1e-10; the acceptance scales with them
+    eta = math.sqrt(1.0 + contrast)
+    roots = oracles.oracle_1d(contrast, 0.5, 20.0)
+    assert len(roots) == count
+    for root in roots:
+        assert root.residual <= max(1e-10, 0.5 * (1.0 + eta) ** 2 * oracles._stop_width(root.k))
+        lo, hi = root.bracket
+        assert np.prod(np.sign(oracles.interval_determinant(np.array([lo, hi]), eta))) < 0
+
+
 def test_oracle_interval_degenerate_contrast():
     with pytest.raises(DegenerateContrast):
         oracles.oracle_1d(1e-7, 0.5, 5.0)
@@ -240,7 +254,7 @@ def test_scan_roots_samples_each_bracket_once():
         return oracles._disk_table(k, eta, 8)
 
     count = 3901  # 200 points per unit on [0.5, 20]
-    roots = oracles._scan_roots(table, 0.5, 20.0, 200, range(9), tau=1.0 + eta)
+    roots = oracles._scan_roots(table, 0.5, 20.0, 200, range(9), tau=1.0 + eta, bound=1.0 + eta)
     assert len(roots) == 53
     assert len(calls) <= math.ceil(count / oracles._SCAN_BLOCK) + 2
     assert sum(calls) <= count + 53 * oracles._proxy_points(1.0 + eta, 2.5e-3) + 53
